@@ -8,26 +8,22 @@ system in one space dimension with relaxation.
 from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoConvergence, NoRoot, NoSolution,
                      QuadratureNotConverged, SingularD)
-from .polylog import (BOSE_Z_MAX, ORDERS, ZETA_HALF, GasStatistics, PolylogSet,
-                      eval_polylog_batch, eval_polylog_set,
-                      polylog_derivative)
+from .polylog import (BOSE_Z_MAX, ORDERS, ZETA_HALF, PolylogSet,
+                      eval_polylog_batch, eval_polylog_set)
 from .state import (ClosureMoments, EquilibriumParams, MomentState5,
                     MomentState13, ansatz_moments, closure_moments,
-                    equilibrium_rho_p, equilibrium_state13, fit_equilibrium,
-                    fit_fugacity_batch, fit_state, grad_ansatz_eval,
-                    moment_quadrature, state5_from_hat, state13_from_state5)
-from .matrices import (LiDerivedCoeffs, SystemKind, SystemMatrices, W_NAMES,
-                       assemble_A, assemble_A5_grad, assemble_A_direction,
-                       assemble_A_grad_3d, assemble_A_regularized,
-                       assemble_A_trivial, assemble_D, assemble_M,
-                       axis_permutation_matrix, li_derived_coeffs, pslot,
-                       qbgk_source, reduce_to_1d, state_to_w, w_to_state13)
+                    equilibrium_state13, fit_equilibrium, fit_fugacity_batch,
+                    fit_state, grad_ansatz_eval, moment_quadrature,
+                    state5_from_hat, state13_from_state5)
+from .matrices import (SystemKind, SystemMatrices, assemble_A, assemble_A5_grad,
+                       assemble_A_direction, assemble_A_grad_3d,
+                       assemble_A_regularized, assemble_D, assemble_M,
+                       axis_permutation_matrix, pslot, reduce_to_1d)
 from .spectral import (ShearCharPolyCoeffs, Classification, EquilibriumSpectrum,
                        HyperbolicityVerdict, annihilation_residual,
                        shear_charpoly_coeffs, char_poly_A5_analytic,
                        char_poly_equilibrium, charpoly_coeffs, classify_batch,
-                       diagonalizability_test, eigendecompose,
-                       fermion_crossing)
+                       diagonalizability_test, fermion_crossing)
 from .analysis import (FugacitySweep, LinearizationReport, NSFReport,
                        RegionGrid, area_fraction, eigen_sweep_fugacity,
                        linearization_equality, maxwellian_iteration_nsf,
@@ -41,27 +37,25 @@ from .solver1d import (SimConfig, SimResult, initial_condition, run,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOSE_Z_MAX", "ORDERS", "ZETA_HALF", "GasStatistics", "PolylogSet",
-    "eval_polylog_batch", "eval_polylog_set", "polylog_derivative",
+    "BOSE_Z_MAX", "ORDERS", "ZETA_HALF", "PolylogSet",
+    "eval_polylog_batch", "eval_polylog_set",
     "CFLViolation", "CondensationError", "DomainError", "InadmissibleCell",
     "NoConvergence", "NoRoot", "NoSolution", "QuadratureNotConverged",
     "SingularD",
     "ClosureMoments", "EquilibriumParams", "MomentState5", "MomentState13",
-    "ansatz_moments", "closure_moments", "equilibrium_rho_p",
+    "ansatz_moments", "closure_moments",
     "equilibrium_state13", "fit_equilibrium", "fit_fugacity_batch",
     "fit_state", "grad_ansatz_eval", "moment_quadrature", "state5_from_hat",
     "state13_from_state5",
-    "LiDerivedCoeffs", "SystemKind", "SystemMatrices", "W_NAMES",
+    "SystemKind", "SystemMatrices",
     "assemble_A", "assemble_A5_grad", "assemble_A_direction",
-    "assemble_A_grad_3d", "assemble_A_regularized", "assemble_A_trivial",
+    "assemble_A_grad_3d", "assemble_A_regularized",
     "assemble_D", "assemble_M", "axis_permutation_matrix",
-    "li_derived_coeffs", "pslot", "qbgk_source", "reduce_to_1d",
-    "state_to_w", "w_to_state13",
+    "pslot", "reduce_to_1d",
     "ShearCharPolyCoeffs", "Classification", "EquilibriumSpectrum",
     "HyperbolicityVerdict", "annihilation_residual", "shear_charpoly_coeffs",
     "char_poly_A5_analytic", "char_poly_equilibrium", "charpoly_coeffs",
-    "classify_batch", "diagonalizability_test", "eigendecompose",
-    "fermion_crossing",
+    "classify_batch", "diagonalizability_test", "fermion_crossing",
     "FugacitySweep", "LinearizationReport", "NSFReport", "RegionGrid",
     "area_fraction", "eigen_sweep_fugacity", "linearization_equality",
     "maxwellian_iteration_nsf", "random_moment_state", "region_scan_1d",

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import spectral
 from .errors import NoRoot
-from .matrices import (SystemKind, _bundle, assemble_A, assemble_A5_grad,
-                       pslot)
+from .matrices import SystemKind, assemble_A, assemble_A5_grad, pslot
 from .polylog import _check_theta, eval_polylog_batch
 from .spectral import CODE_INADMISSIBLE, Classification, classify_batch
 from .state import (EquilibriumParams, MomentState13, ansatz_moments,
@@ -181,25 +180,69 @@ def _shear_state(eq: EquilibriumParams, sigma12_hat: float,
     return MomentState13(rho=eq.rho, u=np.zeros(3), p_ij=P, q=q)
 
 
-def _affine_basis_13(kind: SystemKind, eq: EquilibriumParams,
-                     axes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis decomposition A_d = A0[d] + sigma12_hat As[d] + q1_hat Aq[d]."""
-    A0 = np.empty((len(axes), 13, 13))
-    As = np.empty_like(A0)
-    Aq = np.empty_like(A0)
-    for k, d in enumerate(axes):
-        base = assemble_A(kind, _shear_state(eq, 0.0, 0.0), eq, d)
-        A0[k] = base
-        As[k] = (assemble_A(kind, _shear_state(eq, 0.5, 0.0), eq, d) - base) / 0.5
-        Aq[k] = assemble_A(kind, _shear_state(eq, 0.0, 1.0), eq, d) - base
+def _affine_basis(assemble: Callable[[float, float, int], np.ndarray],
+                  axes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis decomposition A_d = A0[d] + s_hat As[d] + q1_hat Aq[d].
+
+    `assemble(s_hat, q1_hat, d)` builds one matrix.  The scans rely on its
+    affinity, so one more assembly per axis, off the basis points, must agree
+    with the decomposition; RuntimeError otherwise.
+    """
+    A0 = np.stack([assemble(0.0, 0.0, d) for d in axes])
+    As = (np.stack([assemble(0.5, 0.0, d) for d in axes]) - A0) / 0.5
+    Aq = np.stack([assemble(0.0, 1.0, d) for d in axes]) - A0
+    direct = np.stack([assemble(0.25, 1.5, d) for d in axes])
+    err = np.abs(direct - (A0 + 0.25 * As + 1.5 * Aq)).max(axis=(1, 2))
+    if np.any(err > 1e-10 * np.maximum(1.0, np.abs(direct).max(axis=(1, 2)))):
+        raise RuntimeError("affine decomposition of the coefficient matrix "
+                           "does not reproduce the direct assembly")
     return A0, As, Aq
 
 
-def _check_affine(direct: np.ndarray, affine: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(direct))))
-    if np.max(np.abs(direct - affine)) > 1e-10 * scale:
-        raise RuntimeError("affine decomposition of the coefficient matrix "
-                           "does not reproduce the direct assembly")
+def _scan(assemble: Callable[[float, float, int], np.ndarray], shat: np.ndarray,
+          qhat: np.ndarray, threads: Optional[int], direction=1,
+          seed: int = 0) -> np.ndarray:
+    """Class codes of `assemble`'s matrices over the (shat, qhat) grid.
+
+    direction is an axis index, a unit 3-vector or "random", which draws one
+    unit direction per cell from a Philox stream and classifies every cell.
+    A fixed direction classifies only the q_hat >= 0 rows and mirrors them.
+    """
+    if isinstance(direction, str):
+        A0, As, Aq = _affine_basis(assemble, (1, 2, 3))
+        S, Q = np.meshgrid(shat, qhat, indexing="xy")
+        Sf, Qf = S.ravel(), Q.ravel()
+        rng = np.random.Generator(np.random.Philox(seed))
+        N = rng.normal(size=(Sf.size, 3))
+        N /= np.linalg.norm(N, axis=1, keepdims=True)
+
+        def build(sl: slice) -> np.ndarray:
+            base = np.einsum("cd,dij->cij", N[sl], A0)
+            base += Sf[sl, None, None] * np.einsum("cd,dij->cij", N[sl], As)
+            base += Qf[sl, None, None] * np.einsum("cd,dij->cij", N[sl], Aq)
+            return base
+
+        codes = _classify_cells(build, Sf.size, threads)
+        return codes.reshape(qhat.size, shat.size)
+    if isinstance(direction, (int, np.integer)):
+        B0, Bs, Bq = (B[0] for B in _affine_basis(assemble, (direction,)))
+    else:
+        B0, Bs, Bq = (np.tensordot(direction, B, axes=1)
+                      for B in _affine_basis(assemble, (1, 2, 3)))
+    upper_q = qhat[qhat.size // 2:]
+    S, Q = np.meshgrid(shat, upper_q, indexing="xy")
+    Sf, Qf = S.ravel(), Q.ravel()
+
+    def build(sl: slice) -> np.ndarray:
+        return (B0[None] + Sf[sl, None, None] * Bs[None]
+                + Qf[sl, None, None] * Bq[None])
+
+    codes = _classify_cells(build, Sf.size, threads)
+    return _mirror_rows(codes.reshape(upper_q.size, shat.size), qhat.size)
+
+
+def _shear_assembly(kind: SystemKind, eq: EquilibriumParams):
+    return lambda s, q, d: assemble_A(kind, _shear_state(eq, s, q), eq, d)
 
 
 def region_scan_1d(theta: int, z: float, n: int = 401,
@@ -216,27 +259,12 @@ def region_scan_1d(theta: int, z: float, n: int = 401,
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
     shat = np.linspace(sigma11_hat_window[0], sigma11_hat_window[1], n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
-    base = assemble_A5_grad(state5_from_hat(eq), eq)
-    Bs = (assemble_A5_grad(state5_from_hat(eq, 0.5, 0.0), eq) - base) / 0.5
-    Bq = assemble_A5_grad(state5_from_hat(eq, 0.0, 1.0), eq) - base
-    _check_affine(assemble_A5_grad(state5_from_hat(eq, 0.75, 2.0), eq),
-                  base + 0.75 * Bs + 2.0 * Bq)
-    half = n // 2
-    upper_q = qhat[half:]
-    S, Q = np.meshgrid(shat, upper_q, indexing="xy")
-    Sf, Qf = S.ravel(), Q.ravel()
-
-    def build(sl: slice) -> np.ndarray:
-        return (base[None] + Sf[sl, None, None] * Bs[None]
-                + Qf[sl, None, None] * Bq[None])
-
-    codes = _classify_cells(build, Sf.size, threads)
-    cells = _mirror_rows(codes.reshape(upper_q.size, n), n)
-    grid = RegionGrid(theta=theta, z=z, T=1.0, x_name="sigma11_hat",
+    cells = _scan(lambda s, q, d: assemble_A5_grad(state5_from_hat(eq, s, q), eq),
+                  shat, qhat, threads)
+    return RegionGrid(theta=theta, z=z, T=1.0, x_name="sigma11_hat",
                       y_name="q1_hat", x=shat, y=qhat, cells=cells,
                       metadata={"system": SystemKind.Grad13.value,
                                 "reduction": "1d", "mirrored": True})
-    return grid
 
 
 def region_scan_3d_cross_section(theta: int, z: float, n: int = 401,
@@ -252,20 +280,7 @@ def region_scan_3d_cross_section(theta: int, z: float, n: int = 401,
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
     shat = np.linspace(-sigma12_hat_max, sigma12_hat_max, n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
-    A0, As, Aq = _affine_basis_13(SystemKind.Grad13, eq, axes=(1,))
-    _check_affine(assemble_A(SystemKind.Grad13, _shear_state(eq, 0.25, 1.5), eq, 1),
-                  A0[0] + 0.25 * As[0] + 1.5 * Aq[0])
-    half = n // 2
-    upper_q = qhat[half:]
-    S, Q = np.meshgrid(shat, upper_q, indexing="xy")
-    Sf, Qf = S.ravel(), Q.ravel()
-
-    def build(sl: slice) -> np.ndarray:
-        return (A0[0][None] + Sf[sl, None, None] * As[0][None]
-                + Qf[sl, None, None] * Aq[0][None])
-
-    codes = _classify_cells(build, Sf.size, threads)
-    cells = _mirror_rows(codes.reshape(upper_q.size, n), n)
+    cells = _scan(_shear_assembly(SystemKind.Grad13, eq), shat, qhat, threads)
     cells[:, np.abs(shat) >= 1.0] = CODE_INADMISSIBLE
     return RegionGrid(theta=theta, z=z, T=1.0, x_name="sigma12_hat",
                       y_name="q1_hat", x=shat, y=qhat, cells=cells,
@@ -291,62 +306,30 @@ def region_scan_regularized(theta: int, z: float, n: int = 401,
     shat = np.linspace(-sigma12_hat_max, sigma12_hat_max, n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
     random_dirs = isinstance(direction, str) and direction == "random"
+    if random_dirs or isinstance(direction, (int, np.integer)):
+        scan_dir = direction
+    else:
+        scan_dir = np.asarray(direction, dtype=float).reshape(3)
+        scan_dir = scan_dir / np.linalg.norm(scan_dir)
+    inadmissible = np.abs(shat) >= 1.0
 
     def scan(kind: SystemKind) -> np.ndarray:
-        if random_dirs:
-            A0, As, Aq = _affine_basis_13(kind, eq, axes=(1, 2, 3))
-            S, Q = np.meshgrid(shat, qhat, indexing="xy")
-            Sf, Qf = S.ravel(), Q.ravel()
-            rng = np.random.Generator(np.random.Philox(seed))
-            N = rng.normal(size=(Sf.size, 3))
-            N /= np.linalg.norm(N, axis=1, keepdims=True)
-
-            def build(sl: slice) -> np.ndarray:
-                base = np.einsum("cd,dij->cij", N[sl], A0)
-                base += Sf[sl, None, None] * np.einsum("cd,dij->cij", N[sl], As)
-                base += Qf[sl, None, None] * np.einsum("cd,dij->cij", N[sl], Aq)
-                return base
-
-            return _classify_cells(build, Sf.size, threads).reshape(n, n)
-        axes = (direction,) if isinstance(direction, (int, np.integer)) else None
-        if axes is not None:
-            A0, As, Aq = _affine_basis_13(kind, eq, axes=axes)
-            w = np.array([1.0])
-        else:
-            nvec = np.asarray(direction, dtype=float).reshape(3)
-            nvec = nvec / np.linalg.norm(nvec)
-            A0, As, Aq = _affine_basis_13(kind, eq, axes=(1, 2, 3))
-            w = nvec
-        B0 = np.tensordot(w, A0, axes=1)
-        Bs = np.tensordot(w, As, axes=1)
-        Bq = np.tensordot(w, Aq, axes=1)
-        half = n // 2
-        upper_q = qhat[half:]
-        S, Q = np.meshgrid(shat, upper_q, indexing="xy")
-        Sf, Qf = S.ravel(), Q.ravel()
-
-        def build(sl: slice) -> np.ndarray:
-            return (B0[None] + Sf[sl, None, None] * Bs[None]
-                    + Qf[sl, None, None] * Bq[None])
-
-        codes = _classify_cells(build, Sf.size, threads)
-        return _mirror_rows(codes.reshape(upper_q.size, n), n)
+        cells = _scan(_shear_assembly(kind, eq), shat, qhat, threads,
+                      scan_dir, seed)
+        cells[:, inadmissible] = CODE_INADMISSIBLE
+        return cells
 
     cells = scan(SystemKind.FinalR13)
-    inadmissible = np.abs(shat) >= 1.0
-    cells[:, inadmissible] = CODE_INADMISSIBLE
     meta: Dict[str, object] = {
         "system": SystemKind.FinalR13.value,
         "direction": "random" if random_dirs else (
             [1.0 * (d == direction) for d in (1, 2, 3)]
-            if isinstance(direction, (int, np.integer))
-            else list(np.asarray(direction, dtype=float) / np.linalg.norm(direction))),
+            if isinstance(direction, (int, np.integer)) else list(scan_dir)),
         "seed": seed if random_dirs else None,
         "mirrored": not random_dirs,
     }
     if compare_grad:
         grad_cells = scan(SystemKind.Grad13)
-        grad_cells[:, inadmissible] = CODE_INADMISSIBLE
         meta["grad_class_counts"] = class_counts(grad_cells)
         meta["grad_area_fraction"] = area_fraction(grad_cells)
     return RegionGrid(theta=theta, z=z, T=1.0, x_name="sigma12_hat",
@@ -518,13 +501,13 @@ def maxwellian_iteration_nsf(kind: SystemKind, theta: int, z: float,
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=T)
     st = equilibrium_state13(eq)
     A = assemble_A(kind, st, eq, 1)
-    c = _bundle(eq)
+    c = eq.coeffs
     mu = tau * A[pslot(1, 2), 2]
-    drho_dT = eq.rho * c["Delta"] / (c["L35"] * T)
-    dp_dT = -eq.p * c["Delta"] / (c["L13"] * T)
+    drho_dT = eq.rho * c.Delta / (c.L35 * T)
+    dp_dT = -eq.p * c.Delta / (c.L13 * T)
     kappa_fp = tau * A[10, 0] * drho_dT
     kappa_fr = tau * (A[10, 4] + A[10, 7] + A[10, 9]) * dp_dT
-    kappa_star = 2.5 * tau * eq.p * (3.5 * c["L75"] - 2.5 * c["L53"])
+    kappa_star = 2.5 * tau * eq.p * (3.5 * c.L75 - 2.5 * c.L53)
     residual = np.array([kappa_fp - kappa_star, kappa_fr - kappa_star,
                          kappa_fp - kappa_fr])
     return NSFReport(kind=kind, theta=eq.theta, z=z, T=T, tau=tau, mu=mu,
@@ -649,8 +632,7 @@ def verify_charpoly(seed: int = 0, threads: Optional[int] = None,
                          ("const", cc.const)):
             worst = max(worst, abs(brute[key] - ref) / max(1.0, abs(ref)))
         worst = max(worst, brute["lam3_residual"], brute["deflation_residual"])
-        li = eval_polylog_batch(z, theta)
-        alpha = 1.4 * float(li[4.5][0]) / float(li[3.5][0])
+        alpha = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0).coeffs.alpha
         ident = spectral.shear_charpoly_coeffs(z, theta, 0.0)
         worst = max(worst, abs(ident.c4 + 25.0 * (alpha + ident.c1))
                     / max(1.0, abs(ident.c4)))

@@ -15,22 +15,21 @@ heat-flux rows.  The projection variant is TrivialR13; the final one
 with D state-dependent but M_d depending only on (theta, z, T).  That
 factorization is the content of the global-hyperbolicity result and is
 verified here on every assembly.
+
+Every li-derived coefficient the assemblies use comes from the equilibrium's
+record `EquilibriumParams.coeffs` (`state.LiCoeffs`); none is derived here.
 """
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, SingularD
-from .state import (EquilibriumParams, MomentState5, MomentState13,
+from .state import (EquilibriumParams, LiCoeffs, MomentState5, MomentState13,
                     state13_from_state5)
-
-W_NAMES = ("rho", "u1", "u2", "u3", "p11", "p12", "p13", "p22", "p23", "p33",
-           "q1", "q2", "q3")
 
 # slot of p_ij in w for i <= j
 _PSLOT = {(1, 1): 4, (1, 2): 5, (1, 3): 6, (2, 2): 7, (2, 3): 8, (3, 3): 9}
@@ -46,95 +45,23 @@ class SystemKind(enum.Enum):
     FinalR13 = "FinalR13"
 
 
-@dataclass(frozen=True, eq=False)
-class LiDerivedCoeffs:
-    """Scalar coefficients derived from the li values at one equilibrium.
-
-    frakB_low enters the reduced 5x5 block (built from orders 1/2..5/2),
-    frakB_high the regularization factors (orders 3/2..7/2); they only
-    coincide in the classical limit.  a1..a3 are the reduced-system entries
-    at the supplied (sigma11, p11).
-    """
-
-    frakB: float
-    frakB_low: float
-    frakB_high: float
-    frakD: float
-    m1: float
-    m2: float
-    m3: float
-    a1: float
-    a2: float
-    a3: float
-
-
-def _bundle(eq: EquilibriumParams) -> Dict[str, float]:
-    """Every li-ratio and chain-rule coefficient the assemblies need."""
-    li = eq.li
-    L1, L3, L5, L7, L9 = li[0.5], li[1.5], li[2.5], li[3.5], li[4.5]
-    T = eq.T
-    c: Dict[str, float] = {"L1": L1, "L3": L3, "L5": L5, "L7": L7, "L9": L9}
-    c["L13"] = L1 / L3
-    c["L35"] = L3 / L5
-    c["L53"] = L5 / L3
-    c["L75"] = L7 / L5
-    c["L97"] = L9 / L7
-    c["r"] = L3 * L7 / L5 ** 2
-    c["r2"] = L5 * L9 / L7 ** 2
-    c["Delta"] = 1.5 * c["L35"] - 2.5 * c["L13"]      # < 0 in-domain
-    c["phi"] = T * c["L75"]
-    c["psi"] = T * c["L97"]
-    c["b_low"] = 2.0 / (5.0 - 3.0 * L3 ** 2 / (L1 * L5))
-    c["b_high"] = 2.0 / (5.0 - 3.0 * L5 ** 2 / (L3 * L7))
-    c["dfrak"] = 2.5 * (1.0 - c["r"])
-    c["cfrak"] = 3.5 * c["L97"] - 2.5 * c["L75"]
-    c["tfrak"] = 2.5 * T * ((7.0 * c["L75"] - 3.0 * c["L13"]) * (c["b_low"] / 2.0)
-                            - c["L75"])
-    # chain-rule derivatives through (rho, p) <-> (z, T)
-    D = c["Delta"]
-    c["rho_phi_rho"] = T * (7.0 * c["r"] - 5.0) / (2.0 * D)
-    c["p_phi_p"] = T * (1.5 * (1.0 - c["r"]) - c["L13"] * c["L75"]) / D
-    c["rho_psi_rho"] = T * (c["L35"] * c["L97"] - 2.5 * (1.0 - c["r2"])) / D
-    c["p_psi_p"] = T * (1.5 * (1.0 - c["r2"]) - c["L13"] * c["L97"]) / D
-    c["T"] = T
-    return c
-
-
-def _a_coeffs(c: Dict[str, float], rho: float, p: float, p11: float):
+def _a_coeffs(c: LiCoeffs, rho: float, p: float, p11: float):
     """Reduced-system entries a1, a2, a3 at (rho, p, p11)."""
-    T = c["T"]
-    b = c["b_low"]
-    L1, L3, L5, L7, L9 = c["L1"], c["L3"], c["L5"], c["L7"], c["L9"]
+    T = c.T
+    b = c.b_low
+    L1, L3, L5, L7, L9 = c.L1, c.L3, c.L5, c.L7, c.L9
     sig11 = p11 - p
     a1 = (5.0 * p * T * b / (2.0 * rho)) * (3.5 * L3 ** 2 * L7 / (L1 * L5 ** 2)
                                             - 2.5 * L3 / L1) \
         + (7.0 * sig11 * T * b / (2.0 * rho)) * (
             L3 ** 2 * L9 / (L1 * L5 * L7)
             - 2.5 * (L3 / L1 - L3 * L5 * L9 / (L1 * L7 ** 2)))
-    a2 = 3.5 * T * c["L97"] - 1.5 * p / rho - p11 / rho
-    a3 = 2.5 * T * ((1.0 + b) * c["L75"]
-                    - 1.5 * b * (L3 / L1) * (1.0 - c["r"])) \
-        + 3.5 * T * ((sig11 * b / p - 1.0) * c["L97"]
-                     - 1.5 * b * (L3 / L1) * (sig11 / p) * (1.0 - c["r2"]))
+    a2 = 3.5 * T * c.L97 - 1.5 * p / rho - p11 / rho
+    a3 = 2.5 * T * ((1.0 + b) * c.L75
+                    - 1.5 * b * (L3 / L1) * (1.0 - c.r)) \
+        + 3.5 * T * ((sig11 * b / p - 1.0) * c.L97
+                     - 1.5 * b * (L3 / L1) * (sig11 / p) * (1.0 - c.r2))
     return a1, a2, a3
-
-
-def li_derived_coeffs(eq: EquilibriumParams,
-                      state5: Optional[MomentState5] = None) -> LiDerivedCoeffs:
-    """Named coefficient set; a1..a3 default to their equilibrium values."""
-    c = _bundle(eq)
-    rho, p = eq.rho, eq.p
-    p11 = p if state5 is None else state5.p11
-    if state5 is not None:
-        rho, p = state5.rho, state5.p
-    a1, a2, a3 = _a_coeffs(c, rho, p, p11)
-    b = c["b_high"]
-    m2 = 0.5 * (1.0 - c["L5"] ** 2 / (c["L3"] * c["L7"]))
-    m3 = 2.5 * c["p_phi_p"] / (3.0 * b)
-    return LiDerivedCoeffs(frakB=3.5 * c["L9"] / c["L5"] - 2.5 * c["L7"] ** 2 / c["L5"] ** 2,
-                           frakB_low=c["b_low"], frakB_high=b,
-                           frakD=c["dfrak"], m1=c["phi"], m2=m2, m3=m3,
-                           a1=a1, a2=a2, a3=a3)
 
 
 def _require_consistent(state_rho: float, state_p: float, eq: EquilibriumParams):
@@ -152,7 +79,7 @@ def assemble_A_grad_3d(state: MomentState13, eq: EquilibriumParams,
                        d: int = 1) -> np.ndarray:
     """Coefficient matrix A_d of the plain 13-moment closure, axis d in 1..3."""
     _require_consistent(state.rho, state.p, eq)
-    c = _bundle(eq)
+    c = eq.coeffs
     rho, u, p, q = state.rho, state.u, state.p, state.q
     sig = state.sigma
     P = state.p_ij
@@ -167,9 +94,9 @@ def assemble_A_grad_3d(state: MomentState13, eq: EquilibriumParams,
                           + P[d - 1, i - 1] * (j == k))
             A[row, 9 + k] += 0.4 * ((i == j) * (k == d) + (i == d) * (j == k)
                                     + (j == d) * (i == k))
-    phi, psi = c["phi"], c["psi"]
-    phi_rho, phi_p = c["rho_phi_rho"] / rho, c["p_phi_p"] / p
-    psi_rho, psi_p = c["rho_psi_rho"] / rho, c["p_psi_p"] / p
+    phi, psi = c.phi, c.psi
+    phi_rho, phi_p = c.rho_phi_rho / rho, c.p_phi_p / p
+    psi_rho, psi_p = c.rho_psi_rho / rho, c.p_psi_p / p
     for i in (1, 2, 3):
         row = 9 + i
         A[row, 0] += (i == d) * 2.5 * p * phi_rho + 3.5 * sig[i - 1, d - 1] * psi_rho
@@ -177,7 +104,7 @@ def assemble_A_grad_3d(state: MomentState13, eq: EquilibriumParams,
             A[row, k] += (1.4 * q[i - 1] * (k == d) + 1.4 * q[d - 1] * (i == k)
                           + 0.4 * (i == d) * q[k - 1])
         for j in (1, 2, 3):
-            A[row, pslot(j, d)] += -(c["dfrak"] * p * (i == j)
+            A[row, pslot(j, d)] += -(c.dfrak * p * (i == j)
                                      + sig[i - 1, j - 1]) / rho
         A[row, pslot(i, d)] += 3.5 * psi - 2.5 * phi
         for m in (1, 2, 3):
@@ -186,8 +113,18 @@ def assemble_A_grad_3d(state: MomentState13, eq: EquilibriumParams,
     return A
 
 
-def _reg_common(state: MomentState13, d: int) -> np.ndarray:
-    """Shared rows of both regularizations: everything except heat flux."""
+def _assemble_A_reg(kind: SystemKind, state: MomentState13,
+                    eq: EquilibriumParams, d: int) -> np.ndarray:
+    """Either regularization along axis d.
+
+    The two share every row but heat flux, and their heat-flux rows differ
+    only in the rho coefficient and the diagonal-pressure coefficient.
+    """
+    c = eq.coeffs
+    if kind is SystemKind.FinalR13:
+        k_rho, k_p = 2.5 * c.rho_phi_rho, 2.5 * c.p_phi_p
+    else:
+        k_rho, k_p = -c.tfrak, c.tfrak
     rho, u, p = state.rho, state.u, state.p
     sig = state.sigma
     A = u[d - 1] * np.eye(13)
@@ -202,56 +139,25 @@ def _reg_common(state: MomentState13, d: int) -> np.ndarray:
                           + (i == j) * (p * (k == d) + 0.4 * sig[k - 1, d - 1]))
             A[row, 9 + k] += 0.4 * ((i == j) * (k == d) + (i == d) * (j == k)
                                     + (j == d) * (i == k))
-    return A
-
-
-def _assemble_A_final(state: MomentState13, eq: EquilibriumParams,
-                      d: int = 1) -> np.ndarray:
-    c = _bundle(eq)
-    rho, p = state.rho, state.p
-    sig = state.sigma
-    A = _reg_common(state, d)
-    Tc = c["T"] * c["cfrak"]
     for i in (1, 2, 3):
         row = 9 + i
-        A[row, 0] += (i == d) * 2.5 * c["rho_phi_rho"] * p / rho
+        A[row, 0] += (i == d) * k_rho * p / rho
         for j in (1, 2, 3):
-            A[row, pslot(j, d)] += -(c["dfrak"] * p * (i == j)
+            A[row, pslot(j, d)] += -(c.dfrak * p * (i == j)
                                      + sig[i - 1, j - 1]) / rho
-        A[row, pslot(i, d)] += Tc
+        A[row, pslot(i, d)] += c.Tc
         for m in (1, 2, 3):
-            A[row, pslot(m, m)] += (i == d) * (2.5 * c["p_phi_p"] - Tc) / 3.0
-    return A
-
-
-def assemble_A_trivial(state: MomentState13, eq: EquilibriumParams,
-                       d: int = 1) -> np.ndarray:
-    """Coefficient matrix of the projection-everywhere regularization."""
-    _require_consistent(state.rho, state.p, eq)
-    c = _bundle(eq)
-    rho, p = state.rho, state.p
-    sig = state.sigma
-    A = _reg_common(state, d)
-    Tc = c["T"] * c["cfrak"]
-    for i in (1, 2, 3):
-        row = 9 + i
-        A[row, 0] += -(i == d) * c["tfrak"] * p / rho
-        for j in (1, 2, 3):
-            A[row, pslot(j, d)] += -(c["dfrak"] * p * (i == j)
-                                     + sig[i - 1, j - 1]) / rho
-        A[row, pslot(i, d)] += Tc
-        for m in (1, 2, 3):
-            A[row, pslot(m, m)] += (i == d) * (c["tfrak"] - Tc) / 3.0
+            A[row, pslot(m, m)] += (i == d) * (k_p - c.Tc) / 3.0
     return A
 
 
 def assemble_D(state: MomentState13, eq: EquilibriumParams) -> np.ndarray:
     """State-dependent left factor D of the final regularization."""
     _require_consistent(state.rho, state.p, eq)
-    c = _bundle(eq)
+    c = eq.coeffs
     rho, p = state.rho, state.p
     sig = state.sigma
-    b = c["b_high"]
+    b = c.b_high
     D = np.eye(13)
     for i in (1, 2, 3):
         D[i, i] = rho
@@ -263,7 +169,7 @@ def assemble_D(state: MomentState13, eq: EquilibriumParams) -> np.ndarray:
     for i in (1, 2, 3):
         row = 9 + i
         for k in (1, 2, 3):
-            D[row, k] = c["dfrak"] * p * (i == k) + sig[i - 1, k - 1]
+            D[row, k] = c.dfrak * p * (i == k) + sig[i - 1, k - 1]
     return D
 
 
@@ -283,18 +189,11 @@ def axis_permutation_matrix(d: int) -> np.ndarray:
 
 def assemble_M(eq: EquilibriumParams, d: int = 1) -> np.ndarray:
     """Constant-in-state factor M_d; depends only on (theta, z, T)."""
-    c = _bundle(eq)
-    T = c["T"]
-    b = c["b_high"]
-    m1 = c["phi"]
-    m2 = 0.5 * (1.0 - c["L5"] ** 2 / (c["L3"] * c["L7"]))
-    m3 = 2.5 * c["p_phi_p"] / (3.0 * b)
-    Tc = T * c["cfrak"]
-    Mrho = 2.5 * T * T * c["L53"] * (2.0 * c["r"] - 1.0
-                                     - c["L13"] * c["L75"]) / c["Delta"]
+    c = eq.coeffs
+    b, m1, m2, m3, Tc = c.b_high, c.phi, c.m2, c.m3, c.Tc
     M = np.zeros((13, 13))
     M[0, 1] = 1.0
-    M[1, 0] = T * c["L53"]
+    M[1, 0] = c.T * c.L53
     M[1, 4] = 1.0 + m2
     M[1, 7] = M[1, 9] = m2
     M[2, 5] = 1.0
@@ -307,7 +206,7 @@ def assemble_M(eq: EquilibriumParams, d: int = 1) -> np.ndarray:
     M[6, 12] = 0.4
     M[7, 10] = 2.0 * b / 3.0 - 4.0 / 15.0
     M[9, 10] = 2.0 * b / 3.0 - 4.0 / 15.0
-    M[10, 0] = Mrho
+    M[10, 0] = c.Mrho
     M[10, 4] = m3 + (2.0 / 3.0) * Tc
     M[10, 7] = M[10, 9] = m3 - Tc / 3.0
     M[11, 5] = Tc
@@ -347,10 +246,8 @@ def assemble_A(kind: SystemKind, state: MomentState13, eq: EquilibriumParams,
     """Axis-d coefficient matrix of the requested model."""
     if kind is SystemKind.Grad13:
         return assemble_A_grad_3d(state, eq, d)
-    if kind is SystemKind.TrivialR13:
-        return assemble_A_trivial(state, eq, d)
     _require_consistent(state.rho, state.p, eq)
-    return _assemble_A_final(state, eq, d)
+    return _assemble_A_reg(kind, state, eq, d)
 
 
 def assemble_A_direction(kind: SystemKind, state: MomentState13,
@@ -371,13 +268,11 @@ def assemble_A_regularized(state: MomentState13, eq: EquilibriumParams,
     Returns A together with its factors D, M and B = D A - u_n D, and checks
     the factorization D A = (M + u_n I) D on the spot.
     """
+    A = assemble_A_direction(SystemKind.FinalR13, state, eq, d)
     n = _as_direction(d)
-    _require_consistent(state.rho, state.p, eq)
-    A = np.zeros((13, 13))
     M = np.zeros((13, 13))
     for ax in (1, 2, 3):
         if n[ax - 1] != 0.0:
-            A += n[ax - 1] * _assemble_A_final(state, eq, ax)
             M += n[ax - 1] * assemble_M(eq, ax)
     D = assemble_D(state, eq)
     sv = np.linalg.svd(D, compute_uv=False)
@@ -391,27 +286,14 @@ def assemble_A_regularized(state: MomentState13, eq: EquilibriumParams,
     return SystemMatrices(kind=SystemKind.FinalR13, direction=n, A=A, D=D, M=M, B=B)
 
 
-def qbgk_source(state: MomentState13, tau: float) -> np.ndarray:
-    """Relaxation source in w coordinates: -sigma_ij/tau and -q_i/tau slots."""
-    if not tau > 0.0:
-        raise DomainError(f"relaxation time must be positive, got {tau}")
-    sig = state.sigma
-    Q = np.zeros(13)
-    for (i, j), row in _PSLOT.items():
-        Q[row] = -sig[i - 1, j - 1] / tau
-    Q[10:13] = -state.q / tau
-    return Q
-
-
 # ---------------------------------------------------------------------------
 # 1D reduction
 
 def assemble_A5_grad(state5: MomentState5, eq: EquilibriumParams) -> np.ndarray:
     """Closed-form 5x5 matrix of the 1D-reduced plain closure."""
     _require_consistent(state5.rho, state5.p, eq)
-    c = _bundle(eq)
     rho, u1, p11, q1, p = state5.rho, state5.u1, state5.p11, state5.q1, state5.p
-    a1, a2, a3 = _a_coeffs(c, rho, p, p11)
+    a1, a2, a3 = _a_coeffs(eq.coeffs, rho, p, p11)
     return np.array([
         [u1, rho, 0.0, 0.0, 0.0],
         [0.0, u1, 1.0 / rho, 0.0, 0.0],
@@ -436,20 +318,3 @@ def reduce_to_1d(kind: SystemKind, state5: MomentState5,
     state = state13_from_state5(state5)
     A = assemble_A(kind, state, eq, 1)
     return S_REDUCE @ A @ T_EMBED
-
-
-def state_to_w(state: MomentState13) -> np.ndarray:
-    w = np.empty(13)
-    w[0] = state.rho
-    w[1:4] = state.u
-    for (i, j), row in _PSLOT.items():
-        w[row] = state.p_ij[i - 1, j - 1]
-    w[10:13] = state.q
-    return w
-
-
-def w_to_state13(w: np.ndarray) -> MomentState13:
-    P = np.empty((3, 3))
-    for (i, j), row in _PSLOT.items():
-        P[i - 1, j - 1] = P[j - 1, i - 1] = w[row]
-    return MomentState13(rho=w[0], u=w[1:4], p_ij=P, q=w[10:13])

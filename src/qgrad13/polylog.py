@@ -23,7 +23,6 @@ match each other at the switch point to better than 1e-12.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
@@ -46,14 +45,6 @@ _SERIES_Z_MAX = 0.9
 _K_ROBINSON = 30
 _PANEL_WIDTH = 6.0
 _TAIL_MARGIN = 55.0
-
-
-class GasStatistics(enum.IntEnum):
-    """Particle statistics selector; the integer value is theta."""
-
-    BOSON = -1
-    CLASSICAL = 0
-    FERMION = 1
 
 
 def _check_theta(theta) -> int:
@@ -209,12 +200,3 @@ def eval_polylog_set(z: float, theta) -> PolylogSet:
     vals = eval_polylog_batch(float(z), theta)
     return PolylogSet(z=float(z), theta=theta,
                       li={s: float(vals[s][0]) for s in ORDERS})
-
-
-def polylog_derivative(z: float, theta, s: float) -> float:
-    """d li[s] / dz = li[s-1] / z, defined for s in {3/2, 5/2, 7/2, 9/2}."""
-    theta = _check_theta(theta)
-    if s not in (1.5, 2.5, 3.5, 4.5):
-        raise DomainError(f"derivative defined for orders 3/2..9/2, got {s}")
-    vals = eval_polylog_batch(float(z), theta)
-    return float(vals[s - 1.0][0]) / float(z)

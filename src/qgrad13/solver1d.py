@@ -24,7 +24,7 @@ from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoSolution)
 from .polylog import _check_theta, eval_polylog_batch
 from .state import (_LOG_Z_HI_BOSON, _LOG_Z_HI_FERMION, _LOG_Z_LO,
-                    EquilibriumParams, _gstar_curve, _gstar_slope,
+                    EquilibriumParams, LiCoeffs, _gstar_curve, _gstar_slope,
                     _z_from_log, fit_fugacity_batch)
 
 _TWO_PI = 2.0 * math.pi
@@ -158,14 +158,8 @@ def _a5_final_stack(w: np.ndarray, theta: int, hhat: float,
     rho, u1, p11, q1, p = (w[:, k] for k in range(5))
     sig = p11 - p
     li = eval_polylog_batch(z, theta)
-    L1, L3, L5, L7, L9 = li[0.5], li[1.5], li[2.5], li[3.5], li[4.5]
-    T = (rho / (hhat * L3)) ** (2.0 / 3.0) / _TWO_PI
-    r = L3 * L7 / L5 ** 2
-    delta = 1.5 * L3 / L5 - 2.5 * L1 / L3
-    rho_phi_rho = T * (7.0 * r - 5.0) / (2.0 * delta)
-    p_phi_p = T * (1.5 * (1.0 - r) - (L1 / L3) * (L7 / L5)) / delta
-    dfrak = 2.5 * (1.0 - r)
-    Tc = T * (3.5 * L9 / L7 - 2.5 * L7 / L5)
+    T = (rho / (hhat * li[1.5])) ** (2.0 / 3.0) / _TWO_PI
+    c = LiCoeffs(li, T)
     N = w.shape[0]
     A = np.zeros((N, 5, 5))
     idx = np.arange(5)
@@ -174,9 +168,9 @@ def _a5_final_stack(w: np.ndarray, theta: int, hhat: float,
     A[:, 1, 2] = 1.0 / rho
     A[:, 2, 1] = 3.0 * p + 1.2 * sig
     A[:, 2, 3] = 1.2
-    A[:, 3, 0] = 2.5 * rho_phi_rho * p / rho
-    A[:, 3, 2] = Tc - (dfrak * p + sig) / rho
-    A[:, 3, 4] = 2.5 * p_phi_p - Tc
+    A[:, 3, 0] = 2.5 * c.rho_phi_rho * p / rho
+    A[:, 3, 2] = c.Tc - (c.dfrak * p + sig) / rho
+    A[:, 3, 4] = 2.5 * c.p_phi_p - c.Tc
     A[:, 4, 1] = (5.0 * p + 2.0 * sig) / 3.0
     A[:, 4, 3] = 2.0 / 3.0
     return A

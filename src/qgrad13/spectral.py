@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoConvergence, NoRoot
-from .matrices import _a_coeffs, _bundle
+from .matrices import _a_coeffs
 from .polylog import eval_polylog_batch
 from .state import EquilibriumParams, MomentState5
 
@@ -77,24 +77,6 @@ class HyperbolicityVerdict:
             "min_gap": self.min_gap,
             "max_imag": self.max_imag,
         }
-
-
-def eigendecompose(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors with a residual guarantee.
-
-    Raises NoConvergence if the QR iteration fails or any residual
-    ||A v - lambda v|| exceeds 1e-10 ||A||.
-    """
-    try:
-        w, V = np.linalg.eig(A)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    scale = float(np.linalg.norm(A, 2))
-    resid = np.linalg.norm(A @ V - V * w[None, :], axis=0)
-    if np.any(resid > 1e-10 * max(scale, 1e-300)):
-        raise NoConvergence(
-            f"eigenpair residual {np.max(resid):.3e} above 1e-10 * ||A||")
-    return w, V
 
 
 def _cluster_real(vals: np.ndarray, gap_tol: float) -> List[np.ndarray]:
@@ -208,10 +190,9 @@ def char_poly_A5_analytic(state5: MomentState5,
                           - 288 (q1/rho) sqrt(T) lam_hat
                           + 90 (a1 + a3 sigma11/rho))
     """
-    c = _bundle(eq)
     T = eq.T
     rho, p11, q1, p = state5.rho, state5.p11, state5.q1, state5.p
-    a1, a2, a3 = _a_coeffs(c, rho, p, p11)
+    a1, a2, a3 = _a_coeffs(eq.coeffs, rho, p, p11)
     C2 = 90.0 * a2 + 50.0 * a3 + 225.0 * p11 / rho
     return np.array([75.0 * T ** 2,
                      0.0,
@@ -285,10 +266,13 @@ class EquilibriumSpectrum:
         return u1 + math.sqrt(self.T) * self.lambda_hat
 
 
+def _alpha(z: float, theta: int) -> float:
+    return EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0).coeffs.alpha
+
+
 def char_poly_equilibrium(z: float, theta: int, T: float = 1.0) -> EquilibriumSpectrum:
     """Equilibrium spectrum lam_hat^5 (lam_hat^2 - alpha)^2 (lam_hat^4 - c1 lam_hat^2 + c0)."""
-    li = eval_polylog_batch(z, theta)
-    alpha = 1.4 * float(li[4.5][0]) / float(li[3.5][0])
+    alpha = _alpha(z, theta)
     cc = shear_charpoly_coeffs(z, theta, 0.0)
     disc = cc.c1 ** 2 - 4.0 * cc.c0
     if disc < 0.0:
@@ -311,8 +295,7 @@ CROSSING_TOL = 1e-6
 
 
 def _quartic_at_alpha(z: float, theta: int) -> float:
-    li = eval_polylog_batch(z, theta)
-    alpha = 1.4 * float(li[4.5][0]) / float(li[3.5][0])
+    alpha = _alpha(z, theta)
     cc = shear_charpoly_coeffs(z, theta, 0.0)
     return alpha * alpha - cc.c1 * alpha + cc.c0
 
@@ -326,8 +309,7 @@ def annihilation_residual(M1: np.ndarray, z: float, theta: int,
     CROSSING_TOL), since the quartic factor already covers those directions.
     A small residual certifies that M1 is diagonalizable.
     """
-    li = eval_polylog_batch(z, theta)
-    alpha = 1.4 * float(li[4.5][0]) / float(li[3.5][0])
+    alpha = _alpha(z, theta)
     cc = shear_charpoly_coeffs(z, theta, 0.0)
     eye = np.eye(13)
     M2 = M1 @ M1
@@ -383,8 +365,7 @@ def brute_charpoly_reduced(z: float, theta: int, epsilon: float) -> Dict[str, fl
     P[0, 1] = P[1, 0] = epsilon * p
     st = MomentState13(rho=eq.rho, u=np.zeros(3), p_ij=P, q=np.zeros(3))
     coeffs = charpoly_coeffs(assemble_A_grad_3d(st, eq, 1))
-    li = eval_polylog_batch(z, theta)
-    alpha = 1.4 * float(li[4.5][0]) / float(li[3.5][0])
+    alpha = eq.coeffs.alpha
     tail = float(np.max(np.abs(coeffs[-3:])))
     quot, rem = np.polydiv(coeffs[:-3], np.array([1.0, 0.0, -alpha]))
     odd = float(np.max(np.abs(quot[1::2])))

@@ -8,14 +8,15 @@ fugacity z, drift u and scaled temperature T, with density and pressure
 
 `fit_equilibrium` inverts this map from (rho, p); `grad_ansatz_eval` and
 `moment_quadrature` provide the expansion around equilibrium and the
-numerical-integration oracle used to validate the closure.
+numerical-integration oracle used to validate the closure.  `LiCoeffs` is
+the one home of every coefficient derived from the li values.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Mapping
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -26,15 +27,75 @@ from .polylog import BOSE_Z_MAX, ORDERS, _check_theta, eval_polylog_batch
 _TWO_PI = 2.0 * math.pi
 
 
+def _square(x):
+    """x ** 2 through libm pow for floats and arrays alike.
+
+    numpy squares arrays by multiplication, which rounds differently from
+    pow about once in a thousand; one rule keeps a batch of coefficient
+    records equal, bit for bit, to the records of its fugacities one by one.
+    """
+    return np.float_power(x, 2.0)
+
+
+class LiCoeffs:
+    """Every li-derived coefficient of the equilibrium expansion, in one place.
+
+    Built from the five li values and the temperature T by plain arithmetic,
+    so li may hold floats (one equilibrium, `EquilibriumParams.coeffs`) or
+    arrays over N fugacities (the solver's cells).  Lk stands for li[k/2],
+    Ljk for the ratio Lj / Lk.  b_low enters the reduced 5x5 block (orders
+    1/2..5/2) and b_high the regularization factors (3/2..7/2); they coincide
+    only classically.  rho_phi_rho .. p_psi_p are the chain-rule derivatives
+    through (rho, p) <-> (z, T); frakB normalizes the heat-flux term of the
+    ansatz; m2, m3, Tc and Mrho are entries of the constant factor M; alpha
+    is the doubled branch 7 li[9/2] / (5 li[7/2]) of the equilibrium spectrum.
+    """
+
+    def __init__(self, li: Mapping[float, object], T):
+        L1, L3, L5, L7, L9 = (li[s] for s in ORDERS)
+        self.T = T
+        self.L1, self.L3, self.L5, self.L7, self.L9 = L1, L3, L5, L7, L9
+        self.L13 = L13 = L1 / L3
+        self.L35 = L35 = L3 / L5
+        self.L53 = L53 = L5 / L3
+        self.L75 = L75 = L7 / L5
+        self.L97 = L97 = L9 / L7
+        self.r = r = L3 * L7 / _square(L5)
+        self.r2 = r2 = L5 * L9 / _square(L7)
+        self.Delta = Delta = 1.5 * L35 - 2.5 * L13      # < 0 in-domain
+        self.phi = T * L75
+        self.psi = T * L97
+        self.b_low = b_low = 2.0 / (5.0 - 3.0 * _square(L3) / (L1 * L5))
+        self.b_high = b_high = 2.0 / (5.0 - 3.0 * _square(L5) / (L3 * L7))
+        self.dfrak = 2.5 * (1.0 - r)
+        self.Tc = T * (3.5 * L97 - 2.5 * L75)
+        self.tfrak = 2.5 * T * ((7.0 * L75 - 3.0 * L13) * (b_low / 2.0) - L75)
+        self.rho_phi_rho = T * (7.0 * r - 5.0) / (2.0 * Delta)
+        self.p_phi_p = p_phi_p = T * (1.5 * (1.0 - r) - L13 * L75) / Delta
+        self.rho_psi_rho = T * (L35 * L97 - 2.5 * (1.0 - r2)) / Delta
+        self.p_psi_p = T * (1.5 * (1.0 - r2) - L13 * L97) / Delta
+        self.frakB = 3.5 * L9 / L5 - 2.5 * _square(L7) / _square(L5)
+        self.m2 = 0.5 * (1.0 - _square(L5) / (L3 * L7))
+        self.m3 = 2.5 * p_phi_p / (3.0 * b_high)
+        self.Mrho = 2.5 * T * T * L53 * (2.0 * r - 1.0 - L13 * L75) / Delta
+        self.alpha = 1.4 * L9 / L7
+
+
 @dataclass(frozen=True, eq=False)
 class EquilibriumParams:
-    """Equilibrium anchor (theta, z, u, T) with particle constant hhat."""
+    """Equilibrium anchor (theta, z, u, T) with particle constant hhat.
+
+    The li values are evaluated once, on construction, where they double as
+    the fugacity domain check; `coeffs` holds every coefficient derived
+    from them.
+    """
 
     theta: int
     z: float
     u: np.ndarray
     T: float
     hhat: float = 1.0
+    li: Dict[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _check_theta(self.theta))
@@ -46,13 +107,12 @@ class EquilibriumParams:
             raise DomainError(f"temperature must be positive, got {self.T}")
         if not (self.hhat > 0.0):
             raise DomainError(f"hhat must be positive, got {self.hhat}")
-        # fugacity admissibility is the polylog domain check
-        eval_polylog_batch(self.z, self.theta)
+        vals = eval_polylog_batch(self.z, self.theta)
+        object.__setattr__(self, "li", {s: float(vals[s][0]) for s in ORDERS})
 
     @cached_property
-    def li(self) -> Dict[float, float]:
-        vals = eval_polylog_batch(self.z, self.theta)
-        return {s: float(vals[s][0]) for s in ORDERS}
+    def coeffs(self) -> LiCoeffs:
+        return LiCoeffs(self.li, self.T)
 
     @cached_property
     def rho(self) -> float:
@@ -70,11 +130,6 @@ class EquilibriumParams:
     def from_dict(cls, d: dict) -> "EquilibriumParams":
         return cls(theta=d["theta"], z=d["z"], u=np.asarray(d.get("u", (0, 0, 0))),
                    T=d["T"], hhat=d.get("hhat", 1.0))
-
-
-def equilibrium_rho_p(eq: EquilibriumParams) -> Tuple[float, float]:
-    """Density and pressure induced by the equilibrium parameters."""
-    return eq.rho, eq.p
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +301,7 @@ def fit_fugacity_batch(gstar: np.ndarray, theta: int) -> np.ndarray:
 
 def fit_equilibrium(rho: float, p: float, theta: int, hhat: float = 1.0,
                     u=(0.0, 0.0, 0.0)) -> EquilibriumParams:
-    """Invert (rho, p) -> (z, T); round-trips with equilibrium_rho_p to 1e-10."""
+    """Invert (rho, p) -> (z, T); round-trips with EquilibriumParams.rho, .p to 1e-10."""
     theta = _check_theta(theta)
     if not (rho > 0.0 and p > 0.0 and math.isfinite(rho) and math.isfinite(p)):
         raise NoSolution(f"need positive finite rho and p, got {rho}, {p}")
@@ -264,12 +319,6 @@ def fit_state(state: MomentState13, theta: int, hhat: float = 1.0) -> Equilibriu
 
 # ---------------------------------------------------------------------------
 # Grad ansatz and closure
-
-def frak_B(eq: EquilibriumParams) -> float:
-    """Normalization of the heat-flux correction in the expansion."""
-    li = eq.li
-    return 3.5 * li[4.5] / li[2.5] - 2.5 * li[3.5] ** 2 / li[2.5] ** 2
-
 
 def grad_ansatz_eval(state: MomentState13, eq: EquilibriumParams, v) -> np.ndarray:
     """Evaluate the 13-moment distribution ansatz at velocities v.
@@ -294,7 +343,7 @@ def grad_ansatz_eval(state: MomentState13, eq: EquilibriumParams, v) -> np.ndarr
     sterm = (np.einsum("ij,ni,nj->n", sig, c, c) / T
              - np.trace(sig) * (li[2.5] / li[1.5])) * (li[2.5] / li[3.5]) / (2.0 * p)
     qterm = (c @ state.q) * (c2 / T - 5.0 * li[3.5] / li[2.5]) \
-        / (5.0 * p * T * frak_B(eq))
+        / (5.0 * p * T * eq.coeffs.frakB)
     out = feq * (1.0 + sterm + qterm)
     return float(out[0]) if single else out
 

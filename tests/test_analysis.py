@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qgrad13 as q
-from qgrad13 import Classification, EquilibriumParams
+from qgrad13 import Classification, EquilibriumParams, analysis
 from qgrad13.analysis import random_moment_state, random_unit_vectors
 
 
@@ -86,6 +86,15 @@ def test_regularized_scan_grad_comparison():
     g = q.region_scan_regularized(0, 1.0, n=31, direction=1, compare_grad=True)
     assert "grad_area_fraction" in g.metadata
     assert g.metadata["grad_area_fraction"] < q.area_fraction(g)
+
+
+def test_scan_rejects_non_affine_assembly():
+    shat = np.linspace(-0.5, 0.5, 5)
+    qhat = np.linspace(-1.0, 1.0, 5)
+    curved = lambda s, qh, d: np.diag([s * s, qh, 1.0])
+    for direction in (1, (0.0, 1.0, 1.0), "random"):
+        with pytest.raises(RuntimeError, match="affine"):
+            analysis._scan(curved, shat, qhat, 1, direction)
 
 
 def test_region_csv_byte_identical(tmp_path):

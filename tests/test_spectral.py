@@ -23,13 +23,6 @@ def test_charpoly_random_matches_numpy(rng):
                                atol=1e-9)
 
 
-def test_eigendecompose_residual(rng):
-    A = rng.normal(size=(9, 9))
-    lam, V = q.eigendecompose(A)
-    res = np.max(np.abs(A @ V - V @ np.diag(lam)))
-    assert res <= 1e-10 * np.linalg.norm(A, 2)
-
-
 class TestVerdicts:
     def test_distinct_real(self):
         v = q.diagonalizability_test(np.diag([0.0, 1.0, -2.0]))

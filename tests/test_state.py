@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qgrad13 as q
+from qgrad13 import state
 from qgrad13 import (CondensationError, DomainError, EquilibriumParams,
                      MomentState5, NoSolution, QuadratureNotConverged)
 from qgrad13.analysis import random_moment_state
@@ -22,8 +23,39 @@ def test_equilibrium_density_pressure_formula(theta):
         pref = hhat * (2.0 * math.pi * T) ** 1.5
         assert abs(eq.rho / (pref * li[1.5]) - 1.0) < 1e-14
         assert abs(eq.p / (pref * T * li[2.5]) - 1.0) < 1e-14
-        rho2, p2 = q.equilibrium_rho_p(eq)
-        assert rho2 == eq.rho and p2 == eq.p
+
+
+def test_equilibrium_params_evaluates_polylog_once(theta, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return q.eval_polylog_batch(*args, **kwargs)
+
+    monkeypatch.setattr(state, "eval_polylog_batch", counting)
+    eq = EquilibriumParams(theta=theta, z=0.6, u=np.zeros(3), T=1.3)
+    eq.li, eq.rho, eq.p
+    assert len(calls) == 1
+    eq.coeffs.alpha
+    assert len(calls) == 1
+
+
+def test_coefficient_record_batch_matches_scalar(theta):
+    """The record over N fugacities is N scalar records, bit for bit.
+
+    Both sides get the same li values: a batch li evaluation may round
+    differently from one-by-one calls, and that is not the record's business.
+    """
+    zs = [0.05, 0.3, 0.6, 0.9] if theta == -1 else [0.05, 0.6, 3.0, 40.0]
+    Ts = [0.4, 1.0, 1.7, 3.1]
+    eqs = [EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=T)
+           for z, T in zip(zs, Ts)]
+    li = {s: np.array([eq.li[s] for eq in eqs]) for s in q.ORDERS}
+    batch = state.LiCoeffs(li, np.array(Ts))
+    for i, eq in enumerate(eqs):
+        for name, value in vars(eq.coeffs).items():
+            got = getattr(batch, name)[i]
+            assert np.float64(got).tobytes() == np.float64(value).tobytes(), name
 
 
 def test_equilibrium_moments_match_quadrature():
