@@ -210,6 +210,7 @@ def _cmd_simulate(args) -> int:
     drift = abs(result.ledger["mass"][-1] / result.ledger["mass"][0] - 1.0)
     print(f"steps={result.steps} max_speed={_fmt(result.max_speed)}")
     print(f"mass_drift={_fmt(drift)}")
+    print(f"newton_fallbacks={result.newton_fallbacks}")
     if args.out_prefix:
         solver1d.write_ledger_csv(result, f"{args.out_prefix}_ledger.csv")
         for i in range(result.times.size):

@@ -143,13 +143,15 @@ def _fermi_quadrature(z: np.ndarray) -> Dict[float, np.ndarray]:
         w_parts.append(0.5 * (b - a) * wy)
     t = np.concatenate(t_parts)
     w = np.concatenate(w_parts)
-    # occupancy written so the exponential never overflows for large mu
-    occ = np.empty((z.size, t.size))
+    # occupancy 1 / (exp(x) + 1) written so the exponential never overflows
+    # for large mu: e^-x / (1 + e^-x) above x = 0, 1 / (1 + e^x) below;
+    # in place, since these (z.size, t.size) passes are the solver's hot loop
     x = t[None, :] - mu[:, None]
-    pos = x >= 0.0
-    ex = np.exp(np.where(pos, -x, x))
-    occ[pos] = (ex / (1.0 + ex))[pos]
-    occ[~pos] = (1.0 / (1.0 + ex))[~pos]
+    ex = np.abs(x)
+    np.exp(np.negative(ex, out=ex), out=ex)
+    occ = np.where(x >= 0.0, ex, 1.0)
+    ex += 1.0
+    occ /= ex
     sq = np.sqrt(t)
     tpow = {0.5: 1.0 / sq, 1.5: sq, 2.5: t * sq, 3.5: t * t * sq,
             4.5: t * t * t * sq}

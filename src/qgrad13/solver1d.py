@@ -5,10 +5,14 @@ One step is a local Lax-Friedrichs update of the quasi-linear transport,
     w_i <- w_i - (dt / 2 dx) A(w_i) (w_{i+1} - w_{i-1})
                + (dt alpha_i / 2 dx) (w_{i+1} - 2 w_i + w_{i-1}),
 
-with alpha_i the spectral radius of A(w_i), followed by exact integration
-of the relaxation source: sigma11 and q1 decay by exp(-dt / tau).  A is the
-reduced 5x5 matrix of the final regularization, rebuilt from each cell's
-own fitted fugacity and temperature every step.
+followed by exact integration of the relaxation source: sigma11 and q1
+decay by exp(-dt / tau).  A is the reduced 5x5 matrix of the final
+regularization, rebuilt from each cell's own fitted fugacity and temperature
+every step.  alpha_i is the spectral radius of A(w_i), read off the paper's
+factorization A = D^-1 (M + u I) D instead of an eigensolve: M depends only
+on (z, T), so the radius is |u1| + sqrt(T x_plus) with x_plus the larger
+root of the equilibrium quartic.  One li evaluation per Newton iterate fits
+the fugacities, and the last one also feeds the matrices.
 
 State layout: w has one row (rho, u1, p11, q1, p) per cell.
 """
@@ -24,8 +28,8 @@ from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoSolution)
 from .polylog import _check_theta, eval_polylog_batch
 from .state import (_LOG_Z_HI_BOSON, _LOG_Z_HI_FERMION, _LOG_Z_LO,
-                    EquilibriumParams, LiCoeffs, _gstar_curve, _gstar_slope,
-                    _z_from_log, fit_fugacity_batch)
+                    EquilibriumParams, LiCoeffs, _gstar, _z_from_log,
+                    fit_fugacity_batch)
 
 _TWO_PI = 2.0 * math.pi
 _MAX_STEPS = 5_000_000
@@ -110,54 +114,62 @@ class SimResult:
     ledger: Dict[str, np.ndarray]  # time, mass, momentum, energy
     steps: int
     max_speed: float
+    newton_fallbacks: int          # steps where a cell took the bracketed fit
 
 
 # ---------------------------------------------------------------------------
 # per-cell coefficients
 
-def _fit_cells(gstar: np.ndarray, theta: int,
-               guess: Optional[np.ndarray]) -> np.ndarray:
+def _fit_cells(gstar: np.ndarray, theta: int, guess: Optional[np.ndarray]
+               ) -> Tuple[np.ndarray, Dict[float, np.ndarray], bool]:
     """Per-cell fugacity from li[5/2]/li[3/2]^(5/3), warm-started if possible.
 
     Three Newton steps from the previous time level converge to rounding in
-    smooth runs; cells that miss fall back to the bracketed solve.
+    smooth runs; the li evaluation at the last iterate checks the residual
+    and is returned with z for the matrices.  Cells that miss fall back to
+    the bracketed solve, and li is evaluated once more at the final z.
+    Returns (z, li, fell_back); a cold start counts as no fallback.
     """
     if theta == 0:
-        return gstar ** -1.5
+        z = gstar ** -1.5
+        return z, eval_polylog_batch(z, theta), False
     hi = _LOG_Z_HI_BOSON if theta == -1 else _LOG_Z_HI_FERMION
     target = np.log(gstar)
     if guess is not None:
         x = np.log(guess)
         for _ in range(3):
-            x = x - (_gstar_curve(x, theta) - target) / _gstar_slope(x, theta)
-            x = np.clip(x, _LOG_Z_LO, hi)
-        bad = np.abs(_gstar_curve(x, theta) - target) > 1e-11
+            curve, slope, _ = _gstar(x, theta)
+            x = np.clip(x - (curve - target) / slope, _LOG_Z_LO, hi)
+        curve, _, li = _gstar(x, theta)
+        bad = np.abs(curve - target) > 1e-11
         if not np.any(bad):
-            return _z_from_log(x, theta)
+            return _z_from_log(x, theta), li, False
     else:
         x = np.empty_like(target)
         bad = np.ones(target.shape, dtype=bool)
     try:
         x[bad] = np.log(fit_fugacity_batch(gstar[bad], theta))
     except (CondensationError, NoSolution) as exc:
-        floor = _gstar_curve(np.array([hi]), theta)[0]
-        ceil = _gstar_curve(np.array([_LOG_Z_LO]), theta)[0]
+        floor = _gstar(np.array([hi]), theta)[0][0]
+        ceil = _gstar(np.array([_LOG_Z_LO]), theta)[0][0]
         off = bad & ((target <= floor) | (target >= ceil))
         idx = int(np.argmax(off))
         raise InadmissibleCell(idx, f"no admissible fugacity: {exc}") from exc
-    return _z_from_log(x, theta)
+    z = _z_from_log(x, theta)
+    return z, eval_polylog_batch(z, theta), guess is not None
 
 
-def _a5_final_stack(w: np.ndarray, theta: int, hhat: float,
-                    z: np.ndarray) -> np.ndarray:
-    """Reduced coefficient matrices of the final regularization, one per cell.
+def _a5_final_stack(w: np.ndarray, hhat: float, li: Dict[float, np.ndarray]
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduced coefficient matrices of the final regularization, one per cell,
+    and their spectral radii.
 
     Closed-form version of reducing the 13x13 assembly with the selection and
-    embedding maps; the equivalence is pinned against that path in the tests.
+    embedding maps; the equivalence, and the radius against eigvals, are
+    pinned in the tests.  `li` holds the five orders at the cells' fugacities.
     """
     rho, u1, p11, q1, p = (w[:, k] for k in range(5))
     sig = p11 - p
-    li = eval_polylog_batch(z, theta)
     T = (rho / (hhat * li[1.5])) ** (2.0 / 3.0) / _TWO_PI
     c = LiCoeffs(li, T)
     N = w.shape[0]
@@ -173,7 +185,7 @@ def _a5_final_stack(w: np.ndarray, theta: int, hhat: float,
     A[:, 3, 4] = 2.5 * c.p_phi_p - c.Tc
     A[:, 4, 1] = (5.0 * p + 2.0 * sig) / 3.0
     A[:, 4, 3] = 2.0 / 3.0
-    return A
+    return A, np.abs(u1) + np.sqrt(T * c.x_plus)
 
 
 def _validate_cells(w: np.ndarray) -> None:
@@ -252,14 +264,14 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
     t = 0.0
     steps = 0
     max_speed = 0.0
+    fallbacks = 0
     snap_idx = 1
     while snap_idx < snap_times.size:
         rho, p = w[:, 0], w[:, 4]
         gstar = gfac * p * rho ** (-5.0 / 3.0)
-        z = _fit_cells(gstar, config.theta, z_prev)
-        z_prev = z
-        A = _a5_final_stack(w, config.theta, config.hhat, z)
-        alpha = np.max(np.abs(np.linalg.eigvals(A)), axis=1)
+        z_prev, li, fell_back = _fit_cells(gstar, config.theta, z_prev)
+        fallbacks += fell_back
+        A, alpha = _a5_final_stack(w, config.hhat, li)
         amax = float(np.max(alpha))
         max_speed = max(max_speed, amax)
         dt_cfl = config.cfl * dx / amax if amax > 0.0 else math.inf
@@ -290,7 +302,8 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
     return SimResult(config=config, x=x, times=snap_times,
                      snapshots=np.array(snapshots),
                      ledger={k: np.array(v) for k, v in ledger.items()},
-                     steps=steps, max_speed=max_speed)
+                     steps=steps, max_speed=max_speed,
+                     newton_fallbacks=fallbacks)
 
 
 # ---------------------------------------------------------------------------

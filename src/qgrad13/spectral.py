@@ -21,8 +21,7 @@ from scipy.optimize import brentq
 
 from .errors import NoConvergence, NoRoot
 from .matrices import _a_coeffs
-from .polylog import eval_polylog_batch
-from .state import EquilibriumParams, MomentState5
+from .state import EquilibriumParams, LiCoeffs, MomentState5
 
 #: default tolerances; exposed so the CLI can override them uniformly
 SV_TOL = 1e-8        # singular-value threshold (relative to ||A||) for rank
@@ -221,13 +220,10 @@ def shear_charpoly_coeffs(z: float, theta: int, epsilon: float = 0.0) -> ShearCh
     c2..c4 and the constant extend it to the sigma12 = epsilon * p state via
     g(x) = 25 x^4 + c4 x^3 + c3 x^2 + c2 x + const.
     """
-    li = eval_polylog_batch(z, theta)
-    L1, L3, L5, L7, L9 = (float(li[s][0]) for s in (0.5, 1.5, 2.5, 3.5, 4.5))
+    c = _coeffs(z, theta)
+    L1, L3, L5, L7, L9 = c.L1, c.L3, c.L5, c.L7, c.L9
     S = 5.0 * L1 * L5 - 3.0 * L3 ** 2
     e2 = epsilon ** 2
-    c0 = 3.0 * (7.0 * L3 * L7 - 5.0 * L5 ** 2) / S
-    c1 = (140.0 * L1 * L5 * L9 + 175.0 * L1 * L7 ** 2 - 84.0 * L3 ** 2 * L9
-          - 75.0 * L3 * L5 * L7) / (15.0 * L7 * S)
     c2 = (-735.0 * L3 ** 3 * L7 ** 3 * L9
           + 560.0 * e2 * L1 * L5 ** 2 * L7 ** 2 * (L5 * L9 - L7 ** 2)
           + 294.0 * L3 ** 2 * L5 ** 2 * L9
@@ -245,7 +241,8 @@ def shear_charpoly_coeffs(z: float, theta: int, epsilon: float = 0.0) -> ShearCh
     const = -14.0 * e2 * L5 ** 2 * (14.0 * L3 * L7 * L9 ** 2 + 35.0 * L5 ** 2 * L9 ** 2
                                     - 80.0 * L5 * L7 ** 2 * L9 + 35.0 * L7 ** 4) \
         / (L3 * L7 ** 3 * S)
-    return ShearCharPolyCoeffs(c0=c0, c1=c1, c2=c2, c3=c3, c4=c4, const=const)
+    return ShearCharPolyCoeffs(c0=float(c.c0), c1=float(c.c1), c2=c2, c3=c3,
+                               c4=c4, const=const)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,26 +263,23 @@ class EquilibriumSpectrum:
         return u1 + math.sqrt(self.T) * self.lambda_hat
 
 
-def _alpha(z: float, theta: int) -> float:
-    return EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0).coeffs.alpha
+def _coeffs(z: float, theta: int) -> LiCoeffs:
+    """The coefficient record at (z, theta) and T = 1: one li evaluation."""
+    return EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0).coeffs
 
 
 def char_poly_equilibrium(z: float, theta: int, T: float = 1.0) -> EquilibriumSpectrum:
     """Equilibrium spectrum lam_hat^5 (lam_hat^2 - alpha)^2 (lam_hat^4 - c1 lam_hat^2 + c0)."""
-    alpha = _alpha(z, theta)
-    cc = shear_charpoly_coeffs(z, theta, 0.0)
-    disc = cc.c1 ** 2 - 4.0 * cc.c0
-    if disc < 0.0:
+    c = _coeffs(z, theta)
+    x_minus, x_plus = float(c.x_minus), float(c.x_plus)
+    if math.isnan(x_plus):
         raise NoConvergence(
             f"equilibrium quartic discriminant negative at z={z}, theta={theta}")
-    root = math.sqrt(disc)
-    x_minus = 0.5 * (cc.c1 - root)
-    x_plus = 0.5 * (cc.c1 + root)
-    sa, sm, sp = math.sqrt(alpha), math.sqrt(x_minus), math.sqrt(x_plus)
+    sa, sm, sp = math.sqrt(c.alpha), math.sqrt(x_minus), math.sqrt(x_plus)
     lam = np.array([-sp, -sa, -sa, -sm, 0.0, 0.0, 0.0, 0.0, 0.0,
                     sm, sa, sa, sp])
-    return EquilibriumSpectrum(z=z, theta=theta, T=T, alpha_hat=alpha,
-                               c0=cc.c0, c1=cc.c1, x_minus=x_minus,
+    return EquilibriumSpectrum(z=z, theta=theta, T=T, alpha_hat=c.alpha,
+                               c0=float(c.c0), c1=float(c.c1), x_minus=x_minus,
                                x_plus=x_plus, lambda_hat=np.sort(lam))
 
 
@@ -294,10 +288,9 @@ def char_poly_equilibrium(z: float, theta: int, T: float = 1.0) -> EquilibriumSp
 CROSSING_TOL = 1e-6
 
 
-def _quartic_at_alpha(z: float, theta: int) -> float:
-    alpha = _alpha(z, theta)
-    cc = shear_charpoly_coeffs(z, theta, 0.0)
-    return alpha * alpha - cc.c1 * alpha + cc.c0
+def _branch_gap(c: LiCoeffs) -> float:
+    """The equilibrium quartic at the doubled branch: zero where they cross."""
+    return c.alpha * c.alpha - c.c1 * c.alpha + c.c0
 
 
 def annihilation_residual(M1: np.ndarray, z: float, theta: int,
@@ -309,25 +302,25 @@ def annihilation_residual(M1: np.ndarray, z: float, theta: int,
     CROSSING_TOL), since the quartic factor already covers those directions.
     A small residual certifies that M1 is diagonalizable.
     """
-    alpha = _alpha(z, theta)
-    cc = shear_charpoly_coeffs(z, theta, 0.0)
+    c = _coeffs(z, theta)
     eye = np.eye(13)
     M2 = M1 @ M1
-    quartic = M2 @ M2 - cc.c1 * T * M2 + cc.c0 * T ** 2 * eye
-    if abs(_quartic_at_alpha(z, theta)) <= CROSSING_TOL:
+    quartic = M2 @ M2 - c.c1 * T * M2 + c.c0 * T ** 2 * eye
+    if abs(_branch_gap(c)) <= CROSSING_TOL:
         PM = M1 @ quartic
     else:
-        PM = M1 @ (M2 - alpha * T * eye) @ quartic
+        PM = M1 @ (M2 - c.alpha * T * eye) @ quartic
     return float(np.max(np.abs(PM)) / np.max(np.abs(M1)) ** 7)
 
 
 def fermion_crossing(lo: float = 1.0, hi: float = 100.0) -> float:
     """Fermion fugacity where the doubled branch meets a quartic branch."""
-    f_lo = _quartic_at_alpha(lo, 1)
-    f_hi = _quartic_at_alpha(hi, 1)
-    if f_lo * f_hi > 0.0:
+    def gap(z: float) -> float:
+        return _branch_gap(_coeffs(z, 1))
+
+    if gap(lo) * gap(hi) > 0.0:
         raise NoRoot(f"no sign change of the branch gap on ({lo}, {hi})")
-    return float(brentq(lambda zz: _quartic_at_alpha(zz, 1), lo, hi, xtol=1e-8))
+    return float(brentq(gap, lo, hi, xtol=1e-8))
 
 
 def charpoly_coeffs(A: np.ndarray) -> np.ndarray:

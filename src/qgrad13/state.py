@@ -49,6 +49,8 @@ class LiCoeffs:
     through (rho, p) <-> (z, T); frakB normalizes the heat-flux term of the
     ansatz; m2, m3, Tc and Mrho are entries of the constant factor M; alpha
     is the doubled branch 7 li[9/2] / (5 li[7/2]) of the equilibrium spectrum.
+    c0, c1 define its quartic x^2 - c1 x + c0 in x = lam_hat^2, whose roots
+    x_minus <= x_plus give the other speeds; sqrt(T x_plus) is the largest.
     """
 
     def __init__(self, li: Mapping[float, object], T):
@@ -60,13 +62,14 @@ class LiCoeffs:
         self.L53 = L53 = L5 / L3
         self.L75 = L75 = L7 / L5
         self.L97 = L97 = L9 / L7
-        self.r = r = L3 * L7 / _square(L5)
-        self.r2 = r2 = L5 * L9 / _square(L7)
+        L3_2, L5_2, L7_2 = _square(L3), _square(L5), _square(L7)
+        self.r = r = L3 * L7 / L5_2
+        self.r2 = r2 = L5 * L9 / L7_2
         self.Delta = Delta = 1.5 * L35 - 2.5 * L13      # < 0 in-domain
         self.phi = T * L75
         self.psi = T * L97
-        self.b_low = b_low = 2.0 / (5.0 - 3.0 * _square(L3) / (L1 * L5))
-        self.b_high = b_high = 2.0 / (5.0 - 3.0 * _square(L5) / (L3 * L7))
+        self.b_low = b_low = 2.0 / (5.0 - 3.0 * L3_2 / (L1 * L5))
+        self.b_high = b_high = 2.0 / (5.0 - 3.0 * L5_2 / (L3 * L7))
         self.dfrak = 2.5 * (1.0 - r)
         self.Tc = T * (3.5 * L97 - 2.5 * L75)
         self.tfrak = 2.5 * T * ((7.0 * L75 - 3.0 * L13) * (b_low / 2.0) - L75)
@@ -74,11 +77,20 @@ class LiCoeffs:
         self.p_phi_p = p_phi_p = T * (1.5 * (1.0 - r) - L13 * L75) / Delta
         self.rho_psi_rho = T * (L35 * L97 - 2.5 * (1.0 - r2)) / Delta
         self.p_psi_p = T * (1.5 * (1.0 - r2) - L13 * L97) / Delta
-        self.frakB = 3.5 * L9 / L5 - 2.5 * _square(L7) / _square(L5)
-        self.m2 = 0.5 * (1.0 - _square(L5) / (L3 * L7))
+        self.frakB = 3.5 * L9 / L5 - 2.5 * L7_2 / L5_2
+        self.m2 = 0.5 * (1.0 - L5_2 / (L3 * L7))
         self.m3 = 2.5 * p_phi_p / (3.0 * b_high)
         self.Mrho = 2.5 * T * T * L53 * (2.0 * r - 1.0 - L13 * L75) / Delta
         self.alpha = 1.4 * L9 / L7
+        S = 5.0 * L1 * L5 - 3.0 * L3_2
+        self.c0 = c0 = 3.0 * (7.0 * L3 * L7 - 5.0 * L5_2) / S
+        self.c1 = c1 = (140.0 * L1 * L5 * L9 + 175.0 * L1 * L7_2
+                        - 84.0 * L3_2 * L9
+                        - 75.0 * L3 * L5 * L7) / (15.0 * L7 * S)
+        with np.errstate(invalid="ignore"):   # NaN marks a complex pair
+            root = np.sqrt(_square(c1) - 4.0 * c0)
+        self.x_minus = 0.5 * (c1 - root)
+        self.x_plus = 0.5 * (c1 + root)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,17 +255,17 @@ def _z_from_log(log_z: np.ndarray, theta: int) -> np.ndarray:
     return z
 
 
-def _gstar_curve(log_z: np.ndarray, theta: int) -> np.ndarray:
-    """log of the monotone ratio li[5/2]/li[3/2]^(5/3) at z = exp(log_z)."""
-    li = eval_polylog_batch(_z_from_log(log_z, theta), theta)
-    return np.log(li[2.5]) - (5.0 / 3.0) * np.log(li[1.5])
+def _gstar(log_z: np.ndarray, theta: int):
+    """One li evaluation at z = exp(log_z) and what the fits read from it.
 
-
-def _gstar_slope(log_z: np.ndarray, theta: int) -> np.ndarray:
+    Returns (curve, slope, li): curve is log of the monotone ratio
+    li[5/2]/li[3/2]^(5/3), slope its derivative in log z (strictly negative
+    in-domain), li the five orders, ready for the coefficient record.
+    """
     li = eval_polylog_batch(_z_from_log(log_z, theta), theta)
-    l13 = li[0.5] / li[1.5]
-    l35 = li[1.5] / li[2.5]
-    return l35 - (5.0 / 3.0) * l13   # strictly negative in-domain
+    curve = np.log(li[2.5]) - (5.0 / 3.0) * np.log(li[1.5])
+    slope = li[1.5] / li[2.5] - (5.0 / 3.0) * (li[0.5] / li[1.5])
+    return curve, slope, li
 
 
 _LOG_Z_LO = math.log(1e-12)
@@ -276,26 +288,26 @@ def fit_fugacity_batch(gstar: np.ndarray, theta: int) -> np.ndarray:
         return gstar ** -1.5
     target = np.log(gstar)
     hi_edge = _LOG_Z_HI_BOSON if theta == -1 else _LOG_Z_HI_FERMION
-    floor = _gstar_curve(np.array([hi_edge]), theta)[0]
+    floor = _gstar(np.array([hi_edge]), theta)[0][0]
     if np.any(target <= floor):
         if theta == -1:
             raise CondensationError(
                 "no Boson fugacity below condensation reaches this rho/p ratio")
         raise NoSolution("required Fermion fugacity beyond supported range")
-    ceil = _gstar_curve(np.array([_LOG_Z_LO]), theta)[0]
+    ceil = _gstar(np.array([_LOG_Z_LO]), theta)[0][0]
     if np.any(target >= ceil):
         raise NoSolution("state too dilute for the supported fugacity range")
     lo = np.full(gstar.shape, _LOG_Z_LO)
     hi = np.full(gstar.shape, hi_edge)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        above = _gstar_curve(mid, theta) > target   # still left of the root
+        above = _gstar(mid, theta)[0] > target   # still left of the root
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     x = 0.5 * (lo + hi)
     for _ in range(3):
-        x = x - (_gstar_curve(x, theta) - target) / _gstar_slope(x, theta)
-        x = np.clip(x, lo, hi)
+        curve, slope, _ = _gstar(x, theta)
+        x = np.clip(x - (curve - target) / slope, lo, hi)
     return _z_from_log(x, theta)
 
 

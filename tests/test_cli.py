@@ -137,7 +137,10 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert (tmp_path / "out_ledger.csv").exists()
     for k in range(3):
         assert (tmp_path / f"out_snap{k:03d}.csv").exists()
-    assert "steps" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("steps=") and "max_speed=" in lines[0]
+    assert lines[1].startswith("mass_drift=")
+    assert lines[2] == "newton_fallbacks=0"
 
 
 def test_simulate_invalid_config_exit3(tmp_path, capsys):

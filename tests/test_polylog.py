@@ -15,6 +15,7 @@ from scipy.special import zeta
 
 from qgrad13 import (BOSE_Z_MAX, ZETA_HALF, DomainError, eval_polylog_batch,
                      eval_polylog_set)
+from qgrad13 import polylog
 from qgrad13.polylog import ORDERS
 
 # mpmath, 40 digits, rounded to double
@@ -169,3 +170,39 @@ def test_set_as_dict_round_trip():
     assert d["theta"] == -1 and d["z"] == 0.7
     assert set(d["li"]) == {"1/2", "3/2", "5/2", "7/2", "9/2"}
     assert d["li"]["5/2"] == ps.li[2.5]
+
+
+def _masked_fermi_quadrature(z):
+    """The panel quadrature with the occupancy scattered through masks."""
+    mu = np.log(z)
+    upper = max(1.0, float(np.max(mu))) + polylog._TAIL_MARGIN
+    y, wy = polylog._GL_NODES, polylog._GL_WEIGHTS
+    y01 = 0.5 * (y + 1.0)
+    t_parts, w_parts = [y01 ** 2], [0.5 * wy * 2.0 * y01]
+    n_panels = int(math.ceil((upper - 1.0) / polylog._PANEL_WIDTH))
+    edges = np.linspace(1.0, upper, n_panels + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        t_parts.append(0.5 * (b - a) * (y + 1.0) + a)
+        w_parts.append(0.5 * (b - a) * wy)
+    t, w = np.concatenate(t_parts), np.concatenate(w_parts)
+    occ = np.empty((z.size, t.size))
+    x = t[None, :] - mu[:, None]
+    pos = x >= 0.0
+    ex = np.exp(np.where(pos, -x, x))
+    occ[pos] = (ex / (1.0 + ex))[pos]
+    occ[~pos] = (1.0 / (1.0 + ex))[~pos]
+    sq = np.sqrt(t)
+    tpow = {0.5: 1.0 / sq, 1.5: sq, 2.5: t * sq, 3.5: t * t * sq,
+            4.5: t * t * t * sq}
+    return {s: occ @ (w * tpow[s]) / polylog._GAMMA_S[s] for s in ORDERS}
+
+
+def test_fermi_quadrature_bits_match_masked_occupancy(rng):
+    """The occupancy without boolean scatters rounds exactly as the masked one."""
+    for size in (1, 7, 400):
+        # ln z from -0.1 to 27, and the top of the Fermion range, 1e12
+        z = np.append(np.exp(rng.uniform(-0.1, 27.0, size - 1)), 1e12)
+        got = polylog._fermi_quadrature(z)
+        ref = _masked_fermi_quadrature(z)
+        for s in ORDERS:
+            assert np.array_equal(got[s], ref[s]), (size, s)

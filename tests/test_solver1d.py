@@ -7,7 +7,7 @@ import pytest
 import qgrad13 as q
 from qgrad13 import (CFLViolation, DomainError, EquilibriumParams,
                      InadmissibleCell, SimConfig, SystemKind)
-from qgrad13 import solver1d
+from qgrad13 import solver1d, state
 
 
 def _uniform_config(theta=1, z=2.0, T=1.0, **kw):
@@ -31,6 +31,26 @@ def test_initial_condition_split():
     assert np.all(w0[:4, 0] == w0[0, 0]) and np.all(w0[4:, 0] == w0[-1, 0])
 
 
+def _gstar(w):
+    return 2.0 * math.pi * w[:, 4] * w[:, 0] ** (-5.0 / 3.0)
+
+
+def _random_cells(theta, rng, n):
+    """Admissible non-equilibrium cells: sigma11/p in (-1, 2), q1, u1 != 0."""
+    rows = []
+    for _ in range(n):
+        z = float(rng.uniform(0.05, 0.99)) if theta == -1 \
+            else float(10.0 ** rng.uniform(-1.5, 1.5))
+        eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3),
+                               T=float(rng.uniform(0.3, 3.0)))
+        st5 = q.state5_from_hat(eq, float(rng.uniform(-0.99, 1.99)),
+                                float(rng.choice([-1, 1]) * rng.uniform(0.01, 2)),
+                                u1=float(rng.choice([-1, 1])
+                                         * rng.uniform(0.01, 2)))
+        rows.append([st5.rho, st5.u1, st5.p11, st5.q1, st5.p])
+    return np.array(rows)
+
+
 def test_coefficient_stack_matches_reduction(theta, rng):
     z = 0.5 if theta == -1 else 2.0
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.3)
@@ -42,13 +62,55 @@ def test_coefficient_stack_matches_reduction(theta, rng):
         states.append(st5)
         rows.append([st5.rho, st5.u1, st5.p11, st5.q1, st5.p])
     w = np.array(rows)
-    zfit = solver1d._fit_cells(
-        2.0 * math.pi * w[:, 4] * w[:, 0] ** (-5.0 / 3.0), theta, None)
-    stack = solver1d._a5_final_stack(w, theta, 1.0, zfit)
+    _, li, _ = solver1d._fit_cells(_gstar(w), theta, None)
+    stack, _ = solver1d._a5_final_stack(w, 1.0, li)
     for i, st5 in enumerate(states):
         ref = q.reduce_to_1d(SystemKind.FinalR13, st5, eq)
         np.testing.assert_allclose(stack[i], ref, rtol=0,
                                    atol=1e-10 * np.max(np.abs(ref)))
+
+
+def test_spectral_radius_matches_eigvals(theta, rng):
+    """The factorization's radius |u1| + sqrt(T x_plus) is max |eigvals(A)|."""
+    w = _random_cells(theta, rng, 400)
+    _, li, _ = solver1d._fit_cells(_gstar(w), theta, None)
+    A, radius = solver1d._a5_final_stack(w, 1.0, li)
+    ref = np.max(np.abs(np.linalg.eigvals(A)), axis=1)
+    np.testing.assert_allclose(radius, ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("theta", [1, -1], ids=["fermion", "boson"])
+def test_warm_step_evaluates_polylog_at_most_four_times(theta, rng,
+                                                        monkeypatch):
+    """Three Newton iterates and the residual check; the matrices reuse it."""
+    z0 = 2.0 if theta == 1 else 0.5
+    eq = EquilibriumParams(theta=theta, z=z0, u=np.zeros(3), T=1.0)
+    w = np.tile([eq.rho, 0.0, eq.p, 0.0, eq.p], (64, 1))
+    z_prev, _, _ = solver1d._fit_cells(_gstar(w), theta, None)
+    w[:, 4] *= 1.0 + 1e-3 * rng.standard_normal(64)   # one step's change
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return q.eval_polylog_batch(*args, **kwargs)
+
+    for mod in (state, solver1d):
+        monkeypatch.setattr(mod, "eval_polylog_batch", counting)
+    z, li, fell_back = solver1d._fit_cells(_gstar(w), theta, z_prev)
+    solver1d._a5_final_stack(w, 1.0, li)
+    assert not fell_back
+    assert len(calls) <= 4
+
+
+def test_newton_fallbacks_reported():
+    res = q.run(_uniform_config(theta=1, t_end=0.05))
+    assert res.newton_fallbacks == 0
+    cfg = SimConfig(theta=-1, cells=100, length=1.0, cfl=0.45, tau=0.05,
+                    t_end=0.03, left=dict(z=0.97, u1=0.2, T=1.2),
+                    right=dict(z=0.3, u1=-0.2, T=0.8), n_snapshots=2)
+    first, second = q.run(cfg), q.run(cfg)
+    assert first.newton_fallbacks == second.newton_fallbacks
+    assert 0 < first.newton_fallbacks <= first.steps
 
 
 def test_uniform_equilibrium_preserved(theta):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qgrad13 as q
-from qgrad13 import Classification, EquilibriumParams, NoRoot
+from qgrad13 import Classification, EquilibriumParams, NoRoot, spectral, state
 from qgrad13.spectral import (brute_charpoly_reduced, char_poly_A5_analytic,
                               charpoly_coeffs)
 
@@ -191,3 +191,22 @@ def test_fermion_crossing_location_and_neighborhood():
 def test_fermion_crossing_requires_bracket():
     with pytest.raises(NoRoot):
         q.fermion_crossing(lo=20.0, hi=30.0)
+
+
+def test_closed_forms_evaluate_polylog_once(theta, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return q.eval_polylog_batch(*args, **kwargs)
+
+    for mod in (state, spectral):
+        monkeypatch.setattr(mod, "eval_polylog_batch", counting, raising=False)
+    z = 0.5 if theta == -1 else 2.0
+    q.char_poly_equilibrium(z, theta)
+    assert len(calls) == 1
+    eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
+    M1 = q.assemble_M(eq, 1)
+    calls.clear()
+    q.annihilation_residual(M1, z, theta, T=1.0)
+    assert len(calls) == 1
