@@ -7,14 +7,14 @@ system in one space dimension with relaxation.
 """
 from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoConvergence, NoRoot, NoSolution,
-                     QuadratureNotConverged, SingularD)
+                     SingularD)
 from .polylog import (BOSE_Z_MAX, ORDERS, ZETA_HALF, PolylogSet,
                       eval_polylog_batch, eval_polylog_set)
 from .state import (ClosureMoments, EquilibriumParams, MomentState5,
                     MomentState13, ansatz_moments, closure_moments,
                     equilibrium_state13, fit_equilibrium, fit_fugacity_batch,
-                    fit_state, grad_ansatz_eval, moment_quadrature,
-                    state5_from_hat, state13_from_state5)
+                    fit_state, grad_ansatz_eval, state5_from_hat,
+                    state13_from_state5)
 from .matrices import (SystemKind, SystemMatrices, assemble_A, assemble_A5_grad,
                        assemble_A_direction, assemble_A_grad_3d,
                        assemble_A_regularized, assemble_D, assemble_M,
@@ -40,13 +40,11 @@ __all__ = [
     "BOSE_Z_MAX", "ORDERS", "ZETA_HALF", "PolylogSet",
     "eval_polylog_batch", "eval_polylog_set",
     "CFLViolation", "CondensationError", "DomainError", "InadmissibleCell",
-    "NoConvergence", "NoRoot", "NoSolution", "QuadratureNotConverged",
-    "SingularD",
+    "NoConvergence", "NoRoot", "NoSolution", "SingularD",
     "ClosureMoments", "EquilibriumParams", "MomentState5", "MomentState13",
     "ansatz_moments", "closure_moments",
     "equilibrium_state13", "fit_equilibrium", "fit_fugacity_batch",
-    "fit_state", "grad_ansatz_eval", "moment_quadrature", "state5_from_hat",
-    "state13_from_state5",
+    "fit_state", "grad_ansatz_eval", "state5_from_hat", "state13_from_state5",
     "SystemKind", "SystemMatrices",
     "assemble_A", "assemble_A5_grad", "assemble_A_direction",
     "assemble_A_grad_3d", "assemble_A_regularized",

@@ -728,10 +728,10 @@ def verify_closure_quadrature(seed: int = 0, threads: Optional[int] = None,
     """Check that velocity-space quadrature of the distribution ansatz
     reproduces the closed-form third and fourth moments.
 
-    Bosons are drawn with z <= 0.9: the equilibrium occupancy peaks at
-    z / (1 - z), so the peak narrows without bound as z -> 1 and no fixed
-    tensor grid resolves it.  At z = 0.9 a 96^3 grid over +-8 sqrt(T)
-    lands near 1e-7; the margin grows quickly for smaller z.
+    Bosons are drawn with z <= 0.9, the range of c8.  The spherical rule of
+    `ansatz_moments` lands near 1e-9 on every statistics at these settings
+    and keeps that residual for Bosons up to z = 1 - 1e-6, where the
+    occupancy peak z / (1 - z) at c = 0 is flattened by the r^2 Jacobian.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     checks = []

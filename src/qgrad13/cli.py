@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis, solver1d, spectral
 from .errors import (CFLViolation, DomainError, InadmissibleCell,
-                     NoConvergence, NoRoot, QuadratureNotConverged, SingularD)
+                     NoConvergence, NoRoot, SingularD)
 from .matrices import (SystemKind, assemble_A_direction,
                        assemble_A_regularized)
 from .polylog import eval_polylog_set
@@ -343,7 +343,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (DomainError, InadmissibleCell, CFLViolation, SingularD,
-            NoConvergence, NoRoot, QuadratureNotConverged) as exc:
+            NoConvergence, NoRoot) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}),
               file=sys.stderr)

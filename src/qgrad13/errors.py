@@ -18,10 +18,6 @@ class NoSolution(DomainError):
     """No admissible (z, T) reproduces the requested (rho, p)."""
 
 
-class QuadratureNotConverged(RuntimeError):
-    """Doubling the velocity-quadrature nodes moved the result too much."""
-
-
 class SingularD(RuntimeError):
     """The left symmetrizer-like factor D is numerically singular.
 

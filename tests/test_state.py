@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import qgrad13 as q
 from qgrad13 import state
 from qgrad13 import (CondensationError, DomainError, EquilibriumParams,
-                     MomentState5, NoSolution, QuadratureNotConverged)
+                     MomentState5, NoSolution)
 from qgrad13.analysis import random_moment_state
 
 
@@ -62,14 +63,9 @@ def test_equilibrium_moments_match_quadrature():
     # integrate the equilibrium distribution directly: number density and
     # (1/3) trace of the pressure tensor must land on the closed forms
     eq = EquilibriumParams(theta=-1, z=0.5, u=np.array([0.2, -0.1, 0.05]), T=2.0)
-    st = q.equilibrium_state13(eq)
-    f = lambda V: q.grad_ansatz_eval(st, eq, V)
-    mass = q.moment_quadrature(f, eq, lambda V, C: np.ones(len(V)),
-                               n_nodes=96, half_width=8.0)
-    press = q.moment_quadrature(f, eq, lambda V, C: np.sum(C * C, axis=1) / 3.0,
-                                n_nodes=96, half_width=8.0)
-    assert abs(mass / eq.rho - 1.0) < 1e-8
-    assert abs(press / eq.p - 1.0) < 1e-8
+    mom = q.ansatz_moments(q.equilibrium_state13(eq), eq, n_nodes=96, half_width=8.0)
+    assert abs(mom["rho"] / eq.rho - 1.0) < 1e-8
+    assert abs(np.trace(mom["p_ij"]) / 3.0 / eq.p - 1.0) < 1e-8
 
 
 def test_ansatz_scales_inversely_with_hhat():
@@ -187,18 +183,81 @@ def test_closure_moments_symmetries(theta, rng):
                                rtol=0, atol=1e-10 * eq.p * math.sqrt(eq.T))
 
 
-def test_quadrature_convergence_guard():
-    eq = EquilibriumParams(theta=-1, z=0.99, u=np.zeros(3), T=1.0)
-    st = q.equilibrium_state13(eq)
-    f = lambda V: q.grad_ansatz_eval(st, eq, V)
-    sel = lambda V, C: np.sum(C * C, axis=1)
-    with pytest.raises(QuadratureNotConverged):
-        q.moment_quadrature(f, eq, sel, n_nodes=8, check=True)
-    # a resolved integrand passes the same guard
-    smooth = EquilibriumParams(theta=0, z=1.0, u=np.zeros(3), T=1.0)
-    st0 = q.equilibrium_state13(smooth)
-    f0 = lambda V: q.grad_ansatz_eval(st0, smooth, V)
-    q.moment_quadrature(f0, smooth, sel, n_nodes=48, half_width=8.0, check=True)
+def _tensor_grid_moments(st, eq, n_nodes, half_width):
+    """The moments of ansatz_moments on a 3-axis Gauss-Legendre tensor grid
+    over the box u +- half_width sqrt(T): the reference for the spherical rule."""
+    x, wts = leggauss(n_nodes)
+    half = half_width * math.sqrt(eq.T)
+    axes = [eq.u[i] + half * x for i in range(3)]
+    V = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    W = (wts[:, None, None] * wts[None, :, None] * wts[None, None, :]
+         ).reshape(-1) * half ** 3
+    C = V - eq.u
+    c2 = np.einsum("ni,ni->n", C, C)
+    fw = eq.hhat * W * q.grad_ansatz_eval(st, eq, V)
+    rho = float(np.sum(fw))
+    return {"rho": rho, "u": (fw @ V) / rho,
+            "p_ij": np.einsum("n,ni,nj->ij", fw, C, C),
+            "q": 0.5 * ((fw * c2) @ C),
+            "q_ijk": np.einsum("n,ni,nj,nk->ijk", fw, C, C, C),
+            "Delta_ij": np.einsum("n,ni,nj->ij", fw * c2, C, C)}
+
+
+def _moment_gaps(got, ref):
+    """Per moment, max |got - ref| over 1 + max |ref|."""
+    return {k: float(np.max(np.abs(np.subtract(got[k], ref[k])))
+                     / (1.0 + np.max(np.abs(ref[k])))) for k in ref}
+
+
+def test_ansatz_moments_match_tensor_grid(theta, rng):
+    nodes = 96 if theta == -1 else 64
+    for _ in range(3):
+        st, eq = random_moment_state(rng, theta, bose_z_max=0.8)
+        got = q.ansatz_moments(st, eq, n_nodes=nodes, half_width=8.0)
+        ref = _tensor_grid_moments(st, eq, nodes, 8.0)
+        gaps = _moment_gaps(got, ref)
+        assert max(gaps.values()) <= 1e-6, (eq.z, gaps)
+
+
+def test_ansatz_moments_angular_rule_is_exact(theta, rng, monkeypatch):
+    # doubling both angular counts must not move any moment: the fixed rule
+    # already integrates every angular part exactly
+    st, eq = random_moment_state(rng, theta)
+    base = q.ansatz_moments(st, eq, n_nodes=64, half_width=8.0)
+    dirs, weights = state._sphere_rule(8, 16)
+    monkeypatch.setattr(state, "_DIRS", dirs)
+    monkeypatch.setattr(state, "_DIR_WEIGHTS", weights)
+    fine = q.ansatz_moments(st, eq, n_nodes=64, half_width=8.0)
+    for k, ref in fine.items():
+        gap = np.max(np.abs(np.subtract(base[k], ref)))
+        assert gap < 1e-12 * np.max(np.abs(ref)), (k, gap)
+
+
+@pytest.mark.parametrize("z", [0.95, 0.99, 0.999, 1.0 - 1e-6])
+def test_closure_by_quadrature_at_bose_edge(z):
+    eq = EquilibriumParams(theta=-1, z=z, u=np.array([0.3, -0.2, 0.1]), T=1.3)
+    S = np.array([[1.0, 0.2, 0.0], [0.2, -0.5, 0.1], [0.0, 0.1, -0.5]])
+    st = q.MomentState13(rho=eq.rho, u=eq.u, p_ij=eq.p * (np.eye(3) + 0.3 * S),
+                         q=np.array([0.4, -0.3, 0.2]) * eq.p * math.sqrt(eq.T))
+    mom = q.ansatz_moments(st, eq, n_nodes=96, half_width=8.0)
+    closed = q.closure_moments(st, eq)
+    gaps = _moment_gaps(mom, {"q_ijk": closed.q_ijk, "Delta_ij": closed.Delta_ij})
+    assert max(gaps.values()) <= 1e-6, gaps
+
+
+def test_ansatz_moments_node_count(monkeypatch):
+    # the closure checks stay cheap only while the node set grows linearly
+    # in n_nodes; a tensor grid would make this n_nodes**3
+    points = []
+
+    def counting(st, eq, v):
+        points.append(len(v))
+        return q.grad_ansatz_eval(st, eq, v)
+
+    monkeypatch.setattr(state, "grad_ansatz_eval", counting)
+    eq = EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=1.0)
+    q.ansatz_moments(q.equilibrium_state13(eq), eq, n_nodes=96)
+    assert 0 < sum(points) <= 64 * 96
 
 
 def test_equilibrium_params_validation():
