@@ -13,16 +13,15 @@ from .polylog import (BOSE_Z_MAX, ORDERS, ZETA_HALF, PolylogSet,
 from .state import (ClosureMoments, EquilibriumParams, MomentState5,
                     MomentState13, ansatz_moments, closure_moments,
                     equilibrium_state13, fit_equilibrium, fit_fugacity_batch,
-                    fit_state, grad_ansatz_eval, state5_from_hat,
-                    state13_from_state5)
+                    fit_state, grad_ansatz_eval, state5_from_hat)
 from .matrices import (SystemKind, SystemMatrices, assemble_A, assemble_A5_grad,
                        assemble_A_direction, assemble_A_grad_3d,
                        assemble_A_regularized, assemble_D, assemble_M,
-                       axis_permutation_matrix, pslot, reduce_to_1d)
+                       axis_permutation_matrix, pslot)
 from .spectral import (ShearCharPolyCoeffs, Classification, EquilibriumSpectrum,
                        HyperbolicityVerdict, annihilation_residual,
-                       shear_charpoly_coeffs, char_poly_A5_analytic,
-                       char_poly_equilibrium, charpoly_coeffs, classify_batch,
+                       shear_charpoly_coeffs, char_poly_equilibrium,
+                       charpoly_coeffs, classify_batch,
                        diagonalizability_test, fermion_crossing)
 from .analysis import (FugacitySweep, LinearizationReport, NSFReport,
                        RegionGrid, area_fraction, eigen_sweep_fugacity,
@@ -44,15 +43,15 @@ __all__ = [
     "ClosureMoments", "EquilibriumParams", "MomentState5", "MomentState13",
     "ansatz_moments", "closure_moments",
     "equilibrium_state13", "fit_equilibrium", "fit_fugacity_batch",
-    "fit_state", "grad_ansatz_eval", "state5_from_hat", "state13_from_state5",
+    "fit_state", "grad_ansatz_eval", "state5_from_hat",
     "SystemKind", "SystemMatrices",
     "assemble_A", "assemble_A5_grad", "assemble_A_direction",
     "assemble_A_grad_3d", "assemble_A_regularized",
     "assemble_D", "assemble_M", "axis_permutation_matrix",
-    "pslot", "reduce_to_1d",
+    "pslot",
     "ShearCharPolyCoeffs", "Classification", "EquilibriumSpectrum",
     "HyperbolicityVerdict", "annihilation_residual", "shear_charpoly_coeffs",
-    "char_poly_A5_analytic", "char_poly_equilibrium", "charpoly_coeffs",
+    "char_poly_equilibrium", "charpoly_coeffs",
     "classify_batch", "diagonalizability_test", "fermion_crossing",
     "FugacitySweep", "LinearizationReport", "NSFReport", "RegionGrid",
     "area_fraction", "eigen_sweep_fugacity", "linearization_equality",

@@ -24,11 +24,13 @@ import numpy as np
 
 from . import spectral
 from .errors import NoRoot
-from .matrices import SystemKind, assemble_A, assemble_A5_grad, pslot
+from .matrices import (SystemKind, _as_direction, assemble_A, assemble_A5_grad,
+                       pslot)
 from .polylog import _check_theta, eval_polylog_batch
 from .spectral import CODE_INADMISSIBLE, Classification, classify_batch
-from .state import (EquilibriumParams, MomentState13, ansatz_moments,
-                    closure_moments, equilibrium_state13, state5_from_hat)
+from .state import (EquilibriumParams, MomentState13, _shear_state,
+                    ansatz_moments, closure_moments, equilibrium_state13,
+                    state5_from_hat)
 
 _CODE_NAMES = {0: "HyperbolicStrict", 1: "HyperbolicDegenerate",
                2: "NonDiagonalizable", 3: "NonHyperbolic",
@@ -133,15 +135,15 @@ def write_region_csv(grid: RegionGrid, path: str) -> None:
 
 
 def _classify_cells(build_stack: Callable[[slice], np.ndarray], n_cells: int,
-                    threads: Optional[int], chunk: int = 4096) -> np.ndarray:
-    """Classify cells chunk by chunk with a worker pool.
+                    threads: Optional[int]) -> np.ndarray:
+    """Classify cells 4096 at a time with a worker pool.
 
     Workers write disjoint slices of the output in index order, so the result
     is independent of the thread count and of scheduling.
     """
     codes = np.empty(n_cells, dtype=np.int8)
-    slices = [slice(i, min(i + chunk, n_cells))
-              for i in range(0, n_cells, chunk)]
+    slices = [slice(i, min(i + 4096, n_cells))
+              for i in range(0, n_cells, 4096)]
 
     def work(sl: slice) -> None:
         codes[sl] = classify_batch(build_stack(sl))[0]
@@ -169,15 +171,6 @@ def _mirror_rows(computed: np.ndarray, ny: int) -> np.ndarray:
     for iy in range(half):
         cells[iy] = cells[ny - 1 - iy]
     return cells
-
-
-def _shear_state(eq: EquilibriumParams, sigma12_hat: float,
-                 q1_hat: float) -> MomentState13:
-    p = eq.p
-    P = p * np.eye(3)
-    P[0, 1] = P[1, 0] = sigma12_hat * p
-    q = np.array([q1_hat * p * math.sqrt(eq.T), 0.0, 0.0])
-    return MomentState13(rho=eq.rho, u=np.zeros(3), p_ij=P, q=q)
 
 
 def _affine_basis(assemble: Callable[[float, float, int], np.ndarray],
@@ -247,17 +240,16 @@ def _shear_assembly(kind: SystemKind, eq: EquilibriumParams):
 
 def region_scan_1d(theta: int, z: float, n: int = 401,
                    q1_hat_max: float = 3.0,
-                   sigma11_hat_window: Tuple[float, float] = (-0.999, 1.999),
                    threads: Optional[int] = None) -> RegionGrid:
     """Classify the reduced 5x5 system over (sigma11_hat, q1_hat).
 
-    The grid covers sigma11/p in the open admissible interval and
-    q1/(p sqrt(T)) in [-max, max]; only the q_hat >= 0 half is computed and
-    the rest filled by the exact parity mirror.
+    The grid covers sigma11/p in [-0.999, 1.999], just inside the open
+    admissible interval (-1, 2), and q1/(p sqrt(T)) in [-max, max]; only the
+    q_hat >= 0 half is computed and the rest filled by the exact parity mirror.
     """
     theta = _check_theta(theta)
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
-    shat = np.linspace(sigma11_hat_window[0], sigma11_hat_window[1], n)
+    shat = np.linspace(-0.999, 1.999, n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
     cells = _scan(lambda s, q, d: assemble_A5_grad(state5_from_hat(eq, s, q), eq),
                   shat, qhat, threads)
@@ -269,16 +261,16 @@ def region_scan_1d(theta: int, z: float, n: int = 401,
 
 def region_scan_3d_cross_section(theta: int, z: float, n: int = 401,
                                  q1_hat_max: float = 2.0,
-                                 sigma12_hat_max: float = 1.0,
                                  threads: Optional[int] = None) -> RegionGrid:
     """Classify the full 13x13 plain closure over (sigma12_hat, q1_hat).
 
-    The only deviatoric stress component is sigma12; the closed interval in
-    sigma12_hat includes the degenerate endpoints, which are marked -1.
+    The only deviatoric stress component is sigma12; the grid spans the
+    admissible interval [-1, 1] in sigma12_hat, whose degenerate endpoints
+    are marked -1.
     """
     theta = _check_theta(theta)
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
-    shat = np.linspace(-sigma12_hat_max, sigma12_hat_max, n)
+    shat = np.linspace(-1.0, 1.0, n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
     cells = _scan(_shear_assembly(SystemKind.Grad13, eq), shat, qhat, threads)
     cells[:, np.abs(shat) >= 1.0] = CODE_INADMISSIBLE
@@ -290,7 +282,6 @@ def region_scan_3d_cross_section(theta: int, z: float, n: int = 401,
 
 def region_scan_regularized(theta: int, z: float, n: int = 401,
                             q1_hat_max: float = 2.0,
-                            sigma12_hat_max: float = 1.0,
                             direction="random", seed: int = 0,
                             threads: Optional[int] = None,
                             compare_grad: bool = False) -> RegionGrid:
@@ -299,18 +290,18 @@ def region_scan_regularized(theta: int, z: float, n: int = 401,
     direction is an axis index (1..3), an explicit 3-vector, or "random",
     which draws one unit direction per cell from a Philox stream.  With
     compare_grad=True the plain closure is classified on the identical grid
-    and its counts stored in the metadata for side-by-side reporting.
+    and its counts stored in the metadata for side-by-side reporting.  A zero
+    direction vector raises DomainError.
     """
     theta = _check_theta(theta)
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
-    shat = np.linspace(-sigma12_hat_max, sigma12_hat_max, n)
+    shat = np.linspace(-1.0, 1.0, n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
     random_dirs = isinstance(direction, str) and direction == "random"
     if random_dirs or isinstance(direction, (int, np.integer)):
         scan_dir = direction
     else:
-        scan_dir = np.asarray(direction, dtype=float).reshape(3)
-        scan_dir = scan_dir / np.linalg.norm(scan_dir)
+        scan_dir = _as_direction(direction)
     inadmissible = np.abs(shat) >= 1.0
 
     def scan(kind: SystemKind) -> np.ndarray:
@@ -322,9 +313,7 @@ def region_scan_regularized(theta: int, z: float, n: int = 401,
     cells = scan(SystemKind.FinalR13)
     meta: Dict[str, object] = {
         "system": SystemKind.FinalR13.value,
-        "direction": "random" if random_dirs else (
-            [1.0 * (d == direction) for d in (1, 2, 3)]
-            if isinstance(direction, (int, np.integer)) else list(scan_dir)),
+        "direction": "random" if random_dirs else list(_as_direction(direction)),
         "seed": seed if random_dirs else None,
         "mirrored": not random_dirs,
     }
@@ -422,13 +411,6 @@ class LinearizationReport:
     e_final: np.ndarray
     e_trivial: np.ndarray
     classical_collapse: bool
-
-    def as_dict(self) -> dict:
-        return {"theta": self.theta, "z": self.z, "T": self.T,
-                "scale": self.scale.tolist(),
-                "e_final": self.e_final.tolist(),
-                "e_trivial": self.e_trivial.tolist(),
-                "classical_collapse": self.classical_collapse}
 
 
 def linearization_equality(theta: int, z: float, T: float = 1.0,
@@ -570,7 +552,7 @@ def _suite(name: str, checks: List[dict]) -> dict:
     return {"suite": name, "ok": all(c["ok"] for c in checks), "checks": checks}
 
 
-def verify_polylog(seed: int = 0, threads: Optional[int] = None) -> dict:
+def verify_polylog(seed: int = 0) -> dict:
     checks = []
     frozen = {0.5: 1.297265404819419, 1.5: 2.284211284873108,
               2.5: 3.17005576844848, 3.5: 3.849002029404993,
@@ -605,8 +587,7 @@ def verify_polylog(seed: int = 0, threads: Optional[int] = None) -> dict:
     return _suite("polylog", checks)
 
 
-def verify_charpoly(seed: int = 0, threads: Optional[int] = None,
-                    n_random: int = 20) -> dict:
+def verify_charpoly(seed: int = 0) -> dict:
     checks = []
     for eps in (0.0, 0.3):
         cc = spectral.shear_charpoly_coeffs(1.0, 0, eps)
@@ -622,7 +603,7 @@ def verify_charpoly(seed: int = 0, threads: Optional[int] = None,
                              cc.const + 28.0 * e2, 1e-10))
     rng = np.random.Generator(np.random.Philox(seed))
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(20):
         theta = int(rng.integers(-1, 2))
         z = random_fugacity(rng, theta)
         eps = float(rng.uniform(-0.8, 0.8))
@@ -641,8 +622,8 @@ def verify_charpoly(seed: int = 0, threads: Optional[int] = None,
         worst = max(worst, abs(ident.c2 + 25.0 * alpha * ident.c0)
                     / max(1.0, abs(ident.c2)))
         worst = max(worst, abs(ident.const))
-    checks.append(_check(f"assembled vs closed-form coefficients "
-                         f"({n_random} random states)", worst, 1e-8))
+    checks.append(_check("assembled vs closed-form coefficients "
+                         "(20 random states)", worst, 1e-8))
     return _suite("charpoly", checks)
 
 
@@ -654,7 +635,7 @@ def _annihilation_grid(theta: int) -> np.ndarray:
     return np.logspace(-2.0, 1.0, 9)
 
 
-def verify_annihilation(seed: int = 0, threads: Optional[int] = None) -> dict:
+def verify_annihilation(seed: int = 0) -> dict:
     from .matrices import assemble_M
     checks = []
     for theta in (-1, 0, 1):
@@ -679,7 +660,7 @@ def verify_annihilation(seed: int = 0, threads: Optional[int] = None) -> dict:
     return _suite("annihilation", checks)
 
 
-def verify_linearization(seed: int = 0, threads: Optional[int] = None) -> dict:
+def verify_linearization(seed: int = 0) -> dict:
     checks = []
     for theta, z in ((1, 0.5), (1, 5.0), (-1, 0.5), (-1, 0.9), (0, 1.0)):
         rep = linearization_equality(theta, z)
@@ -696,9 +677,9 @@ def verify_linearization(seed: int = 0, threads: Optional[int] = None) -> dict:
     return _suite("linearization", checks)
 
 
-def verify_global_hyperbolicity(seed: int = 0, threads: Optional[int] = None,
-                                n_states: int = 10000) -> dict:
+def verify_global_hyperbolicity(seed: int = 0) -> dict:
     from .matrices import assemble_A_regularized
+    n_states = 10000
     rng = np.random.Generator(np.random.Philox(seed))
     thetas = rng.integers(-1, 2, n_states)
     bad = 0
@@ -723,12 +704,11 @@ def verify_global_hyperbolicity(seed: int = 0, threads: Optional[int] = None,
     return _suite("global-hyperbolicity", checks)
 
 
-def verify_closure_quadrature(seed: int = 0, threads: Optional[int] = None,
-                              n_per_theta: int = 5, n_nodes: int = 96) -> dict:
+def verify_closure_quadrature(seed: int = 0) -> dict:
     """Check that velocity-space quadrature of the distribution ansatz
     reproduces the closed-form third and fourth moments.
 
-    Bosons are drawn with z <= 0.9, the range of c8.  The spherical rule of
+    Five states per statistics, 96 radii.  Bosons are drawn with z <= 0.9, the range of c8.  The spherical rule of
     `ansatz_moments` lands near 1e-9 on every statistics at these settings
     and keeps that residual for Bosons up to z = 1 - 1e-6, where the
     occupancy peak z / (1 - z) at c = 0 is flattened by the r^2 Jacobian.
@@ -737,9 +717,9 @@ def verify_closure_quadrature(seed: int = 0, threads: Optional[int] = None,
     checks = []
     for theta in (-1, 0, 1):
         worst = 0.0
-        for _ in range(n_per_theta):
+        for _ in range(5):
             st, eq = random_moment_state(rng, theta, bose_z_max=0.9)
-            mom = ansatz_moments(st, eq, n_nodes=n_nodes, half_width=8.0)
+            mom = ansatz_moments(st, eq, n_nodes=96, half_width=8.0)
             closed = closure_moments(st, eq)
             qerr = np.max(np.abs(mom["q_ijk"] - closed.q_ijk)) \
                 / (1.0 + np.max(np.abs(closed.q_ijk)))
@@ -760,13 +740,12 @@ _SUITES = {
 }
 
 
-def run_verification_suite(name: str, seed: int = 0,
-                           threads: Optional[int] = None) -> dict:
+def run_verification_suite(name: str, seed: int = 0) -> dict:
     """Run one named suite, or all of them, and aggregate the verdict."""
     if name == "all":
-        suites = [fn(seed=seed, threads=threads) for fn in _SUITES.values()]
+        suites = [fn(seed=seed) for fn in _SUITES.values()]
     elif name in _SUITES:
-        suites = [_SUITES[name](seed=seed, threads=threads)]
+        suites = [_SUITES[name](seed=seed)]
     else:
         raise KeyError(f"unknown verification suite {name!r}; "
                        f"choose from {', '.join([*_SUITES, 'all'])}")

@@ -56,6 +56,13 @@ def _parse_direction(text: str):
     return [float(p) for p in parts]
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {n}")
+    return n
+
+
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -158,7 +165,11 @@ def _cmd_region_reg(args) -> int:
 
 
 def _cmd_sweep_eigs(args) -> int:
-    if args.zmin is not None and args.zmax is not None:
+    if (args.zmin is None) != (args.zmax is None):
+        print("sweep-eigs: --zmin and --zmax must be given together",
+              file=sys.stderr)
+        return 2
+    if args.zmin is not None:
         z = np.logspace(np.log10(args.zmin), np.log10(args.zmax), args.n)
     else:
         z = analysis.default_sweep_grid(args.theta, args.n)
@@ -192,8 +203,7 @@ def _cmd_nsf(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = analysis.run_verification_suite(args.suite, seed=args.seed,
-                                             threads=args.threads)
+    result = analysis.run_verification_suite(args.suite, seed=args.seed)
     for suite in result["suites"]:
         for check in suite["checks"]:
             tag = "PASS" if check["ok"] else "FAIL"
@@ -268,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="classify the reduced 5x5 system over "
                              "(sigma11_hat, q1_hat)")
     _add_common_thermo(sp)
-    sp.add_argument("--n", type=int, default=401)
+    sp.add_argument("--n", type=_positive_int, default=401)
     sp.add_argument("--qmax", type=float, default=3.0)
     sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--out", help="CSV output path")
@@ -278,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="classify the full 13x13 plain closure over "
                              "(sigma12_hat, q1_hat)")
     _add_common_thermo(sp)
-    sp.add_argument("--n", type=int, default=401)
+    sp.add_argument("--n", type=_positive_int, default=401)
     sp.add_argument("--qmax", type=float, default=2.0)
     sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--out", help="CSV output path")
@@ -288,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="classify the final regularization over "
                              "(sigma12_hat, q1_hat)")
     _add_common_thermo(sp)
-    sp.add_argument("--n", type=int, default=401)
+    sp.add_argument("--n", type=_positive_int, default=401)
     sp.add_argument("--qmax", type=float, default=2.0)
     sp.add_argument("--direction", default="random",
                     help="'random', an axis 1..3, or three comma floats")
@@ -305,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_thermo(sp, need_z=False)
     sp.add_argument("--zmin", type=float, default=None)
     sp.add_argument("--zmax", type=float, default=None)
-    sp.add_argument("--n", type=int, default=161)
+    sp.add_argument("--n", type=_positive_int, default=161)
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(func=_cmd_sweep_eigs)
 
@@ -325,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "linearization", "global-hyperbolicity",
                              "closure-quadrature", "all"])
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("simulate", help="run the 1D relaxation solver")

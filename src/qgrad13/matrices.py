@@ -28,8 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, SingularD
-from .state import (EquilibriumParams, LiCoeffs, MomentState5, MomentState13,
-                    state13_from_state5)
+from .state import EquilibriumParams, LiCoeffs, MomentState5, MomentState13
 
 # slot of p_ij in w for i <= j
 _PSLOT = {(1, 1): 4, (1, 2): 5, (1, 3): 6, (2, 2): 7, (2, 3): 8, (3, 3): 9}
@@ -301,20 +300,3 @@ def assemble_A5_grad(state5: MomentState5, eq: EquilibriumParams) -> np.ndarray:
         [-a1, 3.2 * q1, a2, u1, a3],
         [0.0, p + (2.0 / 3.0) * p11, 0.0, 2.0 / 3.0, u1]])
 
-
-# selection and embedding between w (13) and w5 = (rho, u1, p11, q1, p)
-S_REDUCE = np.zeros((5, 13))
-S_REDUCE[0, 0] = S_REDUCE[1, 1] = S_REDUCE[2, 4] = S_REDUCE[3, 10] = 1.0
-S_REDUCE[4, 4] = S_REDUCE[4, 7] = S_REDUCE[4, 9] = 1.0 / 3.0
-T_EMBED = np.zeros((13, 5))
-T_EMBED[0, 0] = T_EMBED[1, 1] = T_EMBED[4, 2] = T_EMBED[10, 3] = 1.0
-T_EMBED[7, 4] = T_EMBED[9, 4] = 1.5
-T_EMBED[7, 2] = T_EMBED[9, 2] = -0.5
-
-
-def reduce_to_1d(kind: SystemKind, state5: MomentState5,
-                 eq: EquilibriumParams) -> np.ndarray:
-    """5x5 convection matrix of the chosen model on the 1D-symmetric manifold."""
-    state = state13_from_state5(state5)
-    A = assemble_A(kind, state, eq, 1)
-    return S_REDUCE @ A @ T_EMBED

@@ -34,8 +34,6 @@ from .state import (_LOG_Z_HI_BOSON, _LOG_Z_HI_FERMION, _LOG_Z_LO,
 _TWO_PI = 2.0 * math.pi
 _MAX_STEPS = 5_000_000
 
-W5_NAMES = ("rho", "u1", "p11", "q1", "p")
-
 
 @dataclass(frozen=True)
 class SimConfig:

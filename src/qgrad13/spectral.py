@@ -4,8 +4,8 @@ A quasi-linear system is hyperbolic at a state when every directional
 coefficient matrix is real diagonalizable.  Verdicts here are four-way:
 all real and distinct, all real with repeats but diagonalizable, all real
 but defective, or a complex pair present.  Closed-form characteristic
-polynomials (the reduced 5x5 one, the equilibrium factorization, and the
-shear-perturbed coefficient set) provide independent cross-checks of the
+polynomials (the equilibrium factorization and the shear-perturbed
+coefficient set) provide independent cross-checks of the
 assembled matrices, and the annihilating-polynomial residual certifies
 diagonalizability of the constant factor M1 without symbolic algebra.
 """
@@ -20,10 +20,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoConvergence, NoRoot
-from .matrices import _a_coeffs
-from .state import EquilibriumParams, LiCoeffs, MomentState5
+from .state import EquilibriumParams, LiCoeffs, _shear_state
 
-#: default tolerances; exposed so the CLI can override them uniformly
+#: the classification tolerances, the same for every caller
 SV_TOL = 1e-8        # singular-value threshold (relative to ||A||) for rank
 GAP_TOL = 1e-7       # eigenvalue clustering gap, relative to 1 + |lambda|
 IMAG_TOL = 1e-9      # imaginary-part threshold, relative to 1 + |lambda|
@@ -78,34 +77,32 @@ class HyperbolicityVerdict:
         }
 
 
-def _cluster_real(vals: np.ndarray, gap_tol: float) -> List[np.ndarray]:
+def _cluster_real(vals: np.ndarray) -> List[np.ndarray]:
     """Group sorted real values whose consecutive relative gap is small."""
     order = np.argsort(vals)
     clusters = [[order[0]]]
     for idx in order[1:]:
         prev = vals[clusters[-1][-1]]
-        if vals[idx] - prev <= gap_tol * (1.0 + max(abs(prev), abs(vals[idx]))):
+        if vals[idx] - prev <= GAP_TOL * (1.0 + max(abs(prev), abs(vals[idx]))):
             clusters[-1].append(idx)
         else:
             clusters.append([idx])
     return [np.array(c) for c in clusters]
 
 
-def diagonalizability_test(A: np.ndarray, sv_tol: float = SV_TOL,
-                           gap_tol: float = GAP_TOL,
-                           imag_tol: float = IMAG_TOL) -> HyperbolicityVerdict:
+def diagonalizability_test(A: np.ndarray) -> HyperbolicityVerdict:
     """Four-way hyperbolicity verdict for one matrix.
 
-    Eigenvalues whose imaginary part exceeds imag_tol * (1 + |lambda|) mark
+    Eigenvalues whose imaginary part exceeds IMAG_TOL * (1 + |lambda|) mark
     the matrix NonHyperbolic.  Otherwise real eigenvalues are clustered by
-    gap_tol and each cluster's geometric multiplicity is estimated as the
-    nullity of A - lambda I with singular values below sv_tol * ||A||.
+    GAP_TOL and each cluster's geometric multiplicity is estimated as the
+    nullity of A - lambda I with singular values below SV_TOL * ||A||.
     """
     w = np.linalg.eigvals(A)
     scale = float(np.linalg.norm(A, 2))
     rel_im = np.abs(w.imag) / (1.0 + np.abs(w))
     max_imag = float(np.max(rel_im)) if w.size else 0.0
-    if np.any(rel_im > imag_tol):
+    if np.any(rel_im > IMAG_TOL):
         order = np.argsort(w.real)
         diags = [EigenCluster(complex(v), 1, 0, None) for v in w[order]]
         return HyperbolicityVerdict(eigenvalues=w[order],
@@ -113,7 +110,7 @@ def diagonalizability_test(A: np.ndarray, sv_tol: float = SV_TOL,
                                     diagnostics=diags, min_gap=0.0,
                                     max_imag=max_imag)
     real = w.real
-    clusters = _cluster_real(real, gap_tol)
+    clusters = _cluster_real(real)
     reps = np.array([real[c].mean() for c in clusters])
     if len(reps) > 1:
         gaps = np.diff(np.sort(reps))
@@ -130,7 +127,7 @@ def diagonalizability_test(A: np.ndarray, sv_tol: float = SV_TOL,
             continue
         degenerate = True
         sv = np.linalg.svd(A - lam * np.eye(A.shape[0]), compute_uv=False)
-        geo = int(np.sum(sv <= sv_tol * max(scale, 1e-300)))
+        geo = int(np.sum(sv <= SV_TOL * max(scale, 1e-300)))
         if geo < alg:
             defective = True
         diags.append(EigenCluster(complex(lam), alg, geo, float(sv[-1])))
@@ -145,9 +142,7 @@ def diagonalizability_test(A: np.ndarray, sv_tol: float = SV_TOL,
                                 min_gap=min_gap, max_imag=max_imag)
 
 
-def classify_batch(A_stack: np.ndarray, sv_tol: float = SV_TOL,
-                   gap_tol: float = GAP_TOL,
-                   imag_tol: float = IMAG_TOL) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
     """Vectorized classification of a stack of matrices (N, k, k).
 
     Fast path: batched eigenvalues decide NonHyperbolic / HyperbolicStrict
@@ -159,7 +154,7 @@ def classify_batch(A_stack: np.ndarray, sv_tol: float = SV_TOL,
     w = np.linalg.eigvals(A_stack)
     rel_im = np.abs(w.imag) / (1.0 + np.abs(w))
     max_imag = rel_im.max(axis=1)
-    complex_mask = max_imag > imag_tol
+    complex_mask = max_imag > IMAG_TOL
     real_sorted = np.sort(w.real, axis=1)
     gaps = np.diff(real_sorted, axis=1)
     gap_scale = 1.0 + np.maximum(np.abs(real_sorted[:, :-1]),
@@ -167,11 +162,11 @@ def classify_batch(A_stack: np.ndarray, sv_tol: float = SV_TOL,
     min_gap = (gaps / gap_scale).min(axis=1)
     codes = np.empty(N, dtype=np.int8)
     codes[complex_mask] = CLASS_CODES[Classification.NonHyperbolic]
-    strict_mask = (~complex_mask) & (min_gap > gap_tol)
+    strict_mask = (~complex_mask) & (min_gap > GAP_TOL)
     codes[strict_mask] = CLASS_CODES[Classification.HyperbolicStrict]
     slow = np.flatnonzero(~complex_mask & ~strict_mask)
     for i in slow:
-        verdict = diagonalizability_test(A_stack[i], sv_tol, gap_tol, imag_tol)
+        verdict = diagonalizability_test(A_stack[i])
         codes[i] = CLASS_CODES[verdict.classification]
     return codes, {"max_imag": max_imag, "min_gap": min_gap,
                    "n_slow": np.array([slow.size])}
@@ -179,27 +174,6 @@ def classify_batch(A_stack: np.ndarray, sv_tol: float = SV_TOL,
 
 # ---------------------------------------------------------------------------
 # closed forms
-
-def char_poly_A5_analytic(state5: MomentState5,
-                          eq: EquilibriumParams) -> np.ndarray:
-    """Degree-5 coefficients (highest first) in lam_hat = (lam - u1)/sqrt(T).
-
-    p(lam_hat) = lam_hat (75 T^2 lam_hat^4
-                          - (90 a2 + 50 a3 + 225 p11/rho) T lam_hat^2
-                          - 288 (q1/rho) sqrt(T) lam_hat
-                          + 90 (a1 + a3 sigma11/rho))
-    """
-    T = eq.T
-    rho, p11, q1, p = state5.rho, state5.p11, state5.q1, state5.p
-    a1, a2, a3 = _a_coeffs(eq.coeffs, rho, p, p11)
-    C2 = 90.0 * a2 + 50.0 * a3 + 225.0 * p11 / rho
-    return np.array([75.0 * T ** 2,
-                     0.0,
-                     -C2 * T,
-                     -288.0 * (q1 / rho) * math.sqrt(T),
-                     90.0 * (a1 + a3 * state5.sigma11 / rho),
-                     0.0])
-
 
 @dataclass(frozen=True, eq=False)
 class ShearCharPolyCoeffs:
@@ -350,13 +324,9 @@ def brute_charpoly_reduced(z: float, theta: int, epsilon: float) -> Dict[str, fl
     returned so callers can verify the factorization itself.
     """
     from .matrices import assemble_A_grad_3d
-    from .state import MomentState13
 
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
-    p = eq.p
-    P = p * np.eye(3)
-    P[0, 1] = P[1, 0] = epsilon * p
-    st = MomentState13(rho=eq.rho, u=np.zeros(3), p_ij=P, q=np.zeros(3))
+    st = _shear_state(eq, epsilon, 0.0)
     coeffs = charpoly_coeffs(assemble_A_grad_3d(st, eq, 1))
     alpha = eq.coeffs.alpha
     tail = float(np.max(np.abs(coeffs[-3:])))

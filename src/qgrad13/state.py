@@ -136,15 +136,6 @@ class EquilibriumParams:
     def p(self) -> float:
         return self.hhat * (_TWO_PI * self.T) ** 1.5 * self.T * self.li[2.5]
 
-    def as_dict(self) -> dict:
-        return {"theta": self.theta, "z": self.z, "u": self.u.tolist(),
-                "T": self.T, "hhat": self.hhat}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EquilibriumParams":
-        return cls(theta=d["theta"], z=d["z"], u=np.asarray(d.get("u", (0, 0, 0))),
-                   T=d["T"], hhat=d.get("hhat", 1.0))
-
 
 @dataclass(frozen=True, eq=False)
 class MomentState13:
@@ -235,12 +226,14 @@ def state5_from_hat(eq: EquilibriumParams, sigma11_hat: float = 0.0,
                         q1=q1_hat * p * math.sqrt(eq.T), p=p)
 
 
-def state13_from_state5(st: MomentState5) -> MomentState13:
-    """Embed the 1D reduction: p22 = p33 = (3p - p11)/2, transverse moments zero."""
-    p_perp = 0.5 * (3.0 * st.p - st.p11)
-    return MomentState13(rho=st.rho, u=np.array([st.u1, 0.0, 0.0]),
-                         p_ij=np.diag([st.p11, p_perp, p_perp]),
-                         q=np.array([st.q1, 0.0, 0.0]))
+def _shear_state(eq: EquilibriumParams, sigma12_hat: float,
+                 q1_hat: float) -> MomentState13:
+    """sigma12 = sigma12_hat p, q1 = q1_hat p sqrt(T) at eq's rho and p, no drift."""
+    p = eq.p
+    P = p * np.eye(3)
+    P[0, 1] = P[1, 0] = sigma12_hat * p
+    q = np.array([q1_hat * p * math.sqrt(eq.T), 0.0, 0.0])
+    return MomentState13(rho=eq.rho, u=np.zeros(3), p_ij=P, q=q)
 
 
 # ---------------------------------------------------------------------------

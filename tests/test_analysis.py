@@ -36,6 +36,11 @@ def test_scan_codes_and_metadata():
     assert g.x_name == "sigma11_hat" and g.y_name == "q1_hat"
 
 
+def test_regularized_scan_rejects_zero_direction():
+    with pytest.raises(q.DomainError):
+        q.region_scan_regularized(0, 1.0, n=11, direction=[0.0, 0.0, 0.0])
+
+
 def test_area_fraction_trends_with_fugacity():
     bose_dilute = q.area_fraction(q.region_scan_1d(-1, 0.1, n=101))
     bose_dense = q.area_fraction(q.region_scan_1d(-1, 0.9, n=101))
@@ -160,7 +165,6 @@ def test_linearization_report(theta):
     else:
         assert not rep.classical_collapse
         assert np.all(rep.e_trivial > 1e-6 * rep.scale)
-    json.dumps(rep.as_dict())
 
 
 @pytest.mark.parametrize("kind", [q.SystemKind.Grad13, q.SystemKind.FinalR13],

@@ -1,10 +1,12 @@
 """Command line interface: exit codes, JSON payloads, artifact determinism."""
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 import qgrad13 as q
+from qgrad13 import analysis
 from qgrad13.cli import main
 
 
@@ -89,6 +91,55 @@ def test_region_reg_vector_direction(capsys):
     rc = main(["region-reg", "--theta", "0", "--z", "1.0", "--n", "11",
                "--direction", "0.6,0.8,0.0"])
     assert rc == 0
+
+
+def test_region_reg_zero_direction_exit3(capsys):
+    rc = main(["region-reg", "--theta", "0", "--z", "1.0", "--n", "11",
+               "--direction", "0,0,0"])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["region1d", "--theta", "0", "--z", "1.0", "--n", "-3"],
+    ["sweep-eigs", "--theta", "1", "--n", "0"],
+], ids=["region1d-negative-n", "sweep-eigs-zero-n"])
+def test_nonpositive_n_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", [["--zmin", "5"], ["--zmax", "5"]],
+                         ids=["zmin-only", "zmax-only"])
+def test_sweep_eigs_needs_both_bounds(bound, capsys):
+    assert main(["sweep-eigs", "--theta", "1", "--n", "5"] + bound) == 2
+    captured = capsys.readouterr()
+    assert "--zmin and --zmax" in captured.err
+    assert captured.out == ""
+
+
+def test_no_setting_without_a_caller():
+    """The settings no caller set stay gone: the suites read only the seed,
+    the classifiers only the matrix, and the scans span fixed windows."""
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    for fn in analysis._SUITES.values():
+        assert params(fn) == ["seed"], fn.__name__
+    assert params(q.run_verification_suite) == ["name", "seed"]
+    assert params(q.classify_batch) == ["A_stack"]
+    assert params(q.diagonalizability_test) == ["A"]
+    assert params(analysis._classify_cells) == ["build_stack", "n_cells",
+                                                "threads"]
+    assert "sigma11_hat_window" not in params(q.region_scan_1d)
+    for fn in (q.region_scan_3d_cross_section, q.region_scan_regularized):
+        assert "sigma12_hat_max" not in params(fn)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "polylog", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_sweep_eigs(tmp_path, capsys):

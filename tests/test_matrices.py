@@ -22,6 +22,31 @@ def _swap_state(st, eq, a, b):
     return st2, eq2
 
 
+def _state13_from_state5(st5):
+    """Embed the 1D reduction: p22 = p33 = (3p - p11)/2, transverse moments zero."""
+    p_perp = 0.5 * (3.0 * st5.p - st5.p11)
+    return MomentState13(rho=st5.rho, u=np.array([st5.u1, 0.0, 0.0]),
+                         p_ij=np.diag([st5.p11, p_perp, p_perp]),
+                         q=np.array([st5.q1, 0.0, 0.0]))
+
+
+# selection and embedding between w (13) and w5 = (rho, u1, p11, q1, p)
+_S_REDUCE = np.zeros((5, 13))
+_S_REDUCE[0, 0] = _S_REDUCE[1, 1] = _S_REDUCE[2, 4] = _S_REDUCE[3, 10] = 1.0
+_S_REDUCE[4, 4] = _S_REDUCE[4, 7] = _S_REDUCE[4, 9] = 1.0 / 3.0
+_T_EMBED = np.zeros((13, 5))
+_T_EMBED[0, 0] = _T_EMBED[1, 1] = _T_EMBED[4, 2] = _T_EMBED[10, 3] = 1.0
+_T_EMBED[7, 4] = _T_EMBED[9, 4] = 1.5
+_T_EMBED[7, 2] = _T_EMBED[9, 2] = -0.5
+
+
+def _reduce_to_1d(kind, st5, eq):
+    """5x5 convection matrix of the chosen model on the 1D-symmetric manifold,
+    taken from the full 13x13 assembly: the reference for the closed forms."""
+    A = q.assemble_A(kind, _state13_from_state5(st5), eq, 1)
+    return _S_REDUCE @ A @ _T_EMBED
+
+
 def test_pslot_layout():
     assert [q.pslot(i, j) for i, j in
             ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))] == [4, 5, 6, 7, 8, 9]
@@ -67,8 +92,13 @@ def test_reduce_to_1d_matches_display_form(theta, rng):
     z = 0.7 if theta == -1 else 1.3
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=0.9)
     st5 = q.state5_from_hat(eq, 0.35, -1.1, u1=0.2)
+    full = _state13_from_state5(st5)
+    assert full.p_ij[0, 0] == st5.p11
+    # transverse pressures keep the trace: p22 = p33 = (3p - p11)/2
+    assert abs(full.p_ij[1, 1] - 0.5 * (3.0 * eq.p - st5.p11)) < 1e-13
+    assert full.q[0] == st5.q1 and full.q[1] == 0.0
     direct = q.assemble_A5_grad(st5, eq)
-    reduced = q.reduce_to_1d(SystemKind.Grad13, st5, eq)
+    reduced = _reduce_to_1d(SystemKind.Grad13, st5, eq)
     np.testing.assert_allclose(reduced, direct, rtol=0,
                                atol=1e-12 * np.max(np.abs(direct)))
 

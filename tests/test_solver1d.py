@@ -8,6 +8,7 @@ import qgrad13 as q
 from qgrad13 import (CFLViolation, DomainError, EquilibriumParams,
                      InadmissibleCell, SimConfig, SystemKind)
 from qgrad13 import solver1d, state
+from test_matrices import _reduce_to_1d
 
 
 def _uniform_config(theta=1, z=2.0, T=1.0, **kw):
@@ -65,7 +66,7 @@ def test_coefficient_stack_matches_reduction(theta, rng):
     _, li, _ = solver1d._fit_cells(_gstar(w), theta, None)
     stack, _ = solver1d._a5_final_stack(w, 1.0, li)
     for i, st5 in enumerate(states):
-        ref = q.reduce_to_1d(SystemKind.FinalR13, st5, eq)
+        ref = _reduce_to_1d(SystemKind.FinalR13, st5, eq)
         np.testing.assert_allclose(stack[i], ref, rtol=0,
                                    atol=1e-10 * np.max(np.abs(ref)))
 

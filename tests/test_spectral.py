@@ -6,8 +6,8 @@ import pytest
 
 import qgrad13 as q
 from qgrad13 import Classification, EquilibriumParams, NoRoot, spectral, state
-from qgrad13.spectral import (brute_charpoly_reduced, char_poly_A5_analytic,
-                              charpoly_coeffs)
+from qgrad13.matrices import _a_coeffs
+from qgrad13.spectral import brute_charpoly_reduced, charpoly_coeffs
 
 
 def test_charpoly_on_companion_matrix():
@@ -70,6 +70,23 @@ def test_classify_batch_matches_single(rng):
     assert aux["max_imag"][3] > 0.4
 
 
+def _char_poly_A5_analytic(st5, eq):
+    """Degree-5 coefficients (highest first) in lam_hat = (lam - u1)/sqrt(T).
+
+    p(lam_hat) = lam_hat (75 T^2 lam_hat^4
+                          - (90 a2 + 50 a3 + 225 p11/rho) T lam_hat^2
+                          - 288 (q1/rho) sqrt(T) lam_hat
+                          + 90 (a1 + a3 sigma11/rho))
+    """
+    T = eq.T
+    rho, p11, q1, p = st5.rho, st5.p11, st5.q1, st5.p
+    a1, a2, a3 = _a_coeffs(eq.coeffs, rho, p, p11)
+    C2 = 90.0 * a2 + 50.0 * a3 + 225.0 * p11 / rho
+    return np.array([75.0 * T ** 2, 0.0, -C2 * T,
+                     -288.0 * (q1 / rho) * math.sqrt(T),
+                     90.0 * (a1 + a3 * st5.sigma11 / rho), 0.0])
+
+
 def test_analytic_reduced_charpoly(theta, rng):
     z = 0.6 if theta == -1 else 1.8
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.3)
@@ -79,7 +96,7 @@ def test_analytic_reduced_charpoly(theta, rng):
                                 float(rng.uniform(-2, 2)),
                                 u1=float(rng.uniform(-1, 1)))
         A5 = q.assemble_A5_grad(st5, eq)
-        coeffs = char_poly_A5_analytic(st5, eq)
+        coeffs = _char_poly_A5_analytic(st5, eq)
         lam = np.linalg.eigvals(A5)
         resid = rt / 75.0 * np.polyval(coeffs, (lam - st5.u1) / rt)
         scale = np.max(np.abs(lam)) ** 5 + 1.0

@@ -144,11 +144,6 @@ def test_state5_hat_construction():
     assert abs(st.p11 - eq.p * 1.4) < 1e-13
     assert abs(st.q1 + 0.7 * eq.p * math.sqrt(1.5)) < 1e-13
     assert st.u1 == 0.3
-    full = q.state13_from_state5(st)
-    assert full.p_ij[0, 0] == st.p11
-    # transverse pressures keep the trace: p22 = p33 = (3p - p11)/2
-    assert abs(full.p_ij[1, 1] - 0.5 * (3.0 * eq.p - st.p11)) < 1e-13
-    assert full.q[0] == st.q1 and full.q[1] == 0.0
 
 
 @pytest.mark.parametrize("shat", [-1.0, -1.5, 2.0, 2.5])
@@ -267,10 +262,3 @@ def test_equilibrium_params_validation():
         EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=-1.0)
     with pytest.raises(DomainError):
         EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=1.0, hhat=0.0)
-
-
-def test_equilibrium_params_dict_round_trip():
-    eq = EquilibriumParams(theta=-1, z=0.4, u=np.array([0.1, 0.2, -0.3]), T=1.7)
-    back = EquilibriumParams.from_dict(eq.as_dict())
-    assert back.theta == eq.theta and back.z == eq.z and back.T == eq.T
-    np.testing.assert_array_equal(back.u, eq.u)
