@@ -27,14 +27,14 @@ from .errors import NoRoot
 from .matrices import (SystemKind, _as_direction, assemble_A, assemble_A5_grad,
                        pslot)
 from .polylog import _check_theta, eval_polylog_batch
-from .spectral import CODE_INADMISSIBLE, Classification, classify_batch
+from .spectral import (CLASS_CODES, CODE_INADMISSIBLE, Classification,
+                       classify_batch)
 from .state import (EquilibriumParams, MomentState13, _shear_state,
                     ansatz_moments, closure_moments, equilibrium_state13,
                     state5_from_hat)
 
-_CODE_NAMES = {0: "HyperbolicStrict", 1: "HyperbolicDegenerate",
-               2: "NonDiagonalizable", 3: "NonHyperbolic",
-               -1: "Inadmissible"}
+_CODE_NAMES = {**{code: cls.value for cls, code in CLASS_CODES.items()},
+               CODE_INADMISSIBLE: "Inadmissible"}
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
@@ -135,27 +135,48 @@ def write_region_csv(grid: RegionGrid, path: str) -> None:
 
 
 def _classify_cells(build_stack: Callable[[slice], np.ndarray], n_cells: int,
-                    threads: Optional[int]) -> np.ndarray:
-    """Classify cells 4096 at a time with a worker pool.
+                    threads: Optional[int]) -> Tuple[np.ndarray, Dict[str, object]]:
+    """Classify cells 1024 at a time with a worker pool.
 
-    Workers write disjoint slices of the output in index order, so the result
-    is independent of the thread count and of scheduling.
+    Returns the codes and classify_batch's report: per cell `min_gap` and
+    `max_imag`, and `n_slow` summed over the chunks.  Workers write disjoint
+    slices in index order, so all of it is independent of the thread count
+    and of scheduling.
     """
     codes = np.empty(n_cells, dtype=np.int8)
-    slices = [slice(i, min(i + 4096, n_cells))
-              for i in range(0, n_cells, 4096)]
+    aux: Dict[str, object] = {"min_gap": np.empty(n_cells),
+                              "max_imag": np.empty(n_cells)}
+    slices = [slice(i, min(i + 1024, n_cells))
+              for i in range(0, n_cells, 1024)]
 
-    def work(sl: slice) -> None:
-        codes[sl] = classify_batch(build_stack(sl))[0]
+    def work(sl: slice) -> int:
+        codes[sl], chunk = classify_batch(build_stack(sl))
+        for key in ("min_gap", "max_imag"):
+            aux[key][sl] = chunk[key]
+        return int(chunk["n_slow"][0])
 
     threads = _resolve_threads(threads)
     if threads == 1 or len(slices) == 1:
-        for sl in slices:
-            work(sl)
+        n_slow = [work(sl) for sl in slices]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, slices))
-    return codes
+            n_slow = list(pool.map(work, slices))
+    aux["n_slow"] = sum(n_slow)
+    return codes, aux
+
+
+def _scan_summary(cells: np.ndarray, aux: Dict[str, object]) -> Dict[str, object]:
+    """Sidecar keys on what classify_batch did in a `_scan` grid.
+
+    The classified cells are the grid's last rows (the rest mirror them):
+    their number, how many had an eigenvalue cluster, and the smallest
+    min_gap and largest max_imag of those coded hyperbolic.
+    """
+    hyp = np.isin(cells.ravel()[cells.size - aux["min_gap"].size:], (0, 1))
+    found = bool(hyp.any())
+    return {"n_classified": int(hyp.size), "n_slow": aux["n_slow"],
+            "hyperbolic_min_gap": float(aux["min_gap"][hyp].min()) if found else None,
+            "hyperbolic_max_imag": float(aux["max_imag"][hyp].max()) if found else None}
 
 
 def _mirror_rows(computed: np.ndarray, ny: int) -> np.ndarray:
@@ -194,12 +215,13 @@ def _affine_basis(assemble: Callable[[float, float, int], np.ndarray],
 
 def _scan(assemble: Callable[[float, float, int], np.ndarray], shat: np.ndarray,
           qhat: np.ndarray, threads: Optional[int], direction=1,
-          seed: int = 0) -> np.ndarray:
+          seed: int = 0) -> Tuple[np.ndarray, Dict[str, object]]:
     """Class codes of `assemble`'s matrices over the (shat, qhat) grid.
 
     direction is an axis index, a unit 3-vector or "random", which draws one
     unit direction per cell from a Philox stream and classifies every cell.
     A fixed direction classifies only the q_hat >= 0 rows and mirrors them.
+    Returns the codes and `_classify_cells`' report on the classified cells.
     """
     if isinstance(direction, str):
         A0, As, Aq = _affine_basis(assemble, (1, 2, 3))
@@ -215,8 +237,8 @@ def _scan(assemble: Callable[[float, float, int], np.ndarray], shat: np.ndarray,
             base += Qf[sl, None, None] * np.einsum("cd,dij->cij", N[sl], Aq)
             return base
 
-        codes = _classify_cells(build, Sf.size, threads)
-        return codes.reshape(qhat.size, shat.size)
+        codes, aux = _classify_cells(build, Sf.size, threads)
+        return codes.reshape(qhat.size, shat.size), aux
     if isinstance(direction, (int, np.integer)):
         B0, Bs, Bq = (B[0] for B in _affine_basis(assemble, (direction,)))
     else:
@@ -230,8 +252,8 @@ def _scan(assemble: Callable[[float, float, int], np.ndarray], shat: np.ndarray,
         return (B0[None] + Sf[sl, None, None] * Bs[None]
                 + Qf[sl, None, None] * Bq[None])
 
-    codes = _classify_cells(build, Sf.size, threads)
-    return _mirror_rows(codes.reshape(upper_q.size, shat.size), qhat.size)
+    codes, aux = _classify_cells(build, Sf.size, threads)
+    return _mirror_rows(codes.reshape(upper_q.size, shat.size), qhat.size), aux
 
 
 def _shear_assembly(kind: SystemKind, eq: EquilibriumParams):
@@ -251,12 +273,13 @@ def region_scan_1d(theta: int, z: float, n: int = 401,
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
     shat = np.linspace(-0.999, 1.999, n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
-    cells = _scan(lambda s, q, d: assemble_A5_grad(state5_from_hat(eq, s, q), eq),
-                  shat, qhat, threads)
+    cells, aux = _scan(lambda s, q, d: assemble_A5_grad(state5_from_hat(eq, s, q), eq),
+                       shat, qhat, threads)
     return RegionGrid(theta=theta, z=z, T=1.0, x_name="sigma11_hat",
                       y_name="q1_hat", x=shat, y=qhat, cells=cells,
                       metadata={"system": SystemKind.Grad13.value,
-                                "reduction": "1d", "mirrored": True})
+                                "reduction": "1d", "mirrored": True,
+                                **_scan_summary(cells, aux)})
 
 
 def region_scan_3d_cross_section(theta: int, z: float, n: int = 401,
@@ -272,12 +295,13 @@ def region_scan_3d_cross_section(theta: int, z: float, n: int = 401,
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
     shat = np.linspace(-1.0, 1.0, n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
-    cells = _scan(_shear_assembly(SystemKind.Grad13, eq), shat, qhat, threads)
+    cells, aux = _scan(_shear_assembly(SystemKind.Grad13, eq), shat, qhat, threads)
     cells[:, np.abs(shat) >= 1.0] = CODE_INADMISSIBLE
     return RegionGrid(theta=theta, z=z, T=1.0, x_name="sigma12_hat",
                       y_name="q1_hat", x=shat, y=qhat, cells=cells,
                       metadata={"system": SystemKind.Grad13.value,
-                                "direction": [1.0, 0.0, 0.0], "mirrored": True})
+                                "direction": [1.0, 0.0, 0.0], "mirrored": True,
+                                **_scan_summary(cells, aux)})
 
 
 def region_scan_regularized(theta: int, z: float, n: int = 401,
@@ -304,21 +328,22 @@ def region_scan_regularized(theta: int, z: float, n: int = 401,
         scan_dir = _as_direction(direction)
     inadmissible = np.abs(shat) >= 1.0
 
-    def scan(kind: SystemKind) -> np.ndarray:
-        cells = _scan(_shear_assembly(kind, eq), shat, qhat, threads,
-                      scan_dir, seed)
+    def scan(kind: SystemKind) -> Tuple[np.ndarray, Dict[str, object]]:
+        cells, aux = _scan(_shear_assembly(kind, eq), shat, qhat, threads,
+                           scan_dir, seed)
         cells[:, inadmissible] = CODE_INADMISSIBLE
-        return cells
+        return cells, aux
 
-    cells = scan(SystemKind.FinalR13)
+    cells, aux = scan(SystemKind.FinalR13)
     meta: Dict[str, object] = {
         "system": SystemKind.FinalR13.value,
         "direction": "random" if random_dirs else list(_as_direction(direction)),
         "seed": seed if random_dirs else None,
         "mirrored": not random_dirs,
+        **_scan_summary(cells, aux),
     }
     if compare_grad:
-        grad_cells = scan(SystemKind.Grad13)
+        grad_cells = scan(SystemKind.Grad13)[0]
         meta["grad_class_counts"] = class_counts(grad_cells)
         meta["grad_area_fraction"] = area_fraction(grad_cells)
     return RegionGrid(theta=theta, z=z, T=1.0, x_name="sigma12_hat",
@@ -682,7 +707,7 @@ def verify_global_hyperbolicity(seed: int = 0) -> dict:
     n_states = 10000
     rng = np.random.Generator(np.random.Philox(seed))
     thetas = rng.integers(-1, 2, n_states)
-    bad = 0
+    mats = np.empty((n_states, 13, 13))
     worst_factor = 0.0
     for i in range(n_states):
         theta = int(thetas[i])
@@ -692,10 +717,10 @@ def verify_global_hyperbolicity(seed: int = 0) -> dict:
         worst_factor = max(worst_factor,
                            float(np.max(np.abs(sm.B - sm.M @ sm.D)))
                            / max(1.0, float(np.max(np.abs(sm.D @ sm.A)))))
-        verdict = spectral.diagonalizability_test(sm.A)
-        if verdict.classification in (Classification.NonDiagonalizable,
-                                      Classification.NonHyperbolic):
-            bad += 1
+        mats[i] = sm.A
+    codes = _classify_cells(mats.__getitem__, n_states, None)[0]
+    bad = int(np.count_nonzero(
+        codes >= CLASS_CODES[Classification.NonDiagonalizable]))
     checks = [
         _check(f"hyperbolic at {n_states} random states/directions",
                float(bad), 0.0, ok=bad == 0),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -61,6 +62,13 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer: {n}")
     return n
+
+
+def _positive_float(text: str) -> float:
+    x = float(text)
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number: {text}")
+    return x
 
 
 def _print_json(obj) -> None:
@@ -136,31 +144,18 @@ def _report_region(grid: analysis.RegionGrid, out: Optional[str]) -> None:
         print(f"wrote {out} and {out}.meta.json")
 
 
-def _cmd_region1d(args) -> int:
-    grid = analysis.region_scan_1d(args.theta, args.z, n=args.n,
-                                   q1_hat_max=args.qmax, threads=args.threads)
-    _report_region(grid, args.out)
-    return 0
-
-
-def _cmd_region3d(args) -> int:
-    grid = analysis.region_scan_3d_cross_section(args.theta, args.z, n=args.n,
-                                                 q1_hat_max=args.qmax,
-                                                 threads=args.threads)
-    _report_region(grid, args.out)
-    return 0
-
-
-def _cmd_region_reg(args) -> int:
-    direction = args.direction if args.direction == "random" \
-        else _parse_direction(args.direction)
-    grid = analysis.region_scan_regularized(args.theta, args.z, n=args.n,
-                                            q1_hat_max=args.qmax,
-                                            direction=direction,
-                                            seed=args.seed,
-                                            threads=args.threads,
-                                            compare_grad=args.compare_grad)
-    _report_region(grid, args.out)
+def _cmd_region(args) -> int:
+    kw = {"n": args.n, "q1_hat_max": args.qmax, "threads": args.threads}
+    if args.command == "region1d":
+        scan = analysis.region_scan_1d
+    elif args.command == "region3d":
+        scan = analysis.region_scan_3d_cross_section
+    else:
+        scan = analysis.region_scan_regularized
+        kw.update(direction=args.direction if args.direction == "random"
+                  else _parse_direction(args.direction),
+                  seed=args.seed, compare_grad=args.compare_grad)
+    _report_region(scan(args.theta, args.z, **kw), args.out)
     return 0
 
 
@@ -274,47 +269,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_eigs)
 
-    sp = sub.add_parser("region1d",
-                        help="classify the reduced 5x5 system over "
-                             "(sigma11_hat, q1_hat)")
-    _add_common_thermo(sp)
-    sp.add_argument("--n", type=_positive_int, default=401)
-    sp.add_argument("--qmax", type=float, default=3.0)
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--out", help="CSV output path")
-    sp.set_defaults(func=_cmd_region1d)
-
-    sp = sub.add_parser("region3d",
-                        help="classify the full 13x13 plain closure over "
-                             "(sigma12_hat, q1_hat)")
-    _add_common_thermo(sp)
-    sp.add_argument("--n", type=_positive_int, default=401)
-    sp.add_argument("--qmax", type=float, default=2.0)
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--out", help="CSV output path")
-    sp.set_defaults(func=_cmd_region3d)
-
-    sp = sub.add_parser("region-reg",
-                        help="classify the final regularization over "
-                             "(sigma12_hat, q1_hat)")
-    _add_common_thermo(sp)
-    sp.add_argument("--n", type=_positive_int, default=401)
-    sp.add_argument("--qmax", type=float, default=2.0)
-    sp.add_argument("--direction", default="random",
+    for name, system, axes, qmax in (
+            ("region1d", "the reduced 5x5 system", "sigma11_hat", 3.0),
+            ("region3d", "the full 13x13 plain closure", "sigma12_hat", 2.0),
+            ("region-reg", "the final regularization", "sigma12_hat", 2.0)):
+        sp = sub.add_parser(name, help=f"classify {system} over "
+                                       f"({axes}, q1_hat)")
+        _add_common_thermo(sp)
+        sp.add_argument("--n", type=_positive_int, default=401)
+        sp.add_argument("--qmax", type=_positive_float, default=qmax)
+        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--out", help="CSV output path")
+        sp.set_defaults(func=_cmd_region)
+    sp.add_argument("--direction", default="random",   # region-reg only
                     help="'random', an axis 1..3, or three comma floats")
     sp.add_argument("--seed", type=int, default=0,
                     help="Philox seed for the per-cell directions")
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--compare-grad", action="store_true",
                     help="also classify the plain closure on the same grid")
-    sp.add_argument("--out", help="CSV output path")
-    sp.set_defaults(func=_cmd_region_reg)
 
     sp = sub.add_parser("sweep-eigs",
                         help="equilibrium wave speeds as functions of fugacity")
     _add_common_thermo(sp, need_z=False)
-    sp.add_argument("--zmin", type=float, default=None)
-    sp.add_argument("--zmax", type=float, default=None)
+    sp.add_argument("--zmin", type=_positive_float, default=None)
+    sp.add_argument("--zmax", type=_positive_float, default=None)
     sp.add_argument("--n", type=_positive_int, default=161)
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(func=_cmd_sweep_eigs)

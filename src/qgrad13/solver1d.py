@@ -92,6 +92,10 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
+        missing = {"theta", "cells", "length", "cfl", "tau", "t_end", "left",
+                   "right"} - set(d)
+        if missing:
+            raise DomainError(f"run description lacks {sorted(missing)}")
         return cls(theta=d["theta"], cells=int(d["cells"]),
                    length=float(d["length"]), cfl=float(d["cfl"]),
                    tau=float(d["tau"]), t_end=float(d["t_end"]),

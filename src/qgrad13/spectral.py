@@ -3,7 +3,9 @@
 A quasi-linear system is hyperbolic at a state when every directional
 coefficient matrix is real diagonalizable.  Verdicts here are four-way:
 all real and distinct, all real with repeats but diagonalizable, all real
-but defective, or a complex pair present.  Closed-form characteristic
+but defective, or a complex pair present.  `classify_batch` is the one
+classifier, batched over a stack of matrices; `diagonalizability_test` is
+its N = 1 case, with the clusters spelled out.  Closed-form characteristic
 polynomials (the equilibrium factorization and the shear-perturbed
 coefficient set) provide independent cross-checks of the
 assembled matrices, and the annihilating-polynomial residual certifies
@@ -77,99 +79,85 @@ class HyperbolicityVerdict:
         }
 
 
-def _cluster_real(vals: np.ndarray) -> List[np.ndarray]:
-    """Group sorted real values whose consecutive relative gap is small."""
-    order = np.argsort(vals)
-    clusters = [[order[0]]]
-    for idx in order[1:]:
-        prev = vals[clusters[-1][-1]]
-        if vals[idx] - prev <= GAP_TOL * (1.0 + max(abs(prev), abs(vals[idx]))):
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return [np.array(c) for c in clusters]
+def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+    """Four-way classification of a stack (N, k, k): the one classifier.
+
+    An eigenvalue with imaginary part above IMAG_TOL * (1 + |lambda|) makes a
+    matrix NonHyperbolic.  Otherwise sorted real parts join a cluster while
+    their gap is at most GAP_TOL * (1 + the larger magnitude), and each
+    cluster of two or more takes its geometric multiplicity from the singular
+    values of A - mean I below SV_TOL * ||A||_2.  Returns (codes, aux): per
+    cell `max_imag`, `min_gap` (least gap between neighbouring cluster means
+    over 1 + |lower|; inf for one cluster, 0 if complex) and `eigenvalues`;
+    `n_slow`, the cells with a cluster; and `clusters`, arrays `cell`,
+    `value`, `algebraic`, `geometric` and `min_sv` (NaN for one value) over
+    the clusters of the real cells in order.
+    """
+    A_stack = np.asarray(A_stack, dtype=float)
+    N, k = A_stack.shape[:2]
+    w = np.linalg.eigvals(A_stack)
+    max_imag = (np.abs(w.imag) / (1.0 + np.abs(w))).max(axis=1)
+    real = max_imag <= IMAG_TOL
+    x = np.sort(w.real, axis=1)
+    ax = np.abs(x)
+    join = x[:, 1:] - x[:, :-1] <= GAP_TOL * (1.0 + np.maximum(ax[:, :-1], ax[:, 1:]))
+    start = np.flatnonzero(np.hstack([real[:, None], ~join & real[:, None]]))
+    cell = start // k
+    algebraic = np.minimum(np.append(start[1:], N * k), (cell + 1) * k) - start
+    value = x.ravel()[start] + 0.0   # means summed as np.mean sums: bit-equal
+    for m in np.flatnonzero(np.bincount(algebraic)[2:]) + 2:
+        sel = algebraic == m
+        value[sel] = x.ravel()[start[sel, None] + np.arange(m)].sum(axis=1) / m
+    rel_gap = (value[1:] - value[:-1]) / (1.0 + np.abs(value[:-1]))
+    min_gap = np.where(real, np.inf, 0.0)
+    np.minimum.at(min_gap, cell[1:], np.where(cell[1:] == cell[:-1], rel_gap, np.inf))
+
+    pair = np.flatnonzero(algebraic > 1)
+    slow = np.flatnonzero(np.bincount(cell[pair], minlength=N))
+    # one gather and one SVD: the slow cells for ||A||_2, then A - mean I
+    mats = A_stack[np.concatenate([slow, cell[pair]])]
+    np.einsum("nii->ni", mats[slow.size:])[...] -= value[pair, None]   # diagonals
+    sv = np.linalg.svd(mats, compute_uv=False)
+    scale = np.zeros(N)
+    scale[slow] = sv[:slow.size, 0]
+    sv = sv[slow.size:]
+    geometric = np.ones(start.size, dtype=np.intp)
+    geometric[pair] = np.count_nonzero(
+        sv <= SV_TOL * np.maximum(scale[cell[pair]], 1e-300)[:, None], axis=1)
+    min_sv = np.full(start.size, np.nan)
+    min_sv[pair] = sv[:, -1]
+
+    codes = np.where(real, CLASS_CODES[Classification.HyperbolicStrict],
+                     CLASS_CODES[Classification.NonHyperbolic]).astype(np.int8)
+    codes[slow] = CLASS_CODES[Classification.HyperbolicDegenerate]
+    codes[cell[geometric < algebraic]] = CLASS_CODES[Classification.NonDiagonalizable]
+    clusters = {"cell": cell, "value": value, "algebraic": algebraic,
+                "geometric": geometric, "min_sv": min_sv}
+    return codes, {"max_imag": max_imag, "min_gap": min_gap, "eigenvalues": w,
+                   "n_slow": np.array([slow.size]), "clusters": clusters}
 
 
 def diagonalizability_test(A: np.ndarray) -> HyperbolicityVerdict:
-    """Four-way hyperbolicity verdict for one matrix.
+    """Four-way hyperbolicity verdict for one matrix: classify_batch(A[None]).
 
-    Eigenvalues whose imaginary part exceeds IMAG_TOL * (1 + |lambda|) mark
-    the matrix NonHyperbolic.  Otherwise real eigenvalues are clustered by
-    GAP_TOL and each cluster's geometric multiplicity is estimated as the
-    nullity of A - lambda I with singular values below SV_TOL * ||A||.
+    A NonHyperbolic verdict lists each eigenvalue as a cluster of its own
+    with geometric multiplicity 0; otherwise the diagnostics are the clusters.
     """
-    w = np.linalg.eigvals(A)
-    scale = float(np.linalg.norm(A, 2))
-    rel_im = np.abs(w.imag) / (1.0 + np.abs(w))
-    max_imag = float(np.max(rel_im)) if w.size else 0.0
-    if np.any(rel_im > IMAG_TOL):
-        order = np.argsort(w.real)
-        diags = [EigenCluster(complex(v), 1, 0, None) for v in w[order]]
-        return HyperbolicityVerdict(eigenvalues=w[order],
-                                    classification=Classification.NonHyperbolic,
-                                    diagnostics=diags, min_gap=0.0,
-                                    max_imag=max_imag)
-    real = w.real
-    clusters = _cluster_real(real)
-    reps = np.array([real[c].mean() for c in clusters])
-    if len(reps) > 1:
-        gaps = np.diff(np.sort(reps))
-        min_gap = float(np.min(gaps / (1.0 + np.abs(reps[:-1]))))
+    codes, aux = classify_batch(np.asarray(A)[None])
+    cls = list(CLASS_CODES)[codes[0]]   # CLASS_CODES lists the classes by code
+    w = aux["eigenvalues"][0]
+    if cls is Classification.NonHyperbolic:
+        w = w[np.argsort(w.real)]
+        diags = [EigenCluster(complex(v), 1, 0, None) for v in w]
     else:
-        min_gap = math.inf
-    diags: List[EigenCluster] = []
-    defective = False
-    degenerate = False
-    for c, lam in zip(clusters, reps):
-        alg = len(c)
-        if alg == 1:
-            diags.append(EigenCluster(complex(lam), 1, 1, None))
-            continue
-        degenerate = True
-        sv = np.linalg.svd(A - lam * np.eye(A.shape[0]), compute_uv=False)
-        geo = int(np.sum(sv <= SV_TOL * max(scale, 1e-300)))
-        if geo < alg:
-            defective = True
-        diags.append(EigenCluster(complex(lam), alg, geo, float(sv[-1])))
-    if defective:
-        cls = Classification.NonDiagonalizable
-    elif degenerate:
-        cls = Classification.HyperbolicDegenerate
-    else:
-        cls = Classification.HyperbolicStrict
-    return HyperbolicityVerdict(eigenvalues=np.sort_complex(w),
-                                classification=cls, diagnostics=diags,
-                                min_gap=min_gap, max_imag=max_imag)
-
-
-def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    """Vectorized classification of a stack of matrices (N, k, k).
-
-    Fast path: batched eigenvalues decide NonHyperbolic / HyperbolicStrict
-    outright; only cells with a genuine eigenvalue cluster fall back to the
-    singular-value test.  Returns (codes, aux) where aux carries per-cell
-    max relative imaginary part and min relative gap for boundary reporting.
-    """
-    N = A_stack.shape[0]
-    w = np.linalg.eigvals(A_stack)
-    rel_im = np.abs(w.imag) / (1.0 + np.abs(w))
-    max_imag = rel_im.max(axis=1)
-    complex_mask = max_imag > IMAG_TOL
-    real_sorted = np.sort(w.real, axis=1)
-    gaps = np.diff(real_sorted, axis=1)
-    gap_scale = 1.0 + np.maximum(np.abs(real_sorted[:, :-1]),
-                                 np.abs(real_sorted[:, 1:]))
-    min_gap = (gaps / gap_scale).min(axis=1)
-    codes = np.empty(N, dtype=np.int8)
-    codes[complex_mask] = CLASS_CODES[Classification.NonHyperbolic]
-    strict_mask = (~complex_mask) & (min_gap > GAP_TOL)
-    codes[strict_mask] = CLASS_CODES[Classification.HyperbolicStrict]
-    slow = np.flatnonzero(~complex_mask & ~strict_mask)
-    for i in slow:
-        verdict = diagonalizability_test(A_stack[i])
-        codes[i] = CLASS_CODES[verdict.classification]
-    return codes, {"max_imag": max_imag, "min_gap": min_gap,
-                   "n_slow": np.array([slow.size])}
+        w = np.sort_complex(w)
+        c = aux["clusters"]
+        diags = [EigenCluster(complex(v), a, g, None if a == 1 else sv)
+                 for v, a, g, sv in zip(c["value"].tolist(), c["algebraic"].tolist(),
+                                        c["geometric"].tolist(), c["min_sv"].tolist())]
+    return HyperbolicityVerdict(eigenvalues=w, classification=cls, diagnostics=diags,
+                                min_gap=float(aux["min_gap"][0]),
+                                max_imag=float(aux["max_imag"][0]))
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,8 @@ class LiCoeffs:
                         - 75.0 * L3 * L5 * L7) / (15.0 * L7 * S)
         with np.errstate(invalid="ignore"):   # NaN marks a complex pair
             root = np.sqrt(_square(c1) - 4.0 * c0)
-        self.x_minus = 0.5 * (c1 - root)
-        self.x_plus = 0.5 * (c1 + root)
+        self.x_plus = x_plus = 0.5 * (c1 + root)
+        self.x_minus = c0 / x_plus    # Vieta: (c1 - root) / 2 cancels as z -> 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +175,9 @@ class MomentState13:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MomentState13":
+        missing = {"rho", "u", "p_ij", "q"} - set(d)
+        if missing:
+            raise DomainError(f"moment state lacks {sorted(missing)}")
         return cls(rho=d["rho"], u=np.asarray(d["u"]),
                    p_ij=np.asarray(d["p_ij"]), q=np.asarray(d["q"]))
 

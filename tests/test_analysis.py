@@ -36,6 +36,27 @@ def test_scan_codes_and_metadata():
     assert g.x_name == "sigma11_hat" and g.y_name == "q1_hat"
 
 
+def test_scan_sidecar_reports_the_classifier(tmp_path):
+    """The sidecar says what classify_batch did, whatever the thread count."""
+    keys = ("n_classified", "n_slow", "hyperbolic_min_gap", "hyperbolic_max_imag")
+    grids = [q.region_scan_regularized(1, 2.0, n=41, seed=1, threads=t)
+             for t in (1, 2)]
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for g, p in zip(grids, paths):
+        q.write_region_csv(g, str(p))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    metas = [json.loads(p.with_suffix(".csv.meta.json").read_text())
+             for p in paths]
+    assert [metas[0][k] for k in keys] == [metas[1][k] for k in keys]
+    meta = metas[0]
+    assert meta["n_classified"] == 41 * 41 > 1024   # more than one chunk
+    assert meta["n_slow"] == meta["n_classified"]   # FinalR13 always clusters
+    assert 0.0 < meta["hyperbolic_min_gap"] < 1.0
+    assert 0.0 <= meta["hyperbolic_max_imag"] <= q.spectral.IMAG_TOL
+    mirrored = q.region_scan_1d(0, 1.0, n=41).metadata
+    assert mirrored["n_classified"] == 21 * 41   # computed rows only
+
+
 def test_regularized_scan_rejects_zero_direction():
     with pytest.raises(q.DomainError):
         q.region_scan_regularized(0, 1.0, n=11, direction=[0.0, 0.0, 0.0])

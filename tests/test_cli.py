@@ -1,6 +1,8 @@
 """Command line interface: exit codes, JSON payloads, artifact determinism."""
+import hashlib
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +70,43 @@ def test_eigs_perturbed_grad_goes_complex(tmp_path, capsys):
     assert out["class"] == "NonHyperbolic"
 
 
+@pytest.mark.parametrize("state_file, argv, digest", [
+    (False, ["--theta", "1", "--z", "2.0"],
+     "a119b49ce45c4104b9be860ed2603de85e43063e7a9d7633e18b8a05a8c212b4"),
+    (True, ["--theta", "-1"],
+     "50a8e6a5dac1453d2e6e40f01bbc82eb9f6bfda4cad5d9db94bf5d640a0e5549"),
+], ids=["fermion-equilibrium", "boson-sheared"])
+def test_eigs_regularized_json_frozen(state_file, argv, digest, tmp_path, capsys):
+    """The verdict payload, byte for byte (digest of numpy's bundled LAPACK
+    eigensolver output on x86-64)."""
+    if state_file:
+        eq = q.EquilibriumParams(theta=-1, z=0.5, u=np.zeros(3), T=1.0)
+        d = q.equilibrium_state13(eq).as_dict()
+        d["p_ij"][0][1] = d["p_ij"][1][0] = 0.2 * eq.p
+        d["q"][0] = 0.3 * eq.p
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps(d))
+        argv = argv + ["--state", str(f)]
+    assert main(["eigs", "--system", "regularized", "--dir", "1,1,0", "--json"]
+                + argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["class"] == "HyperbolicDegenerate"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--config"], "theta"),
+    (["eigs", "--theta", "0", "--state"], "rho"),
+], ids=["config", "state"])
+def test_malformed_input_file_is_domain_error(argv, key, tmp_path, capsys):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps({"cells": 8}))
+    assert main(argv + [str(f)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DomainError"
+    assert repr(key) in err["message"]
+
+
 def test_region1d_deterministic_artifact(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for p in (a, b):
@@ -110,6 +149,27 @@ def test_nonpositive_n_is_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("qmax", ["0", "-2"])
+@pytest.mark.parametrize("scan", ["region1d", "region3d", "region-reg"])
+def test_nonpositive_qmax_is_usage_error(scan, qmax, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([scan, "--theta", "0", "--z", "1.0", "--n", "5", "--qmax", qmax])
+    assert exc.value.code == 2
+    assert f"--qmax: must be a positive number: {qmax}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [("--zmin", "-1"), ("--zmax", "0")])
+def test_sweep_eigs_nonpositive_bound_is_usage_error(option, value, capsys):
+    bounds = {"--zmin": "0.5", "--zmax": "5", option: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's log10 warning would raise
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-eigs", "--theta", "1", "--n", "5"]
+                 + [t for kv in bounds.items() for t in kv])
+    assert exc.value.code == 2
+    assert f"{option}: must be a positive number: {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bound", [["--zmin", "5"], ["--zmax", "5"]],

@@ -6,8 +6,9 @@ import pytest
 
 import qgrad13 as q
 from qgrad13 import Classification, EquilibriumParams, NoRoot, spectral, state
+from qgrad13.analysis import random_moment_state, random_unit_vectors
 from qgrad13.matrices import _a_coeffs
-from qgrad13.spectral import brute_charpoly_reduced, charpoly_coeffs
+from qgrad13.spectral import CLASS_CODES, brute_charpoly_reduced, charpoly_coeffs
 
 
 def test_charpoly_on_companion_matrix():
@@ -68,6 +69,70 @@ def test_classify_batch_matches_single(rng):
     codes, aux = q.classify_batch(mats)
     assert list(codes) == [0, 1, 2, 3]
     assert aux["max_imag"][3] > 0.4
+
+
+def _loop_verdict(A):
+    """Per-matrix reference: cluster one value at a time, np.mean per
+    cluster, one SVD per cluster; (class, min_gap, max_imag, clusters)."""
+    w = np.linalg.eigvals(A)
+    rel_im = np.abs(w.imag) / (1.0 + np.abs(w))
+    if np.any(rel_im > spectral.IMAG_TOL):
+        return "NonHyperbolic", 0.0, float(rel_im.max()), None
+    clusters = []
+    for v in np.sort(w.real):
+        prev = clusters[-1][-1] if clusters else None
+        if prev is not None and v - prev <= spectral.GAP_TOL * (
+                1.0 + max(abs(prev), abs(v))):
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    reps = [np.mean(c) for c in clusters]
+    gaps = [(b - a) / (1.0 + abs(a)) for a, b in zip(reps, reps[1:])]
+    scale = np.linalg.norm(A, 2)
+    diags, cls = [], "HyperbolicStrict"
+    for c, lam in zip(clusters, reps):
+        geo, smin = 1, None
+        if len(c) > 1:
+            sv = np.linalg.svd(A - lam * np.eye(len(A)), compute_uv=False)
+            geo, smin = int(np.sum(sv <= spectral.SV_TOL * scale)), float(sv[-1])
+            cls = "NonDiagonalizable" if geo < len(c) or cls == "NonDiagonalizable" \
+                else "HyperbolicDegenerate"
+        diags.append((float(lam), len(c), geo, smin))
+    return cls, min(gaps, default=math.inf), float(rel_im.max()), diags
+
+
+def test_batch_codes_are_the_single_verdicts(rng):
+    """One classifier: each cell of a mixed stack gets the code, min_gap and
+    max_imag of its own N = 1 verdict, and both match the per-matrix loop
+    bit for bit (cluster means included, up to a 9-fold cluster)."""
+    P = np.eye(13)[rng.permutation(13)]   # exact: a rounded Jordan block splits
+    d = np.arange(13.0) - 6.0
+    repeated = np.diag(np.r_[d[:10], 4.5, 4.5, 4.5])
+    jordan = np.diag(np.r_[d[:12], d[11]])
+    jordan[11, 12] = 1.0
+    rotation = np.diag(d)
+    rotation[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+    ninefold = np.diag(np.r_[np.full(9, 0.3), d[:4]])
+    mats = [np.diag(d)] + [P @ J @ P.T
+                           for J in (repeated, jordan, rotation, ninefold)]
+    for i in range(200):
+        st, eq = random_moment_state(rng, (-1, 0, 1)[i % 3])
+        ndir = random_unit_vectors(rng, 1)[0]
+        mats.append(q.assemble_A_regularized(st, eq, ndir).A)
+    codes, aux = q.classify_batch(np.stack(mats))
+    verdicts = [q.diagonalizability_test(A) for A in mats]
+    assert list(codes[:5]) == [0, 1, 2, 3, 1]
+    assert list(codes) == [CLASS_CODES[v.classification] for v in verdicts]
+    np.testing.assert_array_equal(aux["min_gap"], [v.min_gap for v in verdicts])
+    np.testing.assert_array_equal(aux["max_imag"], [v.max_imag for v in verdicts])
+    assert aux["n_slow"][0] == 203   # every FinalR13 matrix has a cluster
+    for A, v in zip(mats, verdicts):
+        cls, min_gap, max_imag, diags = _loop_verdict(A)
+        assert (v.classification.value, v.min_gap, v.max_imag) \
+            == (cls, min_gap, max_imag)
+        if diags is not None:
+            assert [(c.value.real, c.algebraic, c.geometric, c.min_singular_value)
+                    for c in v.diagnostics] == diags
 
 
 def _char_poly_A5_analytic(st5, eq):

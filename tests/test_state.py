@@ -1,6 +1,7 @@
 """Equilibrium thermodynamics, fugacity fitting and the moment ansatz."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -57,6 +58,21 @@ def test_coefficient_record_batch_matches_scalar(theta):
         for name, value in vars(eq.coeffs).items():
             got = getattr(batch, name)[i]
             assert np.float64(got).tobytes() == np.float64(value).tobytes(), name
+
+
+@pytest.mark.parametrize("z", [1.0 - 1e-6, 1.0 - 1e-10])
+def test_quartic_small_root_at_bose_edge(z):
+    """x_minus keeps full precision where (c1 - root) / 2 cancels."""
+    with mpmath.workdps(40):
+        L1, L3, L5, L7, L9 = (mpmath.polylog(mpmath.mpf(k) / 2, z)
+                              for k in (1, 3, 5, 7, 9))
+        S = 5 * L1 * L5 - 3 * L3 ** 2
+        c0 = 3 * (7 * L3 * L7 - 5 * L5 ** 2) / S
+        c1 = (140 * L1 * L5 * L9 + 175 * L1 * L7 ** 2 - 84 * L3 ** 2 * L9
+              - 75 * L3 * L5 * L7) / (15 * L7 * S)
+        ref = float((c1 - mpmath.sqrt(c1 ** 2 - 4 * c0)) / 2)
+    got = EquilibriumParams(theta=-1, z=z, u=np.zeros(3), T=1.0).coeffs.x_minus
+    assert abs(got / ref - 1.0) < 1e-14
 
 
 def test_equilibrium_moments_match_quadrature():
