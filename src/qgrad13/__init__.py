@@ -13,7 +13,7 @@ from .polylog import (BOSE_Z_MAX, ORDERS, ZETA_HALF, PolylogSet,
 from .state import (ClosureMoments, EquilibriumParams, MomentState5,
                     MomentState13, ansatz_moments, closure_moments,
                     equilibrium_state13, fit_equilibrium, fit_fugacity_batch,
-                    fit_state, grad_ansatz_eval, state5_from_hat)
+                    grad_ansatz_eval, state5_from_hat)
 from .matrices import (SystemKind, SystemMatrices, assemble_A, assemble_A5_grad,
                        assemble_A_direction, assemble_A_grad_3d,
                        assemble_A_regularized, assemble_D, assemble_M,
@@ -43,7 +43,7 @@ __all__ = [
     "ClosureMoments", "EquilibriumParams", "MomentState5", "MomentState13",
     "ansatz_moments", "closure_moments",
     "equilibrium_state13", "fit_equilibrium", "fit_fugacity_batch",
-    "fit_state", "grad_ansatz_eval", "state5_from_hat",
+    "grad_ansatz_eval", "state5_from_hat",
     "SystemKind", "SystemMatrices",
     "assemble_A", "assemble_A5_grad", "assemble_A_direction",
     "assemble_A_grad_3d", "assemble_A_regularized",

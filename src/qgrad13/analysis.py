@@ -111,7 +111,7 @@ def _grid_metadata(grid: RegionGrid) -> Dict[str, object]:
     return meta
 
 
-def _format_float(v: float) -> str:
+def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
@@ -123,10 +123,10 @@ def write_region_csv(grid: RegionGrid, path: str) -> None:
     """
     lines = [f"{grid.x_name},{grid.y_name},class_code"]
     for iy in range(grid.y.size):
-        ys = _format_float(grid.y[iy])
+        ys = _fmt(grid.y[iy])
         row = grid.cells[iy]
         for ix in range(grid.x.size):
-            lines.append(f"{_format_float(grid.x[ix])},{ys},{int(row[ix])}")
+            lines.append(f"{_fmt(grid.x[ix])},{ys},{int(row[ix])}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(path + ".meta.json", "w") as fh:
@@ -227,9 +227,8 @@ def _scan(assemble: Callable[[float, float, int], np.ndarray], shat: np.ndarray,
         A0, As, Aq = _affine_basis(assemble, (1, 2, 3))
         S, Q = np.meshgrid(shat, qhat, indexing="xy")
         Sf, Qf = S.ravel(), Q.ravel()
-        rng = np.random.Generator(np.random.Philox(seed))
-        N = rng.normal(size=(Sf.size, 3))
-        N /= np.linalg.norm(N, axis=1, keepdims=True)
+        N = random_unit_vectors(np.random.Generator(np.random.Philox(seed)),
+                                Sf.size)
 
         def build(sl: slice) -> np.ndarray:
             base = np.einsum("cd,dij->cij", N[sl], A0)
@@ -343,9 +342,11 @@ def region_scan_regularized(theta: int, z: float, n: int = 401,
         **_scan_summary(cells, aux),
     }
     if compare_grad:
-        grad_cells = scan(SystemKind.Grad13)[0]
+        grad_cells, grad_aux = scan(SystemKind.Grad13)
         meta["grad_class_counts"] = class_counts(grad_cells)
         meta["grad_area_fraction"] = area_fraction(grad_cells)
+        meta.update({"grad_" + k: v
+                     for k, v in _scan_summary(grad_cells, grad_aux).items()})
     return RegionGrid(theta=theta, z=z, T=1.0, x_name="sigma12_hat",
                       y_name="q1_hat", x=shat, y=qhat, cells=cells,
                       metadata=meta)
@@ -410,8 +411,8 @@ def write_sweep_csv(sweep: FugacitySweep, path: str) -> None:
     names = FugacitySweep.BRANCH_ORDER
     lines = ["z," + ",".join(names)]
     for i in range(sweep.z.size):
-        vals = [_format_float(sweep.z[i])]
-        vals += [_format_float(sweep.branches[n][i]) for n in names]
+        vals = [_fmt(sweep.z[i])]
+        vals += [_fmt(sweep.branches[n][i]) for n in names]
         lines.append(",".join(vals))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -16,13 +16,14 @@ from typing import List, Optional
 import numpy as np
 
 from . import analysis, solver1d, spectral
+from .analysis import _fmt
 from .errors import (CFLViolation, DomainError, InadmissibleCell,
                      NoConvergence, NoRoot, SingularD)
 from .matrices import (SystemKind, assemble_A_direction,
                        assemble_A_regularized)
 from .polylog import eval_polylog_set
 from .state import (EquilibriumParams, MomentState13, equilibrium_state13,
-                    fit_state)
+                    fit_equilibrium)
 
 _EPILOG = """\
 units: particle mass and Boltzmann constant are scaled to 1, so temperature
@@ -34,10 +35,6 @@ sigma12/p, q1_hat = q1/(p sqrt(T)).  theta selects the statistics:
 
 _KINDS = {"grad": SystemKind.Grad13, "trivial": SystemKind.TrivialR13,
           "regularized": SystemKind.FinalR13}
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
 
 
 def _parse_direction(text: str):
@@ -98,7 +95,7 @@ def _cmd_eigs(args) -> int:
     kind = _KINDS[args.system]
     if args.state is not None:
         state = _load_state(args.state)
-        eq = fit_state(state, args.theta, hhat=args.hhat)
+        eq = fit_equilibrium(state.rho, state.p, args.theta, args.hhat, u=state.u)
     elif args.z is None:
         print("eigs: either --state FILE or --z is required", file=sys.stderr)
         return 2

@@ -68,7 +68,7 @@ def _require_consistent(state_rho: float, state_p: float, eq: EquilibriumParams)
             or abs(state_p - eq.p) > 1e-6 * eq.p):
         raise DomainError(
             "equilibrium parameters do not fit the state's (rho, p); "
-            "use fit_state to obtain matching parameters")
+            "use fit_equilibrium to obtain matching parameters")
 
 
 # ---------------------------------------------------------------------------

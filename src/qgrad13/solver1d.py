@@ -11,8 +11,8 @@ regularization, rebuilt from each cell's own fitted fugacity and temperature
 every step.  alpha_i is the spectral radius of A(w_i), read off the paper's
 factorization A = D^-1 (M + u I) D instead of an eigensolve: M depends only
 on (z, T), so the radius is |u1| + sqrt(T x_plus) with x_plus the larger
-root of the equilibrium quartic.  One li evaluation per Newton iterate fits
-the fugacities, and the last one also feeds the matrices.
+root of the equilibrium quartic.  z, T and li come from `state`'s one fit,
+warm-started from the last step; a radius that is not finite stops the run.
 
 State layout: w has one row (rho, u1, p11, q1, p) per cell.
 """
@@ -24,14 +24,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .analysis import _fmt
 from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoSolution)
-from .polylog import _check_theta, eval_polylog_batch
-from .state import (_LOG_Z_HI_BOSON, _LOG_Z_HI_FERMION, _LOG_Z_LO,
-                    EquilibriumParams, LiCoeffs, _gstar, _z_from_log,
-                    fit_fugacity_batch)
+from .polylog import _check_theta
+from .state import EquilibriumParams, LiCoeffs, _fit
 
-_TWO_PI = 2.0 * math.pi
 _MAX_STEPS = 5_000_000
 
 
@@ -122,57 +120,17 @@ class SimResult:
 # ---------------------------------------------------------------------------
 # per-cell coefficients
 
-def _fit_cells(gstar: np.ndarray, theta: int, guess: Optional[np.ndarray]
-               ) -> Tuple[np.ndarray, Dict[float, np.ndarray], bool]:
-    """Per-cell fugacity from li[5/2]/li[3/2]^(5/3), warm-started if possible.
-
-    Three Newton steps from the previous time level converge to rounding in
-    smooth runs; the li evaluation at the last iterate checks the residual
-    and is returned with z for the matrices.  Cells that miss fall back to
-    the bracketed solve, and li is evaluated once more at the final z.
-    Returns (z, li, fell_back); a cold start counts as no fallback.
-    """
-    if theta == 0:
-        z = gstar ** -1.5
-        return z, eval_polylog_batch(z, theta), False
-    hi = _LOG_Z_HI_BOSON if theta == -1 else _LOG_Z_HI_FERMION
-    target = np.log(gstar)
-    if guess is not None:
-        x = np.log(guess)
-        for _ in range(3):
-            curve, slope, _ = _gstar(x, theta)
-            x = np.clip(x - (curve - target) / slope, _LOG_Z_LO, hi)
-        curve, _, li = _gstar(x, theta)
-        bad = np.abs(curve - target) > 1e-11
-        if not np.any(bad):
-            return _z_from_log(x, theta), li, False
-    else:
-        x = np.empty_like(target)
-        bad = np.ones(target.shape, dtype=bool)
-    try:
-        x[bad] = np.log(fit_fugacity_batch(gstar[bad], theta))
-    except (CondensationError, NoSolution) as exc:
-        floor = _gstar(np.array([hi]), theta)[0][0]
-        ceil = _gstar(np.array([_LOG_Z_LO]), theta)[0][0]
-        off = bad & ((target <= floor) | (target >= ceil))
-        idx = int(np.argmax(off))
-        raise InadmissibleCell(idx, f"no admissible fugacity: {exc}") from exc
-    z = _z_from_log(x, theta)
-    return z, eval_polylog_batch(z, theta), guess is not None
-
-
-def _a5_final_stack(w: np.ndarray, hhat: float, li: Dict[float, np.ndarray]
+def _a5_final_stack(w: np.ndarray, T: np.ndarray, li: Dict[float, np.ndarray]
                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Reduced coefficient matrices of the final regularization, one per cell,
     and their spectral radii.
 
     Closed-form version of reducing the 13x13 assembly with the selection and
     embedding maps; the equivalence, and the radius against eigvals, are
-    pinned in the tests.  `li` holds the five orders at the cells' fugacities.
+    pinned in the tests.  T and `li` (the five orders) are the cells' fit.
     """
     rho, u1, p11, q1, p = (w[:, k] for k in range(5))
     sig = p11 - p
-    T = (rho / (hhat * li[1.5])) ** (2.0 / 3.0) / _TWO_PI
     c = LiCoeffs(li, T)
     N = w.shape[0]
     A = np.zeros((N, 5, 5))
@@ -261,19 +219,26 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
     mass, mom, en = _conserved(w, dx)
     ledger = {"time": [0.0], "mass": [mass], "momentum": [mom], "energy": [en]}
     snapshots = [w.copy()]
-    gfac = _TWO_PI * config.hhat ** (2.0 / 3.0)
-    z_prev: Optional[np.ndarray] = None
+    z: Optional[np.ndarray] = None
     t = 0.0
     steps = 0
     max_speed = 0.0
     fallbacks = 0
     snap_idx = 1
     while snap_idx < snap_times.size:
-        rho, p = w[:, 0], w[:, 4]
-        gstar = gfac * p * rho ** (-5.0 / 3.0)
-        z_prev, li, fell_back = _fit_cells(gstar, config.theta, z_prev)
+        try:
+            z, T, li, fell_back = _fit(w[:, 0], w[:, 4], config.theta,
+                                       config.hhat, z)
+        except (CondensationError, NoSolution) as exc:
+            raise InadmissibleCell(exc.index, f"no admissible fugacity: {exc}") from exc
         fallbacks += fell_back
-        A, alpha = _a5_final_stack(w, config.hhat, li)
+        A, alpha = _a5_final_stack(w, T, li)
+        finite = np.isfinite(alpha)
+        if not np.all(finite):
+            i = int(np.argmin(finite))
+            raise InadmissibleCell(i, f"spectral radius {alpha[i]} in step "
+                                      f"{steps + 1} at t = {t:.6g}, "
+                                      f"z = {z[i]:.6g}")
         amax = float(np.max(alpha))
         max_speed = max(max_speed, amax)
         dt_cfl = config.cfl * dx / amax if amax > 0.0 else math.inf
@@ -310,10 +275,6 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
 
 # ---------------------------------------------------------------------------
 # artifacts
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
 
 def write_snapshot_csv(result: SimResult, path: str, index: int = -1) -> None:
     """One snapshot as CSV columns x, rho, u1, p11, q1, p."""

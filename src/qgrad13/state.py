@@ -6,7 +6,8 @@ fugacity z, drift u and scaled temperature T, with density and pressure
 
     rho = hhat (2 pi T)^(3/2) li[3/2],    p = hhat (2 pi T)^(3/2) T li[5/2].
 
-`fit_equilibrium` inverts this map from (rho, p); `grad_ansatz_eval` is
+`fit_equilibrium` inverts this map from (rho, p) as the N = 1 case of `_fit`,
+the one fit, which the 1D solver runs on all its cells; `grad_ansatz_eval` is
 the expansion around equilibrium, and `ansatz_moments` integrates it
 numerically to validate the closure: n_nodes Gauss-Legendre radii on
 [0, half_width sqrt(T)] around u times a fixed 32-direction rule that is
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -267,8 +268,21 @@ def _gstar(log_z: np.ndarray, theta: int):
 
 
 _LOG_Z_LO = math.log(1e-12)
-_LOG_Z_HI_FERMION = math.log(1e12)
-_LOG_Z_HI_BOSON = math.log(BOSE_Z_MAX)
+_LOG_Z_HI = {-1: math.log(BOSE_Z_MAX), 1: math.log(1e12)}
+
+
+def _newton(x: np.ndarray, target: np.ndarray, theta: int, lo, hi) -> np.ndarray:
+    """Three Newton steps on the curve of `_gstar` in log z, kept in [lo, hi]."""
+    for _ in range(3):
+        curve, slope, _ = _gstar(x, theta)
+        x = np.clip(x - (curve - target) / slope, lo, hi)
+    return x
+
+
+def _raise_at(exc: DomainError, offending: np.ndarray):
+    """Raise exc with `index`, the position of the first offending entry."""
+    exc.index = int(np.argmax(offending))
+    raise exc
 
 
 def fit_fugacity_batch(gstar: np.ndarray, theta: int) -> np.ndarray:
@@ -276,55 +290,80 @@ def fit_fugacity_batch(gstar: np.ndarray, theta: int) -> np.ndarray:
 
     The ratio decreases strictly in z, so a bisection bracket followed by a
     few Newton steps lands at machine precision.  Raises CondensationError
-    (Boson) or NoSolution (Fermion) when gstar lies below the reachable range.
+    (Boson) or NoSolution (Fermion) when gstar lies outside the reachable
+    range; the exception's `index` is the first entry that does.
     """
     theta = _check_theta(theta)
     gstar = np.atleast_1d(np.asarray(gstar, dtype=float))
-    if np.any(~np.isfinite(gstar)) or np.any(gstar <= 0.0):
-        raise NoSolution("pressure/density ratio out of range")
+    valid = np.isfinite(gstar) & (gstar > 0.0)
+    if not np.all(valid):
+        _raise_at(NoSolution("pressure/density ratio out of range"), ~valid)
     if theta == 0:
         return gstar ** -1.5
     target = np.log(gstar)
-    hi_edge = _LOG_Z_HI_BOSON if theta == -1 else _LOG_Z_HI_FERMION
-    floor = _gstar(np.array([hi_edge]), theta)[0][0]
-    if np.any(target <= floor):
-        if theta == -1:
-            raise CondensationError(
-                "no Boson fugacity below condensation reaches this rho/p ratio")
-        raise NoSolution("required Fermion fugacity beyond supported range")
-    ceil = _gstar(np.array([_LOG_Z_LO]), theta)[0][0]
-    if np.any(target >= ceil):
-        raise NoSolution("state too dilute for the supported fugacity range")
+    below = target <= _gstar(np.array([_LOG_Z_HI[theta]]), theta)[0][0]
+    if np.any(below):
+        _raise_at(CondensationError("no Boson fugacity below condensation "
+                                    "reaches this rho/p ratio") if theta == -1
+                  else NoSolution("required Fermion fugacity beyond supported "
+                                  "range"), below)
+    above = target >= _gstar(np.array([_LOG_Z_LO]), theta)[0][0]
+    if np.any(above):
+        _raise_at(NoSolution("state too dilute for the supported fugacity "
+                             "range"), above)
     lo = np.full(gstar.shape, _LOG_Z_LO)
-    hi = np.full(gstar.shape, hi_edge)
+    hi = np.full(gstar.shape, _LOG_Z_HI[theta])
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        above = _gstar(mid, theta)[0] > target   # still left of the root
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        curve, slope, _ = _gstar(x, theta)
-        x = np.clip(x - (curve - target) / slope, lo, hi)
-    return _z_from_log(x, theta)
+        left = _gstar(mid, theta)[0] > target   # still left of the root
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return _z_from_log(_newton(0.5 * (lo + hi), target, theta, lo, hi), theta)
+
+
+def _fit(rho: np.ndarray, p: np.ndarray, theta: int, hhat: float = 1.0,
+         guess: Optional[np.ndarray] = None):
+    """(rho, p) -> (z, T, li, fell_back) for N states: the package's one fit.
+
+    Three Newton steps from `guess`, nearby fugacities, and li at the last
+    iterate checks them.  Entries that miss, or all without a guess (a cold
+    start, not a fallback), go through fit_fugacity_batch and one more li.
+    Range errors carry the first offending `index`.  The powers use libm pow
+    like `_square`, so they add no dependence on the batch.
+    """
+    gstar = _TWO_PI * hhat ** (2.0 / 3.0) * p * np.float_power(rho, -5.0 / 3.0)
+    li, fell_back = None, False
+    if guess is None:
+        z = fit_fugacity_batch(gstar, theta)
+    elif theta == 0:
+        z = gstar ** -1.5              # li[s] = z: exact without a start
+    else:
+        target = np.log(gstar)
+        x = _newton(np.log(guess), target, theta, _LOG_Z_LO, _LOG_Z_HI[theta])
+        curve, _, li = _gstar(x, theta)
+        z = _z_from_log(x, theta)
+        missed = np.abs(curve - target) > 1e-11
+        if np.any(missed):
+            try:
+                z[missed] = fit_fugacity_batch(gstar[missed], theta)
+            except (CondensationError, NoSolution) as exc:
+                exc.index = int(np.flatnonzero(missed)[exc.index])
+                raise
+            li, fell_back = None, True
+    if li is None:
+        li = eval_polylog_batch(z, theta)
+    T = np.float_power(rho / (hhat * li[1.5]), 2.0 / 3.0) / _TWO_PI
+    return z, T, li, fell_back
 
 
 def fit_equilibrium(rho: float, p: float, theta: int, hhat: float = 1.0,
                     u=(0.0, 0.0, 0.0)) -> EquilibriumParams:
     """Invert (rho, p) -> (z, T); round-trips with EquilibriumParams.rho, .p to 1e-10."""
-    theta = _check_theta(theta)
     if not (rho > 0.0 and p > 0.0 and math.isfinite(rho) and math.isfinite(p)):
         raise NoSolution(f"need positive finite rho and p, got {rho}, {p}")
-    gstar = _TWO_PI * hhat ** (2.0 / 3.0) * p * rho ** (-5.0 / 3.0)
-    z = float(fit_fugacity_batch(np.array([gstar]), theta)[0])
-    li32 = float(eval_polylog_batch(z, theta)[1.5][0])
-    T = (rho / (hhat * li32)) ** (2.0 / 3.0) / _TWO_PI
-    return EquilibriumParams(theta=theta, z=z, u=np.asarray(u), T=T, hhat=hhat)
-
-
-def fit_state(state: MomentState13, theta: int, hhat: float = 1.0) -> EquilibriumParams:
-    """Equilibrium parameters matching a state's density, pressure and drift."""
-    return fit_equilibrium(state.rho, state.p, theta, hhat, u=state.u)
+    z, T, _, _ = _fit(np.array([rho]), np.array([p]), theta, hhat)
+    return EquilibriumParams(theta=theta, z=float(z[0]), u=np.asarray(u),
+                             T=float(T[0]), hhat=hhat)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,9 @@ def test_scan_codes_and_metadata():
 def test_scan_sidecar_reports_the_classifier(tmp_path):
     """The sidecar says what classify_batch did, whatever the thread count."""
     keys = ("n_classified", "n_slow", "hyperbolic_min_gap", "hyperbolic_max_imag")
-    grids = [q.region_scan_regularized(1, 2.0, n=41, seed=1, threads=t)
+    keys += tuple("grad_" + k for k in keys)
+    grids = [q.region_scan_regularized(1, 2.0, n=41, seed=1, threads=t,
+                                       compare_grad=True)
              for t in (1, 2)]
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for g, p in zip(grids, paths):
@@ -53,6 +55,11 @@ def test_scan_sidecar_reports_the_classifier(tmp_path):
     assert meta["n_slow"] == meta["n_classified"]   # FinalR13 always clusters
     assert 0.0 < meta["hyperbolic_min_gap"] < 1.0
     assert 0.0 <= meta["hyperbolic_max_imag"] <= q.spectral.IMAG_TOL
+    # the Grad13 grid of --compare-grad reports the same counters
+    assert meta["grad_n_classified"] == meta["n_classified"]
+    assert 0 <= meta["grad_n_slow"] <= meta["grad_n_classified"]
+    assert 0.0 < meta["grad_hyperbolic_min_gap"]
+    assert 0.0 <= meta["grad_hyperbolic_max_imag"] <= q.spectral.IMAG_TOL
     mirrored = q.region_scan_1d(0, 1.0, n=41).metadata
     assert mirrored["n_classified"] == 21 * 41   # computed rows only
 

@@ -265,6 +265,17 @@ def test_simulate_invalid_config_exit3(tmp_path, capsys):
     assert err["error"]["type"] == "DomainError"
 
 
+def test_simulate_past_fermion_edge_exit3(tmp_path, capsys):
+    cfg = dict(theta=1, cells=16, length=1.0, cfl=0.45, tau=0.05, t_end=0.05,
+               left=dict(z=1e6, u1=0.0, T=1.0), right=dict(z=1e6, u1=0.0, T=1.0))
+    f = tmp_path / "edge.json"
+    f.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(f)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "InadmissibleCell"
+    assert err["message"].startswith("cell 0 inadmissible: spectral radius nan")
+
+
 def test_domain_error_exit3(capsys):
     assert main(["polylog", "--theta", "-1", "--z", "1.5"]) == 3
     err = json.loads(capsys.readouterr().err)

@@ -32,8 +32,8 @@ def test_initial_condition_split():
     assert np.all(w0[:4, 0] == w0[0, 0]) and np.all(w0[4:, 0] == w0[-1, 0])
 
 
-def _gstar(w):
-    return 2.0 * math.pi * w[:, 4] * w[:, 0] ** (-5.0 / 3.0)
+def _fit(w, theta, guess=None):
+    return state._fit(w[:, 0], w[:, 4], theta, 1.0, guess)
 
 
 def _random_cells(theta, rng, n):
@@ -63,8 +63,8 @@ def test_coefficient_stack_matches_reduction(theta, rng):
         states.append(st5)
         rows.append([st5.rho, st5.u1, st5.p11, st5.q1, st5.p])
     w = np.array(rows)
-    _, li, _ = solver1d._fit_cells(_gstar(w), theta, None)
-    stack, _ = solver1d._a5_final_stack(w, 1.0, li)
+    _, T, li, _ = _fit(w, theta)
+    stack, _ = solver1d._a5_final_stack(w, T, li)
     for i, st5 in enumerate(states):
         ref = _reduce_to_1d(SystemKind.FinalR13, st5, eq)
         np.testing.assert_allclose(stack[i], ref, rtol=0,
@@ -74,8 +74,8 @@ def test_coefficient_stack_matches_reduction(theta, rng):
 def test_spectral_radius_matches_eigvals(theta, rng):
     """The factorization's radius |u1| + sqrt(T x_plus) is max |eigvals(A)|."""
     w = _random_cells(theta, rng, 400)
-    _, li, _ = solver1d._fit_cells(_gstar(w), theta, None)
-    A, radius = solver1d._a5_final_stack(w, 1.0, li)
+    _, T, li, _ = _fit(w, theta)
+    A, radius = solver1d._a5_final_stack(w, T, li)
     ref = np.max(np.abs(np.linalg.eigvals(A)), axis=1)
     np.testing.assert_allclose(radius, ref, rtol=1e-13, atol=0)
 
@@ -87,7 +87,7 @@ def test_warm_step_evaluates_polylog_at_most_four_times(theta, rng,
     z0 = 2.0 if theta == 1 else 0.5
     eq = EquilibriumParams(theta=theta, z=z0, u=np.zeros(3), T=1.0)
     w = np.tile([eq.rho, 0.0, eq.p, 0.0, eq.p], (64, 1))
-    z_prev, _, _ = solver1d._fit_cells(_gstar(w), theta, None)
+    z_prev, _, _, _ = _fit(w, theta)
     w[:, 4] *= 1.0 + 1e-3 * rng.standard_normal(64)   # one step's change
     calls = []
 
@@ -95,10 +95,9 @@ def test_warm_step_evaluates_polylog_at_most_four_times(theta, rng,
         calls.append(args)
         return q.eval_polylog_batch(*args, **kwargs)
 
-    for mod in (state, solver1d):
-        monkeypatch.setattr(mod, "eval_polylog_batch", counting)
-    z, li, fell_back = solver1d._fit_cells(_gstar(w), theta, z_prev)
-    solver1d._a5_final_stack(w, 1.0, li)
+    monkeypatch.setattr(state, "eval_polylog_batch", counting)
+    z, T, li, fell_back = _fit(w, theta, z_prev)
+    solver1d._a5_final_stack(w, T, li)
     assert not fell_back
     assert len(calls) <= 4
 
@@ -195,6 +194,42 @@ def test_inadmissible_cell_reports_index():
     with pytest.raises(InadmissibleCell) as exc:
         q.run(cfg, w0=w0)
     assert exc.value.index == 7
+
+
+def test_condensing_cell_is_reported_by_index():
+    """A Boson cell with three times the density at the same pressure needs
+    z >= 1; the fit's range error names that cell."""
+    cfg = _uniform_config(theta=-1, z=0.5)
+    x, w0 = q.initial_condition(cfg)
+    w0 = w0.copy()
+    w0[5, 0] *= 3.0
+    with pytest.raises(InadmissibleCell) as exc:
+        q.run(cfg, w0=w0)
+    assert exc.value.index == 5
+    assert "condensation" in str(exc.value)
+
+
+def test_non_finite_spectral_radius_is_inadmissible():
+    """Past z ~ 2.3e5 the Fermion quartic has complex roots, so the radius
+    is NaN; the run stops at the first such cell instead of in the CFL check."""
+    cfg = _uniform_config(theta=1, z=5.0)
+    cfg = SimConfig(**{**cfg.as_dict(), "right": dict(z=1e6, u1=0.0, T=1.0)})
+    with pytest.raises(InadmissibleCell) as exc:
+        q.run(cfg)
+    assert exc.value.index == cfg.cells // 2
+    message = str(exc.value)
+    assert "step 1" in message and "t = 0" in message and "z = 1e+06" in message
+
+
+def test_solver_holds_no_fit_of_its_own():
+    """The fugacity fit lives in `state`; the solver only calls it."""
+    assert not hasattr(solver1d, "_fit_cells")
+    for name in ("_gstar", "_z_from_log", "_newton", "_LOG_Z_LO", "_LOG_Z_HI",
+                 "_LOG_Z_HI_BOSON", "_LOG_Z_HI_FERMION", "eval_polylog_batch",
+                 "fit_fugacity_batch"):
+        assert not hasattr(solver1d, name), name
+    assert solver1d._fit is state._fit
+    assert "fit_state" not in q.__all__
 
 
 def test_step_budget_guard(monkeypatch):

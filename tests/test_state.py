@@ -119,10 +119,59 @@ def test_fit_equilibrium_round_trip_random(theta, rng):
 def test_fit_state_recovers_equilibrium(theta, rng):
     for _ in range(10):
         st, eq = random_moment_state(rng, theta)
-        back = q.fit_state(st, theta)
+        back = q.fit_equilibrium(st.rho, st.p, theta, u=st.u)
         assert abs(back.z / eq.z - 1.0) < 1e-10
         assert abs(back.T / eq.T - 1.0) < 1e-10
         np.testing.assert_array_equal(back.u, st.u)
+
+
+def test_batched_fit_is_fit_equilibrium_one_by_one(theta, rng):
+    """`state._fit` on 300 states at once against fit_equilibrium per state.
+
+    Classically li is z itself and the two agree bit for bit.  For quantum
+    statistics li at a point still depends on the batch it is evaluated in
+    (the panel limit follows the batch maximum, and the series and Robinson
+    branches are matrix-vector products), so the fits agree to a few ulp.
+    """
+    states = [random_moment_state(rng, theta)[0] for _ in range(300)]
+    rho = np.array([st.rho for st in states])
+    p = np.array([st.p for st in states])
+    z, T, li, fell_back = state._fit(rho, p, theta)
+    assert not fell_back
+    ref = [q.fit_equilibrium(r, pp, theta) for r, pp in zip(rho, p)]
+    z_ref = np.array([e.z for e in ref])
+    T_ref = np.array([e.T for e in ref])
+    if theta == 0:
+        np.testing.assert_array_equal(z, z_ref)
+        np.testing.assert_array_equal(T, T_ref)
+    else:
+        np.testing.assert_allclose(z, z_ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(T, T_ref, rtol=1e-13, atol=0)
+    for s in q.ORDERS:
+        np.testing.assert_array_equal(li[s], q.eval_polylog_batch(z, theta)[s])
+
+
+def test_fit_range_errors_name_the_first_offending_entry():
+    li = q.eval_polylog_batch(np.array([0.3, 0.5]), -1)
+    gstar = li[2.5] / li[1.5] ** (5.0 / 3.0)
+    bad = np.array([gstar[0], gstar[1], 0.1, gstar[0], 0.1])
+    with pytest.raises(CondensationError) as exc:
+        q.fit_fugacity_batch(bad, -1)
+    assert exc.value.index == 2
+    with pytest.raises(NoSolution) as exc:
+        q.fit_fugacity_batch(np.array([1.0, 2.0, -1.0]), 1)
+    assert exc.value.index == 2
+    # a warm start maps the fallback's index back to the full batch: cells 2
+    # (a far guess) and 6 (needs z >= 1) miss, and the second of them offends
+    eq = EquilibriumParams(theta=-1, z=0.5, u=np.zeros(3), T=1.0)
+    rho = np.full(8, eq.rho)
+    p = np.full(8, eq.p)
+    rho[6] *= 3.0
+    guess = np.full(8, 0.5)
+    guess[2] = 1e-10
+    with pytest.raises(CondensationError) as exc:
+        state._fit(rho, p, -1, guess=guess)
+    assert exc.value.index == 6
 
 
 def test_fit_fugacity_batch_round_trip(theta):
