@@ -25,7 +25,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import CondensationError, DomainError, NoSolution
-from .polylog import BOSE_Z_MAX, ORDERS, _check_theta, eval_polylog_batch
+from .polylog import (BOSE_Z_MAX, FERMI_Z_MAX, ORDERS, _check_theta,
+                      eval_polylog_batch)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -268,7 +269,7 @@ def _gstar(log_z: np.ndarray, theta: int):
 
 
 _LOG_Z_LO = math.log(1e-12)
-_LOG_Z_HI = {-1: math.log(BOSE_Z_MAX), 1: math.log(1e12)}
+_LOG_Z_HI = {-1: math.log(BOSE_Z_MAX), 1: math.log(FERMI_Z_MAX)}
 
 
 def _newton(x: np.ndarray, target: np.ndarray, theta: int, lo, hi) -> np.ndarray:

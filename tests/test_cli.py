@@ -72,9 +72,9 @@ def test_eigs_perturbed_grad_goes_complex(tmp_path, capsys):
 
 @pytest.mark.parametrize("state_file, argv, digest", [
     (False, ["--theta", "1", "--z", "2.0"],
-     "a119b49ce45c4104b9be860ed2603de85e43063e7a9d7633e18b8a05a8c212b4"),
+     "c518f68b4ba718e7eacbd2723364618537e8c03491507d0ca3e3c0f70f2d18e7"),
     (True, ["--theta", "-1"],
-     "50a8e6a5dac1453d2e6e40f01bbc82eb9f6bfda4cad5d9db94bf5d640a0e5549"),
+     "aa7055e9cc8b74a59208fceb4c2fa70bc28c55e2f08799c6aa4bd99fbfc85c6c"),
 ], ids=["fermion-equilibrium", "boson-sheared"])
 def test_eigs_regularized_json_frozen(state_file, argv, digest, tmp_path, capsys):
     """The verdict payload, byte for byte (digest of numpy's bundled LAPACK
@@ -280,6 +280,13 @@ def test_domain_error_exit3(capsys):
     assert main(["polylog", "--theta", "-1", "--z", "1.5"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert "condensation" in err["error"]["message"]
+
+
+def test_polylog_past_fermion_table_exit3(capsys):
+    z = float(np.nextafter(1e12, np.inf))
+    assert main(["polylog", "--theta", "1", "--z", repr(z)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DomainError" and "Fermion" in err["message"]
 
 
 def test_help_documents_units(capsys):

@@ -15,7 +15,7 @@ from scipy.special import zeta
 
 from qgrad13 import (BOSE_Z_MAX, ZETA_HALF, DomainError, eval_polylog_batch,
                      eval_polylog_set)
-from qgrad13 import polylog
+from qgrad13 import polylog, state
 from qgrad13.polylog import ORDERS
 
 # mpmath, 40 digits, rounded to double
@@ -78,6 +78,37 @@ def test_against_mpmath(theta, zs):
             assert abs(got.li[s] / ref - 1.0) < 5e-13, (theta, z, s)
 
 
+def _chebyshev_test_mu():
+    """ln z at every piece edge of the Fermion table and two points inside each
+    piece, over (ln 0.9, ln FERMI_Z_MAX]."""
+    edges = polylog._CHEB_EDGES
+    return np.linspace(edges[0], edges[-1], 3 * (edges.size - 1) + 1)[1:]
+
+
+def test_fermi_chebyshev_against_mpmath(monkeypatch):
+    """The Fermion table against mpmath at 30 digits, FERMI_Z_MAX included;
+    eval_polylog_batch runs the table, never the panel quadrature."""
+    def quadrature_called(z):
+        raise AssertionError("eval_polylog_batch reached the panel quadrature")
+
+    monkeypatch.setattr(polylog, "_fermi_quadrature", quadrature_called)
+    z = np.append(np.exp(_chebyshev_test_mu()[:-1]), polylog.FERMI_Z_MAX)
+    assert z.size >= 40 and np.all(z > 0.9)
+    got = eval_polylog_batch(z, 1)
+    mpmath.mp.dps = 30
+    for i, zi in enumerate(z):
+        for s in ORDERS:
+            ref = float(mpmath.re(-mpmath.polylog(s, -mpmath.mpf(zi))))
+            assert abs(got[s][i] / ref - 1.0) < 1e-14, (zi, s)
+
+
+def test_fermi_chebyshev_continuous_at_piece_edges():
+    edges = polylog._CHEB_EDGES[1:-1]
+    below = polylog._fermi_chebyshev(np.nextafter(edges, -np.inf))
+    above = polylog._fermi_chebyshev(np.nextafter(edges, np.inf))
+    assert np.all(np.abs(above / below - 1.0) < 1e-14)
+
+
 def test_branch_junction_continuity():
     # one ulp above 0.9 switches branch; the smooth change over one ulp is
     # ~1e-15, so the gap measures the branch mismatch itself
@@ -89,13 +120,22 @@ def test_branch_junction_continuity():
             assert abs(float(lo[s][0]) - float(hi[s][0])) < 1e-10
 
 
-def test_batch_matches_scalars_across_branches():
-    z = np.array([0.5, 5.0])  # series branch and quadrature branch together
-    batch = eval_polylog_batch(z, 1)
-    for i, zi in enumerate(z):
-        single = eval_polylog_batch(float(zi), 1)
+def test_batch_matches_scalars_across_branches(rng):
+    """1000 z per statistics over every branch: the whole batch, a sub-batch
+    and one-by-one calls give the same bits."""
+    fermion = np.append(np.exp(rng.uniform(math.log(1e-3),
+                                           math.log(polylog.FERMI_Z_MAX), 999)),
+                        polylog.FERMI_Z_MAX)
+    boson = rng.permutation(np.concatenate([
+        rng.uniform(1e-3, 0.9, 500), 1.0 - 10.0 ** -rng.uniform(1.0, 9.0, 500)]))
+    for theta, z in ((1, fermion), (-1, boson)):
+        assert np.any(z <= 0.9) and np.any(z > 0.9)
+        whole = eval_polylog_batch(z, theta)
+        sub = eval_polylog_batch(z[3::7], theta)
+        single = [eval_polylog_batch(zi, theta) for zi in z]
         for s in ORDERS:
-            assert batch[s][i] == single[s][0]
+            assert np.array_equal(whole[s], [v[s][0] for v in single]), (theta, s)
+            assert np.array_equal(whole[s][3::7], sub[s]), (theta, s)
 
 
 def test_order_monotonicity(theta):
@@ -143,6 +183,14 @@ def test_rejects_boson_condensation():
         eval_polylog_batch(BOSE_Z_MAX, -1)
     # one ulp below the boundary is still admissible
     eval_polylog_batch(float(np.nextafter(BOSE_Z_MAX, 0.0)), -1)
+
+
+def test_rejects_fermion_above_table():
+    """The Fermi-Dirac table ends at FERMI_Z_MAX, the top of the fit's range."""
+    assert state._LOG_Z_HI[1] == math.log(polylog.FERMI_Z_MAX)
+    eval_polylog_batch(polylog.FERMI_Z_MAX, 1)
+    with pytest.raises(DomainError):
+        eval_polylog_batch(float(np.nextafter(polylog.FERMI_Z_MAX, np.inf)), 1)
 
 
 @pytest.mark.parametrize("bad_theta", [2, -2, 0.5, "x"])

@@ -45,15 +45,14 @@ def test_equilibrium_params_evaluates_polylog_once(theta, monkeypatch):
 def test_coefficient_record_batch_matches_scalar(theta):
     """The record over N fugacities is N scalar records, bit for bit.
 
-    Both sides get the same li values: a batch li evaluation may round
-    differently from one-by-one calls, and that is not the record's business.
+    The batch takes its li from one batched evaluation, each scalar record
+    from its own; li at a point does not depend on the batch around it.
     """
     zs = [0.05, 0.3, 0.6, 0.9] if theta == -1 else [0.05, 0.6, 3.0, 40.0]
     Ts = [0.4, 1.0, 1.7, 3.1]
     eqs = [EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=T)
            for z, T in zip(zs, Ts)]
-    li = {s: np.array([eq.li[s] for eq in eqs]) for s in q.ORDERS}
-    batch = state.LiCoeffs(li, np.array(Ts))
+    batch = state.LiCoeffs(q.eval_polylog_batch(zs, theta), np.array(Ts))
     for i, eq in enumerate(eqs):
         for name, value in vars(eq.coeffs).items():
             got = getattr(batch, name)[i]
@@ -126,12 +125,11 @@ def test_fit_state_recovers_equilibrium(theta, rng):
 
 
 def test_batched_fit_is_fit_equilibrium_one_by_one(theta, rng):
-    """`state._fit` on 300 states at once against fit_equilibrium per state.
+    """`state._fit` on 300 states at once equals fit_equilibrium per state.
 
-    Classically li is z itself and the two agree bit for bit.  For quantum
-    statistics li at a point still depends on the batch it is evaluated in
-    (the panel limit follows the batch maximum, and the series and Robinson
-    branches are matrix-vector products), so the fits agree to a few ulp.
+    Every step of the fit is elementwise and li at a point does not depend
+    on the batch it is evaluated in, so the two agree bit for bit for every
+    statistics.
     """
     states = [random_moment_state(rng, theta)[0] for _ in range(300)]
     rho = np.array([st.rho for st in states])
@@ -141,12 +139,8 @@ def test_batched_fit_is_fit_equilibrium_one_by_one(theta, rng):
     ref = [q.fit_equilibrium(r, pp, theta) for r, pp in zip(rho, p)]
     z_ref = np.array([e.z for e in ref])
     T_ref = np.array([e.T for e in ref])
-    if theta == 0:
-        np.testing.assert_array_equal(z, z_ref)
-        np.testing.assert_array_equal(T, T_ref)
-    else:
-        np.testing.assert_allclose(z, z_ref, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(T, T_ref, rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(z, z_ref)
+    np.testing.assert_array_equal(T, T_ref)
     for s in q.ORDERS:
         np.testing.assert_array_equal(li[s], q.eval_polylog_batch(z, theta)[s])
 
