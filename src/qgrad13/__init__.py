@@ -15,9 +15,8 @@ from .state import (ClosureMoments, EquilibriumParams, MomentState5,
                     equilibrium_state13, fit_equilibrium, fit_fugacity_batch,
                     grad_ansatz_eval, state5_from_hat)
 from .matrices import (SystemKind, SystemMatrices, assemble_A, assemble_A5_grad,
-                       assemble_A_direction, assemble_A_grad_3d,
-                       assemble_A_regularized, assemble_D, assemble_M,
-                       axis_permutation_matrix, pslot)
+                       assemble_A_direction, assemble_A_regularized,
+                       assemble_M, pslot)
 from .spectral import (ShearCharPolyCoeffs, Classification, EquilibriumSpectrum,
                        HyperbolicityVerdict, annihilation_residual,
                        shear_charpoly_coeffs, char_poly_equilibrium,
@@ -46,9 +45,7 @@ __all__ = [
     "grad_ansatz_eval", "state5_from_hat",
     "SystemKind", "SystemMatrices",
     "assemble_A", "assemble_A5_grad", "assemble_A_direction",
-    "assemble_A_grad_3d", "assemble_A_regularized",
-    "assemble_D", "assemble_M", "axis_permutation_matrix",
-    "pslot",
+    "assemble_A_regularized", "assemble_M", "pslot",
     "ShearCharPolyCoeffs", "Classification", "EquilibriumSpectrum",
     "HyperbolicityVerdict", "annihilation_residual", "shear_charpoly_coeffs",
     "char_poly_equilibrium", "charpoly_coeffs",

@@ -25,7 +25,7 @@ import numpy as np
 from . import spectral
 from .errors import NoRoot
 from .matrices import (SystemKind, _as_direction, assemble_A, assemble_A5_grad,
-                       pslot)
+                       assemble_M, pslot)
 from .polylog import (FERMI_Z_MAX, ORDERS, _check_theta, _fermi_quadrature,
                       eval_polylog_batch)
 from .spectral import (CLASS_CODES, CODE_INADMISSIBLE, Classification,
@@ -36,6 +36,10 @@ from .state import (EquilibriumParams, MomentState13, _shear_state,
 
 _CODE_NAMES = {**{code: cls.value for cls, code in CLASS_CODES.items()},
                CODE_INADMISSIBLE: "Inadmissible"}
+
+#: the validated fugacity range (z_min, z_max) of each statistics, spanned by
+#: the random draws, the default sweep grid and the annihilation check
+_Z_RANGE = {1: (1e-2, 1e2), -1: (0.01, 0.99), 0: (1e-2, 10.0)}
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
@@ -116,6 +120,19 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _write_lines(path: str, lines: List[str]) -> None:
+    """A CSV (or any line-based artifact), newline-terminated."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_meta(path: str, meta: Dict[str, object]) -> None:
+    """The `path + ".meta.json"` sidecar, keys sorted, newline-terminated."""
+    with open(path + ".meta.json", "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_region_csv(grid: RegionGrid, path: str) -> None:
     """CSV of (x, y, class_code) rows plus a JSON metadata sidecar.
 
@@ -128,11 +145,8 @@ def write_region_csv(grid: RegionGrid, path: str) -> None:
         row = grid.cells[iy]
         for ix in range(grid.x.size):
             lines.append(f"{_fmt(grid.x[ix])},{ys},{int(row[ix])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(_grid_metadata(grid), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(path, lines)
+    _write_meta(path, _grid_metadata(grid))
 
 
 def _classify_cells(build_stack: Callable[[slice], np.ndarray], n_cells: int,
@@ -269,13 +283,12 @@ def region_scan_1d(theta: int, z: float, n: int = 401,
     admissible interval (-1, 2), and q1/(p sqrt(T)) in [-max, max]; only the
     q_hat >= 0 half is computed and the rest filled by the exact parity mirror.
     """
-    theta = _check_theta(theta)
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
     shat = np.linspace(-0.999, 1.999, n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
     cells, aux = _scan(lambda s, q, d: assemble_A5_grad(state5_from_hat(eq, s, q), eq),
                        shat, qhat, threads)
-    return RegionGrid(theta=theta, z=z, T=1.0, x_name="sigma11_hat",
+    return RegionGrid(theta=eq.theta, z=z, T=1.0, x_name="sigma11_hat",
                       y_name="q1_hat", x=shat, y=qhat, cells=cells,
                       metadata={"system": SystemKind.Grad13.value,
                                 "reduction": "1d", "mirrored": True,
@@ -291,13 +304,12 @@ def region_scan_3d_cross_section(theta: int, z: float, n: int = 401,
     admissible interval [-1, 1] in sigma12_hat, whose degenerate endpoints
     are marked -1.
     """
-    theta = _check_theta(theta)
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
     shat = np.linspace(-1.0, 1.0, n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
     cells, aux = _scan(_shear_assembly(SystemKind.Grad13, eq), shat, qhat, threads)
     cells[:, np.abs(shat) >= 1.0] = CODE_INADMISSIBLE
-    return RegionGrid(theta=theta, z=z, T=1.0, x_name="sigma12_hat",
+    return RegionGrid(theta=eq.theta, z=z, T=1.0, x_name="sigma12_hat",
                       y_name="q1_hat", x=shat, y=qhat, cells=cells,
                       metadata={"system": SystemKind.Grad13.value,
                                 "direction": [1.0, 0.0, 0.0], "mirrored": True,
@@ -317,7 +329,6 @@ def region_scan_regularized(theta: int, z: float, n: int = 401,
     and its counts stored in the metadata for side-by-side reporting.  A zero
     direction vector raises DomainError.
     """
-    theta = _check_theta(theta)
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
     shat = np.linspace(-1.0, 1.0, n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
@@ -348,7 +359,7 @@ def region_scan_regularized(theta: int, z: float, n: int = 401,
         meta["grad_area_fraction"] = area_fraction(grad_cells)
         meta.update({"grad_" + k: v
                      for k, v in _scan_summary(grad_cells, grad_aux).items()})
-    return RegionGrid(theta=theta, z=z, T=1.0, x_name="sigma12_hat",
+    return RegionGrid(theta=eq.theta, z=z, T=1.0, x_name="sigma12_hat",
                       y_name="q1_hat", x=shat, y=qhat, cells=cells,
                       metadata=meta)
 
@@ -370,12 +381,8 @@ class FugacitySweep:
 
 
 def default_sweep_grid(theta: int, n: int = 161) -> np.ndarray:
-    theta = _check_theta(theta)
-    if theta == 1:
-        return np.logspace(-2.0, 2.0, n)
-    if theta == -1:
-        return np.logspace(-2.0, math.log10(0.99), n)
-    return np.logspace(-2.0, 1.0, n)
+    lo, hi = _Z_RANGE[_check_theta(theta)]
+    return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
 def eigen_sweep_fugacity(theta: int, z_values: Optional[np.ndarray] = None,
@@ -415,13 +422,9 @@ def write_sweep_csv(sweep: FugacitySweep, path: str) -> None:
         vals = [_fmt(sweep.z[i])]
         vals += [_fmt(sweep.branches[n][i]) for n in names]
         lines.append(",".join(vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    meta = {"theta": sweep.theta, "T": sweep.T, "n": int(sweep.z.size),
-            "crossing_z": sweep.crossing_z}
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(path, lines)
+    _write_meta(path, {"theta": sweep.theta, "T": sweep.T, "n": int(sweep.z.size),
+                       "crossing_z": sweep.crossing_z})
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +532,16 @@ def maxwellian_iteration_nsf(kind: SystemKind, theta: int, z: float,
 # randomized admissible states
 
 def random_fugacity(rng: np.random.Generator, theta: int,
-                    bose_z_max: float = 0.99) -> float:
-    if theta == 1:
-        return float(10.0 ** rng.uniform(-2.0, 2.0))
+                    bose_z_max: float = _Z_RANGE[-1][1]) -> float:
+    """Bosons uniform in z up to bose_z_max, the others uniform in log z."""
+    lo, hi = _Z_RANGE[theta]
     if theta == -1:
-        return float(rng.uniform(0.01, bose_z_max))
-    return float(10.0 ** rng.uniform(-2.0, 1.0))
+        return float(rng.uniform(lo, bose_z_max))
+    return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
 
 
 def random_moment_state(rng: np.random.Generator, theta: int,
-                        bose_z_max: float = 0.99
+                        bose_z_max: float = _Z_RANGE[-1][1]
                         ) -> Tuple[MomentState13, EquilibriumParams]:
     """Draw an admissible 13-moment state together with its matching equilibrium.
 
@@ -640,14 +643,15 @@ def verify_charpoly(seed: int = 0) -> dict:
         theta = int(rng.integers(-1, 2))
         z = random_fugacity(rng, theta)
         eps = float(rng.uniform(-0.8, 0.8))
-        cc = spectral.shear_charpoly_coeffs(z, theta, eps)
-        brute = spectral.brute_charpoly_reduced(z, theta, eps)
+        eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
+        cc = spectral._shear_charpoly(eq.coeffs, eps)
+        brute = spectral._brute_charpoly(eq, eps)
         for key, ref in (("c4", cc.c4), ("c3", cc.c3), ("c2", cc.c2),
                          ("const", cc.const)):
             worst = max(worst, abs(brute[key] - ref) / max(1.0, abs(ref)))
         worst = max(worst, brute["lam3_residual"], brute["deflation_residual"])
-        alpha = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0).coeffs.alpha
-        ident = spectral.shear_charpoly_coeffs(z, theta, 0.0)
+        alpha = eq.coeffs.alpha
+        ident = spectral._shear_charpoly(eq.coeffs, 0.0)
         worst = max(worst, abs(ident.c4 + 25.0 * (alpha + ident.c1))
                     / max(1.0, abs(ident.c4)))
         worst = max(worst, abs(ident.c3 - 25.0 * (ident.c0 + alpha * ident.c1))
@@ -661,35 +665,29 @@ def verify_charpoly(seed: int = 0) -> dict:
 
 
 def _annihilation_grid(theta: int) -> np.ndarray:
-    if theta == 1:
-        return np.logspace(-2.0, 2.0, 9)
+    lo, hi = _Z_RANGE[theta]
     if theta == -1:
-        return np.linspace(0.01, 0.99, 9)
-    return np.logspace(-2.0, 1.0, 9)
+        return np.linspace(lo, hi, 9)
+    return np.logspace(math.log10(lo), math.log10(hi), 9)
+
+
+def _worst_annihilation(theta: int, zs) -> float:
+    """Largest annihilation residual of M1 at T = 1 over the fugacities zs."""
+    worst = 0.0
+    for z in map(float, zs):
+        M1 = assemble_M(EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0), 1)
+        worst = max(worst, spectral.annihilation_residual(M1, z, theta, 1.0))
+    return worst
 
 
 def verify_annihilation(seed: int = 0) -> dict:
-    from .matrices import assemble_M
-    checks = []
-    for theta in (-1, 0, 1):
-        tol = 1e-12 if theta == 0 else 1e-9
-        worst = 0.0
-        for z in _annihilation_grid(theta):
-            eq = EquilibriumParams(theta=theta, z=float(z), u=np.zeros(3), T=1.0)
-            M1 = assemble_M(eq, 1)
-            worst = max(worst, spectral.annihilation_residual(M1, float(z),
-                                                              theta, 1.0))
-        checks.append(_check(f"annihilating polynomial theta={theta}",
-                             worst, tol))
+    checks = [_check(f"annihilating polynomial theta={theta}",
+                     _worst_annihilation(theta, _annihilation_grid(theta)),
+                     1e-12 if theta == 0 else 1e-9) for theta in (-1, 0, 1)]
     zc = spectral.fermion_crossing()
-    checks.append(_check("fermion branch crossing near 11.69",
-                         zc - 11.69, 0.15))
-    worst = 0.0
-    for z in (zc - 0.05, zc, zc + 0.05):
-        eq = EquilibriumParams(theta=1, z=z, u=np.zeros(3), T=1.0)
-        M1 = assemble_M(eq, 1)
-        worst = max(worst, spectral.annihilation_residual(M1, z, 1, 1.0))
-    checks.append(_check("annihilation across the crossing", worst, 1e-9))
+    checks.append(_check("fermion branch crossing near 11.69", zc - 11.69, 0.15))
+    checks.append(_check("annihilation across the crossing",
+                         _worst_annihilation(1, (zc - 0.05, zc, zc + 0.05)), 1e-9))
     return _suite("annihilation", checks)
 
 

@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import analysis, solver1d, spectral
-from .analysis import _fmt
+from .analysis import _fmt, _write_lines
 from .errors import (CFLViolation, DomainError, InadmissibleCell,
                      NoConvergence, NoRoot, SingularD)
 from .matrices import (SystemKind, assemble_A_direction,
@@ -111,11 +111,8 @@ def _cmd_eigs(args) -> int:
     payload = verdict.as_dict()
     payload["system"] = kind.value
     if args.dump:
-        lines = ["re,im"]
-        lines += [f"{_fmt(ev['re'])},{_fmt(ev['im'])}"
-                  for ev in payload["eigenvalues"]]
-        with open(args.dump, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(args.dump, ["re,im"] + [f"{_fmt(ev['re'])},{_fmt(ev['im'])}"
+                                             for ev in payload["eigenvalues"]])
     if args.json:
         _print_json(payload)
         return 0
@@ -133,9 +130,8 @@ def _report_region(grid: analysis.RegionGrid, out: Optional[str]) -> None:
                  "NonDiagonalizable", "NonHyperbolic", "Inadmissible"):
         if name in counts:
             print(f"{name}: {counts[name]}")
-    for key in ("grad_area_fraction",):
-        if key in grid.metadata:
-            print(f"{key} = {_fmt(grid.metadata[key])}")
+    if "grad_area_fraction" in grid.metadata:
+        print(f"grad_area_fraction = {_fmt(grid.metadata['grad_area_fraction'])}")
     if out:
         analysis.write_region_csv(grid, out)
         print(f"wrote {out} and {out}.meta.json")

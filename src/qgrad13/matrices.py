@@ -4,17 +4,20 @@ Variable ordering throughout:
 
     w = (rho, u1, u2, u3, p11, p12, p13, p22, p23, p33, q1, q2, q3)
 
-Three closures are covered: the plain 13-moment closure (Grad13) with its
-fully nonlinear stress convection, and two regularizations that share a
-partially linearized stress block and differ from each other only in the
-heat-flux rows.  The projection variant is TrivialR13; the final one
-(FinalR13) has a coefficient matrix that factorizes as
+Three closures are covered, all written once in `assemble_A`: the plain
+13-moment closure (Grad13) with its fully nonlinear stress convection, and
+two regularizations that share a partially linearized stress block and
+differ from each other only in the heat-flux rows.  The projection variant
+is TrivialR13; the final one (FinalR13) has a coefficient matrix that
+factorizes as
 
     A_d^R = D^-1 (M_d + u_d I) D
 
 with D state-dependent but M_d depending only on (theta, z, T).  That
 factorization is the content of the global-hyperbolicity result and is
-verified here on every assembly.
+verified here on every assembly.  FinalR13 is the equilibrium part of
+Grad13: the two agree at equilibrium, and the 1D-reduced 5x5 matrices, built
+for N cells by `_a5_stack`, differ by four non-equilibrium terms.
 
 Every li-derived coefficient the assemblies use comes from the equilibrium's
 record `EquilibriumParams.coeffs` (`state.LiCoeffs`); none is derived here.
@@ -44,25 +47,6 @@ class SystemKind(enum.Enum):
     FinalR13 = "FinalR13"
 
 
-def _a_coeffs(c: LiCoeffs, rho: float, p: float, p11: float):
-    """Reduced-system entries a1, a2, a3 at (rho, p, p11)."""
-    T = c.T
-    b = c.b_low
-    L1, L3, L5, L7, L9 = c.L1, c.L3, c.L5, c.L7, c.L9
-    sig11 = p11 - p
-    a1 = (5.0 * p * T * b / (2.0 * rho)) * (3.5 * L3 ** 2 * L7 / (L1 * L5 ** 2)
-                                            - 2.5 * L3 / L1) \
-        + (7.0 * sig11 * T * b / (2.0 * rho)) * (
-            L3 ** 2 * L9 / (L1 * L5 * L7)
-            - 2.5 * (L3 / L1 - L3 * L5 * L9 / (L1 * L7 ** 2)))
-    a2 = 3.5 * T * c.L97 - 1.5 * p / rho - p11 / rho
-    a3 = 2.5 * T * ((1.0 + b) * c.L75
-                    - 1.5 * b * (L3 / L1) * (1.0 - c.r)) \
-        + 3.5 * T * ((sig11 * b / p - 1.0) * c.L97
-                     - 1.5 * b * (L3 / L1) * (sig11 / p) * (1.0 - c.r2))
-    return a1, a2, a3
-
-
 def _require_consistent(state_rho: float, state_p: float, eq: EquilibriumParams):
     if (abs(state_rho - eq.rho) > 1e-6 * eq.rho
             or abs(state_p - eq.p) > 1e-6 * eq.p):
@@ -74,79 +58,60 @@ def _require_consistent(state_rho: float, state_p: float, eq: EquilibriumParams)
 # ---------------------------------------------------------------------------
 # assemblies
 
-def assemble_A_grad_3d(state: MomentState13, eq: EquilibriumParams,
-                       d: int = 1) -> np.ndarray:
-    """Coefficient matrix A_d of the plain 13-moment closure, axis d in 1..3."""
+def assemble_A(kind: SystemKind, state: MomentState13, eq: EquilibriumParams,
+               d: int = 1) -> np.ndarray:
+    """Axis-d coefficient matrix of the requested model, d in 1..3.
+
+    The kind chooses only the stress rows' velocity block and, in the
+    heat-flux rows, the rho and velocity columns, the pslot(i, d) constant and
+    the diagonal-pressure term; every other entry is shared.
+    """
     _require_consistent(state.rho, state.p, eq)
     c = eq.coeffs
+    grad = kind is SystemKind.Grad13
     rho, u, p, q = state.rho, state.u, state.p, state.q
-    sig = state.sigma
-    P = state.p_ij
+    sig, P = state.sigma, state.p_ij
     A = u[d - 1] * np.eye(13)
     A[0, d] += rho
     for i in (1, 2, 3):
         A[i, pslot(i, d)] += 1.0 / rho
     for (i, j), row in _PSLOT.items():
         for k in (1, 2, 3):
-            A[row, k] += (P[i - 1, j - 1] * (k == d)
-                          + P[d - 1, j - 1] * (i == k)
-                          + P[d - 1, i - 1] * (j == k))
+            if grad:
+                A[row, k] += (P[i - 1, j - 1] * (k == d)
+                              + P[d - 1, j - 1] * (i == k)
+                              + P[d - 1, i - 1] * (j == k))
+            else:
+                A[row, k] += (p * ((j == d) * (i == k) + (i == d) * (j == k))
+                              + 0.4 * (sig[k - 1, i - 1] * (j == d)
+                                       + sig[k - 1, j - 1] * (i == d))
+                              + (i == j) * (p * (k == d) + 0.4 * sig[k - 1, d - 1]))
             A[row, 9 + k] += 0.4 * ((i == j) * (k == d) + (i == d) * (j == k)
                                     + (j == d) * (i == k))
     phi, psi = c.phi, c.psi
     phi_rho, phi_p = c.rho_phi_rho / rho, c.p_phi_p / p
     psi_rho, psi_p = c.rho_psi_rho / rho, c.p_psi_p / p
+    k_rho, k_p = ((2.5 * c.rho_phi_rho, 2.5 * c.p_phi_p) if kind is SystemKind.FinalR13
+                  else (-c.tfrak, c.tfrak))
     for i in (1, 2, 3):
         row = 9 + i
-        A[row, 0] += (i == d) * 2.5 * p * phi_rho + 3.5 * sig[i - 1, d - 1] * psi_rho
-        for k in (1, 2, 3):
-            A[row, k] += (1.4 * q[i - 1] * (k == d) + 1.4 * q[d - 1] * (i == k)
-                          + 0.4 * (i == d) * q[k - 1])
+        if grad:
+            A[row, 0] += (i == d) * 2.5 * p * phi_rho + 3.5 * sig[i - 1, d - 1] * psi_rho
+            for k in (1, 2, 3):
+                A[row, k] += (1.4 * q[i - 1] * (k == d) + 1.4 * q[d - 1] * (i == k)
+                              + 0.4 * (i == d) * q[k - 1])
+            const = 3.5 * psi - 2.5 * phi
+            diag = ((i == d) * (2.5 * (phi + p * phi_p) - 3.5 * psi)
+                    + 3.5 * sig[i - 1, d - 1] * psi_p) / 3.0
+        else:
+            A[row, 0] += (i == d) * k_rho * p / rho
+            const, diag = c.Tc, (i == d) * (k_p - c.Tc) / 3.0
         for j in (1, 2, 3):
             A[row, pslot(j, d)] += -(c.dfrak * p * (i == j)
                                      + sig[i - 1, j - 1]) / rho
-        A[row, pslot(i, d)] += 3.5 * psi - 2.5 * phi
+        A[row, pslot(i, d)] += const
         for m in (1, 2, 3):
-            A[row, pslot(m, m)] += ((i == d) * (2.5 * (phi + p * phi_p) - 3.5 * psi)
-                                    + 3.5 * sig[i - 1, d - 1] * psi_p) / 3.0
-    return A
-
-
-def _assemble_A_reg(kind: SystemKind, state: MomentState13,
-                    eq: EquilibriumParams, d: int) -> np.ndarray:
-    """Either regularization along axis d.
-
-    The two share every row but heat flux, and their heat-flux rows differ
-    only in the rho coefficient and the diagonal-pressure coefficient.
-    """
-    c = eq.coeffs
-    if kind is SystemKind.FinalR13:
-        k_rho, k_p = 2.5 * c.rho_phi_rho, 2.5 * c.p_phi_p
-    else:
-        k_rho, k_p = -c.tfrak, c.tfrak
-    rho, u, p = state.rho, state.u, state.p
-    sig = state.sigma
-    A = u[d - 1] * np.eye(13)
-    A[0, d] += rho
-    for i in (1, 2, 3):
-        A[i, pslot(i, d)] += 1.0 / rho
-    for (i, j), row in _PSLOT.items():
-        for k in (1, 2, 3):
-            A[row, k] += (p * ((j == d) * (i == k) + (i == d) * (j == k))
-                          + 0.4 * (sig[k - 1, i - 1] * (j == d)
-                                   + sig[k - 1, j - 1] * (i == d))
-                          + (i == j) * (p * (k == d) + 0.4 * sig[k - 1, d - 1]))
-            A[row, 9 + k] += 0.4 * ((i == j) * (k == d) + (i == d) * (j == k)
-                                    + (j == d) * (i == k))
-    for i in (1, 2, 3):
-        row = 9 + i
-        A[row, 0] += (i == d) * k_rho * p / rho
-        for j in (1, 2, 3):
-            A[row, pslot(j, d)] += -(c.dfrak * p * (i == j)
-                                     + sig[i - 1, j - 1]) / rho
-        A[row, pslot(i, d)] += c.Tc
-        for m in (1, 2, 3):
-            A[row, pslot(m, m)] += (i == d) * (k_p - c.Tc) / 3.0
+            A[row, pslot(m, m)] += diag
     return A
 
 
@@ -174,15 +139,13 @@ def assemble_D(state: MomentState13, eq: EquilibriumParams) -> np.ndarray:
 
 def axis_permutation_matrix(d: int) -> np.ndarray:
     """Representation P of the axis swap 1 <-> d on w; P^T M1 P gives M_d."""
-    if d == 2:
-        sw = {1: 2, 2: 1, 4: 7, 7: 4, 6: 8, 8: 6, 10: 11, 11: 10}
-    elif d == 3:
-        sw = {1: 3, 3: 1, 4: 9, 9: 4, 5: 8, 8: 5, 10: 12, 12: 10}
-    else:
-        sw = {}
+    s = {1: d, d: 1}
     P = np.zeros((13, 13))
-    for i in range(13):
-        P[i, sw.get(i, i)] = 1.0
+    P[0, 0] = 1.0
+    for i in (1, 2, 3):
+        P[i, s.get(i, i)] = P[9 + i, 9 + s.get(i, i)] = 1.0
+    for (i, j), row in _PSLOT.items():
+        P[row, pslot(s.get(i, i), s.get(j, j))] = 1.0
     return P
 
 
@@ -240,24 +203,19 @@ def _as_direction(d_or_n) -> np.ndarray:
     return n / norm
 
 
-def assemble_A(kind: SystemKind, state: MomentState13, eq: EquilibriumParams,
-               d: int = 1) -> np.ndarray:
-    """Axis-d coefficient matrix of the requested model."""
-    if kind is SystemKind.Grad13:
-        return assemble_A_grad_3d(state, eq, d)
-    _require_consistent(state.rho, state.p, eq)
-    return _assemble_A_reg(kind, state, eq, d)
+def _along(n: np.ndarray, axis_matrix) -> np.ndarray:
+    """sum_d n_d axis_matrix(d) over the nonzero components of the unit n."""
+    A = np.zeros((13, 13))
+    for d in (1, 2, 3):
+        if n[d - 1] != 0.0:
+            A += n[d - 1] * axis_matrix(d)
+    return A
 
 
 def assemble_A_direction(kind: SystemKind, state: MomentState13,
                          eq: EquilibriumParams, n) -> np.ndarray:
     """Coefficient matrix along an arbitrary unit direction n (sum of axes)."""
-    n = _as_direction(n)
-    A = np.zeros((13, 13))
-    for d in (1, 2, 3):
-        if n[d - 1] != 0.0:
-            A += n[d - 1] * assemble_A(kind, state, eq, d)
-    return A
+    return _along(_as_direction(n), lambda d: assemble_A(kind, state, eq, d))
 
 
 def assemble_A_regularized(state: MomentState13, eq: EquilibriumParams,
@@ -269,10 +227,7 @@ def assemble_A_regularized(state: MomentState13, eq: EquilibriumParams,
     """
     A = assemble_A_direction(SystemKind.FinalR13, state, eq, d)
     n = _as_direction(d)
-    M = np.zeros((13, 13))
-    for ax in (1, 2, 3):
-        if n[ax - 1] != 0.0:
-            M += n[ax - 1] * assemble_M(eq, ax)
+    M = _along(n, lambda ax: assemble_M(eq, ax))
     D = assemble_D(state, eq)
     sv = np.linalg.svd(D, compute_uv=False)
     if sv[-1] <= 1e-13 * sv[0]:
@@ -288,15 +243,36 @@ def assemble_A_regularized(state: MomentState13, eq: EquilibriumParams,
 # ---------------------------------------------------------------------------
 # 1D reduction
 
-def assemble_A5_grad(state5: MomentState5, eq: EquilibriumParams) -> np.ndarray:
-    """Closed-form 5x5 matrix of the 1D-reduced plain closure."""
-    _require_consistent(state5.rho, state5.p, eq)
-    rho, u1, p11, q1, p = state5.rho, state5.u1, state5.p11, state5.q1, state5.p
-    a1, a2, a3 = _a_coeffs(eq.coeffs, rho, p, p11)
-    return np.array([
-        [u1, rho, 0.0, 0.0, 0.0],
-        [0.0, u1, 1.0 / rho, 0.0, 0.0],
-        [0.0, 3.0 * p11, u1, 1.2, 0.0],
-        [-a1, 3.2 * q1, a2, u1, a3],
-        [0.0, p + (2.0 / 3.0) * p11, 0.0, 2.0 / 3.0, u1]])
+def _a5_stack(kind: SystemKind, w: np.ndarray, c: LiCoeffs) -> np.ndarray:
+    """Closed-form 5x5 matrices of the 1D reduction over N cells w = (rho, u1, p11, q1, p).
 
+    c is the cells' coefficient record, on floats or on (N,) arrays.  kind is
+    FinalR13, the equilibrium part, or Grad13, which adds four terms to it.
+    """
+    rho, u1, p11, q1, p = (w[:, k] for k in range(5))
+    sig = p11 - p
+    A = np.zeros((w.shape[0], 5, 5))
+    idx = np.arange(5)
+    A[:, idx, idx] = u1[:, None]
+    A[:, 0, 1] = rho
+    A[:, 1, 2] = 1.0 / rho
+    A[:, 2, 1] = 3.0 * p + 1.2 * sig
+    A[:, 2, 3] = 1.2
+    A[:, 3, 0] = 2.5 * c.rho_phi_rho * p / rho
+    A[:, 3, 2] = c.Tc - (c.dfrak * p + sig) / rho
+    A[:, 3, 4] = 2.5 * c.p_phi_p - c.Tc
+    A[:, 4, 1] = (5.0 * p + 2.0 * sig) / 3.0
+    A[:, 4, 3] = 2.0 / 3.0
+    if kind is SystemKind.Grad13:
+        A[:, 2, 1] = 3.0 * p11
+        A[:, 3, 0] += 3.5 * sig * c.rho_psi_rho / rho
+        A[:, 3, 1] = 3.2 * q1
+        A[:, 3, 4] += 3.5 * sig * c.p_psi_p / p
+    return A
+
+
+def assemble_A5_grad(state5: MomentState5, eq: EquilibriumParams) -> np.ndarray:
+    """Closed-form 5x5 matrix of the 1D-reduced plain closure: N = 1 of `_a5_stack`."""
+    _require_consistent(state5.rho, state5.p, eq)
+    w = np.array([[state5.rho, state5.u1, state5.p11, state5.q1, state5.p]])
+    return _a5_stack(SystemKind.Grad13, w, eq.coeffs)[0]

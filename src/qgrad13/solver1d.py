@@ -24,9 +24,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .analysis import _fmt
+from .analysis import _fmt, _write_lines
 from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoSolution)
+from .matrices import SystemKind, _a5_stack
 from .polylog import _check_theta
 from .state import EquilibriumParams, LiCoeffs, _fit
 
@@ -122,30 +123,15 @@ class SimResult:
 
 def _a5_final_stack(w: np.ndarray, T: np.ndarray, li: Dict[float, np.ndarray]
                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduced coefficient matrices of the final regularization, one per cell,
-    and their spectral radii.
+    """Reduced coefficient matrices of the final regularization, one per cell
+    (`matrices._a5_stack`), and their spectral radii.
 
-    Closed-form version of reducing the 13x13 assembly with the selection and
-    embedding maps; the equivalence, and the radius against eigvals, are
-    pinned in the tests.  T and `li` (the five orders) are the cells' fit.
+    T and `li` (the five orders) are the cells' fit.  The matrices' agreement
+    with the reduced 13x13 assembly, and the radius against eigvals, are
+    pinned in the tests.
     """
-    rho, u1, p11, q1, p = (w[:, k] for k in range(5))
-    sig = p11 - p
     c = LiCoeffs(li, T)
-    N = w.shape[0]
-    A = np.zeros((N, 5, 5))
-    idx = np.arange(5)
-    A[:, idx, idx] = u1[:, None]
-    A[:, 0, 1] = rho
-    A[:, 1, 2] = 1.0 / rho
-    A[:, 2, 1] = 3.0 * p + 1.2 * sig
-    A[:, 2, 3] = 1.2
-    A[:, 3, 0] = 2.5 * c.rho_phi_rho * p / rho
-    A[:, 3, 2] = c.Tc - (c.dfrak * p + sig) / rho
-    A[:, 3, 4] = 2.5 * c.p_phi_p - c.Tc
-    A[:, 4, 1] = (5.0 * p + 2.0 * sig) / 3.0
-    A[:, 4, 3] = 2.0 / 3.0
-    return A, np.abs(u1) + np.sqrt(T * c.x_plus)
+    return _a5_stack(SystemKind.FinalR13, w, c), np.abs(w[:, 1]) + np.sqrt(T * c.x_plus)
 
 
 def _validate_cells(w: np.ndarray) -> None:
@@ -283,8 +269,7 @@ def write_snapshot_csv(result: SimResult, path: str, index: int = -1) -> None:
     for i in range(result.x.size):
         lines.append(",".join([_fmt(result.x[i])] +
                               [_fmt(w[i, k]) for k in range(5)]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_ledger_csv(result: SimResult, path: str) -> None:
@@ -294,5 +279,4 @@ def write_ledger_csv(result: SimResult, path: str) -> None:
     for i in range(led["time"].size):
         lines.append(",".join(_fmt(led[k][i])
                               for k in ("time", "mass", "momentum", "energy")))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

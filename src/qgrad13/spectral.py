@@ -22,6 +22,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoConvergence, NoRoot
+from .matrices import SystemKind, assemble_A
 from .state import EquilibriumParams, LiCoeffs, _shear_state
 
 #: the classification tolerances, the same for every caller
@@ -182,7 +183,11 @@ def shear_charpoly_coeffs(z: float, theta: int, epsilon: float = 0.0) -> ShearCh
     c2..c4 and the constant extend it to the sigma12 = epsilon * p state via
     g(x) = 25 x^4 + c4 x^3 + c3 x^2 + c2 x + const.
     """
-    c = _coeffs(z, theta)
+    return _shear_charpoly(_coeffs(z, theta), epsilon)
+
+
+def _shear_charpoly(c: LiCoeffs, epsilon: float) -> ShearCharPolyCoeffs:
+    """`shear_charpoly_coeffs` from the coefficient record at (z, theta), T = 1."""
     L1, L3, L5, L7, L9 = c.L1, c.L3, c.L5, c.L7, c.L9
     S = 5.0 * L1 * L5 - 3.0 * L3 ** 2
     e2 = epsilon ** 2
@@ -311,11 +316,14 @@ def brute_charpoly_reduced(z: float, theta: int, epsilon: float) -> Dict[str, fl
     to g(x) = 25 x^4 + c4 x^3 + ... in x = lam^2.  Deflation residuals are
     returned so callers can verify the factorization itself.
     """
-    from .matrices import assemble_A_grad_3d
+    return _brute_charpoly(EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0),
+                           epsilon)
 
-    eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
+
+def _brute_charpoly(eq: EquilibriumParams, epsilon: float) -> Dict[str, float]:
+    """`brute_charpoly_reduced` at the equilibrium eq, which has T = 1, u = 0."""
     st = _shear_state(eq, epsilon, 0.0)
-    coeffs = charpoly_coeffs(assemble_A_grad_3d(st, eq, 1))
+    coeffs = charpoly_coeffs(assemble_A(SystemKind.Grad13, st, eq, 1))
     alpha = eq.coeffs.alpha
     tail = float(np.max(np.abs(coeffs[-3:])))
     quot, rem = np.polydiv(coeffs[:-3], np.array([1.0, 0.0, -alpha]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qgrad13 as q
-from qgrad13 import Classification, EquilibriumParams, analysis
+from qgrad13 import Classification, EquilibriumParams, analysis, spectral, state
 from qgrad13.analysis import random_moment_state, random_unit_vectors
 
 
@@ -250,3 +250,37 @@ def test_suite_runner():
     assert all(c["ok"] for c in out["suites"][0]["checks"])
     with pytest.raises(KeyError):
         q.run_verification_suite("no-such-suite")
+
+
+def test_verify_charpoly_evaluates_li_once_per_state(monkeypatch):
+    """One equilibrium per random state feeds the closed forms and the
+    assembly: 20 states and the two classical checks, 22 li evaluations."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return q.eval_polylog_batch(*args, **kwargs)
+
+    for mod in (state, spectral, analysis):
+        monkeypatch.setattr(mod, "eval_polylog_batch", counting, raising=False)
+    assert analysis.verify_charpoly(seed=0)["ok"]
+    assert len(calls) <= 22
+
+
+def test_fugacity_ranges_come_from_one_table():
+    """The draws and grids span the table's ranges, bit for bit as written out."""
+    assert analysis._Z_RANGE == {1: (1e-2, 1e2), -1: (0.01, 0.99), 0: (1e-2, 10.0)}
+    for theta, lo, hi in ((1, -2.0, 2.0), (-1, -2.0, math.log10(0.99)), (0, -2.0, 1.0)):
+        np.testing.assert_array_equal(analysis.default_sweep_grid(theta, 17),
+                                      np.logspace(lo, hi, 17))
+    np.testing.assert_array_equal(analysis._annihilation_grid(-1),
+                                  np.linspace(0.01, 0.99, 9))
+    np.testing.assert_array_equal(analysis._annihilation_grid(1),
+                                  np.logspace(-2.0, 2.0, 9))
+    a = np.random.Generator(np.random.Philox(7))
+    b = np.random.Generator(np.random.Philox(7))
+    for theta in (1, -1, 0) * 20:
+        want = {1: lambda: 10.0 ** b.uniform(-2.0, 2.0),
+                -1: lambda: b.uniform(0.01, 0.99),
+                0: lambda: 10.0 ** b.uniform(-2.0, 1.0)}[theta]()
+        assert analysis.random_fugacity(a, theta) == want

@@ -202,6 +202,17 @@ def test_no_setting_without_a_caller():
     assert exc.value.code == 2
 
 
+def test_no_export_only_tests_use():
+    """One 13x13 assembly and one 5x5 builder: the per-model copies stay gone,
+    and the helpers only tests call stay out of the public names."""
+    from qgrad13 import matrices
+
+    for name in ("assemble_A_grad_3d", "assemble_D", "axis_permutation_matrix"):
+        assert name not in q.__all__ and not hasattr(q, name), name
+    for name in ("assemble_A_grad_3d", "_assemble_A_reg", "_a_coeffs"):
+        assert not hasattr(matrices, name), name
+
+
 def test_sweep_eigs(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     rc = main(["sweep-eigs", "--theta", "1", "--zmin", "0.1", "--zmax", "50",

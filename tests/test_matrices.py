@@ -1,12 +1,14 @@
 """Assembly of the quasi-linear coefficient matrices and their invariants."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import qgrad13 as q
-from qgrad13 import DomainError, EquilibriumParams, MomentState13, SystemKind
-from qgrad13.analysis import random_moment_state
+from qgrad13 import DomainError, EquilibriumParams, MomentState13, SystemKind, solver1d
+from qgrad13.analysis import random_fugacity, random_moment_state, random_unit_vectors
+from qgrad13.matrices import axis_permutation_matrix
 
 KINDS = list(SystemKind)
 
@@ -130,7 +132,7 @@ def test_direction_is_linear_combination(kind, rng):
 def test_axis_permutation_consistency(rng):
     st, eq = random_moment_state(rng, 1)
     for d, other in ((2, 1), (3, 2)):
-        P = q.axis_permutation_matrix(d)
+        P = axis_permutation_matrix(d)
         st_sw, eq_sw = _swap_state(st, eq, 0, d - 1)
         A_d = q.assemble_A(SystemKind.Grad13, st, eq, d)
         A_1 = q.assemble_A(SystemKind.Grad13, st_sw, eq_sw, 1)
@@ -210,3 +212,37 @@ def test_li_coefficients_classical_limits():
     # take their ideal-gas values
     assert abs(c.frakB - 1.0) < 1e-14
     assert abs(c.b_low - c.b_high) < 1e-14
+
+
+def _assembly_digests():
+    """sha256 of every assembly's bytes, signed zeros included: each kind and
+    axis and the factors along one random direction on 50 c5-style states,
+    and the solver's FinalR13 stack with its radii on 400 cells per statistics."""
+    rng = np.random.Generator(np.random.Philox(20261018))
+    h = {name: hashlib.sha256() for name in ("assemble_A", "regularized", "a5_final")}
+    for i in range(50):
+        st, eq = random_moment_state(rng, (-1, 0, 1)[i % 3])
+        for kind in KINDS:
+            for d in (1, 2, 3):
+                h["assemble_A"].update(q.assemble_A(kind, st, eq, d).tobytes())
+        sm = q.assemble_A_regularized(st, eq, random_unit_vectors(rng, 1)[0])
+        for M in (sm.A, sm.D, sm.M, sm.B):
+            h["regularized"].update(M.tobytes())
+    for theta in (-1, 0, 1):
+        z = np.array([random_fugacity(rng, theta) for _ in range(400)])
+        p = rng.uniform(0.5, 3.0, 400)
+        w = np.column_stack([rng.uniform(0.5, 3.0, 400), rng.uniform(-1.0, 1.0, 400),
+                             p * (1.0 + rng.uniform(-0.9, 1.9, 400)),
+                             p * rng.uniform(-2.0, 2.0, 400), p])
+        A, radius = solver1d._a5_final_stack(w, rng.uniform(0.5, 2.0, 400),
+                                             q.eval_polylog_batch(z, theta))
+        h["a5_final"].update(A.tobytes() + radius.tobytes())
+    return {name: d.hexdigest()[:32] for name, d in h.items()}
+
+
+def test_assembly_bits_pinned():
+    """Every entry of every assembly, recorded before the 13x13 assemblies were
+    merged into one routine and the solver's 5x5 stack moved to `_a5_stack`."""
+    assert _assembly_digests() == {"assemble_A": "159b500341b7c12c31e3b2e595a020dd",
+                                   "regularized": "eb1aec29c78bacd4a32601d0dd618225",
+                                   "a5_final": "d59c16ac21648d36b40aac7ce121f59a"}

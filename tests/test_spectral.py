@@ -6,8 +6,7 @@ import pytest
 
 import qgrad13 as q
 from qgrad13 import Classification, EquilibriumParams, NoRoot, spectral, state
-from qgrad13.analysis import random_moment_state, random_unit_vectors
-from qgrad13.matrices import _a_coeffs
+from qgrad13.analysis import random_fugacity, random_moment_state, random_unit_vectors
 from qgrad13.spectral import CLASS_CODES, brute_charpoly_reduced, charpoly_coeffs
 
 
@@ -133,6 +132,48 @@ def test_batch_codes_are_the_single_verdicts(rng):
         if diags is not None:
             assert [(c.value.real, c.algebraic, c.geometric, c.min_singular_value)
                     for c in v.diagnostics] == diags
+
+
+def _a_coeffs(c, rho, p, p11):
+    """Reduced-system entries a1, a2, a3 at (rho, p, p11), from raw li ratios:
+    the reference for the q1 row of the Grad13 5x5 matrix."""
+    T = c.T
+    b = c.b_low
+    L1, L3, L5, L7, L9 = c.L1, c.L3, c.L5, c.L7, c.L9
+    sig11 = p11 - p
+    a1 = (5.0 * p * T * b / (2.0 * rho)) * (3.5 * L3 ** 2 * L7 / (L1 * L5 ** 2)
+                                            - 2.5 * L3 / L1) \
+        + (7.0 * sig11 * T * b / (2.0 * rho)) * (
+            L3 ** 2 * L9 / (L1 * L5 * L7)
+            - 2.5 * (L3 / L1 - L3 * L5 * L9 / (L1 * L7 ** 2)))
+    a2 = 3.5 * T * c.L97 - 1.5 * p / rho - p11 / rho
+    a3 = 2.5 * T * ((1.0 + b) * c.L75
+                    - 1.5 * b * (L3 / L1) * (1.0 - c.r)) \
+        + 3.5 * T * ((sig11 * b / p - 1.0) * c.L97
+                     - 1.5 * b * (L3 / L1) * (sig11 / p) * (1.0 - c.r2))
+    return a1, a2, a3
+
+
+def test_grad_reduced_matrix_matches_raw_li_reference(theta, rng):
+    """The 5x5 Grad13 matrix, FinalR13's plus four non-equilibrium terms,
+    equals the a1..a3 display form to 1e-14 of each row's largest entry."""
+    for _ in range(200):
+        z = random_fugacity(rng, theta)
+        eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3),
+                               T=float(rng.uniform(0.5, 2.0)))
+        st5 = q.state5_from_hat(eq, float(rng.uniform(-0.999, 1.999)),
+                                float(rng.uniform(-3.0, 3.0)),
+                                u1=float(rng.uniform(-1.0, 1.0)))
+        rho, u1, p11, q1, p = st5.rho, st5.u1, st5.p11, st5.q1, st5.p
+        a1, a2, a3 = _a_coeffs(eq.coeffs, rho, p, p11)
+        ref = np.array([[u1, rho, 0.0, 0.0, 0.0],
+                        [0.0, u1, 1.0 / rho, 0.0, 0.0],
+                        [0.0, 3.0 * p11, u1, 1.2, 0.0],
+                        [-a1, 3.2 * q1, a2, u1, a3],
+                        [0.0, p + (2.0 / 3.0) * p11, 0.0, 2.0 / 3.0, u1]])
+        got = q.assemble_A5_grad(st5, eq)
+        rows = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.max(np.abs(got - ref) / rows) <= 1e-14, (z, eq.T)
 
 
 def _char_poly_A5_analytic(st5, eq):
