@@ -140,11 +140,10 @@ def write_region_csv(grid: RegionGrid, path: str) -> None:
     repeated runs produce byte-identical files.
     """
     lines = [f"{grid.x_name},{grid.y_name},class_code"]
-    for iy in range(grid.y.size):
-        ys = _fmt(grid.y[iy])
-        row = grid.cells[iy]
-        for ix in range(grid.x.size):
-            lines.append(f"{_fmt(grid.x[ix])},{ys},{int(row[ix])}")
+    xs = [_fmt(x) for x in grid.x]
+    for y, row in zip(grid.y, grid.cells):
+        ys = _fmt(y)
+        lines.extend(f"{x},{ys},{code}" for x, code in zip(xs, row.tolist()))
     _write_lines(path, lines)
     _write_meta(path, _grid_metadata(grid))
 
@@ -675,8 +674,9 @@ def _worst_annihilation(theta: int, zs) -> float:
     """Largest annihilation residual of M1 at T = 1 over the fugacities zs."""
     worst = 0.0
     for z in map(float, zs):
-        M1 = assemble_M(EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0), 1)
-        worst = max(worst, spectral.annihilation_residual(M1, z, theta, 1.0))
+        eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
+        worst = max(worst, spectral._annihilation_residual(assemble_M(eq, 1),
+                                                           eq.coeffs, 1.0))
     return worst
 
 

@@ -209,6 +209,7 @@ def _cmd_simulate(args) -> int:
     print(f"steps={result.steps} max_speed={_fmt(result.max_speed)}")
     print(f"mass_drift={_fmt(drift)}")
     print(f"newton_fallbacks={result.newton_fallbacks}")
+    print(f"fit_points={result.fit_points}")
     if args.out_prefix:
         solver1d.write_ledger_csv(result, f"{args.out_prefix}_ledger.csv")
         for i in range(result.times.size):

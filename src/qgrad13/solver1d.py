@@ -12,7 +12,9 @@ every step.  alpha_i is the spectral radius of A(w_i), read off the paper's
 factorization A = D^-1 (M + u I) D instead of an eigensolve: M depends only
 on (z, T), so the radius is |u1| + sqrt(T x_plus) with x_plus the larger
 root of the equilibrium quartic.  z, T and li come from `state`'s one fit,
-warm-started from the last step; a radius that is not finite stops the run.
+warm-started from the last step's z and li, so li is evaluated only at cells
+whose Newton iterate has not converged; a radius that is not finite stops
+the run.
 
 State layout: w has one row (rho, u1, p11, q1, p) per cell.
 """
@@ -116,6 +118,7 @@ class SimResult:
     steps: int
     max_speed: float
     newton_fallbacks: int          # steps where a cell took the bracketed fit
+    fit_points: int                # li evaluations the fits made, in points
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +208,21 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
     mass, mom, en = _conserved(w, dx)
     ledger = {"time": [0.0], "mass": [mass], "momentum": [mom], "energy": [en]}
     snapshots = [w.copy()]
-    z: Optional[np.ndarray] = None
+    guess: Optional[Tuple[np.ndarray, Dict[float, np.ndarray]]] = None
     t = 0.0
     steps = 0
     max_speed = 0.0
-    fallbacks = 0
+    fallbacks = fit_points = 0
     snap_idx = 1
     while snap_idx < snap_times.size:
         try:
-            z, T, li, fell_back = _fit(w[:, 0], w[:, 4], config.theta,
-                                       config.hhat, z)
+            z, T, li, fell_back, points = _fit(w[:, 0], w[:, 4], config.theta,
+                                               config.hhat, guess)
         except (CondensationError, NoSolution) as exc:
             raise InadmissibleCell(exc.index, f"no admissible fugacity: {exc}") from exc
+        guess = (z, li)
         fallbacks += fell_back
+        fit_points += points
         A, alpha = _a5_final_stack(w, T, li)
         finite = np.isfinite(alpha)
         if not np.all(finite):
@@ -256,7 +261,7 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
                      snapshots=np.array(snapshots),
                      ledger={k: np.array(v) for k, v in ledger.items()},
                      steps=steps, max_speed=max_speed,
-                     newton_fallbacks=fallbacks)
+                     newton_fallbacks=fallbacks, fit_points=fit_points)
 
 
 # ---------------------------------------------------------------------------

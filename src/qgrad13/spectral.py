@@ -269,7 +269,12 @@ def annihilation_residual(M1: np.ndarray, z: float, theta: int,
     CROSSING_TOL), since the quartic factor already covers those directions.
     A small residual certifies that M1 is diagonalizable.
     """
-    c = _coeffs(z, theta)
+    return _annihilation_residual(M1, _coeffs(z, theta), T)
+
+
+def _annihilation_residual(M1: np.ndarray, c: LiCoeffs, T: float) -> float:
+    """`annihilation_residual` from the fugacity's coefficient record, whose
+    T-free alpha, c0 and c1 it reads."""
     eye = np.eye(13)
     M2 = M1 @ M1
     quartic = M2 @ M2 - c.c1 * T * M2 + c.c0 * T ** 2 * eye

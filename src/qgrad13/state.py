@@ -17,9 +17,9 @@ coefficient derived from the li values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, Mapping, Optional
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property, lru_cache
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -103,7 +103,8 @@ class EquilibriumParams:
 
     The li values are evaluated once, on construction, where they double as
     the fugacity domain check; `coeffs` holds every coefficient derived
-    from them.
+    from them.  `_li`, li already evaluated at exactly z (the fit's), takes
+    their place.
     """
 
     theta: int
@@ -112,8 +113,9 @@ class EquilibriumParams:
     T: float
     hhat: float = 1.0
     li: Dict[float, float] = field(init=False, repr=False)
+    _li: InitVar[Optional[Mapping[float, float]]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _li):
         object.__setattr__(self, "theta", _check_theta(self.theta))
         object.__setattr__(self, "z", float(self.z))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(3))
@@ -123,8 +125,10 @@ class EquilibriumParams:
             raise DomainError(f"temperature must be positive, got {self.T}")
         if not (self.hhat > 0.0):
             raise DomainError(f"hhat must be positive, got {self.hhat}")
-        vals = eval_polylog_batch(self.z, self.theta)
-        object.__setattr__(self, "li", {s: float(vals[s][0]) for s in ORDERS})
+        if _li is None:
+            vals = eval_polylog_batch(self.z, self.theta)
+            _li = {s: vals[s][0] for s in ORDERS}
+        object.__setattr__(self, "li", {s: float(_li[s]) for s in ORDERS})
 
     @cached_property
     def coeffs(self) -> LiCoeffs:
@@ -255,29 +259,42 @@ def _z_from_log(log_z: np.ndarray, theta: int) -> np.ndarray:
     return z
 
 
-def _gstar(log_z: np.ndarray, theta: int):
-    """One li evaluation at z = exp(log_z) and what the fits read from it.
+def _curve(li: Mapping[float, np.ndarray]):
+    """What the fits read from li: (curve, slope).
 
-    Returns (curve, slope, li): curve is log of the monotone ratio
-    li[5/2]/li[3/2]^(5/3), slope its derivative in log z (strictly negative
-    in-domain), li the five orders, ready for the coefficient record.
+    curve is log of the monotone ratio li[5/2]/li[3/2]^(5/3), slope its
+    derivative in log z (strictly negative in-domain).
     """
-    li = eval_polylog_batch(_z_from_log(log_z, theta), theta)
     curve = np.log(li[2.5]) - (5.0 / 3.0) * np.log(li[1.5])
     slope = li[1.5] / li[2.5] - (5.0 / 3.0) * (li[0.5] / li[1.5])
-    return curve, slope, li
+    return curve, slope
+
+
+def _gstar(log_z: np.ndarray, theta: int):
+    """(curve, slope) from one li evaluation at z = exp(log_z)."""
+    return _curve(eval_polylog_batch(_z_from_log(log_z, theta), theta))
 
 
 _LOG_Z_LO = math.log(1e-12)
 _LOG_Z_HI = {-1: math.log(BOSE_Z_MAX), 1: math.log(FERMI_Z_MAX)}
 
 
+_BISECTIONS = 40
+_NEWTON_STEPS = 3
+
+
 def _newton(x: np.ndarray, target: np.ndarray, theta: int, lo, hi) -> np.ndarray:
-    """Three Newton steps on the curve of `_gstar` in log z, kept in [lo, hi]."""
-    for _ in range(3):
-        curve, slope, _ = _gstar(x, theta)
+    """Newton steps on the curve of `_gstar` in log z, kept in [lo, hi]."""
+    for _ in range(_NEWTON_STEPS):
+        curve, slope = _gstar(x, theta)
         x = np.clip(x - (curve - target) / slope, lo, hi)
     return x
+
+
+def _bracket_points(n: int, theta: int) -> int:
+    """li evaluations of fit_fugacity_batch on n in-range ratios: the two
+    range ends, then n per bisection and per Newton step (none classically)."""
+    return 0 if theta == 0 else 2 + (_BISECTIONS + _NEWTON_STEPS) * n
 
 
 def _raise_at(exc: DomainError, offending: np.ndarray):
@@ -314,7 +331,7 @@ def fit_fugacity_batch(gstar: np.ndarray, theta: int) -> np.ndarray:
                              "range"), above)
     lo = np.full(gstar.shape, _LOG_Z_LO)
     hi = np.full(gstar.shape, _LOG_Z_HI[theta])
-    for _ in range(40):
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         left = _gstar(mid, theta)[0] > target   # still left of the root
         lo = np.where(left, mid, lo)
@@ -322,39 +339,81 @@ def fit_fugacity_batch(gstar: np.ndarray, theta: int) -> np.ndarray:
     return _z_from_log(_newton(0.5 * (lo + hi), target, theta, lo, hi), theta)
 
 
-def _fit(rho: np.ndarray, p: np.ndarray, theta: int, hhat: float = 1.0,
-         guess: Optional[np.ndarray] = None):
-    """(rho, p) -> (z, T, li, fell_back) for N states: the package's one fit.
+def _refine(guess, target: np.ndarray, theta: int):
+    """Newton steps in log z from a previous fit's (z, li), cell by cell.
 
-    Three Newton steps from `guess`, nearby fugacities, and li at the last
-    iterate checks them.  Entries that miss, or all without a guess (a cold
-    start, not a fallback), go through fit_fugacity_batch and one more li.
-    Range errors carry the first offending `index`.  The powers use libm pow
-    like `_square`, so they add no dependence on the batch.
+    The guess's li gives the first step's residual and slope at no li cost.
+    A cell steps only while its residual exceeds 4 eps (1 + |target|), so a
+    cell already at its target keeps z and li bit for bit; each of at most
+    three iterates evaluates li on the cells still moving.  li is pointwise,
+    so these sub-batches change no value.  Returns (z, li, curve, points),
+    curve at the returned z and points the li evaluations made.
+    """
+    z = np.array(guess[0], dtype=float)
+    li = {s: np.array(guess[1][s], dtype=float) for s in ORDERS}
+    x = np.log(z)
+    curve, slope = _curve(li)
+    tol = 4.0 * np.finfo(float).eps * (1.0 + np.abs(target))
+    moving = np.flatnonzero(np.abs(curve - target) > tol)
+    points = 0
+    for _ in range(3):
+        if moving.size == 0:
+            break
+        xm = np.clip(x[moving] - (curve[moving] - target[moving]) / slope[moving],
+                     _LOG_Z_LO, _LOG_Z_HI[theta])
+        zm = _z_from_log(xm, theta)
+        lm = eval_polylog_batch(zm, theta)
+        points += moving.size
+        x[moving], z[moving] = xm, zm
+        for s in ORDERS:
+            li[s][moving] = lm[s]
+        cm, sm = _curve(lm)
+        curve[moving], slope[moving] = cm, sm
+        moving = moving[np.abs(cm - target[moving]) > tol[moving]]
+    return z, li, curve, points
+
+
+def _fit(rho: np.ndarray, p: np.ndarray, theta: int, hhat: float = 1.0,
+         guess: Optional[Tuple[np.ndarray, Dict[float, np.ndarray]]] = None):
+    """(rho, p) -> (z, T, li, fell_back, points) for N states: the one fit.
+
+    `guess` is a previous fit's (z, li), li evaluated at exactly that z,
+    which `_refine` polishes cell by cell, so a cell's result depends only
+    on its own guess and target.  Cells that still miss by more than 1e-11,
+    or all without a guess (a cold start, not a fallback), go through
+    fit_fugacity_batch and li at its z.  `points` counts the li evaluations
+    of the call.  Range errors carry the first offending `index`.  The
+    powers use libm pow like `_square`, so they add no dependence on the
+    batch.
     """
     gstar = _TWO_PI * hhat ** (2.0 / 3.0) * p * np.float_power(rho, -5.0 / 3.0)
-    li, fell_back = None, False
+    li, fell_back, points = None, False, 0
     if guess is None:
         z = fit_fugacity_batch(gstar, theta)
+        points = _bracket_points(gstar.size, theta)
     elif theta == 0:
         z = gstar ** -1.5              # li[s] = z: exact without a start
     else:
         target = np.log(gstar)
-        x = _newton(np.log(guess), target, theta, _LOG_Z_LO, _LOG_Z_HI[theta])
-        curve, _, li = _gstar(x, theta)
-        z = _z_from_log(x, theta)
-        missed = np.abs(curve - target) > 1e-11
-        if np.any(missed):
+        z, li, curve, points = _refine(guess, target, theta)
+        missed = np.flatnonzero(np.abs(curve - target) > 1e-11)
+        if missed.size:
             try:
-                z[missed] = fit_fugacity_batch(gstar[missed], theta)
+                z_missed = fit_fugacity_batch(gstar[missed], theta)
             except (CondensationError, NoSolution) as exc:
-                exc.index = int(np.flatnonzero(missed)[exc.index])
+                exc.index = int(missed[exc.index])
                 raise
-            li, fell_back = None, True
+            li_missed = eval_polylog_batch(z_missed, theta)
+            z[missed] = z_missed
+            for s in ORDERS:
+                li[s][missed] = li_missed[s]
+            points += _bracket_points(missed.size, theta) + missed.size
+            fell_back = True
     if li is None:
         li = eval_polylog_batch(z, theta)
+        points += z.size
     T = np.float_power(rho / (hhat * li[1.5]), 2.0 / 3.0) / _TWO_PI
-    return z, T, li, fell_back
+    return z, T, li, fell_back, points
 
 
 def fit_equilibrium(rho: float, p: float, theta: int, hhat: float = 1.0,
@@ -362,9 +421,10 @@ def fit_equilibrium(rho: float, p: float, theta: int, hhat: float = 1.0,
     """Invert (rho, p) -> (z, T); round-trips with EquilibriumParams.rho, .p to 1e-10."""
     if not (rho > 0.0 and p > 0.0 and math.isfinite(rho) and math.isfinite(p)):
         raise NoSolution(f"need positive finite rho and p, got {rho}, {p}")
-    z, T, _, _ = _fit(np.array([rho]), np.array([p]), theta, hhat)
+    z, T, li, _, _ = _fit(np.array([rho]), np.array([p]), theta, hhat)
     return EquilibriumParams(theta=theta, z=float(z[0]), u=np.asarray(u),
-                             T=float(T[0]), hhat=hhat)
+                             T=float(T[0]), hhat=hhat,
+                             _li={s: li[s][0] for s in ORDERS})
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +495,15 @@ def _sphere_rule(n_cos: int, n_phi: int):
 _DIRS, _DIR_WEIGHTS = _sphere_rule(4, 8)
 
 
+@lru_cache(maxsize=8)
+def _radial_rule(n_nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n_nodes."""
+    x, w = leggauss(n_nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def ansatz_moments(state: MomentState13, eq: EquilibriumParams,
                    n_nodes: int = 64, half_width: float = 12.0) -> dict:
     """All 13 defining moments plus the closed q_ijk / Delta_ij, by quadrature.
@@ -452,7 +521,7 @@ def ansatz_moments(state: MomentState13, eq: EquilibriumParams,
     Used to verify that the ansatz reproduces its own state and the closure
     formulas; it reads li only through grad_ansatz_eval.
     """
-    x, wts = leggauss(n_nodes)
+    x, wts = _radial_rule(n_nodes)
     radius = half_width * math.sqrt(eq.T)
     r = 0.5 * radius * (x + 1.0)
     w_r = 0.5 * radius * wts * r * r

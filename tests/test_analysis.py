@@ -145,6 +145,18 @@ def test_region_csv_byte_identical(tmp_path):
     assert len(p1.read_text().splitlines()) == 1 + 31 * 31
 
 
+def test_region_csv_rows_match_per_cell_formatting(tmp_path):
+    g = q.region_scan_1d(1, 2.0, n=7)
+    path = tmp_path / "r.csv"
+    q.write_region_csv(g, str(path))
+    lines = [f"{g.x_name},{g.y_name},class_code"]
+    for iy in range(g.y.size):
+        for ix in range(g.x.size):
+            lines.append(f"{analysis._fmt(g.x[ix])},{analysis._fmt(g.y[iy])},"
+                         f"{int(g.cells[iy, ix])}")
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 # ---------------------------------------------------------------------------
 # fugacity sweeps
 
@@ -265,6 +277,21 @@ def test_verify_charpoly_evaluates_li_once_per_state(monkeypatch):
         monkeypatch.setattr(mod, "eval_polylog_batch", counting, raising=False)
     assert analysis.verify_charpoly(seed=0)["ok"]
     assert len(calls) <= 22
+
+
+def test_verify_annihilation_evaluates_li_once_per_fugacity(monkeypatch):
+    """Each of the 30 fugacities' equilibrium feeds both M1 and the residual;
+    the other 11 calls locate the Fermion branch crossing."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return q.eval_polylog_batch(*args, **kwargs)
+
+    for mod in (state, spectral, analysis):
+        monkeypatch.setattr(mod, "eval_polylog_batch", counting, raising=False)
+    assert analysis.verify_annihilation()["ok"]
+    assert len(calls) <= 41
 
 
 def test_fugacity_ranges_come_from_one_table():

@@ -263,6 +263,8 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert lines[0].startswith("steps=") and "max_speed=" in lines[0]
     assert lines[1].startswith("mass_drift=")
     assert lines[2] == "newton_fallbacks=0"
+    steps = int(lines[0].split()[0].split("=")[1])
+    assert lines[3] == f"fit_points={32 * steps}"   # classically li at z only
 
 
 def test_simulate_invalid_config_exit3(tmp_path, capsys):

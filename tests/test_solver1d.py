@@ -63,7 +63,7 @@ def test_coefficient_stack_matches_reduction(theta, rng):
         states.append(st5)
         rows.append([st5.rho, st5.u1, st5.p11, st5.q1, st5.p])
     w = np.array(rows)
-    _, T, li, _ = _fit(w, theta)
+    _, T, li, _, _ = _fit(w, theta)
     stack, _ = solver1d._a5_final_stack(w, T, li)
     for i, st5 in enumerate(states):
         ref = _reduce_to_1d(SystemKind.FinalR13, st5, eq)
@@ -74,7 +74,7 @@ def test_coefficient_stack_matches_reduction(theta, rng):
 def test_spectral_radius_matches_eigvals(theta, rng):
     """The factorization's radius |u1| + sqrt(T x_plus) is max |eigvals(A)|."""
     w = _random_cells(theta, rng, 400)
-    _, T, li, _ = _fit(w, theta)
+    _, T, li, _, _ = _fit(w, theta)
     A, radius = solver1d._a5_final_stack(w, T, li)
     ref = np.max(np.abs(np.linalg.eigvals(A)), axis=1)
     np.testing.assert_allclose(radius, ref, rtol=1e-13, atol=0)
@@ -87,7 +87,7 @@ def test_warm_step_evaluates_polylog_at_most_four_times(theta, rng,
     z0 = 2.0 if theta == 1 else 0.5
     eq = EquilibriumParams(theta=theta, z=z0, u=np.zeros(3), T=1.0)
     w = np.tile([eq.rho, 0.0, eq.p, 0.0, eq.p], (64, 1))
-    z_prev, _, _, _ = _fit(w, theta)
+    z_prev, _, li_prev, _, _ = _fit(w, theta)
     w[:, 4] *= 1.0 + 1e-3 * rng.standard_normal(64)   # one step's change
     calls = []
 
@@ -96,10 +96,110 @@ def test_warm_step_evaluates_polylog_at_most_four_times(theta, rng,
         return q.eval_polylog_batch(*args, **kwargs)
 
     monkeypatch.setattr(state, "eval_polylog_batch", counting)
-    z, T, li, fell_back = _fit(w, theta, z_prev)
+    z, T, li, fell_back, _ = _fit(w, theta, (z_prev, li_prev))
     solver1d._a5_final_stack(w, T, li)
     assert not fell_back
     assert len(calls) <= 4
+
+
+def _counting_points(monkeypatch):
+    """Patch the fit's li with one that records the points of every call."""
+    points = []
+
+    def counting(z, theta):
+        points.append(np.size(z))
+        return q.eval_polylog_batch(z, theta)
+
+    monkeypatch.setattr(state, "eval_polylog_batch", counting)
+    return points
+
+
+@pytest.mark.parametrize("theta", [1, -1], ids=["fermion", "boson"])
+def test_unchanged_cells_cost_no_polylog_point(theta, rng, monkeypatch):
+    """A warm fit evaluates li only at cells whose (rho, p) moved; the rest
+    keep z, T and li bit for bit."""
+    zs = (0.3, 2.0, 7.0, 50.0) if theta == 1 else (0.1, 0.5, 0.95, 0.999)
+    rows = []
+    for z in zs:
+        eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
+        rows.append([eq.rho, 0.0, eq.p, 0.0, eq.p])
+    w = np.repeat(np.array(rows), 16, axis=0)
+    z0, T0, li0, _, _ = _fit(w, theta)
+    moved = np.zeros(len(w), dtype=bool)
+    moved[rng.choice(len(w), 20, replace=False)] = True
+    w[moved, 4] *= 1.0 + 1e-3 * rng.standard_normal(20)
+    points = _counting_points(monkeypatch)
+    z, T, li, fell_back, n_points = _fit(w, theta, (z0, li0))
+    assert not fell_back
+    assert n_points == sum(points) <= 3 * np.count_nonzero(moved)
+    same = ~moved
+    np.testing.assert_array_equal(z[same], z0[same])
+    np.testing.assert_array_equal(T[same], T0[same])
+    for s in q.ORDERS:
+        np.testing.assert_array_equal(li[s][same], li0[s][same])
+        np.testing.assert_array_equal(li[s], q.eval_polylog_batch(z, theta)[s])
+    points.clear()
+    assert _fit(w, theta, (z, li))[4] == sum(points) == 0
+
+
+@pytest.mark.parametrize("theta", [1, -1], ids=["fermion", "boson"])
+def test_warm_fit_is_fit_cell_by_cell(theta, rng):
+    """The warm fit of a batch equals the warm fit of each cell alone, also
+    for cells whose far guess sends them to the bracketed fit."""
+    w = _random_cells(theta, rng, 80)
+    z0, _, li0, _, _ = _fit(w, theta)
+    w[:, 4] *= 1.0 + 1e-2 * rng.standard_normal(80)
+    z0[[3, 41]] = 1e-9
+    li0 = {s: v.copy() for s, v in li0.items()}
+    far = q.eval_polylog_batch(np.array([1e-9]), theta)
+    for s in q.ORDERS:
+        li0[s][[3, 41]] = far[s][0]
+    z, T, li, fell_back, _ = _fit(w, theta, (z0, li0))
+    assert fell_back
+    for i in range(len(w)):
+        zi, Ti, lii, _, _ = _fit(w[i:i + 1], theta,
+                                 (z0[i:i + 1], {s: li0[s][i:i + 1] for s in q.ORDERS}))
+        np.testing.assert_array_equal(z[i:i + 1], zi)
+        np.testing.assert_array_equal(T[i:i + 1], Ti)
+        for s in q.ORDERS:
+            np.testing.assert_array_equal(li[s][i:i + 1], lii[s])
+
+
+def test_warm_step_evaluates_polylog_at_most_three_times(monkeypatch):
+    """Over a Riemann run, each warm fit that does not fall back makes at
+    most three li calls: the guess's li replaces the first iterate's."""
+    cfg = SimConfig(theta=1, cells=100, length=1.0, cfl=0.45, tau=0.05,
+                    t_end=0.03, left=dict(z=6.0, u1=0.2, T=1.2),
+                    right=dict(z=1.5, u1=-0.2, T=0.8), n_snapshots=2)
+    points = _counting_points(monkeypatch)
+    per_step = []
+
+    def fit(*args):
+        points.clear()
+        out = state._fit(*args)
+        if args[4] is not None and not out[3]:
+            per_step.append(len(points))
+        return out
+
+    monkeypatch.setattr(solver1d, "_fit", fit)
+    res = q.run(cfg)
+    assert len(per_step) == res.steps - 1 - res.newton_fallbacks
+    assert max(per_step) <= 3
+
+
+def test_fit_points_count_every_polylog_point(theta, monkeypatch):
+    """`fit_points` is the number of li points the run's fits evaluated,
+    cold start and fallbacks included."""
+    z = dict(zip((1, -1, 0), ((6.0, 1.5), (0.97, 0.3), (1.0, 0.4))))[theta]
+    cfg = SimConfig(theta=theta, cells=100, length=1.0, cfl=0.45, tau=0.05,
+                    t_end=0.03, left=dict(z=z[0], u1=0.2, T=1.2),
+                    right=dict(z=z[1], u1=-0.2, T=0.8), n_snapshots=2)
+    _, w0 = q.initial_condition(cfg)
+    points = _counting_points(monkeypatch)
+    res = q.run(cfg, w0)
+    assert res.fit_points == sum(points) > 0
+    if theta == -1:
+        assert res.newton_fallbacks > 0
 
 
 def test_newton_fallbacks_reported():

@@ -134,7 +134,7 @@ def test_batched_fit_is_fit_equilibrium_one_by_one(theta, rng):
     states = [random_moment_state(rng, theta)[0] for _ in range(300)]
     rho = np.array([st.rho for st in states])
     p = np.array([st.p for st in states])
-    z, T, li, fell_back = state._fit(rho, p, theta)
+    z, T, li, fell_back, _ = state._fit(rho, p, theta)
     assert not fell_back
     ref = [q.fit_equilibrium(r, pp, theta) for r, pp in zip(rho, p)]
     z_ref = np.array([e.z for e in ref])
@@ -143,6 +143,23 @@ def test_batched_fit_is_fit_equilibrium_one_by_one(theta, rng):
     np.testing.assert_array_equal(T, T_ref)
     for s in q.ORDERS:
         np.testing.assert_array_equal(li[s], q.eval_polylog_batch(z, theta)[s])
+
+
+def test_fit_equilibrium_evaluates_li_once_per_fugacity(theta, monkeypatch):
+    """The fit's li at the fitted z becomes the equilibrium's: a quantum fit
+    makes 2 range-end, 40 bisection and 3 Newton calls and one at z; a
+    classical one only the last."""
+    calls = []
+
+    def counting(z, th):
+        calls.append(z)
+        return q.eval_polylog_batch(z, th)
+
+    monkeypatch.setattr(state, "eval_polylog_batch", counting)
+    eq = q.fit_equilibrium(1.0, 1.0, theta)
+    assert len(calls) == (1 if theta == 0 else 46)
+    monkeypatch.undo()
+    assert eq.li == EquilibriumParams(theta=theta, z=eq.z, u=np.zeros(3), T=eq.T).li
 
 
 def test_fit_range_errors_name_the_first_offending_entry():
@@ -164,7 +181,7 @@ def test_fit_range_errors_name_the_first_offending_entry():
     guess = np.full(8, 0.5)
     guess[2] = 1e-10
     with pytest.raises(CondensationError) as exc:
-        state._fit(rho, p, -1, guess=guess)
+        state._fit(rho, p, -1, guess=(guess, q.eval_polylog_batch(guess, -1)))
     assert exc.value.index == 6
 
 
@@ -312,6 +329,20 @@ def test_ansatz_moments_node_count(monkeypatch):
     eq = EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=1.0)
     q.ansatz_moments(q.equilibrium_state13(eq), eq, n_nodes=96)
     assert 0 < sum(points) <= 64 * 96
+
+
+def test_ansatz_moments_builds_radial_rule_once(monkeypatch):
+    eq = EquilibriumParams(theta=-1, z=0.5, u=np.zeros(3), T=1.0)
+    st = q.equilibrium_state13(eq)
+    first = q.ansatz_moments(st, eq, n_nodes=40)
+
+    def fail(n):
+        raise AssertionError("leggauss called again")
+
+    monkeypatch.setattr(state, "leggauss", fail)
+    again = q.ansatz_moments(st, eq, n_nodes=40)
+    for k, v in first.items():
+        np.testing.assert_array_equal(again[k], v)
 
 
 def test_equilibrium_params_validation():
