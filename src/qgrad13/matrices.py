@@ -1,36 +1,49 @@
-"""Quasi-linear system matrices for the three 13-moment models.
+"""Quasi-linear system matrices for the three 13-moment models, over N states.
 
 Variable ordering throughout:
 
     w = (rho, u1, u2, u3, p11, p12, p13, p22, p23, p33, q1, q2, q3)
 
-Three closures are covered, all written once in `assemble_A`: the plain
-13-moment closure (Grad13) with its fully nonlinear stress convection, and
-two regularizations that share a partially linearized stress block and
-differ from each other only in the heat-flux rows.  The projection variant
-is TrivialR13; the final one (FinalR13) has a coefficient matrix that
-factorizes as
+Three closures are covered: the plain 13-moment closure (Grad13) with its
+fully nonlinear stress convection, and two regularizations that share a
+partially linearized stress block and differ only in the heat-flux rows.  The
+projection variant is TrivialR13; the final one (FinalR13) factorizes as
 
     A_d^R = D^-1 (M_d + u_d I) D
 
-with D state-dependent but M_d depending only on (theta, z, T).  That
-factorization is the content of the global-hyperbolicity result and is
-verified here on every assembly.  FinalR13 is the equilibrium part of
-Grad13: the two agree at equilibrium, and the 1D-reduced 5x5 matrices, built
+with D state-dependent but M_d depending only on (theta, z, T), which is the
+global-hyperbolicity result; every regularized assembly checks it.  FinalR13
+is the equilibrium part of Grad13, and their 1D-reduced 5x5 matrices, built
 for N cells by `_a5_stack`, differ by four non-equilibrium terms.
 
-Every li-derived coefficient the assemblies use comes from the equilibrium's
-record `EquilibriumParams.coeffs` (`state.LiCoeffs`); none is derived here.
+A and D are written by op tables, built once at import by running the
+assembly loops over index symbols (`_a_ops`, `_d_ops`).  An op adds term t,
+at the op's symbols (i, j, k), to entry (row, col) of the axis-d matrix.
+Each term in `_TERMS` is one expression, evaluated for all its ops and all N
+states at once on (n_ops, N) arrays, with 0/1 masks as floats (o.k_d for
+k == d), so products of masks are 0 or 1 and sums count.  The layer rule
+fixes the rounding: an entry's k-th op lands in scatter layer k, so every
+entry sums its terms onto u_d I in the loops' order, signed zeros included.
+D's ops are assignments onto the identity; M_d is M_1's template under the
+axis swap 1 <-> d; a direction n, normalized once, gives
+(0 + n1 A_1) + n2 A_2 + n3 A_3.  The per-state functions are the N = 1 case,
+so a batch equals its states one by one, bit for bit.
+
+Every li-derived coefficient comes from the equilibrium's record
+`EquilibriumParams.coeffs` (`state.LiCoeffs`); none is derived here.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from types import SimpleNamespace
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, SingularD
+from .polylog import ORDERS
 from .state import EquilibriumParams, LiCoeffs, MomentState5, MomentState13
 
 # slot of p_ij in w for i <= j
@@ -55,133 +68,232 @@ def _require_consistent(state_rho: float, state_p: float, eq: EquilibriumParams)
             "use fit_equilibrium to obtain matching parameters")
 
 
+@dataclass(frozen=True, eq=False)
+class StateStack:
+    """N states as rho (N,), u (N, 3), p_ij (N, 3, 3), q (N, 3), with their
+    coefficient record on (N,) arrays, or on floats for one equilibrium."""
+
+    rho: np.ndarray
+    u: np.ndarray
+    p_ij: np.ndarray
+    q: np.ndarray
+    coeffs: LiCoeffs
+
+
+def stack_states(states: Sequence[MomentState13],
+                 eqs: Sequence[EquilibriumParams]) -> StateStack:
+    """Stack N states with their matching equilibria (DomainError on a mismatch)."""
+    for st, eq in zip(states, eqs, strict=True):
+        _require_consistent(st.rho, st.p, eq)
+    coeffs = eqs[0].coeffs if len(eqs) == 1 else LiCoeffs(
+        {s: np.array([eq.li[s] for eq in eqs]) for s in ORDERS},
+        np.array([eq.T for eq in eqs]))
+    return StateStack(*(np.array([getattr(st, a) for st in states])
+                        for a in ("rho", "u", "p_ij", "q")), coeffs)
+
+
 # ---------------------------------------------------------------------------
-# assemblies
+# the op tables
 
-def assemble_A(kind: SystemKind, state: MomentState13, eq: EquilibriumParams,
-               d: int = 1) -> np.ndarray:
-    """Axis-d coefficient matrix of the requested model, d in 1..3.
+def _columns(kind: SystemKind, S: StateStack) -> SimpleNamespace:
+    """What the terms of the kind's A (and of D) read: the scalars and
+    coefficients over the N states, p_ij and sigma as (9, N), q as (3, N)."""
+    c, P, rho = S.coeffs, S.p_ij.reshape(-1, 9).T, S.rho
+    p = ((P[0] + P[4]) + P[8]) / 3.0   # as np.trace
+    s = SimpleNamespace(rho=rho, p=p, P=P, q=S.q.T, sig=P - p * _EYE3, dfrak=c.dfrak,
+                        b=c.b_high)
+    if kind is SystemKind.Grad13:
+        s.phi, s.psi, s.const = c.phi, c.psi, 3.5 * c.psi - 2.5 * c.phi
+        s.phi_rho, s.phi_p = c.rho_phi_rho / rho, c.p_phi_p / p
+        s.psi_rho, s.psi_p = c.rho_psi_rho / rho, c.p_psi_p / p
+    else:
+        s.Tc = s.const = c.Tc
+        s.k_rho, s.k_p = ((2.5 * c.rho_phi_rho, 2.5 * c.p_phi_p)
+                          if kind is SystemKind.FinalR13 else (-c.tfrak, c.tfrak))
+    return s
 
-    The kind chooses only the stress rows' velocity block and, in the
-    heat-flux rows, the rho and velocity columns, the pslot(i, d) constant and
-    the diagonal-pressure term; every other entry is shared.
-    """
-    _require_consistent(state.rho, state.p, eq)
-    c = eq.coeffs
-    grad = kind is SystemKind.Grad13
-    rho, u, p, q = state.rho, state.u, state.p, state.q
-    sig, P = state.sigma, state.p_ij
-    A = u[d - 1] * np.eye(13)
-    A[0, d] += rho
-    for i in (1, 2, 3):
-        A[i, pslot(i, d)] += 1.0 / rho
-    for (i, j), row in _PSLOT.items():
-        for k in (1, 2, 3):
-            if grad:
-                A[row, k] += (P[i - 1, j - 1] * (k == d)
-                              + P[d - 1, j - 1] * (i == k)
-                              + P[d - 1, i - 1] * (j == k))
-            else:
-                A[row, k] += (p * ((j == d) * (i == k) + (i == d) * (j == k))
-                              + 0.4 * (sig[k - 1, i - 1] * (j == d)
-                                       + sig[k - 1, j - 1] * (i == d))
-                              + (i == j) * (p * (k == d) + 0.4 * sig[k - 1, d - 1]))
-            A[row, 9 + k] += 0.4 * ((i == j) * (k == d) + (i == d) * (j == k)
-                                    + (j == d) * (i == k))
-    phi, psi = c.phi, c.psi
-    phi_rho, phi_p = c.rho_phi_rho / rho, c.p_phi_p / p
-    psi_rho, psi_p = c.rho_psi_rho / rho, c.p_psi_p / p
-    k_rho, k_p = ((2.5 * c.rho_phi_rho, 2.5 * c.p_phi_p) if kind is SystemKind.FinalR13
-                  else (-c.tfrak, c.tfrak))
-    for i in (1, 2, 3):
-        row = 9 + i
-        if grad:
-            A[row, 0] += (i == d) * 2.5 * p * phi_rho + 3.5 * sig[i - 1, d - 1] * psi_rho
+
+_EYE3 = np.eye(3).reshape(9, 1)
+
+# Each term once, over the states s and the ops o, one row per op: o.k_d is
+# the float mask (k == d), o.kd indexes entry (k, d) of the flat s.P and
+# s.sig, and o.k component k of s.q.
+_TERMS = {
+    "rho": lambda s, o: s.rho,
+    "1/rho": lambda s, o: 1.0 / s.rho,
+    "stress u Grad13": lambda s, o: (s.P[o.ij] * o.k_d + s.P[o.dj] * o.i_k
+                                     + s.P[o.di] * o.j_k),
+    "stress u R13": lambda s, o: (
+        s.p * (o.j_d * o.i_k + o.i_d * o.j_k)
+        + 0.4 * (s.sig[o.ki] * o.j_d + s.sig[o.kj] * o.i_d)
+        + o.i_j * (s.p * o.k_d + 0.4 * s.sig[o.kd])),
+    "stress q": lambda s, o: 0.4 * (o.i_j * o.k_d + o.i_d * o.j_k + o.j_d * o.i_k),
+    "heat rho Grad13": lambda s, o: o.i_d * 2.5 * s.p * s.phi_rho + 3.5 * s.sig[o.id] * s.psi_rho,
+    "heat u Grad13": lambda s, o: (1.4 * s.q[o.i] * o.k_d + 1.4 * s.q[o.d] * o.i_k
+                                   + 0.4 * o.i_d * s.q[o.k]),
+    "heat rho R13": lambda s, o: o.i_d * s.k_rho * s.p / s.rho,
+    "heat p": lambda s, o: -(s.dfrak * s.p * o.i_j + s.sig[o.ij]) / s.rho,
+    "heat const": lambda s, o: s.const,
+    "heat diag Grad13": lambda s, o: (o.i_d * (2.5 * (s.phi + s.p * s.phi_p) - 3.5 * s.psi)
+                                      + 3.5 * s.sig[o.id] * s.psi_p) / 3.0,
+    "heat diag R13": lambda s, o: o.i_d * (s.k_p - s.Tc) / 3.0,
+    "D p/rho": lambda s, o: -(s.p / s.rho) * s.b,
+    "D trace": lambda s, o: o.i_j + (s.b - 1.0) / 3.0,
+    "D heat": lambda s, o: s.dfrak * s.p * o.i_j + s.sig[o.ij],
+}
+
+
+def _a_ops(kind: SystemKind):
+    """(d, row, col, term, i, j, k) per `A_d[row, col] += term`, in loop order."""
+    tag = "Grad13" if kind is SystemKind.Grad13 else "R13"
+    ops = []
+    for d in (1, 2, 3):
+        ops.append((d, 0, d, "rho", 0, 0, 0))
+        ops += [(d, i, pslot(i, d), "1/rho", 0, 0, 0) for i in (1, 2, 3)]
+        for (i, j), row in _PSLOT.items():
             for k in (1, 2, 3):
-                A[row, k] += (1.4 * q[i - 1] * (k == d) + 1.4 * q[d - 1] * (i == k)
-                              + 0.4 * (i == d) * q[k - 1])
-            const = 3.5 * psi - 2.5 * phi
-            diag = ((i == d) * (2.5 * (phi + p * phi_p) - 3.5 * psi)
-                    + 3.5 * sig[i - 1, d - 1] * psi_p) / 3.0
-        else:
-            A[row, 0] += (i == d) * k_rho * p / rho
-            const, diag = c.Tc, (i == d) * (k_p - c.Tc) / 3.0
-        for j in (1, 2, 3):
-            A[row, pslot(j, d)] += -(c.dfrak * p * (i == j)
-                                     + sig[i - 1, j - 1]) / rho
-        A[row, pslot(i, d)] += const
-        for m in (1, 2, 3):
-            A[row, pslot(m, m)] += diag
-    return A
+                ops += [(d, row, k, "stress u " + tag, i, j, k),
+                        (d, row, 9 + k, "stress q", i, j, k)]
+        for i in (1, 2, 3):
+            row = 9 + i
+            ops.append((d, row, 0, "heat rho " + tag, i, 0, 0))
+            if tag == "Grad13":
+                ops += [(d, row, k, "heat u Grad13", i, 0, k) for k in (1, 2, 3)]
+            ops += [(d, row, pslot(j, d), "heat p", i, j, 0) for j in (1, 2, 3)]
+            ops.append((d, row, pslot(i, d), "heat const", i, 0, 0))
+            ops += [(d, row, pslot(m, m), "heat diag " + tag, i, 0, 0) for m in (1, 2, 3)]
+    return ops
 
 
-def assemble_D(state: MomentState13, eq: EquilibriumParams) -> np.ndarray:
-    """State-dependent left factor D of the final regularization."""
-    _require_consistent(state.rho, state.p, eq)
-    c = eq.coeffs
-    rho, p = state.rho, state.p
-    sig = state.sigma
-    b = c.b_high
-    D = np.eye(13)
-    for i in (1, 2, 3):
-        D[i, i] = rho
+def _d_ops():
+    """(1, row, col, term, i, j, k) per `D[row, col] = term` off the identity."""
+    ops = [(1, i, i, "rho", 0, 0, 0) for i in (1, 2, 3)]
     for m in (1, 2, 3):
-        row = pslot(m, m)
-        D[row, 0] = -(p / rho) * b
-        for n in (1, 2, 3):
-            D[row, pslot(n, n)] = (1.0 if n == m else 0.0) + (b - 1.0) / 3.0
-    for i in (1, 2, 3):
-        row = 9 + i
-        for k in (1, 2, 3):
-            D[row, k] = c.dfrak * p * (i == k) + sig[i - 1, k - 1]
-    return D
+        ops.append((1, pslot(m, m), 0, "D p/rho", 0, 0, 0))
+        ops += [(1, pslot(m, m), pslot(n, n), "D trace", m, n, 0) for n in (1, 2, 3)]
+    return ops + [(1, 9 + i, k, "D heat", i, k, 0) for i in (1, 2, 3) for k in (1, 2, 3)]
 
 
-def axis_permutation_matrix(d: int) -> np.ndarray:
-    """Representation P of the axis swap 1 <-> d on w; P^T M1 P gives M_d."""
+def _compile(ops):
+    """(groups, layers): per term its op columns and its slice of the value
+    array, which holds the ops grouped by term; per scatter layer k the value
+    rows and flat entries (d-1)*169 + 13*row + col of every entry's k-th op."""
+    terms = list(dict.fromkeys(op[3] for op in ops))
+    order = sorted(range(len(ops)), key=lambda n: terms.index(ops[n][3]))
+    row_of = np.empty(len(ops), dtype=np.intp)
+    row_of[order] = np.arange(len(ops))
+    groups, start = [], 0
+    for term in terms:
+        sym = np.array([op[4:] + op[:1] for op in ops if op[3] == term]) - 1
+        o = SimpleNamespace(**dict(zip("ijkd", sym.T)))
+        for a, b in itertools.permutations("ijkd", 2):
+            x, y = getattr(o, a), getattr(o, b)
+            setattr(o, a + b, 3 * x + y)
+            setattr(o, f"{a}_{b}", (x == y).astype(float)[:, None])
+        groups.append((term, o, slice(start, start + len(sym))))
+        start += len(sym)
+    flat = np.array([(d - 1) * 169 + 13 * row + col for d, row, col, *_ in ops])
+    by_entry = np.argsort(flat, kind="stable")   # an entry's ops in loop order
+    layer = np.empty_like(flat)
+    layer[by_entry] = np.arange(len(ops)) - np.searchsorted(flat[by_entry], flat[by_entry])
+    return groups, [(row_of[layer == k], flat[layer == k]) for k in range(layer.max() + 1)]
+
+
+_A_TABLES = {kind: _compile(_a_ops(kind)) for kind in SystemKind}
+_D_TABLE = _compile(_d_ops())
+_EYE13 = np.eye(13).reshape(169, 1)
+
+
+def _fill(table, s: SimpleNamespace, out: np.ndarray, add: bool) -> np.ndarray:
+    """Evaluate the table's terms and scatter them into out (entries, N),
+    adding layer by layer or assigning."""
+    groups, layers = table
+    vals = np.empty((groups[-1][2].stop, s.rho.size))
+    for term, o, rows in groups:
+        vals[rows] = _TERMS[term](s, o)
+    for rows, entries in layers:
+        layer = vals.take(rows, 0)
+        if add:
+            layer += out.take(entries, 0)
+        out[entries] = layer
+    return out
+
+
+def _axes(kind: SystemKind, S: StateStack, s: SimpleNamespace) -> np.ndarray:
+    """Axis matrices A_1, A_2, A_3 entry-major, (3, 169, N), from the kind's columns."""
+    out = np.multiply(S.u.T[:, None, :], _EYE13, order="C")   # u_d I
+    _fill(_A_TABLES[kind], s, out.reshape(3 * 169, -1), add=True)
+    return out
+
+
+def _state_major(X: np.ndarray) -> np.ndarray:
+    """(..., 169, N) entry-major to (N, ..., 13, 13)."""
+    X = X.transpose(X.ndim - 1, *range(X.ndim - 1))
+    return np.ascontiguousarray(X).reshape(*X.shape[:-1], 13, 13)
+
+
+def assemble_axes(kind: SystemKind, S: StateStack) -> np.ndarray:
+    """Axis matrices A_1, A_2, A_3 of the model on N states: (N, 3, 13, 13)."""
+    return _state_major(_axes(kind, S, _columns(kind, S)))
+
+
+def _axis_swap(d: int) -> np.ndarray:
+    """Flat gather map (169,) of the axis swap s: 1 <-> d, as M[s(a), s(b)]."""
     s = {1: d, d: 1}
-    P = np.zeros((13, 13))
-    P[0, 0] = 1.0
-    for i in (1, 2, 3):
-        P[i, s.get(i, i)] = P[9 + i, 9 + s.get(i, i)] = 1.0
-    for (i, j), row in _PSLOT.items():
-        P[row, pslot(s.get(i, i), s.get(j, j))] = 1.0
-    return P
+    perm = np.array([0, *(s.get(i, i) for i in (1, 2, 3)),
+                     *(pslot(s.get(i, i), s.get(j, j)) for i, j in _PSLOT),
+                     *(9 + s.get(i, i) for i in (1, 2, 3))])
+    return (13 * perm[:, None] + perm).ravel()
 
 
-def assemble_M(eq: EquilibriumParams, d: int = 1) -> np.ndarray:
-    """Constant-in-state factor M_d; depends only on (theta, z, T)."""
-    c = eq.coeffs
+# M_1's template: constant entries, then the slots of the variable ones
+_M_CONST = np.zeros((169, 1))
+_M_CONST[[1, 31, 45]], _M_CONST[[76, 90]] = 1.0, 0.4   # (0,1) (2,5) (3,6); (5,11) (6,12)
+_M_SLOTS = np.array([13 * r + c for r, c in (
+    (1, 0), (1, 4), (1, 7), (1, 9), (4, 1), (4, 10), (5, 2), (6, 3), (7, 10),
+    (9, 10), (10, 0), (10, 4), (10, 7), (10, 9), (11, 5), (12, 6))])
+_M_GATHER = np.stack([_axis_swap(d) for d in (1, 2, 3)])
+
+
+def _m_axes(c: LiCoeffs) -> np.ndarray:
+    """Constant factors M_1, M_2, M_3 on c's fugacities, entry-major: (3, 169, N)."""
     b, m1, m2, m3, Tc = c.b_high, c.phi, c.m2, c.m3, c.Tc
-    M = np.zeros((13, 13))
-    M[0, 1] = 1.0
-    M[1, 0] = c.T * c.L53
-    M[1, 4] = 1.0 + m2
-    M[1, 7] = M[1, 9] = m2
-    M[2, 5] = 1.0
-    M[3, 6] = 1.0
-    M[4, 1] = 2.0 * m1
-    M[4, 10] = 2.0 * b / 3.0 + 8.0 / 15.0
-    M[5, 2] = m1
-    M[5, 11] = 0.4
-    M[6, 3] = m1
-    M[6, 12] = 0.4
-    M[7, 10] = 2.0 * b / 3.0 - 4.0 / 15.0
-    M[9, 10] = 2.0 * b / 3.0 - 4.0 / 15.0
-    M[10, 0] = c.Mrho
-    M[10, 4] = m3 + (2.0 / 3.0) * Tc
-    M[10, 7] = M[10, 9] = m3 - Tc / 3.0
-    M[11, 5] = Tc
-    M[12, 6] = Tc
-    if d != 1:
-        P = axis_permutation_matrix(d)
-        M = P.T @ M @ P
-    return M
+    b_lo, m3_lo = 2.0 * b / 3.0 - 4.0 / 15.0, m3 - Tc / 3.0
+    var = np.array((c.T * c.L53, 1.0 + m2, m2, m2, 2.0 * m1, 2.0 * b / 3.0 + 8.0 / 15.0,
+                    m1, m1, b_lo, b_lo, c.Mrho, m3 + (2.0 / 3.0) * Tc, m3_lo, m3_lo, Tc, Tc))
+    var = var.reshape(_M_SLOTS.size, -1)
+    M1 = _M_CONST + np.zeros(var.shape[1])
+    M1[_M_SLOTS] = var
+    return M1[_M_GATHER]
+
+
+def _unit_rows(n) -> np.ndarray:
+    """Axis n as e_n, or the rows of n over their norms, taken as
+    `np.linalg.norm` takes one row: (N, 3)."""
+    if isinstance(n, (int, np.integer)):
+        n = np.eye(3)[int(n) - 1]
+    n = np.asarray(n, dtype=float).reshape(-1, 3)
+    norm = np.sqrt((n[:, None, :] @ n[:, :, None])[:, 0])
+    if (norm == 0.0).any():
+        raise DomainError("direction vector must be nonzero")
+    return n / norm
+
+
+def _along(n: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(0 + n1 X_1) + n2 X_2 + n3 X_3 for unit n (N, 3) and entry-major X
+    (3, 169, N): (N, 13, 13)."""
+    n = n.T
+    return _state_major(((0.0 + n[0] * X[0]) + n[1] * X[1]) + n[2] * X[2])
+
+
+def assemble_along(kind: SystemKind, S: StateStack, n) -> np.ndarray:
+    """The model's matrices along directions n (N, 3), or an axis: (N, 13, 13)."""
+    return _along(_unit_rows(n), _axes(kind, S, _columns(kind, S)))
 
 
 @dataclass(frozen=True, eq=False)
 class SystemMatrices:
-    """Assembled matrices of one model along one direction."""
+    """Assembled matrices of one model along one direction, or their stacks."""
 
     kind: SystemKind
     direction: np.ndarray
@@ -191,31 +303,56 @@ class SystemMatrices:
     B: Optional[np.ndarray] = None
 
 
-def _as_direction(d_or_n) -> np.ndarray:
-    n = np.zeros(3)
-    if isinstance(d_or_n, (int, np.integer)):
-        n[int(d_or_n) - 1] = 1.0
-        return n
-    n = np.asarray(d_or_n, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(n))
-    if norm == 0.0:
-        raise DomainError("direction vector must be nonzero")
-    return n / norm
+def regularized_stack(S: StateStack, n) -> SystemMatrices:
+    """Final regularization of N states along directions n (N, 3), or an axis.
+
+    Returns the stacks of A, its factors D and M and B = D A - u_n D, and
+    checks D A = (M + u_n I) D on the spot; SingularD names the first state
+    whose D is singular or whose check fails.
+    """
+    n, s = _unit_rows(n), _columns(SystemKind.FinalR13, S)
+    A = _along(n, _axes(SystemKind.FinalR13, S, s))
+    M = _along(n, _m_axes(S.coeffs))
+    D = np.zeros((169, S.rho.size))
+    D[::14] = 1.0
+    D = _state_major(_fill(_D_TABLE, s, D, add=False))
+    sv = np.linalg.svd(D, compute_uv=False)
+    if (bad := sv[:, -1] <= 1e-13 * sv[:, 0]).any():
+        k = int(bad.argmax())
+        raise SingularD(f"state {k}: condition number "
+                        f"{sv[k, 0] / max(sv[k, -1], 1e-300):.3e}")
+    DA = D @ A
+    B = DA - (S.u[:, None, :] @ n[:, :, None]) * D
+    resid = np.abs(B - M @ D).reshape(-1, 169).max(1)
+    if (bad := resid > 1e-10 * np.maximum(1.0, np.abs(DA).reshape(-1, 169).max(1))).any():
+        k = int(bad.argmax())
+        raise SingularD(f"state {k}: factorization residual {resid[k]:.3e} (bug signal)")
+    return SystemMatrices(kind=SystemKind.FinalR13, direction=n, A=A, D=D, M=M, B=B)
 
 
-def _along(n: np.ndarray, axis_matrix) -> np.ndarray:
-    """sum_d n_d axis_matrix(d) over the nonzero components of the unit n."""
-    A = np.zeros((13, 13))
-    for d in (1, 2, 3):
-        if n[d - 1] != 0.0:
-            A += n[d - 1] * axis_matrix(d)
-    return A
+# ---------------------------------------------------------------------------
+# one state: the N = 1 case
+
+def assemble_A(kind: SystemKind, state: MomentState13, eq: EquilibriumParams,
+               d: int = 1) -> np.ndarray:
+    """Axis-d coefficient matrix of the requested model, d in 1..3.
+
+    The kind chooses only the stress rows' velocity block and, in the
+    heat-flux rows, the rho and velocity columns, the pslot(i, d) constant and
+    the diagonal-pressure term; every other entry is shared.
+    """
+    return assemble_axes(kind, stack_states((state,), (eq,)))[0, d - 1]
+
+
+def assemble_M(eq: EquilibriumParams, d: int = 1) -> np.ndarray:
+    """Constant-in-state factor M_d; depends only on (theta, z, T)."""
+    return _state_major(_m_axes(eq.coeffs))[0, d - 1]
 
 
 def assemble_A_direction(kind: SystemKind, state: MomentState13,
                          eq: EquilibriumParams, n) -> np.ndarray:
-    """Coefficient matrix along an arbitrary unit direction n (sum of axes)."""
-    return _along(_as_direction(n), lambda d: assemble_A(kind, state, eq, d))
+    """Coefficient matrix along an axis d or a direction n (sum of axes)."""
+    return assemble_along(kind, stack_states((state,), (eq,)), n)[0]
 
 
 def assemble_A_regularized(state: MomentState13, eq: EquilibriumParams,
@@ -225,19 +362,9 @@ def assemble_A_regularized(state: MomentState13, eq: EquilibriumParams,
     Returns A together with its factors D, M and B = D A - u_n D, and checks
     the factorization D A = (M + u_n I) D on the spot.
     """
-    A = assemble_A_direction(SystemKind.FinalR13, state, eq, d)
-    n = _as_direction(d)
-    M = _along(n, lambda ax: assemble_M(eq, ax))
-    D = assemble_D(state, eq)
-    sv = np.linalg.svd(D, compute_uv=False)
-    if sv[-1] <= 1e-13 * sv[0]:
-        raise SingularD(f"condition number {sv[0] / max(sv[-1], 1e-300):.3e}")
-    un = float(state.u @ n)
-    B = D @ A - un * D
-    resid = np.max(np.abs(B - M @ D))
-    if resid > 1e-10 * max(1.0, np.max(np.abs(D @ A))):
-        raise SingularD(f"factorization residual {resid:.3e} (bug signal)")
-    return SystemMatrices(kind=SystemKind.FinalR13, direction=n, A=A, D=D, M=M, B=B)
+    sm = regularized_stack(stack_states((state,), (eq,)), d)
+    return SystemMatrices(kind=SystemKind.FinalR13, direction=sm.direction[0],
+                          A=sm.A[0], D=sm.D[0], M=sm.M[0], B=sm.B[0])
 
 
 # ---------------------------------------------------------------------------

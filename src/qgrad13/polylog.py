@@ -50,6 +50,11 @@ BOSE_Z_MAX = 1.0 - 1e-12
 #: Fermion fugacities above this are rejected (top of the Fermi-Dirac table).
 FERMI_Z_MAX = 1e12
 
+#: Fermion hyperbolicity bound: the root of c1^2 - 4 c0, above which the
+#: equilibrium quartic x^2 - c1 x + c0 has complex roots (`state.LiCoeffs`).
+#: li and the fit hold up to FERMI_Z_MAX; hyperbolicity only below this.
+FERMI_Z_C = 230284.0276080967
+
 ZETA_HALF = -1.4603545088095868  # zeta(1/2)
 
 _K_SERIES = 420
@@ -125,14 +130,14 @@ class PolylogSet:
 
 
 def _validate_z(z: np.ndarray, theta: int) -> None:
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DomainError("fugacity must be finite")
-    if np.any(z <= 0.0):
+    if (z <= 0.0).any():
         raise DomainError("fugacity must be positive")
-    if theta == -1 and np.any(z >= BOSE_Z_MAX):
+    if theta == -1 and (z >= BOSE_Z_MAX).any():
         raise DomainError(
             f"Boson fugacity must stay below {BOSE_Z_MAX} (condensation boundary)")
-    if theta == 1 and np.any(z > FERMI_Z_MAX):
+    if theta == 1 and (z > FERMI_Z_MAX).any():
         raise DomainError(
             f"Fermion fugacity must not exceed {FERMI_Z_MAX:g} (range of the "
             "Fermi-Dirac table)")

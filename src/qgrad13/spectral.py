@@ -96,35 +96,38 @@ def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarra
     """
     A_stack = np.asarray(A_stack, dtype=float)
     N, k = A_stack.shape[:2]
-    w = np.linalg.eigvals(A_stack)
-    max_imag = (np.abs(w.imag) / (1.0 + np.abs(w))).max(axis=1)
+    w = np.linalg.eigvals(A_stack)   # a real array when every eigenvalue is real
+    max_imag = (np.maximum.reduce(np.abs(w.imag) / (1.0 + np.abs(w)), axis=1)
+                if w.dtype.kind == "c" else np.zeros(N))
     real = max_imag <= IMAG_TOL
     x = np.sort(w.real, axis=1)
     ax = np.abs(x)
     join = x[:, 1:] - x[:, :-1] <= GAP_TOL * (1.0 + np.maximum(ax[:, :-1], ax[:, 1:]))
-    start = np.flatnonzero(np.hstack([real[:, None], ~join & real[:, None]]))
+    start = np.concatenate((real[:, None], ~join & real[:, None]), axis=1).ravel().nonzero()[0]
     cell = start // k
-    algebraic = np.minimum(np.append(start[1:], N * k), (cell + 1) * k) - start
-    value = x.ravel()[start] + 0.0   # means summed as np.mean sums: bit-equal
-    for m in np.flatnonzero(np.bincount(algebraic)[2:]) + 2:
-        sel = algebraic == m
-        value[sel] = x.ravel()[start[sel, None] + np.arange(m)].sum(axis=1) / m
+    algebraic = np.minimum(np.concatenate((start[1:], [N * k])), (cell + 1) * k) - start
+    x = x.ravel()
+    value = x[start] + 0.0   # means summed as np.mean sums: bit-equal
+    pair = (algebraic > 1).nonzero()[0]
+    first, size, owner = start[pair], algebraic[pair], cell[pair]
+    for m in np.bincount(size).nonzero()[0]:
+        sel = size == m
+        value[pair[sel]] = np.add.reduce(x[first[sel, None] + np.arange(m)], 1) / m
     rel_gap = (value[1:] - value[:-1]) / (1.0 + np.abs(value[:-1]))
     min_gap = np.where(real, np.inf, 0.0)
     np.minimum.at(min_gap, cell[1:], np.where(cell[1:] == cell[:-1], rel_gap, np.inf))
 
-    pair = np.flatnonzero(algebraic > 1)
-    slow = np.flatnonzero(np.bincount(cell[pair], minlength=N))
+    slow = np.bincount(owner, minlength=N).nonzero()[0]
     # one gather and one SVD: the slow cells for ||A||_2, then A - mean I
-    mats = A_stack[np.concatenate([slow, cell[pair]])]
-    np.einsum("nii->ni", mats[slow.size:])[...] -= value[pair, None]   # diagonals
+    mats = A_stack[np.concatenate((slow, owner))]
+    mats.reshape(-1, k * k)[slow.size:, ::k + 1] -= value[pair, None]   # diagonals
     sv = np.linalg.svd(mats, compute_uv=False)
     scale = np.zeros(N)
     scale[slow] = sv[:slow.size, 0]
     sv = sv[slow.size:]
     geometric = np.ones(start.size, dtype=np.intp)
-    geometric[pair] = np.count_nonzero(
-        sv <= SV_TOL * np.maximum(scale[cell[pair]], 1e-300)[:, None], axis=1)
+    geometric[pair] = np.add.reduce(
+        sv <= SV_TOL * np.maximum(scale[owner], 1e-300)[:, None], 1)
     min_sv = np.full(start.size, np.nan)
     min_sv[pair] = sv[:, -1]
 

@@ -157,19 +157,19 @@ class MomentState13:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(3))
         object.__setattr__(self, "p_ij", np.asarray(self.p_ij, dtype=float).reshape(3, 3))
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(3))
-        if not (self.rho > 0.0 and np.isfinite(self.rho)):
+        if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise DomainError(f"density must be positive, got {self.rho}")
-        scale = float(np.max(np.abs(self.p_ij)))
-        if not np.all(np.isfinite(self.p_ij)) or scale == 0.0:
+        scale = float(np.abs(self.p_ij).max())
+        if not np.isfinite(self.p_ij).all() or scale == 0.0:
             raise DomainError("pressure tensor must be finite and nonzero")
-        if np.max(np.abs(self.p_ij - self.p_ij.T)) > 1e-9 * scale:
+        if np.abs(self.p_ij - self.p_ij.T).max() > 1e-9 * scale:
             raise DomainError("pressure tensor must be symmetric")
-        if np.min(np.linalg.eigvalsh(0.5 * (self.p_ij + self.p_ij.T))) <= 0.0:
+        if np.linalg.eigvalsh(0.5 * (self.p_ij + self.p_ij.T)).min() <= 0.0:
             raise DomainError("pressure tensor must be positive definite")
 
     @property
     def p(self) -> float:
-        return float(np.trace(self.p_ij)) / 3.0
+        return float(self.p_ij.trace()) / 3.0
 
     @property
     def sigma(self) -> np.ndarray:

@@ -209,7 +209,8 @@ def test_no_export_only_tests_use():
 
     for name in ("assemble_A_grad_3d", "assemble_D", "axis_permutation_matrix"):
         assert name not in q.__all__ and not hasattr(q, name), name
-    for name in ("assemble_A_grad_3d", "_assemble_A_reg", "_a_coeffs"):
+    for name in ("assemble_A_grad_3d", "_assemble_A_reg", "_a_coeffs", "assemble_D",
+                 "axis_permutation_matrix"):
         assert not hasattr(matrices, name), name
 
 

@@ -7,8 +7,8 @@ import pytest
 
 import qgrad13 as q
 from qgrad13 import DomainError, EquilibriumParams, MomentState13, SystemKind, solver1d
+from qgrad13 import matrices
 from qgrad13.analysis import random_fugacity, random_moment_state, random_unit_vectors
-from qgrad13.matrices import axis_permutation_matrix
 
 KINDS = list(SystemKind)
 
@@ -129,14 +129,72 @@ def test_direction_is_linear_combination(kind, rng):
     np.testing.assert_array_equal(q.assemble_A_direction(kind, st, eq, n), combo)
 
 
+def _axis_permutation_matrix(d):
+    """Representation P of the axis swap 1 <-> d on w."""
+    s = {1: d, d: 1}
+    P = np.zeros((13, 13))
+    P[0, 0] = 1.0
+    for i in (1, 2, 3):
+        P[i, s.get(i, i)] = P[9 + i, 9 + s.get(i, i)] = 1.0
+    for i, j in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
+        P[q.pslot(i, j), q.pslot(s.get(i, i), s.get(j, j))] = 1.0
+    return P
+
+
 def test_axis_permutation_consistency(rng):
     st, eq = random_moment_state(rng, 1)
     for d, other in ((2, 1), (3, 2)):
-        P = axis_permutation_matrix(d)
+        P = _axis_permutation_matrix(d)
         st_sw, eq_sw = _swap_state(st, eq, 0, d - 1)
         A_d = q.assemble_A(SystemKind.Grad13, st, eq, d)
         A_1 = q.assemble_A(SystemKind.Grad13, st_sw, eq_sw, 1)
         np.testing.assert_array_equal(A_d, P @ A_1 @ np.linalg.inv(P))
+
+
+def test_M_d_is_the_axis_swap_of_M_1(theta, rng):
+    _, eq = random_moment_state(rng, theta)
+    for d in (2, 3):
+        P = _axis_permutation_matrix(d)
+        np.testing.assert_array_equal(q.assemble_M(eq, d), P.T @ q.assemble_M(eq, 1) @ P)
+
+
+def _bits_equal(batch, one):
+    """Equal as arrays and in every sign bit, so signed zeros count too."""
+    np.testing.assert_array_equal(batch, one)
+    np.testing.assert_array_equal(np.signbit(batch), np.signbit(one))
+
+
+def test_batch_is_the_states_one_by_one(rng):
+    """Every stacked assembly equals its N single-state calls bit for bit:
+    each kind and axis, each kind along a direction (also with zero
+    components, which the single call once skipped), and D, M and B."""
+    states, eqs = zip(*(random_moment_state(rng, (-1, 0, 1)[i % 3]) for i in range(60)))
+    special = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),
+               (0.0, 0.0, -3.0)]
+    dirs = np.vstack([special, random_unit_vectors(rng, len(states) - len(special))])
+    S = matrices.stack_states(states, eqs)
+    assert S.coeffs.L1.shape == (len(states),)
+    for kind in KINDS:
+        axes = matrices.assemble_axes(kind, S)
+        along = matrices.assemble_along(kind, S, dirs)
+        for i, (st, eq) in enumerate(zip(states, eqs)):
+            for d in (1, 2, 3):
+                _bits_equal(axes[i, d - 1], q.assemble_A(kind, st, eq, d))
+            _bits_equal(along[i], q.assemble_A_direction(kind, st, eq, dirs[i]))
+    sm = matrices.regularized_stack(S, dirs)
+    M_axes = matrices._state_major(matrices._m_axes(S.coeffs))
+    for i, (st, eq) in enumerate(zip(states, eqs)):
+        one = q.assemble_A_regularized(st, eq, dirs[i])
+        for name in ("direction", "A", "D", "M", "B"):
+            _bits_equal(getattr(sm, name)[i], getattr(one, name))
+        for d in (1, 2, 3):
+            _bits_equal(M_axes[i, d - 1], q.assemble_M(eq, d))
+    # an axis index is the unit vector, and a zero vector is refused
+    st, eq = states[0], eqs[0]
+    _bits_equal(q.assemble_A_direction(SystemKind.Grad13, st, eq, 2),
+                q.assemble_A_direction(SystemKind.Grad13, st, eq, (0.0, 1.0, 0.0)))
+    with pytest.raises(DomainError):
+        matrices.assemble_along(SystemKind.Grad13, S, np.zeros((len(states), 3)))
 
 
 def test_factorization_of_final_regularization(theta, rng):

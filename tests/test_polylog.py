@@ -30,6 +30,26 @@ FERMION_Z5 = {
 BOSON_NEAR_ONE_32 = 2.612020872517075  # li[3/2] at z = 1 - 1e-8
 
 
+def test_fermion_hyperbolicity_bound_against_mpmath():
+    """FERMI_Z_C is the root of c1^2 - 4 c0 at 40 digits, and the coefficient
+    record's discriminant changes sign across it."""
+    def disc(mu):
+        L1, L3, L5, L7, L9 = (-mpmath.polylog(mpmath.mpf(k) / 2, -mpmath.exp(mu))
+                              for k in (1, 3, 5, 7, 9))
+        S = 5 * L1 * L5 - 3 * L3 ** 2
+        c0 = 3 * (7 * L3 * L7 - 5 * L5 ** 2) / S
+        c1 = (140 * L1 * L5 * L9 + 175 * L1 * L7 ** 2 - 84 * L3 ** 2 * L9
+              - 75 * L3 * L5 * L7) / (15 * L7 * S)
+        return mpmath.re(c1 ** 2 - 4 * c0)
+
+    with mpmath.workdps(40):
+        z_c = float(mpmath.exp(mpmath.findroot(disc, mpmath.mpf("12.347"))))
+    assert abs(polylog.FERMI_Z_C / z_c - 1.0) <= 1e-10
+    for z, sign in ((0.99 * z_c, 1.0), (1.01 * z_c, -1.0)):
+        c = state.EquilibriumParams(theta=1, z=z, u=np.zeros(3), T=1.0).coeffs
+        assert sign * (c.c1 ** 2 - 4.0 * c.c0) > 0.0
+
+
 def test_fermion_z5_frozen():
     got = eval_polylog_batch(5.0, 1)
     for s, ref in FERMION_Z5.items():
