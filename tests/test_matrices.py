@@ -164,10 +164,23 @@ def _bits_equal(batch, one):
     np.testing.assert_array_equal(np.signbit(batch), np.signbit(one))
 
 
+def _skipping_sum(axis_matrix, n):
+    """sum_d n_d axis_matrix(d) from zeros over the nonzero n_d of n / |n|,
+    the directional sum as the per-state assembly once wrote it."""
+    n = np.asarray(n, dtype=float) / np.linalg.norm(n)
+    A = np.zeros((13, 13))
+    for d in (1, 2, 3):
+        if n[d - 1] != 0.0:
+            A += n[d - 1] * axis_matrix(d)
+    return A
+
+
 def test_batch_is_the_states_one_by_one(rng):
     """Every stacked assembly equals its N single-state calls bit for bit:
-    each kind and axis, each kind along a direction (also with zero
-    components, which the single call once skipped), and D, M and B."""
+    each kind and axis, each kind along a direction, and the regularized
+    direction, A, D, M and B.  Along directions with zero components, an
+    axis among them, adding every component equals the old sum that skipped
+    the zero ones."""
     states, eqs = zip(*(random_moment_state(rng, (-1, 0, 1)[i % 3]) for i in range(60)))
     special = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),
                (0.0, 0.0, -3.0)]
@@ -181,18 +194,18 @@ def test_batch_is_the_states_one_by_one(rng):
             for d in (1, 2, 3):
                 _bits_equal(axes[i, d - 1], q.assemble_A(kind, st, eq, d))
             _bits_equal(along[i], q.assemble_A_direction(kind, st, eq, dirs[i]))
+            _bits_equal(along[i], _skipping_sum(lambda d: q.assemble_A(kind, st, eq, d),
+                                                dirs[i]))
     sm = matrices.regularized_stack(S, dirs)
-    M_axes = matrices._state_major(matrices._m_axes(S.coeffs))
     for i, (st, eq) in enumerate(zip(states, eqs)):
         one = q.assemble_A_regularized(st, eq, dirs[i])
         for name in ("direction", "A", "D", "M", "B"):
             _bits_equal(getattr(sm, name)[i], getattr(one, name))
-        for d in (1, 2, 3):
-            _bits_equal(M_axes[i, d - 1], q.assemble_M(eq, d))
-    # an axis index is the unit vector, and a zero vector is refused
+        _bits_equal(sm.M[i], _skipping_sum(lambda d: q.assemble_M(eq, d), dirs[i]))
     st, eq = states[0], eqs[0]
-    _bits_equal(q.assemble_A_direction(SystemKind.Grad13, st, eq, 2),
-                q.assemble_A_direction(SystemKind.Grad13, st, eq, (0.0, 1.0, 0.0)))
+    for kind in KINDS:
+        _bits_equal(q.assemble_A_direction(kind, st, eq, 2),
+                    _skipping_sum(lambda d: q.assemble_A(kind, st, eq, d), 2 * np.eye(3)[1]))
     with pytest.raises(DomainError):
         matrices.assemble_along(SystemKind.Grad13, S, np.zeros((len(states), 3)))
 
