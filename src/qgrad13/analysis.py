@@ -27,8 +27,8 @@ from .errors import NoRoot
 from .matrices import (SystemKind, _unit_rows, assemble_A, assemble_A5_grad,
                        assemble_axes, assemble_M, pslot, regularized_stack,
                        stack_states)
-from .polylog import (FERMI_Z_MAX, ORDERS, _check_theta, _fermi_quadrature,
-                      eval_polylog_batch)
+from .polylog import (_SERIES_Z_MAX, FERMI_Z_MAX, ORDERS, _check_theta,
+                      _fermi_quadrature, eval_polylog_batch)
 from .spectral import (CLASS_CODES, CODE_INADMISSIBLE, Classification,
                        classify_batch)
 from .state import (EquilibriumParams, MomentState13, _shear_state,
@@ -600,18 +600,18 @@ def verify_polylog(seed: int = 0) -> dict:
     checks.append(_check("classical identity bitwise",
                          float(np.max(np.abs(cls[2.5] - zs))), 0.0,
                          ok=np.all(cls[2.5] == zs)))
-    # one ulp above 0.9 switches from the power series to the Chebyshev /
-    # Robinson branch; the smooth change over one ulp is ~1e-15, so any gap
+    # one ulp above e^-1 switches from the power series to the Chebyshev /
+    # Robinson branch; the smooth change over one ulp is ~1e-16, so any gap
     # seen here is a genuine branch mismatch
-    z_hi = float(np.nextafter(0.9, 1.0))
+    z_hi = float(np.nextafter(_SERIES_Z_MAX, 1.0))
     for th in (1, -1):
-        lo = eval_polylog_batch(0.9, th)
+        lo = eval_polylog_batch(_SERIES_Z_MAX, th)
         hi = eval_polylog_batch(z_hi, th)
         gap = max(abs(float(lo[s][0]) - float(hi[s][0])) for s in frozen)
         checks.append(_check(f"series/asymptotic junction theta={th}", gap, 1e-10))
-    # the Fermion Chebyshev table, which every Fermion z > 0.9 runs, against
+    # the Fermion Chebyshev table, which every Fermion z > e^-1 runs, against
     # the panel quadrature it was built from, at 200 z off the table's nodes
-    z = np.exp(np.linspace(math.log(0.9), math.log(FERMI_Z_MAX), 201)[1:])
+    z = np.exp(np.linspace(-1.0, math.log(FERMI_Z_MAX), 201)[1:])
     table, quad = eval_polylog_batch(z, 1), _fermi_quadrature(z)
     err = max(float(np.max(np.abs(table[s] / quad[s] - 1.0))) for s in ORDERS)
     checks.append(_check("fermion table vs panel quadrature", err, 1e-14))

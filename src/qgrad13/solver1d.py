@@ -14,7 +14,7 @@ on (z, T), so the radius is |u1| + sqrt(T x_plus) with x_plus the larger
 root of the equilibrium quartic.  z, T and li come from `state`'s one fit,
 warm-started from the last step's z and li, so li is evaluated only at cells
 whose Newton iterate has not converged; a radius that is not finite stops
-the run.
+the run.  The first fit starts from the initial condition's own fugacities.
 
 State layout: w has one row (rho, u1, p11, q1, p) per cell.
 """
@@ -30,7 +30,7 @@ from .analysis import _fmt, _write_lines
 from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoSolution)
 from .matrices import SystemKind, _a5_stack
-from .polylog import _check_theta
+from .polylog import ORDERS, _check_theta
 from .state import EquilibriumParams, LiCoeffs, _fit
 
 _MAX_STEPS = 5_000_000
@@ -171,19 +171,25 @@ def _conserved(w: np.ndarray, dx: float) -> Tuple[float, float, float]:
     return mass, momentum, energy
 
 
-def initial_condition(config: SimConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Cell centers and the piecewise-constant start in w coordinates."""
+def _start(config: SimConfig):
+    """Cell centers, the piecewise-constant start in w coordinates, and the
+    first fit's guess (z, li): each side's own fugacity and li at it."""
     N = config.cells
-    dx = config.length / N
-    x = (np.arange(N) + 0.5) * dx
-    w = np.empty((N, 5))
-    for side, mask in ((config.left, x < 0.5 * config.length),
-                       (config.right, x >= 0.5 * config.length)):
-        eqp = EquilibriumParams(theta=config.theta, z=side["z"],
+    x = (np.arange(N) + 0.5) * (config.length / N)
+    left = x < 0.5 * config.length
+    lo, hi = (EquilibriumParams(theta=config.theta, z=side["z"],
                                 u=(side["u1"], 0.0, 0.0), T=side["T"],
                                 hhat=config.hhat)
-        w[mask] = (eqp.rho, side["u1"], eqp.p, 0.0, eqp.p)
-    return x, w
+              for side in (config.left, config.right))
+    w = np.where(left[:, None], [lo.rho, lo.u[0], lo.p, 0.0, lo.p],
+                 [hi.rho, hi.u[0], hi.p, 0.0, hi.p])
+    li = {s: np.where(left, lo.li[s], hi.li[s]) for s in ORDERS}
+    return x, w, (np.where(left, lo.z, hi.z), li)
+
+
+def initial_condition(config: SimConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Cell centers and the piecewise-constant start in w coordinates."""
+    return _start(config)[:2]
 
 
 def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
@@ -191,12 +197,14 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
 
     `w0` overrides the built-in two-state start with an arbitrary (cells, 5)
     array of admissible cell states, which is how relaxation-only setups
-    (uniform in x, nonzero sigma11 or q1) are exercised.
+    (uniform in x, nonzero sigma11 or q1) are exercised.  The built-in start
+    seeds the first fit with its own fugacities; a `w0` run starts it cold.
     """
     N = config.cells
     dx = config.length / N
+    guess: Optional[Tuple[np.ndarray, Dict[float, np.ndarray]]] = None
     if w0 is None:
-        x, w = initial_condition(config)
+        x, w, guess = _start(config)
     else:
         x = (np.arange(N) + 0.5) * dx
         w = np.array(w0, dtype=float, copy=True)
@@ -208,7 +216,6 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
     mass, mom, en = _conserved(w, dx)
     ledger = {"time": [0.0], "mass": [mass], "momentum": [mom], "energy": [en]}
     snapshots = [w.copy()]
-    guess: Optional[Tuple[np.ndarray, Dict[float, np.ndarray]]] = None
     t = 0.0
     steps = 0
     max_speed = 0.0

@@ -89,16 +89,16 @@ def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarra
     cluster of two or more takes its geometric multiplicity from the singular
     values of A - mean I below SV_TOL * ||A||_2.  Returns (codes, aux): per
     cell `max_imag`, `min_gap` (least gap between neighbouring cluster means
-    over 1 + |lower|; inf for one cluster, 0 if complex) and `eigenvalues`;
-    `n_slow`, the cells with a cluster; and `clusters`, arrays `cell`,
-    `value`, `algebraic`, `geometric` and `min_sv` (NaN for one value) over
-    the clusters of the real cells in order.
+    over 1 + |lower|; inf for one cluster, 0 if complex) and `eigenvalues`,
+    always complex128; `n_slow`, the cells with a cluster; and `clusters`,
+    arrays `cell`, `value`, `algebraic`, `geometric` and `min_sv` (NaN for
+    one value) over the clusters of the real cells in order.
     """
     A_stack = np.asarray(A_stack, dtype=float)
     N, k = A_stack.shape[:2]
-    w = np.linalg.eigvals(A_stack)   # a real array when every eigenvalue is real
-    max_imag = (np.maximum.reduce(np.abs(w.imag) / (1.0 + np.abs(w)), axis=1)
-                if w.dtype.kind == "c" else np.zeros(N))
+    # complex128 also when eigvals returns a real array (every value real)
+    w = np.linalg.eigvals(A_stack).astype(complex, copy=False)
+    max_imag = np.maximum.reduce(np.abs(w.imag) / (1.0 + np.abs(w)), axis=1)
     real = max_imag <= IMAG_TOL
     x = np.sort(w.real, axis=1)
     ax = np.abs(x)

@@ -343,18 +343,21 @@ def _refine(guess, target: np.ndarray, theta: int):
     """Newton steps in log z from a previous fit's (z, li), cell by cell.
 
     The guess's li gives the first step's residual and slope at no li cost.
-    A cell steps only while its residual exceeds 4 eps (1 + |target|), so a
-    cell already at its target keeps z and li bit for bit; each of at most
+    A cell steps only while a step would do more than chase noise: while its
+    residual exceeds li's rounding noise in the curve, 32 eps (1 + |target|),
+    plus what a step of eps in log z moves it, eps |slope|.  So a cell at
+    its fixed point keeps z and li bit for bit; each of at most
     three iterates evaluates li on the cells still moving.  li is pointwise,
     so these sub-batches change no value.  Returns (z, li, curve, points),
     curve at the returned z and points the li evaluations made.
     """
+    eps = np.finfo(float).eps
     z = np.array(guess[0], dtype=float)
     li = {s: np.array(guess[1][s], dtype=float) for s in ORDERS}
     x = np.log(z)
     curve, slope = _curve(li)
-    tol = 4.0 * np.finfo(float).eps * (1.0 + np.abs(target))
-    moving = np.flatnonzero(np.abs(curve - target) > tol)
+    noise = 32.0 * eps * (1.0 + np.abs(target))
+    moving = np.flatnonzero(np.abs(curve - target) > noise + eps * np.abs(slope))
     points = 0
     for _ in range(3):
         if moving.size == 0:
@@ -369,7 +372,7 @@ def _refine(guess, target: np.ndarray, theta: int):
             li[s][moving] = lm[s]
         cm, sm = _curve(lm)
         curve[moving], slope[moving] = cm, sm
-        moving = moving[np.abs(cm - target[moving]) > tol[moving]]
+        moving = moving[np.abs(cm - target[moving]) > noise[moving] + eps * np.abs(sm)]
     return z, li, curve, points
 
 

@@ -72,9 +72,9 @@ def test_eigs_perturbed_grad_goes_complex(tmp_path, capsys):
 
 @pytest.mark.parametrize("state_file, argv, digest", [
     (False, ["--theta", "1", "--z", "2.0"],
-     "c518f68b4ba718e7eacbd2723364618537e8c03491507d0ca3e3c0f70f2d18e7"),
+     "53fcae62743cea77da65dbf31dde8f36f389ace52748644a79c1165c4e7b4608"),
     (True, ["--theta", "-1"],
-     "aa7055e9cc8b74a59208fceb4c2fa70bc28c55e2f08799c6aa4bd99fbfc85c6c"),
+     "b60a7331d16b17958358409f80dc338977511881475bf0fd36bf3537f5c09f4a"),
 ], ids=["fermion-equilibrium", "boson-sheared"])
 def test_eigs_regularized_json_frozen(state_file, argv, digest, tmp_path, capsys):
     """The verdict payload, byte for byte (digest of numpy's bundled LAPACK

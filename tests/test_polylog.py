@@ -100,7 +100,7 @@ def test_against_mpmath(theta, zs):
 
 def _chebyshev_test_mu():
     """ln z at every piece edge of the Fermion table and two points inside each
-    piece, over (ln 0.9, ln FERMI_Z_MAX]."""
+    piece, over (-1, ln FERMI_Z_MAX]."""
     edges = polylog._CHEB_EDGES
     return np.linspace(edges[0], edges[-1], 3 * (edges.size - 1) + 1)[1:]
 
@@ -113,7 +113,7 @@ def test_fermi_chebyshev_against_mpmath(monkeypatch):
 
     monkeypatch.setattr(polylog, "_fermi_quadrature", quadrature_called)
     z = np.append(np.exp(_chebyshev_test_mu()[:-1]), polylog.FERMI_Z_MAX)
-    assert z.size >= 40 and np.all(z > 0.9)
+    assert z.size >= 40 and np.all(z > polylog._SERIES_Z_MAX)
     got = eval_polylog_batch(z, 1)
     mpmath.mp.dps = 30
     for i, zi in enumerate(z):
@@ -129,12 +129,41 @@ def test_fermi_chebyshev_continuous_at_piece_edges():
     assert np.all(np.abs(above / below - 1.0) < 1e-14)
 
 
+def _mpmath_worst(z, theta):
+    """Largest relative distance of li from 30-digit mpmath over z and orders."""
+    got = eval_polylog_batch(z, theta)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for i, zi in enumerate(z):
+            for s in ORDERS:
+                ref = float(mpmath.re(-theta * mpmath.polylog(s, -theta * mpmath.mpf(zi))))
+                worst = max(worst, abs(got[s][i] / ref - 1.0))
+    return worst
+
+
+def test_bose_robinson_against_mpmath(rng):
+    """Robinson's expansion serves every Boson z in (e^-1, 1)."""
+    e1 = polylog._SERIES_Z_MAX
+    z = np.concatenate([[np.nextafter(e1, 1.0)], rng.uniform(e1, 0.99, 30),
+                        1.0 - 10.0 ** -rng.uniform(2.0, 11.0, 10)])
+    assert _mpmath_worst(z, -1) < 5e-15
+
+
+@pytest.mark.parametrize("theta", [1, -1], ids=["fermion", "boson"])
+def test_series_against_mpmath(theta, rng):
+    """The 48-term series serves every z up to e^-1, that bound included."""
+    z = np.concatenate([[polylog._SERIES_Z_MAX], rng.uniform(0.05, 0.3678, 25),
+                        10.0 ** rng.uniform(-12.0, -1.3, 10)])
+    assert _mpmath_worst(z, theta) < 5e-15
+
+
 def test_branch_junction_continuity():
-    # one ulp above 0.9 switches branch; the smooth change over one ulp is
-    # ~1e-15, so the gap measures the branch mismatch itself
-    z_hi = float(np.nextafter(0.9, 1.0))
+    # one ulp above e^-1 switches branch; the smooth change over one ulp is
+    # ~1e-16, so the gap measures the branch mismatch itself
+    z_lo = polylog._SERIES_Z_MAX
+    z_hi = float(np.nextafter(z_lo, 1.0))
     for th in (1, -1):
-        lo = eval_polylog_batch(0.9, th)
+        lo = eval_polylog_batch(z_lo, th)
         hi = eval_polylog_batch(z_hi, th)
         for s in ORDERS:
             assert abs(float(lo[s][0]) - float(hi[s][0])) < 1e-10
@@ -148,8 +177,10 @@ def test_batch_matches_scalars_across_branches(rng):
                         polylog.FERMI_Z_MAX)
     boson = rng.permutation(np.concatenate([
         rng.uniform(1e-3, 0.9, 500), 1.0 - 10.0 ** -rng.uniform(1.0, 9.0, 500)]))
-    for theta, z in ((1, fermion), (-1, boson)):
-        assert np.any(z <= 0.9) and np.any(z > 0.9)
+    e1 = polylog._SERIES_Z_MAX
+    switch = [e1, float(np.nextafter(e1, 1.0))]
+    for theta, z in ((1, np.append(fermion, switch)), (-1, np.append(boson, switch))):
+        assert np.any(z <= e1) and np.any(z > e1)
         whole = eval_polylog_batch(z, theta)
         sub = eval_polylog_batch(z[3::7], theta)
         single = [eval_polylog_batch(zi, theta) for zi in z]
@@ -222,7 +253,8 @@ def test_rejects_bad_theta(bad_theta):
 @given(z=st.floats(min_value=1e-6, max_value=0.89))
 @settings(max_examples=60, deadline=None)
 def test_series_partial_sum_bounds(z):
-    """First terms of the defining series bracket the value on the series branch."""
+    """First terms of the defining series bracket the value, on the series
+    branch (z <= e^-1) and past it."""
     fermi = eval_polylog_batch(z, 1)
     bose = eval_polylog_batch(z, -1)
     for s in ORDERS:

@@ -117,13 +117,17 @@ def _counting_points(monkeypatch):
 @pytest.mark.parametrize("theta", [1, -1], ids=["fermion", "boson"])
 def test_unchanged_cells_cost_no_polylog_point(theta, rng, monkeypatch):
     """A warm fit evaluates li only at cells whose (rho, p) moved; the rest
-    keep z, T and li bit for bit."""
-    zs = (0.3, 2.0, 7.0, 50.0) if theta == 1 else (0.1, 0.5, 0.95, 0.999)
+    keep z, T and li bit for bit.  The fugacities cover every li branch: both
+    sides of the switch at e^-1, Fermions where the table meets 0.8 < z < 0.9
+    and deep in it, Bosons near condensation."""
+    zs = (0.1, 0.3, 0.36, 0.37, 0.38, 0.82, 0.85, 0.879, 2.0, 7.0, 50.0) \
+        if theta == 1 else (0.1, 0.3, 0.36, 0.37, 0.38, 0.5, 0.95, 0.999, 0.9999)
     rows = []
-    for z in zs:
-        eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
+    for z in np.repeat(zs, 16):
+        eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3),
+                               T=float(rng.uniform(0.5, 2.0)))
         rows.append([eq.rho, 0.0, eq.p, 0.0, eq.p])
-    w = np.repeat(np.array(rows), 16, axis=0)
+    w = np.array(rows)
     z0, T0, li0, _, _ = _fit(w, theta)
     moved = np.zeros(len(w), dtype=bool)
     moved[rng.choice(len(w), 20, replace=False)] = True
@@ -167,7 +171,8 @@ def test_warm_fit_is_fit_cell_by_cell(theta, rng):
 
 def test_warm_step_evaluates_polylog_at_most_three_times(monkeypatch):
     """Over a Riemann run, each warm fit that does not fall back makes at
-    most three li calls: the guess's li replaces the first iterate's."""
+    most three li calls: the guess's li replaces the first iterate's.  The
+    first fit is warm too, seeded by the initial condition."""
     cfg = SimConfig(theta=1, cells=100, length=1.0, cfl=0.45, tau=0.05,
                     t_end=0.03, left=dict(z=6.0, u1=0.2, T=1.2),
                     right=dict(z=1.5, u1=-0.2, T=0.8), n_snapshots=2)
@@ -183,8 +188,39 @@ def test_warm_step_evaluates_polylog_at_most_three_times(monkeypatch):
 
     monkeypatch.setattr(solver1d, "_fit", fit)
     res = q.run(cfg)
-    assert len(per_step) == res.steps - 1 - res.newton_fallbacks
+    assert len(per_step) == res.steps - res.newton_fallbacks
     assert max(per_step) <= 3
+
+
+def test_built_in_start_seeds_the_first_fit(theta, monkeypatch):
+    """From the built-in start the first fit begins at the initial
+    condition's own fugacities: it spends at most 3 li points per cell, and
+    the bracketed fit runs only on fallbacks.  A `w0` run starts cold."""
+    z = dict(zip((1, -1, 0), ((6.0, 1.5), (0.97, 0.3), (1.0, 0.4))))[theta]
+    cfg = SimConfig(theta=theta, cells=100, length=1.0, cfl=0.45, tau=0.05,
+                    t_end=0.03, left=dict(z=z[0], u1=0.2, T=1.2),
+                    right=dict(z=z[1], u1=-0.2, T=0.8), n_snapshots=2)
+    brackets, fits = [], []
+    bracketed, fit = state.fit_fugacity_batch, state._fit
+
+    def counting_bracket(*args):
+        brackets.append(args)
+        return bracketed(*args)
+
+    def recording_fit(*args):
+        fits.append(fit(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(state, "fit_fugacity_batch", counting_bracket)
+    monkeypatch.setattr(solver1d, "_fit", recording_fit)
+    res = q.run(cfg)
+    assert len(brackets) == res.newton_fallbacks
+    assert not fits[0][3] and fits[0][4] <= 3 * cfg.cells
+    brackets.clear()
+    fits.clear()
+    res = q.run(cfg, q.initial_condition(cfg)[1])
+    assert len(brackets) == res.newton_fallbacks + 1
+    assert fits[0][4] == state._bracket_points(cfg.cells, theta) + cfg.cells
 
 
 def test_fit_points_count_every_polylog_point(theta, monkeypatch):

@@ -70,6 +70,18 @@ def test_classify_batch_matches_single(rng):
     assert aux["max_imag"][3] > 0.4
 
 
+def test_classify_batch_eigenvalues_are_complex_on_a_real_stack():
+    """`eigenvalues` keeps one dtype, also where eigvals finds no imaginary part."""
+    real = np.stack([np.diag([0.0, 1.0, 2.0]), np.diag([1.0, 1.0, 2.0]),
+                     np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])])
+    assert np.linalg.eigvals(real).dtype == np.float64
+    codes, aux = q.classify_batch(real)
+    assert list(codes) == [0, 1, 2]
+    assert aux["eigenvalues"].dtype == np.complex128
+    np.testing.assert_array_equal(aux["eigenvalues"].real, np.linalg.eigvals(real))
+    np.testing.assert_array_equal(aux["max_imag"], 0.0)
+
+
 def _loop_verdict(A):
     """Per-matrix reference: cluster one value at a time, np.mean per
     cluster, one SVD per cluster; (class, min_gap, max_imag, clusters)."""
