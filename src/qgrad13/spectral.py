@@ -96,9 +96,9 @@ def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarra
     """
     A_stack = np.asarray(A_stack, dtype=float)
     N, k = A_stack.shape[:2]
-    # complex128 also when eigvals returns a real array (every value real)
-    w = np.linalg.eigvals(A_stack).astype(complex, copy=False)
-    max_imag = np.maximum.reduce(np.abs(w.imag) / (1.0 + np.abs(w)), axis=1)
+    w = np.linalg.eigvals(A_stack)   # a real array when every eigenvalue is real
+    max_imag = (np.maximum.reduce(np.abs(w.imag) / (1.0 + np.abs(w)), axis=1)
+                if w.dtype.kind == "c" else np.zeros(N))
     real = max_imag <= IMAG_TOL
     x = np.sort(w.real, axis=1)
     ax = np.abs(x)
@@ -137,7 +137,8 @@ def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarra
     codes[cell[geometric < algebraic]] = CLASS_CODES[Classification.NonDiagonalizable]
     clusters = {"cell": cell, "value": value, "algebraic": algebraic,
                 "geometric": geometric, "min_sv": min_sv}
-    return codes, {"max_imag": max_imag, "min_gap": min_gap, "eigenvalues": w,
+    return codes, {"max_imag": max_imag, "min_gap": min_gap,
+                   "eigenvalues": w.astype(complex, copy=False),
                    "n_slow": np.array([slow.size]), "clusters": clusters}
 
 
