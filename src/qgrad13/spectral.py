@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoConvergence, NoRoot
 from .matrices import SystemKind, assemble_A
@@ -291,6 +290,8 @@ def _annihilation_residual(M1: np.ndarray, c: LiCoeffs, T: float) -> float:
 
 def fermion_crossing(lo: float = 1.0, hi: float = 100.0) -> float:
     """Fermion fugacity where the doubled branch meets a quartic branch."""
+    from scipy.optimize import brentq   # the only scipy use: keep it off import
+
     def gap(z: float) -> float:
         return _branch_gap(_coeffs(z, 1))
 

@@ -11,7 +11,8 @@ the one fit, which the 1D solver runs on all its cells; `grad_ansatz_eval` is
 the expansion around equilibrium, and `ansatz_moments` integrates it
 numerically to validate the closure: n_nodes Gauss-Legendre radii on
 [0, half_width sqrt(T)] around u times a fixed 32-direction rule that is
-exact on the ansatz's angular parts.  `LiCoeffs` is the one home of every
+exact on the ansatz's angular parts, contracted separably (radial moments
+first, then direction monomials).  `LiCoeffs` is the one home of every
 coefficient derived from the li values.
 """
 from __future__ import annotations
@@ -453,7 +454,7 @@ def grad_ansatz_eval(state: MomentState13, eq: EquilibriumParams, v) -> np.ndarr
     else:
         feq = ez / (1.0 + theta * ez)
     sig = state.sigma
-    sterm = (np.einsum("ij,ni,nj->n", sig, c, c) / T
+    sterm = (np.einsum("ni,ni->n", c @ sig, c) / T
              - np.trace(sig) * (li[2.5] / li[1.5])) * (li[2.5] / li[3.5]) / (2.0 * p)
     qterm = (c @ state.q) * (c2 / T - 5.0 * li[3.5] / li[2.5]) \
         / (5.0 * p * T * eq.coeffs.frakB)
@@ -466,9 +467,8 @@ def closure_moments(state: MomentState13, eq: EquilibriumParams) -> ClosureMomen
     li = eq.li
     q = state.q
     delta = np.eye(3)
-    q_ijk = 0.4 * (np.einsum("ij,k->ijk", delta, q)
-                   + np.einsum("ik,j->ijk", delta, q)
-                   + np.einsum("kj,i->ijk", delta, q))
+    q_ijk = 0.4 * (delta[:, :, None] * q + delta[:, None, :] * q[:, None]
+                   + delta * q[:, None, None])
     pref = eq.hhat * (_TWO_PI * eq.T) ** 1.5 * eq.T ** 2 * li[3.5]
     Delta_ij = pref * (5.0 * delta + 7.0 * (state.sigma / state.p)
                        * li[2.5] * li[4.5] / li[3.5] ** 2)
@@ -521,6 +521,10 @@ def ansatz_moments(state: MomentState13, eq: EquilibriumParams,
     while rho, which carries no extra power of r, drifts to ~5e-5 there.
     The residual floor of about 5e-10 at half_width = 8 is the tail cut off
     beyond the sphere, not the rule; pass a larger half_width for more.
+    The rule is a product, so every moment is a separable contraction: one
+    matrix product gives the radial moments m_k[b] = sum_a w_a r_a^k f[a, b]
+    (k <= 4) per direction b, and each moment reads them off against the
+    direction monomials (d_i d_j for p_ij, d_i d_j d_k for q_ijk, ...).
     Used to verify that the ansatz reproduces its own state and the closure
     formulas; it reads li only through grad_ansatz_eval.
     """
@@ -529,15 +533,11 @@ def ansatz_moments(state: MomentState13, eq: EquilibriumParams,
     r = 0.5 * radius * (x + 1.0)
     w_r = 0.5 * radius * wts * r * r
     C = (r[:, None, None] * _DIRS[None, :, :]).reshape(-1, 3)
-    W = np.outer(w_r, _DIR_WEIGHTS).reshape(-1)
-    V = eq.u + C
-    c2 = np.einsum("ni,ni->n", C, C)
-    fw = eq.hhat * W * grad_ansatz_eval(state, eq, V)
-    rho = float(np.sum(fw))
-    u = (fw @ V) / rho
-    p_ij = np.einsum("n,ni,nj->ij", fw, C, C)
-    q = 0.5 * ((fw * c2) @ C)
-    q_ijk = np.einsum("n,ni,nj,nk->ijk", fw, C, C, C)
-    Delta_ij = np.einsum("n,ni,nj->ij", fw * c2, C, C)
-    return {"rho": rho, "u": u, "p_ij": p_ij, "q": q,
-            "q_ijk": q_ijk, "Delta_ij": Delta_ij}
+    f = (eq.hhat * grad_ansatz_eval(state, eq, eq.u + C)).reshape(n_nodes, -1)
+    m = (w_r * r ** np.arange(5.0)[:, None]) @ f * _DIR_WEIGHTS   # m_k[b]
+    D = _DIRS
+    rho = float(np.sum(m[0]))
+    return {"rho": rho, "u": eq.u + (m[1] @ D) / rho,
+            "p_ij": (m[2] * D.T) @ D, "q": 0.5 * (m[3] @ D),
+            "q_ijk": (m[3] * D.T[:, None] * D.T) @ D,
+            "Delta_ij": (m[4] * D.T) @ D}

@@ -5,6 +5,9 @@ evaluator was written; the mpmath cross-check below regenerates a few of
 them live so a regression cannot hide behind the frozen copies.
 """
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+import qgrad13
 from qgrad13 import (BOSE_Z_MAX, ZETA_HALF, DomainError, eval_polylog_batch,
                      eval_polylog_set)
 from qgrad13 import polylog, state
@@ -306,3 +310,28 @@ def test_fermi_quadrature_bits_match_masked_occupancy(rng):
         ref = _masked_fermi_quadrature(z)
         for s in ORDERS:
             assert np.array_equal(got[s], ref[s]), (size, s)
+
+
+def test_zeta_table_pins_scipy_and_mpmath():
+    """The Robinson coefficients' zeta values are scipy's floats, within
+    1e-15 of 30-digit mpmath."""
+    table = polylog._ZETA_HALF_INTEGERS
+    assert len(table) == 20
+    with mpmath.workdps(30):
+        for k, value in enumerate(table, start=1):
+            assert value == float(zeta(k + 0.5)), k
+            exact = mpmath.zeta(mpmath.mpf(k) + mpmath.mpf(1) / 2)
+            assert abs(value - exact) <= 1e-15 * exact, k
+
+
+def test_import_loads_no_scipy_submodule():
+    """Importing the package and its CLI pulls in neither scipy.optimize
+    (only `fermion_crossing` needs it) nor scipy.special."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qgrad13.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, qgrad13, qgrad13.cli; print(sorted(m for m in "
+            "sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -7,6 +7,7 @@ import pytest
 import qgrad13 as q
 from qgrad13 import Classification, EquilibriumParams, NoRoot, spectral, state
 from qgrad13.analysis import random_fugacity, random_moment_state, random_unit_vectors
+from qgrad13.polylog import FERMI_Z_C
 from qgrad13.spectral import CLASS_CODES, brute_charpoly_reduced, charpoly_coeffs
 
 
@@ -345,3 +346,50 @@ def test_closed_forms_evaluate_polylog_once(theta, monkeypatch):
     calls.clear()
     q.annihilation_residual(M1, z, theta, T=1.0)
     assert len(calls) == 1
+
+
+def _fluxes_1d(U, theta):
+    """The 1D fluxes, the integrals of xi1 psi f for psi = 1, xi1, xi1^2,
+    |xi|^2 and xi1 |xi|^2, by quadrature of the ansatz f whose densities, the
+    integrals of psi f, are U."""
+    rho, m1, e11, e, Q = U
+    u1 = m1 / rho
+    p11 = e11 - rho * u1 ** 2
+    p = (e - rho * u1 ** 2) / 3.0
+    q1 = 0.5 * (Q - rho * u1 ** 3 - 3.0 * p * u1 - 2.0 * u1 * p11)
+    eq = q.fit_equilibrium(rho, p, theta, u=(u1, 0.0, 0.0))
+    pt = 0.5 * (3.0 * p - p11)
+    st = q.MomentState13(rho=rho, u=eq.u, p_ij=np.diag([p11, pt, pt]),
+                         q=[q1, 0.0, 0.0])
+    m = q.ansatz_moments(st, eq, n_nodes=400, half_width=14.0)
+    r, P11, trp = m["rho"], m["p_ij"][0, 0], np.trace(m["p_ij"])
+    Q1, Q111, D11 = m["q"][0], m["q_ijk"][0, 0, 0], m["Delta_ij"][0, 0]
+    return np.array([r * u1, r * u1 ** 2 + P11,
+                     r * u1 ** 3 + 3.0 * u1 * P11 + Q111,
+                     r * u1 ** 3 + u1 * trp + 2.0 * u1 * P11 + 2.0 * Q1,
+                     r * u1 ** 4 + u1 ** 2 * trp + 5.0 * u1 ** 2 * P11
+                     + 4.0 * u1 * Q1 + 2.0 * u1 * Q111 + D11])
+
+
+@pytest.mark.parametrize("z", [1e2, 2.2e5, 2.4e5, 1e6])
+def test_quadrature_jacobian_matches_equilibrium_quartic(z):
+    """An oracle free of LiCoeffs' chain rule and of closure_moments: the
+    central-difference Jacobian of the quadrature fluxes at equilibrium, T = 1,
+    has eigenvalues u1 + {0, +-sqrt(x_+-)}, complex above FERMI_Z_C."""
+    u1 = 0.4
+    ref = EquilibriumParams(theta=1, z=z, u=np.zeros(3), T=1.0)
+    rho, p = ref.rho, ref.p
+    U = np.array([rho, rho * u1, rho * u1 ** 2 + p, rho * u1 ** 2 + 3.0 * p,
+                  rho * u1 ** 3 + 5.0 * p * u1])
+    J = np.empty((5, 5))
+    for j, h in enumerate(1e-5 * U):
+        step = np.zeros(5)
+        step[j] = h
+        J[:, j] = (_fluxes_1d(U + step, 1) - _fluxes_1d(U - step, 1)) / (2.0 * h)
+    got = list(np.linalg.eigvals(J) - u1)
+    roots = np.sqrt(np.roots([1.0, -ref.coeffs.c1, ref.coeffs.c0]).astype(complex))
+    assert (z > FERMI_Z_C) == bool(np.any(roots.imag != 0.0))
+    for want in np.concatenate([[0.0], roots, -roots]):
+        k = int(np.argmin(np.abs(np.subtract(got, want))))
+        assert abs(got[k] - want) <= 1e-6 * max(1.0, abs(want)), (z, want, got)
+        got.pop(k)

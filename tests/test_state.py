@@ -254,6 +254,40 @@ def test_closure_moments_symmetries(theta, rng):
                                rtol=0, atol=1e-10 * eq.p * math.sqrt(eq.T))
 
 
+def _einsum_closure_q_ijk(q_vec):
+    """closure_moments' q_ijk as three einsums over the identity: its reference."""
+    delta = np.eye(3)
+    return 0.4 * (np.einsum("ij,k->ijk", delta, q_vec)
+                  + np.einsum("ik,j->ijk", delta, q_vec)
+                  + np.einsum("kj,i->ijk", delta, q_vec))
+
+
+def test_closure_moments_q_ijk_matches_einsum_bitwise(theta, rng):
+    for _ in range(20):
+        st, eq = random_moment_state(rng, theta)
+        assert np.array_equal(q.closure_moments(st, eq).q_ijk,
+                              _einsum_closure_q_ijk(st.q))
+
+
+def _pointwise_moments(st, eq, n_nodes, half_width):
+    """The moments of ansatz_moments summed point by point over the same
+    spherical nodes: the reference for its separable contraction."""
+    x, wts = leggauss(n_nodes)
+    radius = half_width * math.sqrt(eq.T)
+    r = 0.5 * radius * (x + 1.0)
+    C = (r[:, None, None] * state._DIRS[None, :, :]).reshape(-1, 3)
+    W = np.outer(0.5 * radius * wts * r * r, state._DIR_WEIGHTS).reshape(-1)
+    V = eq.u + C
+    c2 = np.einsum("ni,ni->n", C, C)
+    fw = eq.hhat * W * q.grad_ansatz_eval(st, eq, V)
+    rho = float(np.sum(fw))
+    return {"rho": rho, "u": (fw @ V) / rho,
+            "p_ij": np.einsum("n,ni,nj->ij", fw, C, C),
+            "q": 0.5 * ((fw * c2) @ C),
+            "q_ijk": np.einsum("n,ni,nj,nk->ijk", fw, C, C, C),
+            "Delta_ij": np.einsum("n,ni,nj->ij", fw * c2, C, C)}
+
+
 def _tensor_grid_moments(st, eq, n_nodes, half_width):
     """The moments of ansatz_moments on a 3-axis Gauss-Legendre tensor grid
     over the box u +- half_width sqrt(T): the reference for the spherical rule."""
@@ -288,6 +322,15 @@ def test_ansatz_moments_match_tensor_grid(theta, rng):
         ref = _tensor_grid_moments(st, eq, nodes, 8.0)
         gaps = _moment_gaps(got, ref)
         assert max(gaps.values()) <= 1e-6, (eq.z, gaps)
+
+
+@pytest.mark.parametrize("nodes", [64, 96])
+def test_ansatz_moments_match_pointwise_contraction(theta, nodes, rng):
+    for _ in range(3):
+        st, eq = random_moment_state(rng, theta, bose_z_max=0.9)
+        got = q.ansatz_moments(st, eq, n_nodes=nodes, half_width=8.0)
+        gaps = _moment_gaps(got, _pointwise_moments(st, eq, nodes, 8.0))
+        assert max(gaps.values()) <= 1e-13, (eq.z, gaps)
 
 
 def test_ansatz_moments_angular_rule_is_exact(theta, rng, monkeypatch):
