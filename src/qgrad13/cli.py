@@ -8,6 +8,7 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -234,6 +235,7 @@ def _add_common_thermo(sp, need_z: bool = True) -> None:
                     help="equilibrium temperature (default 1)")
 
 
+@functools.lru_cache(maxsize=None)   # one parser per process, shared by every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgrad13",
@@ -319,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, InadmissibleCell, CFLViolation, SingularD,

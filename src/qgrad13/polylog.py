@@ -55,6 +55,9 @@ FERMI_Z_MAX = 1e12
 #: li and the fit hold up to FERMI_Z_MAX; hyperbolicity only below this.
 FERMI_Z_C = 230284.0276080967
 
+#: exclusive upper bound on z per statistics (`_validate_z`)
+_Z_BELOW = {-1: BOSE_Z_MAX, 0: math.inf, 1: math.nextafter(FERMI_Z_MAX, math.inf)}
+
 ZETA_HALF = -1.4603545088095868  # zeta(1/2)
 #: zeta(k + 1/2) for k = 1..20, the floats scipy.special.zeta 1.17.1 returns:
 #: all the zeta values the Robinson coefficients need
@@ -140,17 +143,18 @@ class PolylogSet:
 
 
 def _validate_z(z: np.ndarray, theta: int) -> None:
+    """One test against `_Z_BELOW` clears a batch; a failing one is diagnosed."""
+    if z.size == 0 or (z.min() > 0.0 and z.max() < _Z_BELOW[theta]):
+        return
     if not np.isfinite(z).all():
         raise DomainError("fugacity must be finite")
     if (z <= 0.0).any():
         raise DomainError("fugacity must be positive")
-    if theta == -1 and (z >= BOSE_Z_MAX).any():
+    if theta == -1:   # finite and positive, so above the bound
         raise DomainError(
             f"Boson fugacity must stay below {BOSE_Z_MAX} (condensation boundary)")
-    if theta == 1 and (z > FERMI_Z_MAX).any():
-        raise DomainError(
-            f"Fermion fugacity must not exceed {FERMI_Z_MAX:g} (range of the "
-            "Fermi-Dirac table)")
+    raise DomainError(f"Fermion fugacity must not exceed {FERMI_Z_MAX:g} (range of "
+                      "the Fermi-Dirac table)")
 
 
 def _series(z: np.ndarray, theta: int) -> np.ndarray:

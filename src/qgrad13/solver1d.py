@@ -26,14 +26,15 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .analysis import _fmt, _write_lines
+from .analysis import _write_lines
 from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoSolution)
 from .matrices import SystemKind, _a5_stack
-from .polylog import ORDERS, _check_theta
+from .polylog import FERMI_Z_C, ORDERS, _check_theta
 from .state import EquilibriumParams, LiCoeffs, _fit
 
 _MAX_STEPS = 5_000_000
+_LEDGER = ("time", "mass", "momentum", "energy")
 
 
 @dataclass(frozen=True)
@@ -138,29 +139,26 @@ def _a5_final_stack(w: np.ndarray, T: np.ndarray, li: Dict[float, np.ndarray]
 
 
 def _validate_cells(w: np.ndarray) -> None:
-    """First inadmissible cell wins; raised with its index for diagnostics."""
-    finite = np.all(np.isfinite(w), axis=1)
-    if not np.all(finite):
+    """First inadmissible cell wins; raised with its index for diagnostics.
+
+    One combined test clears an admissible state; only a failing one is
+    diagnosed (there, p11 > 0 follows from p > 0 and ratio > -1).
+    """
+    rho, _, p11, _, p = w.T
+    with np.errstate(all="ignore"):
+        ratio = p11 / p - 1.0
+    if (np.isfinite(w).all() and rho.min() > 0.0 and p.min() > 0.0
+            and ratio.min() > -1.0 and ratio.max() < 2.0):
+        return
+    finite = np.isfinite(w).all(axis=1)
+    if not finite.all():
         raise InadmissibleCell(int(np.argmin(finite)), "non-finite moments")
-    rho, _, p11, _, p = (w[:, k] for k in range(5))
     ok = (rho > 0.0) & (p > 0.0) & (p11 > 0.0)
-    if not np.all(ok):
+    if not ok.all():
         raise InadmissibleCell(int(np.argmin(ok)),
                                "density or pressure lost positivity")
-    ratio = p11 / p - 1.0
-    ok = (ratio > -1.0) & (ratio < 2.0)
-    if not np.all(ok):
-        idx = int(np.argmin(ok))
-        raise InadmissibleCell(idx, f"sigma11/p = {ratio[idx]:.6g} "
-                                    "outside (-1, 2)")
-
-
-def _neighbors(w: np.ndarray, boundary: str) -> Tuple[np.ndarray, np.ndarray]:
-    if boundary == "periodic":
-        return np.roll(w, -1, axis=0), np.roll(w, 1, axis=0)
-    wp = np.concatenate([w[1:], w[-1:]], axis=0)
-    wm = np.concatenate([w[:1], w[:-1]], axis=0)
-    return wp, wm
+    idx = int(np.argmin((ratio > -1.0) & (ratio < 2.0)))   # only the ratio is left
+    raise InadmissibleCell(idx, f"sigma11/p = {ratio[idx]:.6g} outside (-1, 2)")
 
 
 def _conserved(w: np.ndarray, dx: float) -> Tuple[float, float, float]:
@@ -211,15 +209,16 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
         if w.shape != (N, 5):
             raise DomainError(f"w0 must have shape ({N}, 5), got {w.shape}")
     _validate_cells(w)
+    rows = np.arange(N)
+    up, down = (rows + 1) % N, (rows - 1) % N     # right and left neighbour rows
+    if config.boundary == "copy":
+        up[-1], down[0] = N - 1, 0
     snap_times = np.linspace(0.0, config.t_end, config.n_snapshots)
     snap_tol = 1e-12 * max(1.0, config.t_end)
-    mass, mom, en = _conserved(w, dx)
-    ledger = {"time": [0.0], "mass": [mass], "momentum": [mom], "energy": [en]}
+    ledger = [(0.0,) + _conserved(w, dx)]
     snapshots = [w.copy()]
-    t = 0.0
-    steps = 0
-    max_speed = 0.0
-    fallbacks = fit_points = 0
+    t = max_speed = 0.0
+    steps = fallbacks = fit_points = 0
     snap_idx = 1
     while snap_idx < snap_times.size:
         try:
@@ -231,23 +230,24 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
         fallbacks += fell_back
         fit_points += points
         A, alpha = _a5_final_stack(w, T, li)
-        finite = np.isfinite(alpha)
-        if not np.all(finite):
-            i = int(np.argmin(finite))
-            raise InadmissibleCell(i, f"spectral radius {alpha[i]} in step "
-                                      f"{steps + 1} at t = {t:.6g}, "
-                                      f"z = {z[i]:.6g}")
-        amax = float(np.max(alpha))
+        amax = float(alpha.max())
+        if not math.isfinite(amax):
+            i = int(np.argmin(np.isfinite(alpha)))
+            above = (f" above the Fermion bound FERMI_Z_C = {FERMI_Z_C:.6g}"
+                     if config.theta == 1 and z[i] > FERMI_Z_C else "")
+            raise InadmissibleCell(i, f"spectral radius {alpha[i]} in step {steps + 1} "
+                                      f"at t = {t:.6g}, z = {z[i]:.6g}{above}")
         max_speed = max(max_speed, amax)
         dt_cfl = config.cfl * dx / amax if amax > 0.0 else math.inf
         if not (dt_cfl > 0.0 and math.isfinite(dt_cfl)):
             raise CFLViolation(f"unusable time step {dt_cfl} from "
                                f"spectral radius {amax}")
         dt = min(dt_cfl, float(snap_times[snap_idx]) - t)
-        wp, wm = _neighbors(w, config.boundary)
-        flux = np.einsum("nij,nj->ni", A, wp - wm)
-        w = w - (dt / (2.0 * dx)) * flux \
-            + (dt / (2.0 * dx)) * alpha[:, None] * (wp - 2.0 * w + wm)
+        k = dt / (2.0 * dx)   # w - k A (wp - wm) + k alpha (wp - 2 w + wm), in place
+        wp, wm = w.take(up, axis=0), w.take(down, axis=0)
+        lap = k * alpha[:, None] * (wp - 2.0 * w + wm)
+        w -= np.einsum("nij,nj->ni", A, wp - wm) * k
+        w += lap
         decay = math.exp(-dt / config.tau)
         w[:, 2] = w[:, 4] + (w[:, 2] - w[:, 4]) * decay
         w[:, 3] *= decay
@@ -258,15 +258,11 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
             raise CFLViolation(f"step budget exhausted at t = {t:.6g}")
         if t >= snap_times[snap_idx] - snap_tol:
             snapshots.append(w.copy())
-            mass, mom, en = _conserved(w, dx)
-            ledger["time"].append(float(snap_times[snap_idx]))
-            ledger["mass"].append(mass)
-            ledger["momentum"].append(mom)
-            ledger["energy"].append(en)
+            ledger.append((float(snap_times[snap_idx]),) + _conserved(w, dx))
             snap_idx += 1
     return SimResult(config=config, x=x, times=snap_times,
                      snapshots=np.array(snapshots),
-                     ledger={k: np.array(v) for k, v in ledger.items()},
+                     ledger=dict(zip(_LEDGER, np.array(ledger).T.copy())),
                      steps=steps, max_speed=max_speed,
                      newton_fallbacks=fallbacks, fit_points=fit_points)
 
@@ -274,21 +270,18 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
 # ---------------------------------------------------------------------------
 # artifacts
 
+def _write_columns(path: str, header: str, columns) -> None:
+    """Equal-length columns as CSV rows of 17-digit floats, one format per row."""
+    row = ",".join(["%.17g"] * len(columns))
+    _write_lines(path, [header] + [row % tuple(r)
+                                   for r in np.column_stack(columns).tolist()])
+
+
 def write_snapshot_csv(result: SimResult, path: str, index: int = -1) -> None:
     """One snapshot as CSV columns x, rho, u1, p11, q1, p."""
-    w = result.snapshots[index]
-    lines = ["x,rho,u1,p11,q1,p"]
-    for i in range(result.x.size):
-        lines.append(",".join([_fmt(result.x[i])] +
-                              [_fmt(w[i, k]) for k in range(5)]))
-    _write_lines(path, lines)
+    _write_columns(path, "x,rho,u1,p11,q1,p", [result.x, *result.snapshots[index].T])
 
 
 def write_ledger_csv(result: SimResult, path: str) -> None:
     """Conservation ledger as CSV columns time, mass, momentum, energy."""
-    lines = ["time,mass,momentum,energy"]
-    led = result.ledger
-    for i in range(led["time"].size):
-        lines.append(",".join(_fmt(led[k][i])
-                              for k in ("time", "mass", "momentum", "energy")))
-    _write_lines(path, lines)
+    _write_columns(path, ",".join(_LEDGER), [result.ledger[k] for k in _LEDGER])

@@ -20,8 +20,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import NoConvergence, NoRoot
+from .errors import DomainError, NoRoot
 from .matrices import SystemKind, assemble_A
+from .polylog import FERMI_Z_C
 from .state import EquilibriumParams, LiCoeffs, _shear_state
 
 #: the classification tolerances, the same for every caller
@@ -239,12 +240,13 @@ def _coeffs(z: float, theta: int) -> LiCoeffs:
 
 
 def char_poly_equilibrium(z: float, theta: int, T: float = 1.0) -> EquilibriumSpectrum:
-    """Equilibrium spectrum lam_hat^5 (lam_hat^2 - alpha)^2 (lam_hat^4 - c1 lam_hat^2 + c0)."""
+    """Equilibrium spectrum lam_hat^5 (lam_hat^2 - alpha)^2 (lam_hat^4 - c1 lam_hat^2 + c0);
+    a DomainError above FERMI_Z_C, where the quartic's roots are complex."""
     c = _coeffs(z, theta)
     x_minus, x_plus = float(c.x_minus), float(c.x_plus)
     if math.isnan(x_plus):
-        raise NoConvergence(
-            f"equilibrium quartic discriminant negative at z={z}, theta={theta}")
+        raise DomainError(f"equilibrium quartic has complex roots at z={z}, above "
+                          f"the Fermion hyperbolicity bound FERMI_Z_C = {FERMI_Z_C!r}")
     sa, sm, sp = math.sqrt(c.alpha), math.sqrt(x_minus), math.sqrt(x_plus)
     lam = np.array([-sp, -sa, -sa, -sm, 0.0, 0.0, 0.0, 0.0, 0.0,
                     sm, sa, sa, sp])

@@ -42,60 +42,77 @@ def _square(x):
     return np.float_power(x, 2.0)
 
 
+class _once(cached_property):
+    """A `LiCoeffs` formula, computed on first read and then kept: a
+    cached_property without the lock it takes on every first read before 3.12."""
+    def __get__(self, c, owner=None):
+        return self if c is None else vars(c).setdefault(self.attrname, self.func(c))
+
+
 class LiCoeffs:
     """Every li-derived coefficient of the equilibrium expansion, in one place.
 
     Built from the five li values and the temperature T by plain arithmetic,
     so li may hold floats (one equilibrium, `EquilibriumParams.coeffs`) or
-    arrays over N fugacities (the solver's cells).  Lk stands for li[k/2],
-    Ljk for the ratio Lj / Lk.  b_low enters the reduced 5x5 block (orders
-    1/2..5/2) and b_high the regularization factors (3/2..7/2); they coincide
-    only classically.  rho_phi_rho .. p_psi_p are the chain-rule derivatives
-    through (rho, p) <-> (z, T); frakB normalizes the heat-flux term of the
-    ansatz; m2, m3, Tc and Mrho are entries of the constant factor M; alpha
-    is the doubled branch 7 li[9/2] / (5 li[7/2]) of the equilibrium spectrum.
-    c0, c1 define its quartic x^2 - c1 x + c0 in x = lam_hat^2, whose roots
-    x_minus <= x_plus give the other speeds; sqrt(T x_plus) is the largest.
+    arrays over N fugacities (the solver's cells).  Each is computed on first
+    read and kept, so a reader pays only for what it reads.  Lk stands for
+    li[k/2], Ljk for the ratio Lj / Lk.  b_low enters the reduced 5x5 block
+    (orders 1/2..5/2) and b_high the regularization factors (3/2..7/2); they
+    coincide only classically.  rho_phi_rho .. p_psi_p are the chain-rule
+    derivatives through (rho, p) <-> (z, T); frakB normalizes the heat-flux
+    term of the ansatz; m2, m3, Tc and Mrho are entries of the constant
+    factor M; alpha is the doubled branch 7 li[9/2] / (5 li[7/2]) of the
+    equilibrium spectrum.  c0, c1 define its quartic x^2 - c1 x + c0 in
+    x = lam_hat^2, whose roots x_minus <= x_plus give the other speeds;
+    sqrt(T x_plus) is the largest.
     """
 
     def __init__(self, li: Mapping[float, object], T):
-        L1, L3, L5, L7, L9 = (li[s] for s in ORDERS)
         self.T = T
-        self.L1, self.L3, self.L5, self.L7, self.L9 = L1, L3, L5, L7, L9
-        self.L13 = L13 = L1 / L3
-        self.L35 = L35 = L3 / L5
-        self.L53 = L53 = L5 / L3
-        self.L75 = L75 = L7 / L5
-        self.L97 = L97 = L9 / L7
-        L3_2, L5_2, L7_2 = _square(L3), _square(L5), _square(L7)
-        self.r = r = L3 * L7 / L5_2
-        self.r2 = r2 = L5 * L9 / L7_2
-        self.Delta = Delta = 1.5 * L35 - 2.5 * L13      # < 0 in-domain
-        self.phi = T * L75
-        self.psi = T * L97
-        self.b_low = b_low = 2.0 / (5.0 - 3.0 * L3_2 / (L1 * L5))
-        self.b_high = b_high = 2.0 / (5.0 - 3.0 * L5_2 / (L3 * L7))
-        self.dfrak = 2.5 * (1.0 - r)
-        self.Tc = T * (3.5 * L97 - 2.5 * L75)
-        self.tfrak = 2.5 * T * ((7.0 * L75 - 3.0 * L13) * (b_low / 2.0) - L75)
-        self.rho_phi_rho = T * (7.0 * r - 5.0) / (2.0 * Delta)
-        self.p_phi_p = p_phi_p = T * (1.5 * (1.0 - r) - L13 * L75) / Delta
-        self.rho_psi_rho = T * (L35 * L97 - 2.5 * (1.0 - r2)) / Delta
-        self.p_psi_p = T * (1.5 * (1.0 - r2) - L13 * L97) / Delta
-        self.frakB = 3.5 * L9 / L5 - 2.5 * L7_2 / L5_2
-        self.m2 = 0.5 * (1.0 - L5_2 / (L3 * L7))
-        self.m3 = 2.5 * p_phi_p / (3.0 * b_high)
-        self.Mrho = 2.5 * T * T * L53 * (2.0 * r - 1.0 - L13 * L75) / Delta
-        self.alpha = 1.4 * L9 / L7
-        S = 5.0 * L1 * L5 - 3.0 * L3_2
-        self.c0 = c0 = 3.0 * (7.0 * L3 * L7 - 5.0 * L5_2) / S
-        self.c1 = c1 = (140.0 * L1 * L5 * L9 + 175.0 * L1 * L7_2
-                        - 84.0 * L3_2 * L9
-                        - 75.0 * L3 * L5 * L7) / (15.0 * L7 * S)
+        self.L1, self.L3, self.L5, self.L7, self.L9 = (li[s] for s in ORDERS)
+
+    L13 = _once(lambda c: c.L1 / c.L3)
+    L35 = _once(lambda c: c.L3 / c.L5)
+    L53 = _once(lambda c: c.L5 / c.L3)
+    L75 = _once(lambda c: c.L7 / c.L5)
+    L97 = _once(lambda c: c.L9 / c.L7)
+    _L3_2 = _once(lambda c: _square(c.L3))
+    _L5_2 = _once(lambda c: _square(c.L5))
+    _L7_2 = _once(lambda c: _square(c.L7))
+    r = _once(lambda c: c.L3 * c.L7 / c._L5_2)
+    r2 = _once(lambda c: c.L5 * c.L9 / c._L7_2)
+    Delta = _once(lambda c: 1.5 * c.L35 - 2.5 * c.L13)      # < 0 in-domain
+    phi = _once(lambda c: c.T * c.L75)
+    psi = _once(lambda c: c.T * c.L97)
+    b_low = _once(lambda c: 2.0 / (5.0 - 3.0 * c._L3_2 / (c.L1 * c.L5)))
+    b_high = _once(lambda c: 2.0 / (5.0 - 3.0 * c._L5_2 / (c.L3 * c.L7)))
+    dfrak = _once(lambda c: 2.5 * (1.0 - c.r))
+    Tc = _once(lambda c: c.T * (3.5 * c.L97 - 2.5 * c.L75))
+    tfrak = _once(lambda c: 2.5 * c.T * ((7.0 * c.L75 - 3.0 * c.L13) * (c.b_low / 2.0)
+                                         - c.L75))
+    rho_phi_rho = _once(lambda c: c.T * (7.0 * c.r - 5.0) / (2.0 * c.Delta))
+    p_phi_p = _once(lambda c: c.T * (1.5 * (1.0 - c.r) - c.L13 * c.L75) / c.Delta)
+    rho_psi_rho = _once(lambda c: c.T * (c.L35 * c.L97 - 2.5 * (1.0 - c.r2)) / c.Delta)
+    p_psi_p = _once(lambda c: c.T * (1.5 * (1.0 - c.r2) - c.L13 * c.L97) / c.Delta)
+    frakB = _once(lambda c: 3.5 * c.L9 / c.L5 - 2.5 * c._L7_2 / c._L5_2)
+    m2 = _once(lambda c: 0.5 * (1.0 - c._L5_2 / (c.L3 * c.L7)))
+    m3 = _once(lambda c: 2.5 * c.p_phi_p / (3.0 * c.b_high))
+    Mrho = _once(lambda c: 2.5 * c.T * c.T * c.L53 * (2.0 * c.r - 1.0 - c.L13 * c.L75)
+                 / c.Delta)
+    alpha = _once(lambda c: 1.4 * c.L9 / c.L7)
+    _S = _once(lambda c: 5.0 * c.L1 * c.L5 - 3.0 * c._L3_2)
+    c0 = _once(lambda c: 3.0 * (7.0 * c.L3 * c.L7 - 5.0 * c._L5_2) / c._S)
+    c1 = _once(lambda c: (140.0 * c.L1 * c.L5 * c.L9 + 175.0 * c.L1 * c._L7_2
+                          - 84.0 * c._L3_2 * c.L9 - 75.0 * c.L3 * c.L5 * c.L7)
+               / (15.0 * c.L7 * c._S))
+
+    @_once
+    def x_plus(c):
+        c1, c0 = c.c1, c.c0
         with np.errstate(invalid="ignore"):   # NaN marks a complex pair
-            root = np.sqrt(_square(c1) - 4.0 * c0)
-        self.x_plus = x_plus = 0.5 * (c1 + root)
-        self.x_minus = c0 / x_plus    # Vieta: (c1 - root) / 2 cancels as z -> 1
+            return 0.5 * (c1 + np.sqrt(_square(c1) - 4.0 * c0))
+
+    x_minus = _once(lambda c: c.c0 / c.x_plus)   # Vieta: c1 - root cancels as z -> 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,6 +298,7 @@ _LOG_Z_HI = {-1: math.log(BOSE_Z_MAX), 1: math.log(FERMI_Z_MAX)}
 
 
 _BISECTIONS = 40
+_EPS = float(np.finfo(float).eps)
 _NEWTON_STEPS = 3
 
 
@@ -349,16 +367,15 @@ def _refine(guess, target: np.ndarray, theta: int):
     plus what a step of eps in log z moves it, eps |slope|.  So a cell at
     its fixed point keeps z and li bit for bit; each of at most
     three iterates evaluates li on the cells still moving.  li is pointwise,
-    so these sub-batches change no value.  Returns (z, li, curve, points),
-    curve at the returned z and points the li evaluations made.
+    so these sub-batches change no value.  Returns (z, li, curve, slope,
+    points): curve and slope at the returned z, points the li evaluations.
     """
-    eps = np.finfo(float).eps
     z = np.array(guess[0], dtype=float)
     li = {s: np.array(guess[1][s], dtype=float) for s in ORDERS}
     x = np.log(z)
     curve, slope = _curve(li)
-    noise = 32.0 * eps * (1.0 + np.abs(target))
-    moving = np.flatnonzero(np.abs(curve - target) > noise + eps * np.abs(slope))
+    noise = 32.0 * _EPS * (1.0 + np.abs(target))
+    moving = np.flatnonzero(np.abs(curve - target) > noise + _EPS * np.abs(slope))
     points = 0
     for _ in range(3):
         if moving.size == 0:
@@ -373,8 +390,9 @@ def _refine(guess, target: np.ndarray, theta: int):
             li[s][moving] = lm[s]
         cm, sm = _curve(lm)
         curve[moving], slope[moving] = cm, sm
-        moving = moving[np.abs(cm - target[moving]) > noise[moving] + eps * np.abs(sm)]
-    return z, li, curve, points
+        moving = moving[np.abs(cm - target[moving])
+                        > noise[moving] + _EPS * np.abs(sm)]
+    return z, li, curve, slope, points
 
 
 def _fit(rho: np.ndarray, p: np.ndarray, theta: int, hhat: float = 1.0,
@@ -383,8 +401,9 @@ def _fit(rho: np.ndarray, p: np.ndarray, theta: int, hhat: float = 1.0,
 
     `guess` is a previous fit's (z, li), li evaluated at exactly that z,
     which `_refine` polishes cell by cell, so a cell's result depends only
-    on its own guess and target.  Cells that still miss by more than 1e-11,
-    or all without a guess (a cold start, not a fallback), go through
+    on its own guess and target.  Cells that still miss by more than 1e-11
+    plus eps |slope| (one ulp of log z, more near Boson condensation), or
+    all without a guess (a cold start, not a fallback), go through
     fit_fugacity_batch and li at its z.  `points` counts the li evaluations
     of the call.  Range errors carry the first offending `index`.  The
     powers use libm pow like `_square`, so they add no dependence on the
@@ -399,8 +418,8 @@ def _fit(rho: np.ndarray, p: np.ndarray, theta: int, hhat: float = 1.0,
         z = gstar ** -1.5              # li[s] = z: exact without a start
     else:
         target = np.log(gstar)
-        z, li, curve, points = _refine(guess, target, theta)
-        missed = np.flatnonzero(np.abs(curve - target) > 1e-11)
+        z, li, curve, slope, points = _refine(guess, target, theta)
+        missed = np.flatnonzero(np.abs(curve - target) > 1e-11 + _EPS * np.abs(slope))
         if missed.size:
             try:
                 z_missed = fit_fugacity_batch(gstar[missed], theta)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import qgrad13 as q
-from qgrad13 import analysis
+from qgrad13 import analysis, cli
 from qgrad13.cli import main
+from qgrad13.polylog import FERMI_Z_C
 
 
 def test_polylog_json(capsys):
@@ -221,6 +222,53 @@ def test_sweep_eigs(tmp_path, capsys):
     assert rc == 0
     assert len(out_file.read_text().splitlines()) == 26
     assert "11.68" in capsys.readouterr().out  # branch crossing location
+
+
+def test_sweep_eigs_names_the_fermion_bound(capsys):
+    """Past FERMI_Z_C the equilibrium quartic has complex roots: a domain
+    error (exit 3) that names the bound."""
+    assert main(["sweep-eigs", "--theta", "1", "--zmin", "1e2", "--zmax", "3e5",
+                 "--n", "3"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DomainError"
+    assert f"FERMI_Z_C = {FERMI_Z_C!r}" in err["message"]
+    assert "z=300000" in err["message"]
+
+
+#: one run per statistics, 400 cells to t = 0.01: (left, right) sides
+_SIM_SIDES = {1: ({"z": 6.0, "u1": 0.1, "T": 1.0}, {"z": 2.0, "u1": -0.1, "T": 1.2}),
+              0: ({"z": 0.8, "u1": 0.1, "T": 1.0}, {"z": 0.3, "u1": -0.1, "T": 1.2}),
+              -1: ({"z": 0.95, "u1": 0.1, "T": 1.0}, {"z": 0.4, "u1": -0.1, "T": 1.2})}
+
+
+@pytest.mark.parametrize("theta, digest", [
+    (-1, "3c8d28a07219a3b8a690a3d29d73e34cbd9d8c32ad37440bfe956e3ecf4dae59"),
+    (0, "6d9345f9d87346c6af6ca29a00c20f543327bab3c64473587bc9c0ec61b5d0b8"),
+    (1, "9fefcab65b19521dcc877e3d300842e94f8ab17ea1cb5877d4b2ceb6bb034d3e"),
+], ids=["boson", "classical", "fermion"])
+def test_simulate_artifacts_frozen(theta, digest, tmp_path, capsys):
+    """`simulate --out-prefix` stdout (steps, max_speed, mass drift, Newton
+    fallbacks, fit points), snapshots and ledger, byte for byte."""
+    left, right = _SIM_SIDES[theta]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": theta, "cells": 400, "length": 1.0,
+                               "cfl": 0.45, "tau": 0.05, "t_end": 0.01,
+                               "n_snapshots": 3, "left": left, "right": right}))
+    prefix = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(cfg), "--out-prefix", prefix]) == 0
+    h = hashlib.sha256(capsys.readouterr().out.replace(prefix, "PREFIX").encode())
+    for f in sorted(tmp_path.glob("run_*")):
+        h.update(f.name.encode())
+        h.update(f.read_bytes())
+    assert h.hexdigest() == digest
+
+
+def test_main_builds_its_parser_once(capsys):
+    main(["polylog", "--theta", "0", "--z", "1"])
+    parser = cli.build_parser()
+    main(["polylog", "--theta", "1", "--z", "2"])
+    assert cli.build_parser() is parser
+    assert "li[9/2]" in capsys.readouterr().out
 
 
 def test_nsf_json(capsys):

@@ -248,6 +248,45 @@ def test_rejects_fermion_above_table():
         eval_polylog_batch(float(np.nextafter(polylog.FERMI_Z_MAX, np.inf)), 1)
 
 
+def _z_diagnosis(z, theta):
+    """The fugacity check as it was before its combined fast test: the
+    behaviour `polylog._validate_z` keeps."""
+    if not np.isfinite(z).all():
+        raise DomainError("fugacity must be finite")
+    if (z <= 0.0).any():
+        raise DomainError("fugacity must be positive")
+    if theta == -1 and (z >= BOSE_Z_MAX).any():
+        raise DomainError(
+            f"Boson fugacity must stay below {BOSE_Z_MAX} (condensation boundary)")
+    if theta == 1 and (z > polylog.FERMI_Z_MAX).any():
+        raise DomainError(
+            f"Fermion fugacity must not exceed {polylog.FERMI_Z_MAX:g} (range of the "
+            "Fermi-Dirac table)")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                                 BOSE_Z_MAX, float(np.nextafter(BOSE_Z_MAX, 0.0)),
+                                 polylog.FERMI_Z_MAX,
+                                 float(np.nextafter(polylog.FERMI_Z_MAX, np.inf)),
+                                 1e300, 5e-324, None])
+def test_fugacity_check_matches_diagnosis(bad, theta):
+    """Same exception type and message, or none, at every bound: Boson z at
+    BOSE_Z_MAX is rejected, Fermion z at FERMI_Z_MAX accepted and the next
+    float above it rejected.  The entry sits between admissible ones."""
+    z = np.array([0.5, 0.2] + ([] if bad is None else [bad]) + [0.3])
+    outcomes = []
+    for check in (_z_diagnosis, polylog._validate_z):
+        try:
+            check(z, theta)
+            outcomes.append(None)
+        except DomainError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    if bad == polylog.FERMI_Z_MAX and theta == 1:
+        assert outcomes[0] is None
+    polylog._validate_z(np.array([]), theta)
+
+
 @pytest.mark.parametrize("bad_theta", [2, -2, 0.5, "x"])
 def test_rejects_bad_theta(bad_theta):
     with pytest.raises(DomainError):

@@ -8,6 +8,7 @@ import qgrad13 as q
 from qgrad13 import (CFLViolation, DomainError, EquilibriumParams,
                      InadmissibleCell, SimConfig, SystemKind)
 from qgrad13 import solver1d, state
+from qgrad13.polylog import FERMI_Z_C
 from test_matrices import _reduce_to_1d
 
 
@@ -355,6 +356,75 @@ def test_non_finite_spectral_radius_is_inadmissible():
     assert exc.value.index == cfg.cells // 2
     message = str(exc.value)
     assert "step 1" in message and "t = 0" in message and "z = 1e+06" in message
+
+
+def test_radius_past_the_fermion_bound_names_it():
+    """At z = 3e5 > FERMI_Z_C the radius is NaN, and the error says why."""
+    cfg = _uniform_config(theta=1, z=5.0)
+    cfg = SimConfig(**{**cfg.as_dict(), "right": dict(z=3e5, u1=0.0, T=1.0)})
+    with pytest.raises(InadmissibleCell) as exc:
+        q.run(cfg)
+    assert exc.value.index == cfg.cells // 2
+    assert str(exc.value).endswith(
+        f"z = 300000 above the Fermion bound FERMI_Z_C = {FERMI_Z_C:.6g}")
+
+
+def _column_diagnosis(w):
+    """The per-step check as it was before its combined fast test: the
+    behaviour `_validate_cells` keeps for every state."""
+    finite = np.all(np.isfinite(w), axis=1)
+    if not np.all(finite):
+        raise InadmissibleCell(int(np.argmin(finite)), "non-finite moments")
+    rho, _, p11, _, p = (w[:, k] for k in range(5))
+    ok = (rho > 0.0) & (p > 0.0) & (p11 > 0.0)
+    if not np.all(ok):
+        raise InadmissibleCell(int(np.argmin(ok)),
+                               "density or pressure lost positivity")
+    ratio = p11 / p - 1.0
+    ok = (ratio > -1.0) & (ratio < 2.0)
+    if not np.all(ok):
+        idx = int(np.argmin(ok))
+        raise InadmissibleCell(idx, f"sigma11/p = {ratio[idx]:.6g} "
+                                    "outside (-1, 2)")
+
+
+def _outcome(check, w):
+    try:
+        with np.errstate(all="ignore"):
+            check(w)
+    except InadmissibleCell as exc:
+        return type(exc), exc.index, str(exc)
+    return None
+
+
+def _cell_edits():
+    """Lists of (cell, column, value or a function of the cell's p)."""
+    nan, inf = math.nan, math.inf
+    edits = [[(3, k, v)] for k in range(5) for v in (nan, inf, -inf)]
+    edits += [[(5, 0, 0.0)], [(5, 0, -1.0)], [(2, 4, 0.0)], [(2, 4, -1e-300)],
+              [(6, 2, 0.0)], [(6, 2, -1.0)], [(1, 4, 1e-300), (1, 2, 1e300)]]
+    for f in (lambda p: 1e-300 * p, lambda p: 3.0 * p, lambda p: 3.5 * p,
+              lambda p: np.nextafter(3.0 * p, 0.0), lambda p: 2.999 * p,
+              lambda p: 1e-3 * p, lambda p: np.nextafter(0.0, 1.0)):
+        edits.append([(4, 2, f)])
+    edits += [[(6, 1, nan), (2, 0, -1.0)], [(4, 0, -1.0), (1, 2, lambda p: 5 * p)],
+              [(5, 2, lambda p: 4 * p), (2, 2, lambda p: 1e-301 * p)], []]
+    return edits
+
+
+@pytest.mark.parametrize("edit", _cell_edits())
+def test_cell_check_matches_column_diagnosis(edit, rng):
+    """Type, index and message of the first failure, or none, as before."""
+    p = rng.uniform(0.5, 2.0, 8)
+    w = np.column_stack([rng.uniform(0.5, 2.0, 8), rng.uniform(-1.0, 1.0, 8),
+                         p * (1.0 + rng.uniform(-0.9, 1.9, 8)),
+                         rng.uniform(-1.0, 1.0, 8), p])
+    for cell, col, value in edit:
+        w[cell, col] = value(w[cell, 4]) if callable(value) else value
+    expected = _outcome(_column_diagnosis, w)
+    assert _outcome(solver1d._validate_cells, w) == expected
+    if not edit:
+        assert expected is None
 
 
 def test_solver_holds_no_fit_of_its_own():

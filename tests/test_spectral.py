@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import qgrad13 as q
-from qgrad13 import Classification, EquilibriumParams, NoRoot, spectral, state
+from qgrad13 import (Classification, EquilibriumParams, NoRoot, analysis, matrices,
+                     spectral, state)
 from qgrad13.analysis import random_fugacity, random_moment_state, random_unit_vectors
 from qgrad13.polylog import FERMI_Z_C
 from qgrad13.spectral import CLASS_CODES, brute_charpoly_reduced, charpoly_coeffs
@@ -327,6 +328,37 @@ def test_fermion_crossing_location_and_neighborhood():
 def test_fermion_crossing_requires_bracket():
     with pytest.raises(NoRoot):
         q.fermion_crossing(lo=20.0, hi=30.0)
+
+
+def test_char_poly_equilibrium_names_the_fermion_bound():
+    """Above FERMI_Z_C the quartic's roots are complex: a DomainError that
+    names the bound, not a convergence failure."""
+    q.char_poly_equilibrium(0.99 * FERMI_Z_C, 1)
+    with pytest.raises(q.DomainError, match=f"FERMI_Z_C = {FERMI_Z_C!r}"):
+        q.char_poly_equilibrium(3e5, 1)
+
+
+def test_regularization_hyperbolic_up_to_the_domain_edges(monkeypatch):
+    """c5's draw and direction, with Fermion z log-uniform on
+    [1e2, 0.95 FERMI_Z_C] and Boson z uniform in log(1 - z) on
+    [0.99, 1 - 1e-9]: no state is NonDiagonalizable or NonHyperbolic."""
+    rng = np.random.Generator(np.random.Philox(20261019))
+    ranges = {1: lambda: 10.0 ** rng.uniform(2.0, math.log10(0.95 * FERMI_Z_C)),
+              -1: lambda: 1.0 - 10.0 ** rng.uniform(-9.0, -2.0)}
+    bad = {}
+    for theta, n in ((1, 1500), (-1, 2400)):
+        monkeypatch.setattr(analysis, "random_fugacity",
+                            lambda rng, theta, bose_z_max: float(ranges[theta]()))
+        codes = []
+        for start in range(0, n, 1024):
+            drawn = [random_moment_state(rng, theta)
+                     for _ in range(min(1024, n - start))]
+            sm = matrices.regularized_stack(matrices.stack_states(*zip(*drawn)),
+                                            random_unit_vectors(rng, len(drawn)))
+            codes.append(q.classify_batch(sm.A)[0])
+        bad[theta] = int(np.sum(np.concatenate(codes)
+                                >= CLASS_CODES[Classification.NonDiagonalizable]))
+    assert bad == {1: 0, -1: 0}
 
 
 def test_closed_forms_evaluate_polylog_once(theta, monkeypatch):

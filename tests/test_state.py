@@ -1,5 +1,7 @@
 """Equilibrium thermodynamics, fugacity fitting and the moment ansatz."""
+import hashlib
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -57,6 +59,75 @@ def test_coefficient_record_batch_matches_scalar(theta):
         for name, value in vars(eq.coeffs).items():
             got = getattr(batch, name)[i]
             assert np.float64(got).tobytes() == np.float64(value).tobytes(), name
+
+
+#: every coefficient of `LiCoeffs`, in the order of its formulas
+_COEFF_NAMES = ("T", "L1", "L3", "L5", "L7", "L9", "L13", "L35", "L53", "L75", "L97",
+                "r", "r2", "Delta", "phi", "psi", "b_low", "b_high", "dfrak", "Tc",
+                "tfrak", "rho_phi_rho", "p_phi_p", "rho_psi_rho", "p_psi_p", "frakB",
+                "m2", "m3", "Mrho", "alpha", "c0", "c1", "x_plus", "x_minus")
+
+
+def _coeff_draws(theta, n):
+    """Fermion z up to 1e6 (past FERMI_Z_C, where x_plus is NaN), Boson z up
+    to 1 - 1e-11, classical z over six decades; T in [0.3, 3]."""
+    rng = np.random.Generator(np.random.Philox(20261019 + theta))
+    if theta == 1:
+        z = 10.0 ** rng.uniform(-3.0, 6.0, n)
+    elif theta == -1:
+        z = 1.0 - 10.0 ** rng.uniform(-11.0, math.log10(0.99), n)
+    else:
+        z = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    return z, rng.uniform(0.3, 3.0, n)
+
+
+def _coeff_digest(records, order):
+    """Read every coefficient in `order`, with warnings as errors, then hash
+    them in `_COEFF_NAMES` order (NaN written as one bit pattern)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        read = [{name: getattr(c, name) for name in order} for c in records]
+    h = hashlib.sha256()
+    for values in read:
+        for name in _COEFF_NAMES:
+            v = np.asarray(values[name], dtype=float)
+            h.update(name.encode() + np.where(np.isnan(v), np.nan, v).tobytes())
+    return h.hexdigest()[:32]
+
+
+@pytest.mark.parametrize("theta, digests", [
+    (-1, ("7878677c7dae84fcb6f216c77494fee4", "df0316fa8b2ed8188b5e7c4d87513318")),
+    (0, ("cd0538ccd6c762ffaf475b85f9081afb", "b9e55592645feb22a190be6e101aa5d9")),
+    (1, ("4587558b1c843ebb7e79d2f83b70cd3c", "0753f73fe57587237a029ecfcbf8ce75")),
+], ids=["boson", "classical", "fermion"])
+def test_coefficient_record_pinned_in_any_read_order(theta, digests):
+    """Every coefficient, bit for bit as the eagerly built record gave it,
+    whichever coefficient is read first: 12 single equilibria (floats) and
+    one record over 400 fugacities, read forwards and backwards.  Each
+    float record also equals its entry of the batch, for every name."""
+    z, T = _coeff_draws(theta, 400)
+    li = q.eval_polylog_batch(z, theta)
+    for order in (_COEFF_NAMES, _COEFF_NAMES[::-1]):
+        floats = [EquilibriumParams(theta=theta, z=z[i], u=np.zeros(3), T=T[i]).coeffs
+                  for i in range(12)]
+        batch = state.LiCoeffs(li, T)
+        assert (_coeff_digest(floats, order), _coeff_digest([batch], order)) == digests
+        for i, c in enumerate(floats):
+            for name in _COEFF_NAMES:
+                a, b = np.float64(getattr(c, name)), getattr(batch, name)[i]
+                assert np.array_equal(a, b, equal_nan=True), (i, name)
+                assert np.signbit(a) == np.signbit(b) or np.isnan(a), (i, name)
+
+
+def test_coefficient_record_computes_only_what_is_read():
+    """A reader of the solver's five coefficients leaves the rest unbuilt."""
+    z, T = _coeff_draws(1, 8)
+    c = state.LiCoeffs(q.eval_polylog_batch(z, 1), T)
+    for name in ("rho_phi_rho", "p_phi_p", "Tc", "dfrak", "x_plus"):
+        getattr(c, name)
+    for name in ("tfrak", "rho_psi_rho", "p_psi_p", "frakB", "m2", "m3", "Mrho",
+                 "alpha", "b_low", "b_high", "x_minus", "phi", "psi"):
+        assert name not in vars(c), name
 
 
 @pytest.mark.parametrize("z", [1.0 - 1e-6, 1.0 - 1e-10])
@@ -183,6 +254,24 @@ def test_fit_range_errors_name_the_first_offending_entry():
     with pytest.raises(CondensationError) as exc:
         state._fit(rho, p, -1, guess=(guess, q.eval_polylog_batch(guess, -1)))
     assert exc.value.index == 6
+
+
+def test_near_condensation_refit_costs_nothing():
+    """Within about 5e-11 of condensation one ulp of z moves the curve by
+    more than 1e-11, so the fallback check allows that ulp too: an
+    unchanged second refit evaluates no li and takes no bracket."""
+    rng = np.random.Generator(np.random.Philox(7))
+    z = 1.0 - 10.0 ** rng.uniform(math.log10(3e-12), -3.0, 3000)
+    T = rng.uniform(0.5, 2.0, z.size)
+    li = q.eval_polylog_batch(z, -1)
+    rho = (2.0 * math.pi * T) ** 1.5 * li[1.5]
+    p = rho * T * li[2.5] / li[1.5]
+    z0, _, li0, _, _ = state._fit(rho, p, -1)
+    z1, _, li1, fell_back, _ = state._fit(rho, p, -1, guess=(z0, li0))
+    assert not fell_back
+    z2, _, li2, fell_back, points = state._fit(rho, p, -1, guess=(z1, li1))
+    assert (fell_back, points) == (False, 0)
+    np.testing.assert_array_equal(z2, z1)
 
 
 def test_fit_fugacity_batch_round_trip(theta):
