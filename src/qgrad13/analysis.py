@@ -13,12 +13,13 @@ the quadrature check of the moment closure.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +28,11 @@ from .errors import NoRoot
 from .matrices import (SystemKind, _unit_rows, assemble_A, assemble_A5_grad,
                        assemble_axes, assemble_M, pslot, regularized_stack,
                        stack_states)
-from .polylog import (_SERIES_Z_MAX, FERMI_Z_MAX, ORDERS, _check_theta,
+from .polylog import (_SERIES_Z_MAX, FERMI_Z_C, FERMI_Z_MAX, ORDERS, _check_theta,
                       _fermi_quadrature, eval_polylog_batch)
 from .spectral import (CLASS_CODES, CODE_INADMISSIBLE, Classification,
                        classify_batch)
-from .state import (EquilibriumParams, MomentState13, _shear_state,
+from .state import (EquilibriumParams, LiCoeffs, MomentState13, _shear_state,
                     ansatz_moments, closure_moments, equilibrium_state13,
                     state5_from_hat)
 
@@ -121,10 +122,18 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _write_lines(path: str, lines: List[str]) -> None:
-    """A CSV (or any line-based artifact), newline-terminated."""
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """A CSV (or any line-based artifact), each item newline-terminated."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _write_columns(path: str, header: str, columns) -> None:
+    """Equal-length columns as CSV rows of 17-digit floats, one format per row
+    (`_fmt`'s digits)."""
+    row = ",".join(["%.17g"] * len(columns))
+    _write_lines(path, [header] + [row % tuple(r)
+                                   for r in np.column_stack(columns).tolist()])
 
 
 def _write_meta(path: str, meta: Dict[str, object]) -> None:
@@ -140,12 +149,10 @@ def write_region_csv(grid: RegionGrid, path: str) -> None:
     Rows iterate y outer, x inner; floats carry 17 significant digits so
     repeated runs produce byte-identical files.
     """
-    lines = [f"{grid.x_name},{grid.y_name},class_code"]
     xs = [_fmt(x) for x in grid.x]
-    for y, row in zip(grid.y, grid.cells):
-        ys = _fmt(y)
-        lines.extend(f"{x},{ys},{code}" for x, code in zip(xs, row.tolist()))
-    _write_lines(path, lines)
+    rows = ("\n".join(f"{x},{ys},{code}" for x, code in zip(xs, row.tolist()))
+            for ys, row in zip(map(_fmt, grid.y), grid.cells))   # one grid row at a time
+    _write_lines(path, itertools.chain([f"{grid.x_name},{grid.y_name},class_code"], rows))
     _write_meta(path, _grid_metadata(grid))
 
 
@@ -417,12 +424,8 @@ def eigen_sweep_fugacity(theta: int, z_values: Optional[np.ndarray] = None,
 
 def write_sweep_csv(sweep: FugacitySweep, path: str) -> None:
     names = FugacitySweep.BRANCH_ORDER
-    lines = ["z," + ",".join(names)]
-    for i in range(sweep.z.size):
-        vals = [_fmt(sweep.z[i])]
-        vals += [_fmt(sweep.branches[n][i]) for n in names]
-        lines.append(",".join(vals))
-    _write_lines(path, lines)
+    _write_columns(path, "z," + ",".join(names),
+                   [sweep.z, *(sweep.branches[n] for n in names)])
     _write_meta(path, {"theta": sweep.theta, "T": sweep.T, "n": int(sweep.z.size),
                        "crossing_z": sweep.crossing_z})
 
@@ -620,8 +623,9 @@ def verify_polylog(seed: int = 0) -> dict:
 
 def verify_charpoly(seed: int = 0) -> dict:
     checks = []
+    classical = spectral._coeffs(1.0, 0)
     for eps in (0.0, 0.3):
-        cc = spectral.shear_charpoly_coeffs(1.0, 0, eps)
+        cc = spectral._shear_charpoly(classical, eps)
         e2 = eps * eps
         checks.append(_check(f"classical c0 eps={eps}", cc.c0 - 3.0, 1e-12))
         checks.append(_check(f"classical c1 eps={eps}", cc.c1 - 5.2, 1e-12))
@@ -656,6 +660,10 @@ def verify_charpoly(seed: int = 0) -> dict:
         worst = max(worst, abs(ident.const))
     checks.append(_check("assembled vs closed-form coefficients "
                          "(20 random states)", worst, 1e-8))
+    c = LiCoeffs(eval_polylog_batch(np.array([0.99, 1.01]) * FERMI_Z_C, 1), 1.0)
+    gap = float(np.max((4.0 * c.c0 - c.c1 ** 2) / c.c1 ** 2 * [1.0, -1.0]))
+    checks.append(_check("FERMI_Z_C brackets c1^2 - 4 c0 = 0 (> 0 at 0.99 z_c, < 0 at 1.01)",
+                         gap, 0.0, ok=gap < 0.0 and np.isnan(c.x_plus).tolist() == [False, True]))
     return _suite("charpoly", checks)
 
 

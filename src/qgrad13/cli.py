@@ -17,12 +17,12 @@ from typing import List, Optional
 import numpy as np
 
 from . import analysis, solver1d, spectral
-from .analysis import _fmt, _write_lines
+from .analysis import _fmt, _write_columns
 from .errors import (CFLViolation, DomainError, InadmissibleCell,
                      NoConvergence, NoRoot, SingularD)
 from .matrices import (SystemKind, assemble_A_direction,
                        assemble_A_regularized)
-from .polylog import eval_polylog_set
+from .polylog import FERMI_Z_C, eval_polylog_set
 from .state import (EquilibriumParams, MomentState13, equilibrium_state13,
                     fit_equilibrium)
 
@@ -111,13 +111,17 @@ def _cmd_eigs(args) -> int:
     verdict = spectral.diagonalizability_test(A)
     payload = verdict.as_dict()
     payload["system"] = kind.value
+    note = ""   # the bound is the equilibrium quartic's; TrivialR13 does not share it
+    if args.theta == 1 and eq.z > FERMI_Z_C and kind is not SystemKind.TrivialR13:
+        payload["fermi_z_c"] = FERMI_Z_C
+        note = f" (z = {_fmt(eq.z)} above the Fermion bound FERMI_Z_C = {FERMI_Z_C:.6g})"
     if args.dump:
-        _write_lines(args.dump, ["re,im"] + [f"{_fmt(ev['re'])},{_fmt(ev['im'])}"
-                                             for ev in payload["eigenvalues"]])
+        evs = payload["eigenvalues"]
+        _write_columns(args.dump, "re,im", [[e["re"] for e in evs], [e["im"] for e in evs]])
     if args.json:
         _print_json(payload)
         return 0
-    print(f"system={kind.value} class={payload['class']}")
+    print(f"system={kind.value} class={payload['class']}{note}")
     for ev in payload["eigenvalues"]:
         print(f"lambda = {_fmt(ev['re'])} + {_fmt(ev['im'])}i")
     return 0

@@ -21,9 +21,11 @@ assembly loops over index symbols (`_a_ops`, `_d_ops`).  An op adds term t,
 at the op's symbols (i, j, k), to entry (row, col) of the axis-d matrix.
 Each term in `_TERMS` is one expression, evaluated for all its ops and all N
 states at once on (n_ops, N) arrays, with 0/1 masks as floats (o.k_d for
-k == d), so products of masks are 0 or 1 and sums count.  The layer rule
-fixes the rounding: an entry's k-th op lands in scatter layer k, so every
-entry sums its terms onto u_d I in the loops' order, signed zeros included.
+k == d), so products of masks are 0 or 1 and sums count.  The term-order
+rule fixes the rounding: no entry takes two ops of one term, and every entry
+meets its terms in the order the terms first appear in the op list, so one
+scatter per term sums each entry onto u_d I in the loops' order, signed zeros
+included.
 D's ops are assignments onto the identity; M_d is M_1's template under the
 axis swap 1 <-> d; a direction n, normalized once, gives
 (0 + n1 A_1) + n2 A_2 + n3 A_3.  The per-state functions are the N = 1 case,
@@ -175,47 +177,34 @@ def _d_ops():
 
 
 def _compile(ops):
-    """(groups, layers): per term its op columns and its slice of the value
-    array, which holds the ops grouped by term; per scatter layer k the value
-    rows and flat entries (d-1)*169 + 13*row + col of every entry's k-th op."""
-    terms = list(dict.fromkeys(op[3] for op in ops))
-    order = sorted(range(len(ops)), key=lambda n: terms.index(ops[n][3]))
-    row_of = np.empty(len(ops), dtype=np.intp)
-    row_of[order] = np.arange(len(ops))
-    groups, start = [], 0
-    for term in terms:
-        sym = np.array([op[4:] + op[:1] for op in ops if op[3] == term]) - 1
+    """Per term, in the order the terms first appear: its op columns and the
+    flat entries (d-1)*169 + 13*row + col of its ops."""
+    groups = []
+    for term in dict.fromkeys(op[3] for op in ops):
+        mine = [op for op in ops if op[3] == term]
+        sym = np.array([op[4:] + op[:1] for op in mine]) - 1
         o = SimpleNamespace(**dict(zip("ijkd", sym.T)))
         for a, b in itertools.permutations("ijkd", 2):
             x, y = getattr(o, a), getattr(o, b)
             setattr(o, a + b, 3 * x + y)
             setattr(o, f"{a}_{b}", (x == y).astype(float)[:, None])
-        groups.append((term, o, slice(start, start + len(sym))))
-        start += len(sym)
-    flat = np.array([(d - 1) * 169 + 13 * row + col for d, row, col, *_ in ops])
-    by_entry = np.argsort(flat, kind="stable")   # an entry's ops in loop order
-    layer = np.empty_like(flat)
-    layer[by_entry] = np.arange(len(ops)) - np.searchsorted(flat[by_entry], flat[by_entry])
-    return groups, [(row_of[layer == k], flat[layer == k]) for k in range(layer.max() + 1)]
+        groups.append((term, o, np.array([(d - 1) * 169 + 13 * row + col
+                                          for d, row, col, *_ in mine])))
+    return groups
 
 
-_A_TABLES = {kind: _compile(_a_ops(kind)) for kind in SystemKind}
+_A_TABLES = {SystemKind.Grad13: _compile(_a_ops(SystemKind.Grad13))}
+_A_TABLES[SystemKind.TrivialR13] = _A_TABLES[SystemKind.FinalR13] = \
+    _compile(_a_ops(SystemKind.FinalR13))   # both "R13"
 _D_TABLE = _compile(_d_ops())
 _EYE13 = np.eye(13).reshape(169, 1)
 
 
-def _fill(table, s: SimpleNamespace, out: np.ndarray, add: bool) -> np.ndarray:
-    """Evaluate the table's terms and scatter them into out (entries, N),
-    adding layer by layer or assigning."""
-    groups, layers = table
-    vals = np.empty((groups[-1][2].stop, s.rho.size))
-    for term, o, rows in groups:
-        vals[rows] = _TERMS[term](s, o)
-    for rows, entries in layers:
-        layer = vals.take(rows, 0)
-        if add:
-            layer += out.take(entries, 0)
-        out[entries] = layer
+def _fill(groups, s: SimpleNamespace, out: np.ndarray, add: bool) -> np.ndarray:
+    """Evaluate the terms and scatter each into out (entries, N), adding or assigning."""
+    for term, o, entries in groups:
+        val = _TERMS[term](s, o)
+        out[entries] = out.take(entries, 0) + val if add else val
     return out
 
 
@@ -378,9 +367,9 @@ def _a5_stack(kind: SystemKind, w: np.ndarray, c: LiCoeffs) -> np.ndarray:
     """
     rho, u1, p11, q1, p = (w[:, k] for k in range(5))
     sig = p11 - p
-    A = np.zeros((w.shape[0], 5, 5))
-    idx = np.arange(5)
-    A[:, idx, idx] = u1[:, None]
+    A = np.zeros((w.shape[0], 25))
+    A[:, ::6] = u1[:, None]   # the diagonal
+    A = A.reshape(-1, 5, 5)
     A[:, 0, 1] = rho
     A[:, 1, 2] = 1.0 / rho
     A[:, 2, 1] = 3.0 * p + 1.2 * sig

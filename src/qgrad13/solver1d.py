@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .analysis import _write_lines
+from .analysis import _write_columns
 from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoSolution)
 from .matrices import SystemKind, _a5_stack
@@ -269,13 +269,6 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
 
 # ---------------------------------------------------------------------------
 # artifacts
-
-def _write_columns(path: str, header: str, columns) -> None:
-    """Equal-length columns as CSV rows of 17-digit floats, one format per row."""
-    row = ",".join(["%.17g"] * len(columns))
-    _write_lines(path, [header] + [row % tuple(r)
-                                   for r in np.column_stack(columns).tolist()])
-
 
 def write_snapshot_csv(result: SimResult, path: str, index: int = -1) -> None:
     """One snapshot as CSV columns x, rho, u1, p11, q1, p."""

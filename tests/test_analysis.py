@@ -279,6 +279,20 @@ def test_verify_charpoly_evaluates_li_once_per_state(monkeypatch):
     assert len(calls) <= 22
 
 
+def test_verify_charpoly_brackets_the_fermion_bound(monkeypatch):
+    """The charpoly suite checks that c1^2 - 4 c0 changes sign between 0.99
+    and 1.01 FERMI_Z_C; a bound placed off the sign change fails it."""
+    def bracket():
+        checks = analysis.verify_charpoly(seed=0)["checks"]
+        return [c for c in checks if c["name"].startswith("FERMI_Z_C brackets")]
+
+    (check,) = bracket()
+    assert check["ok"] and check["value"] < 0.0
+    for wrong in (2.0e5, 2.6e5):
+        monkeypatch.setattr(analysis, "FERMI_Z_C", wrong)
+        assert not bracket()[0]["ok"]
+
+
 def test_verify_annihilation_evaluates_li_once_per_fugacity(monkeypatch):
     """Each of the 30 fugacities' equilibrium feeds both M1 and the residual;
     the other 11 calls locate the Fermion branch crossing."""

@@ -235,6 +235,29 @@ def test_sweep_eigs_names_the_fermion_bound(capsys):
     assert "z=300000" in err["message"]
 
 
+def test_eigs_names_the_fermion_bound(tmp_path, capsys):
+    """Above FERMI_Z_C, from --z or from a --state file, the class line names
+    the bound and --json gains `fermi_z_c`; below it, or for TrivialR13,
+    whose heat-flux rows do not share the quartic, neither appears."""
+    eq = q.EquilibriumParams(theta=1, z=3e5, u=np.zeros(3), T=1.0)
+    f = tmp_path / "state.json"
+    f.write_text(json.dumps(q.equilibrium_state13(eq).as_dict()))
+    for source in (["--z", "3e5"], ["--state", str(f)]):
+        argv = ["eigs", "--theta", "1", "--system", "regularized"] + source
+        assert main(argv) == 0
+        head = capsys.readouterr().out.splitlines()[0]
+        assert head.startswith("system=FinalR13 class=NonHyperbolic (z = ")
+        assert head.endswith(f" above the Fermion bound FERMI_Z_C = {FERMI_Z_C:.6g})")
+        assert main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["fermi_z_c"] == FERMI_Z_C
+    for argv in (["--z", "2e5", "--system", "regularized"],
+                 ["--z", "3e5", "--system", "trivial"]):
+        assert main(["eigs", "--theta", "1"] + argv) == 0
+        assert "FERMI_Z_C" not in capsys.readouterr().out
+    assert main(["eigs", "--theta", "1", "--z", "2e5", "--json"]) == 0
+    assert "fermi_z_c" not in json.loads(capsys.readouterr().out)
+
+
 #: one run per statistics, 400 cells to t = 0.01: (left, right) sides
 _SIM_SIDES = {1: ({"z": 6.0, "u1": 0.1, "T": 1.0}, {"z": 2.0, "u1": -0.1, "T": 1.2}),
               0: ({"z": 0.8, "u1": 0.1, "T": 1.0}, {"z": 0.3, "u1": -0.1, "T": 1.2}),

@@ -319,3 +319,17 @@ def test_assembly_bits_pinned():
     assert _assembly_digests() == {"assemble_A": "e87ccd46b2e2ff665a8cc0eb4ff24eff",
                                    "regularized": "90ddcaa9a8ee0497ba0445749098c3c9",
                                    "a5_final": "21f7554e2b39f7afc0d8ce1f2e50703a"}
+
+
+@pytest.mark.parametrize("ops", [matrices._a_ops(kind) for kind in KINDS]
+                         + [matrices._d_ops()], ids=[k.value for k in KINDS] + ["D"])
+def test_op_tables_keep_the_term_order_rule(ops):
+    """One scatter per term sums each entry in the loops' order only if no
+    (d, row, col) entry takes two ops of one term and every entry meets its
+    terms in the order the terms first appear in the op list."""
+    rank = {term: n for n, term in enumerate(dict.fromkeys(op[3] for op in ops))}
+    by_entry = {}
+    for d, row, col, term, *_ in ops:
+        by_entry.setdefault((d, row, col), []).append(rank[term])
+    for entry, ranks in by_entry.items():
+        assert ranks == sorted(set(ranks)), entry

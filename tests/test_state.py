@@ -56,8 +56,8 @@ def test_coefficient_record_batch_matches_scalar(theta):
            for z, T in zip(zs, Ts)]
     batch = state.LiCoeffs(q.eval_polylog_batch(zs, theta), np.array(Ts))
     for i, eq in enumerate(eqs):
-        for name, value in vars(eq.coeffs).items():
-            got = getattr(batch, name)[i]
+        for name in _COEFF_NAMES:
+            got, value = getattr(batch, name)[i], getattr(eq.coeffs, name)
             assert np.float64(got).tobytes() == np.float64(value).tobytes(), name
 
 
