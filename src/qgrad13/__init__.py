@@ -6,10 +6,8 @@ their hyperbolicity across state space and integrates the regularized
 system in one space dimension with relaxation.
 """
 from .errors import (CFLViolation, CondensationError, DomainError,
-                     InadmissibleCell, NoConvergence, NoRoot, NoSolution,
-                     SingularD)
-from .polylog import (BOSE_Z_MAX, ORDERS, ZETA_HALF, PolylogSet,
-                      eval_polylog_batch, eval_polylog_set)
+                     InadmissibleCell, NoRoot, NoSolution, SingularD)
+from .polylog import BOSE_Z_MAX, ORDERS, ZETA_HALF, eval_polylog_batch
 from .state import (ClosureMoments, EquilibriumParams, MomentState5,
                     MomentState13, ansatz_moments, closure_moments,
                     equilibrium_state13, fit_equilibrium, fit_fugacity_batch,
@@ -35,10 +33,9 @@ from .solver1d import (SimConfig, SimResult, initial_condition, run,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOSE_Z_MAX", "ORDERS", "ZETA_HALF", "PolylogSet",
-    "eval_polylog_batch", "eval_polylog_set",
+    "BOSE_Z_MAX", "ORDERS", "ZETA_HALF", "eval_polylog_batch",
     "CFLViolation", "CondensationError", "DomainError", "InadmissibleCell",
-    "NoConvergence", "NoRoot", "NoSolution", "SingularD",
+    "NoRoot", "NoSolution", "SingularD",
     "ClosureMoments", "EquilibriumParams", "MomentState5", "MomentState13",
     "ansatz_moments", "closure_moments",
     "equilibrium_state13", "fit_equilibrium", "fit_fugacity_batch",

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import analysis, solver1d, spectral
 from .analysis import _fmt, _write_columns
-from .errors import (CFLViolation, DomainError, InadmissibleCell,
-                     NoConvergence, NoRoot, SingularD)
+from .errors import (CFLViolation, DomainError, InadmissibleCell, NoRoot,
+                     SingularD)
 from .matrices import (SystemKind, assemble_A_direction,
                        assemble_A_regularized)
-from .polylog import FERMI_Z_C, eval_polylog_set
+from .polylog import FERMI_Z_C, ORDERS, eval_polylog_batch
 from .state import (EquilibriumParams, MomentState13, equilibrium_state13,
                     fit_equilibrium)
 
@@ -77,12 +77,13 @@ def _print_json(obj) -> None:
 # subcommands
 
 def _cmd_polylog(args) -> int:
-    ps = eval_polylog_set(args.z, args.theta)
+    li = {f"{int(2 * s)}/2": float(v) for s, v in
+          zip(ORDERS, eval_polylog_batch(args.z, args.theta)[:, 0])}
     if args.json:
-        _print_json(ps.as_dict())
+        _print_json({"z": args.z, "theta": args.theta, "li": li})
         return 0
-    print(f"theta={ps.theta} z={_fmt(ps.z)}")
-    for key, val in ps.as_dict()["li"].items():
+    print(f"theta={args.theta} z={_fmt(args.z)}")
+    for key, val in li.items():
         print(f"li[{key}] = {_fmt(val)}")
     return 0
 
@@ -328,8 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, InadmissibleCell, CFLViolation, SingularD,
-            NoConvergence, NoRoot) as exc:
+    except (DomainError, InadmissibleCell, CFLViolation, SingularD, NoRoot) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}),
               file=sys.stderr)

@@ -25,10 +25,6 @@ class SingularD(RuntimeError):
     """
 
 
-class NoConvergence(RuntimeError):
-    """Eigenvalue iteration failed or produced residuals above tolerance."""
-
-
 class NoRoot(RuntimeError):
     """A bracketed root finder found no sign change (bug signal)."""
 

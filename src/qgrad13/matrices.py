@@ -45,7 +45,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, SingularD
-from .polylog import ORDERS
 from .state import EquilibriumParams, LiCoeffs, MomentState5, MomentState13
 
 # slot of p_ij in w for i <= j
@@ -88,7 +87,7 @@ def stack_states(states: Sequence[MomentState13],
     for st, eq in zip(states, eqs, strict=True):
         _require_consistent(st.rho, st.p, eq)
     coeffs = eqs[0].coeffs if len(eqs) == 1 else LiCoeffs(
-        {s: np.array([eq.li[s] for eq in eqs]) for s in ORDERS},
+        np.column_stack([list(eq.li.values()) for eq in eqs]),
         np.array([eq.T for eq in eqs]))
     return StateStack(*(np.array([getattr(st, a) for st in states])
                         for a in ("rho", "u", "p_ij", "q")), coeffs)

@@ -34,8 +34,6 @@ meet at the switch to better than 1e-14.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Mapping
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -121,25 +119,8 @@ _SERIES_COEF = {1: (-1.0) ** (_KS + 1) * _KS ** -_S, -1: _KS ** -_S}
 _ROBINSON_COEF = np.array([[_zeta_any(s - k) / math.factorial(k) for s in ORDERS]
                            for k in range(_K_ROBINSON + 1)])
 _GAMMA_1MS = np.array([_gamma_half(1.0 - s) for s in ORDERS])[:, None]
-_GAMMA_S = {s: _gamma_half(s) for s in ORDERS}
+_GAMMA_S = tuple(_gamma_half(s) for s in ORDERS)
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
-
-
-@dataclass(frozen=True)
-class PolylogSet:
-    """The five li[s] values at one (z, theta)."""
-
-    z: float
-    theta: int
-    li: Mapping[float, float]
-
-    def as_dict(self) -> dict:
-        """JSON-friendly form with fraction-string order keys."""
-        return {
-            "z": self.z,
-            "theta": self.theta,
-            "li": {f"{int(2 * s)}/2": self.li[s] for s in ORDERS},
-        }
 
 
 def _validate_z(z: np.ndarray, theta: int) -> None:
@@ -164,7 +145,8 @@ def _series(z: np.ndarray, theta: int) -> np.ndarray:
     return np.einsum("nk,sk->sn", zk, _SERIES_COEF[theta])
 
 
-def _fermi_quadrature(z: np.ndarray) -> Dict[float, np.ndarray]:
+def _fermi_quadrature(z: np.ndarray) -> np.ndarray:
+    """li for Fermions by the panel quadrature: (5, N), rows in ORDERS order."""
     mu = np.log(z)
     upper = max(1.0, float(np.max(mu))) + _TAIL_MARGIN
     y, wy = _GL_NODES, _GL_WEIGHTS
@@ -188,9 +170,8 @@ def _fermi_quadrature(z: np.ndarray) -> Dict[float, np.ndarray]:
     ex += 1.0
     occ /= ex
     sq = np.sqrt(t)
-    tpow = {0.5: 1.0 / sq, 1.5: sq, 2.5: t * sq, 3.5: t * t * sq,
-            4.5: t * t * t * sq}
-    return {s: occ @ (w * tpow[s]) / _GAMMA_S[s] for s in ORDERS}
+    tpow = (1.0 / sq, sq, t * sq, t * t * sq, t * t * t * sq)
+    return np.stack([occ @ (w * tp) / g for tp, g in zip(tpow, _GAMMA_S)])
 
 
 _CHEB_EDGES = np.linspace(-1.0, math.log(FERMI_Z_MAX), _CHEB_PIECES + 1)
@@ -207,8 +188,7 @@ def _chebyshev_table() -> np.ndarray:
     n = _CHEB_DEGREE + 1
     theta_i = np.pi * (np.arange(n) + 0.5) / n
     mu = _CHEB_MID[:, None] + _CHEB_HALF[:, None] * np.cos(theta_i)[None, :]
-    vals = _fermi_quadrature(np.exp(mu.ravel()))
-    f = np.stack([vals[s].reshape(mu.shape) for s in ORDERS])  # (5, P, n)
+    f = _fermi_quadrature(np.exp(mu.ravel())).reshape((len(ORDERS),) + mu.shape)
     # T_k at node i is cos(pi k (2i + 1) / 2n): reducing the integer k (2i + 1)
     # modulo 4n first keeps the angle, and so T_k, accurate to an ulp
     m = np.arange(n)[:, None] * (2 * np.arange(n) + 1)[None, :] % (4 * n)
@@ -251,8 +231,9 @@ def _bose_robinson(mu: np.ndarray) -> np.ndarray:
             + np.einsum("nk,ks->sn", mk[:, ::-1], _ROBINSON_COEF[:0:-1]))
 
 
-def eval_polylog_batch(z, theta) -> Dict[float, np.ndarray]:
-    """Vectorized evaluation; returns a dict order -> array matching z's shape.
+def eval_polylog_batch(z, theta) -> np.ndarray:
+    """Vectorized evaluation: li as one (5,) + z.shape array, row k holding
+    li[ORDERS[k]] (z at least 1-D).
 
     Parameters
     ----------
@@ -264,7 +245,7 @@ def eval_polylog_batch(z, theta) -> Dict[float, np.ndarray]:
     z = np.atleast_1d(np.asarray(z, dtype=float))
     _validate_z(z, theta)
     if theta == 0:
-        return {s: z.copy() for s in ORDERS}
+        return np.repeat(z[None], len(ORDERS), axis=0)
     vals = np.empty((len(ORDERS),) + z.shape)
     lo = z <= _SERIES_Z_MAX
     if lo.any():
@@ -273,12 +254,4 @@ def eval_polylog_batch(z, theta) -> Dict[float, np.ndarray]:
     if hi.any():
         mu = np.log(z[hi])
         vals[:, hi] = _fermi_chebyshev(mu) if theta == 1 else _bose_robinson(mu)
-    return dict(zip(ORDERS, vals))
-
-
-def eval_polylog_set(z: float, theta) -> PolylogSet:
-    """Evaluate all five orders at a single fugacity."""
-    theta = _check_theta(theta)
-    vals = eval_polylog_batch(float(z), theta)
-    return PolylogSet(z=float(z), theta=theta,
-                      li={s: float(vals[s][0]) for s in ORDERS})
+    return vals

@@ -30,7 +30,7 @@ from .analysis import _write_columns
 from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoSolution)
 from .matrices import SystemKind, _a5_stack
-from .polylog import FERMI_Z_C, ORDERS, _check_theta
+from .polylog import FERMI_Z_C, _check_theta
 from .state import EquilibriumParams, LiCoeffs, _fit
 
 _MAX_STEPS = 5_000_000
@@ -125,14 +125,14 @@ class SimResult:
 # ---------------------------------------------------------------------------
 # per-cell coefficients
 
-def _a5_final_stack(w: np.ndarray, T: np.ndarray, li: Dict[float, np.ndarray]
+def _a5_final_stack(w: np.ndarray, T: np.ndarray, li: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Reduced coefficient matrices of the final regularization, one per cell
     (`matrices._a5_stack`), and their spectral radii.
 
-    T and `li` (the five orders) are the cells' fit.  The matrices' agreement
-    with the reduced 13x13 assembly, and the radius against eigvals, are
-    pinned in the tests.
+    T and `li` (five rows, one per order) are the cells' fit.  The matrices'
+    agreement with the reduced 13x13 assembly, and the radius against
+    eigvals, are pinned in the tests.
     """
     c = LiCoeffs(li, T)
     return _a5_stack(SystemKind.FinalR13, w, c), np.abs(w[:, 1]) + np.sqrt(T * c.x_plus)
@@ -142,7 +142,8 @@ def _validate_cells(w: np.ndarray) -> None:
     """First inadmissible cell wins; raised with its index for diagnostics.
 
     One combined test clears an admissible state; only a failing one is
-    diagnosed (there, p11 > 0 follows from p > 0 and ratio > -1).
+    diagnosed, naming the first of rho, p11 and p that is not positive, or
+    else the ratio (there, p11 > 0 follows from p > 0 and ratio > -1).
     """
     rho, _, p11, _, p = w.T
     with np.errstate(all="ignore"):
@@ -153,10 +154,12 @@ def _validate_cells(w: np.ndarray) -> None:
     finite = np.isfinite(w).all(axis=1)
     if not finite.all():
         raise InadmissibleCell(int(np.argmin(finite)), "non-finite moments")
-    ok = (rho > 0.0) & (p > 0.0) & (p11 > 0.0)
-    if not ok.all():
-        raise InadmissibleCell(int(np.argmin(ok)),
-                               "density or pressure lost positivity")
+    bad = w[:, ::2] <= 0.0                     # rho, p11, p
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        k = int(np.argmax(bad[i]))
+        raise InadmissibleCell(i, f"{('rho', 'p11', 'p')[k]} = {w[i, 2 * k]:.6g} "
+                                  "is not positive")
     idx = int(np.argmin((ratio > -1.0) & (ratio < 2.0)))   # only the ratio is left
     raise InadmissibleCell(idx, f"sigma11/p = {ratio[idx]:.6g} outside (-1, 2)")
 
@@ -181,7 +184,7 @@ def _start(config: SimConfig):
               for side in (config.left, config.right))
     w = np.where(left[:, None], [lo.rho, lo.u[0], lo.p, 0.0, lo.p],
                  [hi.rho, hi.u[0], hi.p, 0.0, hi.p])
-    li = {s: np.where(left, lo.li[s], hi.li[s]) for s in ORDERS}
+    li = np.where(left, *(np.array([*eq.li.values()])[:, None] for eq in (lo, hi)))
     return x, w, (np.where(left, lo.z, hi.z), li)
 
 
@@ -200,7 +203,7 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
     """
     N = config.cells
     dx = config.length / N
-    guess: Optional[Tuple[np.ndarray, Dict[float, np.ndarray]]] = None
+    guess: Optional[Tuple[np.ndarray, np.ndarray]] = None
     if w0 is None:
         x, w, guess = _start(config)
     else:

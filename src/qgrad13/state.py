@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -52,24 +52,24 @@ class _once(cached_property):
 class LiCoeffs:
     """Every li-derived coefficient of the equilibrium expansion, in one place.
 
-    Built from the five li values and the temperature T by plain arithmetic,
-    so li may hold floats (one equilibrium, `EquilibriumParams.coeffs`) or
-    arrays over N fugacities (the solver's cells).  Each is computed on first
-    read and kept, so a reader pays only for what it reads.  Lk stands for
-    li[k/2], Ljk for the ratio Lj / Lk.  b_low enters the reduced 5x5 block
-    (orders 1/2..5/2) and b_high the regularization factors (3/2..7/2); they
-    coincide only classically.  rho_phi_rho .. p_psi_p are the chain-rule
-    derivatives through (rho, p) <-> (z, T); frakB normalizes the heat-flux
-    term of the ansatz; m2, m3, Tc and Mrho are entries of the constant
-    factor M; alpha is the doubled branch 7 li[9/2] / (5 li[7/2]) of the
-    equilibrium spectrum.  c0, c1 define its quartic x^2 - c1 x + c0 in
-    x = lam_hat^2, whose roots x_minus <= x_plus give the other speeds;
-    sqrt(T x_plus) is the largest.
+    Built from li, five rows in `ORDERS` order, and the temperature T by
+    plain arithmetic, so the rows may be floats (one equilibrium,
+    `EquilibriumParams.coeffs`) or arrays over N fugacities (the solver's
+    cells).  Each is computed on first read and kept, so a reader pays only
+    for what it reads.  Lk stands for li[k/2], Ljk for the ratio Lj / Lk.
+    b_low enters the reduced 5x5 block (orders 1/2..5/2) and b_high the
+    regularization factors (3/2..7/2); they coincide only classically.
+    rho_phi_rho .. p_psi_p are the chain-rule derivatives through
+    (rho, p) <-> (z, T); frakB normalizes the heat-flux term of the ansatz;
+    m2, m3, Tc and Mrho are entries of the constant factor M; alpha is the
+    doubled branch 7 li[9/2] / (5 li[7/2]) of the equilibrium spectrum.
+    c0, c1 define its quartic x^2 - c1 x + c0 in x = lam_hat^2, whose roots
+    x_minus <= x_plus give the other speeds; sqrt(T x_plus) is the largest.
     """
 
-    def __init__(self, li: Mapping[float, object], T):
+    def __init__(self, li, T):
         self.T = T
-        self.L1, self.L3, self.L5, self.L7, self.L9 = (li[s] for s in ORDERS)
+        self.L1, self.L3, self.L5, self.L7, self.L9 = li
 
     L13 = _once(lambda c: c.L1 / c.L3)
     L35 = _once(lambda c: c.L3 / c.L5)
@@ -121,8 +121,8 @@ class EquilibriumParams:
 
     The li values are evaluated once, on construction, where they double as
     the fugacity domain check; `coeffs` holds every coefficient derived
-    from them.  `_li`, li already evaluated at exactly z (the fit's), takes
-    their place.
+    from them.  `_li`, the five li rows already evaluated at exactly z (the
+    fit's), takes their place.
     """
 
     theta: int
@@ -131,7 +131,7 @@ class EquilibriumParams:
     T: float
     hhat: float = 1.0
     li: Dict[float, float] = field(init=False, repr=False)
-    _li: InitVar[Optional[Mapping[float, float]]] = None
+    _li: InitVar[Optional[np.ndarray]] = None
 
     def __post_init__(self, _li):
         object.__setattr__(self, "theta", _check_theta(self.theta))
@@ -144,13 +144,12 @@ class EquilibriumParams:
         if not (self.hhat > 0.0):
             raise DomainError(f"hhat must be positive, got {self.hhat}")
         if _li is None:
-            vals = eval_polylog_batch(self.z, self.theta)
-            _li = {s: vals[s][0] for s in ORDERS}
-        object.__setattr__(self, "li", {s: float(_li[s]) for s in ORDERS})
+            _li = eval_polylog_batch(self.z, self.theta)[:, 0]
+        object.__setattr__(self, "li", dict(zip(ORDERS, map(float, _li))))
 
     @cached_property
     def coeffs(self) -> LiCoeffs:
-        return LiCoeffs(self.li, self.T)
+        return LiCoeffs(self.li.values(), self.T)
 
     @cached_property
     def rho(self) -> float:
@@ -277,14 +276,15 @@ def _z_from_log(log_z: np.ndarray, theta: int) -> np.ndarray:
     return z
 
 
-def _curve(li: Mapping[float, np.ndarray]):
-    """What the fits read from li: (curve, slope).
+def _curve(li: np.ndarray):
+    """What the fits read from li's rows: (curve, slope).
 
     curve is log of the monotone ratio li[5/2]/li[3/2]^(5/3), slope its
     derivative in log z (strictly negative in-domain).
     """
-    curve = np.log(li[2.5]) - (5.0 / 3.0) * np.log(li[1.5])
-    slope = li[1.5] / li[2.5] - (5.0 / 3.0) * (li[0.5] / li[1.5])
+    l1, l3, l5 = li[:3]
+    curve = np.log(l5) - (5.0 / 3.0) * np.log(l3)
+    slope = l3 / l5 - (5.0 / 3.0) * (l1 / l3)
     return curve, slope
 
 
@@ -371,7 +371,7 @@ def _refine(guess, target: np.ndarray, theta: int):
     points): curve and slope at the returned z, points the li evaluations.
     """
     z = np.array(guess[0], dtype=float)
-    li = {s: np.array(guess[1][s], dtype=float) for s in ORDERS}
+    li = np.array(guess[1], dtype=float)
     x = np.log(z)
     curve, slope = _curve(li)
     noise = 32.0 * _EPS * (1.0 + np.abs(target))
@@ -385,9 +385,7 @@ def _refine(guess, target: np.ndarray, theta: int):
         zm = _z_from_log(xm, theta)
         lm = eval_polylog_batch(zm, theta)
         points += moving.size
-        x[moving], z[moving] = xm, zm
-        for s in ORDERS:
-            li[s][moving] = lm[s]
+        x[moving], z[moving], li[:, moving] = xm, zm, lm
         cm, sm = _curve(lm)
         curve[moving], slope[moving] = cm, sm
         moving = moving[np.abs(cm - target[moving])
@@ -396,10 +394,10 @@ def _refine(guess, target: np.ndarray, theta: int):
 
 
 def _fit(rho: np.ndarray, p: np.ndarray, theta: int, hhat: float = 1.0,
-         guess: Optional[Tuple[np.ndarray, Dict[float, np.ndarray]]] = None):
+         guess: Optional[Tuple[np.ndarray, np.ndarray]] = None):
     """(rho, p) -> (z, T, li, fell_back, points) for N states: the one fit.
 
-    `guess` is a previous fit's (z, li), li evaluated at exactly that z,
+    `guess` is a previous fit's (z, li), li's rows evaluated at exactly that z,
     which `_refine` polishes cell by cell, so a cell's result depends only
     on its own guess and target.  Cells that still miss by more than 1e-11
     plus eps |slope| (one ulp of log z, more near Boson condensation), or
@@ -426,16 +424,14 @@ def _fit(rho: np.ndarray, p: np.ndarray, theta: int, hhat: float = 1.0,
             except (CondensationError, NoSolution) as exc:
                 exc.index = int(missed[exc.index])
                 raise
-            li_missed = eval_polylog_batch(z_missed, theta)
             z[missed] = z_missed
-            for s in ORDERS:
-                li[s][missed] = li_missed[s]
+            li[:, missed] = eval_polylog_batch(z_missed, theta)
             points += _bracket_points(missed.size, theta) + missed.size
             fell_back = True
     if li is None:
         li = eval_polylog_batch(z, theta)
         points += z.size
-    T = np.float_power(rho / (hhat * li[1.5]), 2.0 / 3.0) / _TWO_PI
+    T = np.float_power(rho / (hhat * li[1]), 2.0 / 3.0) / _TWO_PI
     return z, T, li, fell_back, points
 
 
@@ -446,8 +442,7 @@ def fit_equilibrium(rho: float, p: float, theta: int, hhat: float = 1.0,
         raise NoSolution(f"need positive finite rho and p, got {rho}, {p}")
     z, T, li, _, _ = _fit(np.array([rho]), np.array([p]), theta, hhat)
     return EquilibriumParams(theta=theta, z=float(z[0]), u=np.asarray(u),
-                             T=float(T[0]), hhat=hhat,
-                             _li={s: li[s][0] for s in ORDERS})
+                             T=float(T[0]), hhat=hhat, _li=li[:, 0])
 
 
 # ---------------------------------------------------------------------------

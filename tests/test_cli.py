@@ -27,6 +27,33 @@ def test_polylog_text(capsys):
     assert "1.2972654" in text  # frozen reference value at z = 5
 
 
+@pytest.mark.parametrize("theta, z, digest", [
+    (1, "0.2", "b21a69a752439322e1c9d413e4a5975290e8acbdedee33417f0f303353c84424"),
+    (1, "0.9", "b625482e93970e04a2f90d40784ff0edd73f7a786a5aa9cd3e0f29bf70f56e93"),
+    (-1, "0.2", "cf6f3dda4d293325960816178f004a68b08dcaa7a073fab78e7f64ce725e50d1"),
+    (-1, "0.9", "7c6c22a18071c487317e8b9246fcdbeddad63f93f26cec9887e3ee7b9ac78a48"),
+    (0, "0.2", "e7820a9e169a640293c9a2a3e4402fb3a432b83ad1bb940cedc450a989e15dd7"),
+    (0, "0.9", "81378d192618d7c2fbfd5dcf243de6557298dfd0814bc90e11c1286bb1b6b424"),
+    (1, "5", "0c5936dd50c5b003230eb39bec3698de5b1b277661ba9804775c94ca60b02798"),
+    (0, "5", "f660c2e9dae2843a94543fac7d15cbaadc383643555dab21b3942af7a64cb47b"),
+])
+def test_polylog_output_frozen(theta, z, digest, capsys):
+    """`polylog` text then `--json`, byte for byte; the JSON carries z, theta
+    and li keyed by fraction strings, with the text's values."""
+    h = hashlib.sha256()
+    outs = []
+    for extra in ([], ["--json"]):
+        assert main(["polylog", "--theta", str(theta), "--z", z] + extra) == 0
+        outs.append(capsys.readouterr().out)
+        h.update(outs[-1].encode())
+    assert h.hexdigest() == digest
+    d = json.loads(outs[1])
+    assert set(d) == {"z", "theta", "li"} and (d["z"], d["theta"]) == (float(z), theta)
+    assert list(d["li"]) == ["1/2", "3/2", "5/2", "7/2", "9/2"]
+    text = [float(line.split(" = ")[1]) for line in outs[0].splitlines()[1:]]
+    assert text == list(d["li"].values())
+
+
 def test_eigs_equilibrium(capsys):
     assert main(["eigs", "--theta", "1", "--z", "2.0", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)

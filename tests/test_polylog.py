@@ -17,19 +17,13 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 import qgrad13
-from qgrad13 import (BOSE_Z_MAX, ZETA_HALF, DomainError, eval_polylog_batch,
-                     eval_polylog_set)
+from qgrad13 import BOSE_Z_MAX, ZETA_HALF, DomainError, eval_polylog_batch
 from qgrad13 import polylog, state
 from qgrad13.polylog import ORDERS
 
-# mpmath, 40 digits, rounded to double
-FERMION_Z5 = {
-    0.5: 1.297265404819419,
-    1.5: 2.284211284873108,
-    2.5: 3.17005576844848,
-    3.5: 3.849002029404993,
-    4.5: 4.314728869554372,
-}
+# mpmath, 40 digits, rounded to double; one value per order
+FERMION_Z5 = (1.297265404819419, 2.284211284873108, 3.17005576844848,
+              3.849002029404993, 4.314728869554372)
 
 BOSON_NEAR_ONE_32 = 2.612020872517075  # li[3/2] at z = 1 - 1e-8
 
@@ -56,34 +50,35 @@ def test_fermion_hyperbolicity_bound_against_mpmath():
 
 def test_fermion_z5_frozen():
     got = eval_polylog_batch(5.0, 1)
-    for s, ref in FERMION_Z5.items():
-        assert abs(float(got[s][0]) / ref - 1.0) < 1e-12
+    assert got.shape == (5, 1)
+    for val, ref in zip(got[:, 0], FERMION_Z5):
+        assert abs(float(val) / ref - 1.0) < 1e-12
 
 
 def test_fermion_z1_eta_identities():
     # -Li_s(-1) = (1 - 2^(1-s)) zeta(s), the Dirichlet eta function
     got = eval_polylog_batch(1.0, 1)
-    assert abs(float(got[0.5][0]) / ((1.0 - math.sqrt(2.0)) * ZETA_HALF) - 1.0) < 1e-12
+    assert abs(float(got[0, 0]) / ((1.0 - math.sqrt(2.0)) * ZETA_HALF) - 1.0) < 1e-12
     eta_32 = (1.0 - 2.0 ** -0.5) * float(zeta(1.5))
-    assert abs(float(got[1.5][0]) / eta_32 - 1.0) < 1e-12
+    assert abs(float(got[1, 0]) / eta_32 - 1.0) < 1e-12
 
 
 def test_boson_near_condensation():
     got = eval_polylog_batch(1.0 - 1e-8, -1)
-    assert abs(float(got[1.5][0]) / BOSON_NEAR_ONE_32 - 1.0) < 1e-10
+    assert abs(float(got[1, 0]) / BOSON_NEAR_ONE_32 - 1.0) < 1e-10
     # approaches zeta(3/2) from below at a sqrt(1-z) rate
-    assert 0.0 < float(zeta(1.5)) - float(got[1.5][0]) < 1e-3
+    assert 0.0 < float(zeta(1.5)) - float(got[1, 0]) < 1e-3
     # the s = 1/2 order diverges like Gamma(1/2)/sqrt(-ln z) + zeta(1/2)
     mu = math.log(1.0 - 1e-8)
     ref = math.sqrt(math.pi / -mu) + ZETA_HALF
-    assert abs(float(got[0.5][0]) / ref - 1.0) < 1e-10
+    assert abs(float(got[0, 0]) / ref - 1.0) < 1e-10
 
 
 def test_classical_identity_is_bitwise():
     z = np.array([1e-3, 0.25, 1.0, 7.5, 1e4])
     got = eval_polylog_batch(z, 0)
-    for s in ORDERS:
-        assert np.all(got[s] == z)
+    assert got.shape == (5, z.size)
+    assert np.all(got == z)
 
 
 @pytest.mark.parametrize("theta,zs", [
@@ -93,13 +88,13 @@ def test_classical_identity_is_bitwise():
 def test_against_mpmath(theta, zs):
     mpmath.mp.dps = 30
     for z in zs:
-        got = eval_polylog_set(z, theta)
-        for s in ORDERS:
+        got = eval_polylog_batch(z, theta)[:, 0]
+        for k, s in enumerate(ORDERS):
             val = -theta * mpmath.polylog(s, -theta * z)
             # continuation through Lerch can leave a spurious tiny imag part
             assert abs(mpmath.im(val)) < 1e-25 * abs(val)
             ref = float(mpmath.re(val))
-            assert abs(got.li[s] / ref - 1.0) < 5e-13, (theta, z, s)
+            assert abs(got[k] / ref - 1.0) < 5e-13, (theta, z, s)
 
 
 def _chebyshev_test_mu():
@@ -121,9 +116,9 @@ def test_fermi_chebyshev_against_mpmath(monkeypatch):
     got = eval_polylog_batch(z, 1)
     mpmath.mp.dps = 30
     for i, zi in enumerate(z):
-        for s in ORDERS:
+        for k, s in enumerate(ORDERS):
             ref = float(mpmath.re(-mpmath.polylog(s, -mpmath.mpf(zi))))
-            assert abs(got[s][i] / ref - 1.0) < 1e-14, (zi, s)
+            assert abs(got[k, i] / ref - 1.0) < 1e-14, (zi, s)
 
 
 def test_fermi_chebyshev_continuous_at_piece_edges():
@@ -139,9 +134,9 @@ def _mpmath_worst(z, theta):
     worst = 0.0
     with mpmath.workdps(30):
         for i, zi in enumerate(z):
-            for s in ORDERS:
+            for k, s in enumerate(ORDERS):
                 ref = float(mpmath.re(-theta * mpmath.polylog(s, -theta * mpmath.mpf(zi))))
-                worst = max(worst, abs(got[s][i] / ref - 1.0))
+                worst = max(worst, abs(got[k, i] / ref - 1.0))
     return worst
 
 
@@ -169,8 +164,8 @@ def test_branch_junction_continuity():
     for th in (1, -1):
         lo = eval_polylog_batch(z_lo, th)
         hi = eval_polylog_batch(z_hi, th)
-        for s in ORDERS:
-            assert abs(float(lo[s][0]) - float(hi[s][0])) < 1e-10
+        for k in range(len(ORDERS)):
+            assert abs(float(lo[k, 0]) - float(hi[k, 0])) < 1e-10
 
 
 def test_batch_matches_scalars_across_branches(rng):
@@ -188,9 +183,9 @@ def test_batch_matches_scalars_across_branches(rng):
         whole = eval_polylog_batch(z, theta)
         sub = eval_polylog_batch(z[3::7], theta)
         single = [eval_polylog_batch(zi, theta) for zi in z]
-        for s in ORDERS:
-            assert np.array_equal(whole[s], [v[s][0] for v in single]), (theta, s)
-            assert np.array_equal(whole[s][3::7], sub[s]), (theta, s)
+        for k in range(len(ORDERS)):
+            assert np.array_equal(whole[k], [v[k, 0] for v in single]), (theta, k)
+            assert np.array_equal(whole[k][3::7], sub[k]), (theta, k)
 
 
 def test_order_monotonicity(theta):
@@ -199,18 +194,18 @@ def test_order_monotonicity(theta):
     zs = np.array([0.05, 0.5, 0.89, 0.93]) if theta == -1 \
         else np.array([0.05, 0.5, 2.0, 30.0])
     got = eval_polylog_batch(zs, theta)
-    for lo, hi in zip(ORDERS[:-1], ORDERS[1:]):
+    for lo, hi in zip(got[:-1], got[1:]):
         if theta == -1:
-            assert np.all(got[lo] > got[hi])  # Bose functions drop with order
+            assert np.all(lo > hi)  # Bose functions drop with order
         else:
-            assert np.all(got[lo] < got[hi])
+            assert np.all(lo < hi)
 
 
 def test_monotone_in_z(theta):
     zs = np.linspace(0.05, 0.95 if theta == -1 else 20.0, 40)
     got = eval_polylog_batch(zs, theta)
-    for s in ORDERS:
-        assert np.all(np.diff(got[s]) > 0.0)
+    for row in got:
+        assert np.all(np.diff(row) > 0.0)
 
 
 @pytest.mark.parametrize("theta,z", [(1, 0.4), (1, 8.0), (-1, 0.4), (-1, 0.97)])
@@ -218,11 +213,11 @@ def test_derivative_identity(theta, z):
     # d li[s] / dz = li[s-1] / z, by central difference
     h = 1e-6 * z
     li = eval_polylog_batch(z, theta)
-    for s in (1.5, 2.5, 3.5, 4.5):
-        hi = float(eval_polylog_batch(z + h, theta)[s][0])
-        lo = float(eval_polylog_batch(z - h, theta)[s][0])
+    for k in range(1, len(ORDERS)):
+        hi = float(eval_polylog_batch(z + h, theta)[k, 0])
+        lo = float(eval_polylog_batch(z - h, theta)[k, 0])
         fd = (hi - lo) / (2.0 * h)
-        assert abs(float(li[s - 1.0][0]) / z / fd - 1.0) < 1e-8
+        assert abs(float(li[k - 1, 0]) / z / fd - 1.0) < 1e-8
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
@@ -300,19 +295,11 @@ def test_series_partial_sum_bounds(z):
     branch (z <= e^-1) and past it."""
     fermi = eval_polylog_batch(z, 1)
     bose = eval_polylog_batch(z, -1)
-    for s in ORDERS:
-        f = float(fermi[s][0])
+    for k, s in enumerate(ORDERS):
+        f = float(fermi[k, 0])
         assert z - z * z / 2.0 ** s <= f <= z
-        b = float(bose[s][0])
+        b = float(bose[k, 0])
         assert z <= b <= z / (1.0 - z) + 1e-15
-
-
-def test_set_as_dict_round_trip():
-    ps = eval_polylog_set(0.7, -1)
-    d = ps.as_dict()
-    assert d["theta"] == -1 and d["z"] == 0.7
-    assert set(d["li"]) == {"1/2", "3/2", "5/2", "7/2", "9/2"}
-    assert d["li"]["5/2"] == ps.li[2.5]
 
 
 def _masked_fermi_quadrature(z):
@@ -335,9 +322,8 @@ def _masked_fermi_quadrature(z):
     occ[pos] = (ex / (1.0 + ex))[pos]
     occ[~pos] = (1.0 / (1.0 + ex))[~pos]
     sq = np.sqrt(t)
-    tpow = {0.5: 1.0 / sq, 1.5: sq, 2.5: t * sq, 3.5: t * t * sq,
-            4.5: t * t * t * sq}
-    return {s: occ @ (w * tpow[s]) / polylog._GAMMA_S[s] for s in ORDERS}
+    tpow = (1.0 / sq, sq, t * sq, t * t * sq, t * t * t * sq)
+    return [occ @ (w * tp) / g for tp, g in zip(tpow, polylog._GAMMA_S)]
 
 
 def test_fermi_quadrature_bits_match_masked_occupancy(rng):
@@ -347,8 +333,9 @@ def test_fermi_quadrature_bits_match_masked_occupancy(rng):
         z = np.append(np.exp(rng.uniform(-0.1, 27.0, size - 1)), 1e12)
         got = polylog._fermi_quadrature(z)
         ref = _masked_fermi_quadrature(z)
-        for s in ORDERS:
-            assert np.array_equal(got[s], ref[s]), (size, s)
+        assert got.shape == (5, size)
+        for k in range(len(ORDERS)):
+            assert np.array_equal(got[k], ref[k]), (size, k)
 
 
 def test_zeta_table_pins_scipy_and_mpmath():

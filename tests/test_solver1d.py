@@ -140,9 +140,8 @@ def test_unchanged_cells_cost_no_polylog_point(theta, rng, monkeypatch):
     same = ~moved
     np.testing.assert_array_equal(z[same], z0[same])
     np.testing.assert_array_equal(T[same], T0[same])
-    for s in q.ORDERS:
-        np.testing.assert_array_equal(li[s][same], li0[s][same])
-        np.testing.assert_array_equal(li[s], q.eval_polylog_batch(z, theta)[s])
+    np.testing.assert_array_equal(li[:, same], li0[:, same])
+    np.testing.assert_array_equal(li, q.eval_polylog_batch(z, theta))
     points.clear()
     assert _fit(w, theta, (z, li))[4] == sum(points) == 0
 
@@ -155,19 +154,14 @@ def test_warm_fit_is_fit_cell_by_cell(theta, rng):
     z0, _, li0, _, _ = _fit(w, theta)
     w[:, 4] *= 1.0 + 1e-2 * rng.standard_normal(80)
     z0[[3, 41]] = 1e-9
-    li0 = {s: v.copy() for s, v in li0.items()}
-    far = q.eval_polylog_batch(np.array([1e-9]), theta)
-    for s in q.ORDERS:
-        li0[s][[3, 41]] = far[s][0]
+    li0[:, [3, 41]] = q.eval_polylog_batch(np.array([1e-9]), theta)
     z, T, li, fell_back, _ = _fit(w, theta, (z0, li0))
     assert fell_back
     for i in range(len(w)):
-        zi, Ti, lii, _, _ = _fit(w[i:i + 1], theta,
-                                 (z0[i:i + 1], {s: li0[s][i:i + 1] for s in q.ORDERS}))
+        zi, Ti, lii, _, _ = _fit(w[i:i + 1], theta, (z0[i:i + 1], li0[:, i:i + 1]))
         np.testing.assert_array_equal(z[i:i + 1], zi)
         np.testing.assert_array_equal(T[i:i + 1], Ti)
-        for s in q.ORDERS:
-            np.testing.assert_array_equal(li[s][i:i + 1], lii[s])
+        np.testing.assert_array_equal(li[:, i:i + 1], lii)
 
 
 def test_warm_step_evaluates_polylog_at_most_three_times(monkeypatch):
@@ -369,6 +363,48 @@ def test_radius_past_the_fermion_bound_names_it():
         f"z = 300000 above the Fermion bound FERMI_Z_C = {FERMI_Z_C:.6g}")
 
 
+def _edge_config(theta, z_left, z_right, **kw):
+    args = dict(theta=theta, cells=100, length=1.0, cfl=0.45, tau=0.05,
+                t_end=0.06, left=dict(z=z_left, u1=0.1, T=1.0),
+                right=dict(z=z_right, u1=-0.1, T=1.0))
+    args.update(kw)
+    return SimConfig(**args)
+
+
+def test_fermion_run_below_the_bound_finishes():
+    """A jump whose cells stay below FERMI_Z_C runs to the end."""
+    res = q.run(_edge_config(1, 2.2e5, 1e3))
+    assert (res.steps, res.newton_fallbacks) == (60, 9)
+
+
+@pytest.mark.parametrize("theta, z_left, z_right, index, cause", [
+    (1, 2.1e5, 1e5, 1, f"in step 10 at t = 0.0110762, z = 231921 above the Fermion "
+                       f"bound FERMI_Z_C = {FERMI_Z_C:.6g}"),
+    (-1, 1.0 - 1e-6, 0.99, 3, "no admissible fugacity: no Boson fugacity below "
+                              "condensation"),
+], ids=["fermion-past-z_c", "boson-condensation"])
+def test_runs_past_the_domain_edges_name_the_cause(theta, z_left, z_right, index,
+                                                   cause):
+    """A compression past FERMI_Z_C, or to condensation, stops at the cell
+    that crossed, with the cause in the message."""
+    with pytest.raises(InadmissibleCell) as exc:
+        q.run(_edge_config(theta, z_left, z_right))
+    assert exc.value.index == index
+    assert cause in str(exc.value)
+
+
+def test_rarefaction_names_the_column_that_broke():
+    """The classical u1 = -2 | +2 rarefaction drives p11 negative beside the
+    jump in step 6; the error names p11 and its value."""
+    side = dict(z=1.0, u1=-2.0, T=1.0)
+    cfg = _edge_config(0, 1.0, 1.0, cells=200, tau=1.0,
+                       left=side, right=dict(side, u1=2.0))
+    with pytest.raises(InadmissibleCell) as exc:
+        q.run(cfg)
+    assert exc.value.index == 99
+    assert str(exc.value) == "cell 99 inadmissible: p11 = -0.442322 is not positive"
+
+
 def _column_diagnosis(w):
     """The per-step check as it was before its combined fast test: the
     behaviour `_validate_cells` keeps for every state."""
@@ -378,8 +414,10 @@ def _column_diagnosis(w):
     rho, _, p11, _, p = (w[:, k] for k in range(5))
     ok = (rho > 0.0) & (p > 0.0) & (p11 > 0.0)
     if not np.all(ok):
-        raise InadmissibleCell(int(np.argmin(ok)),
-                               "density or pressure lost positivity")
+        i = int(np.argmin(ok))
+        for name, k in (("rho", 0), ("p11", 2), ("p", 4)):
+            if not w[i, k] > 0.0:
+                raise InadmissibleCell(i, f"{name} = {w[i, k]:.6g} is not positive")
     ratio = p11 / p - 1.0
     ok = (ratio > -1.0) & (ratio < 2.0)
     if not np.all(ok):

@@ -16,7 +16,7 @@ from qgrad13.analysis import random_moment_state
 
 
 def _li(eq):
-    return q.eval_polylog_set(eq.z, eq.theta).li
+    return q.eval_polylog_batch(eq.z, eq.theta)[:, 0]
 
 
 def test_equilibrium_density_pressure_formula(theta):
@@ -25,8 +25,8 @@ def test_equilibrium_density_pressure_formula(theta):
         eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=T, hhat=hhat)
         li = _li(eq)
         pref = hhat * (2.0 * math.pi * T) ** 1.5
-        assert abs(eq.rho / (pref * li[1.5]) - 1.0) < 1e-14
-        assert abs(eq.p / (pref * T * li[2.5]) - 1.0) < 1e-14
+        assert abs(eq.rho / (pref * li[1]) - 1.0) < 1e-14
+        assert abs(eq.p / (pref * T * li[2]) - 1.0) < 1e-14
 
 
 def test_equilibrium_params_evaluates_polylog_once(theta, monkeypatch):
@@ -212,8 +212,7 @@ def test_batched_fit_is_fit_equilibrium_one_by_one(theta, rng):
     T_ref = np.array([e.T for e in ref])
     np.testing.assert_array_equal(z, z_ref)
     np.testing.assert_array_equal(T, T_ref)
-    for s in q.ORDERS:
-        np.testing.assert_array_equal(li[s], q.eval_polylog_batch(z, theta)[s])
+    np.testing.assert_array_equal(li, q.eval_polylog_batch(z, theta))
 
 
 def test_fit_equilibrium_evaluates_li_once_per_fugacity(theta, monkeypatch):
@@ -235,7 +234,7 @@ def test_fit_equilibrium_evaluates_li_once_per_fugacity(theta, monkeypatch):
 
 def test_fit_range_errors_name_the_first_offending_entry():
     li = q.eval_polylog_batch(np.array([0.3, 0.5]), -1)
-    gstar = li[2.5] / li[1.5] ** (5.0 / 3.0)
+    gstar = li[2] / li[1] ** (5.0 / 3.0)
     bad = np.array([gstar[0], gstar[1], 0.1, gstar[0], 0.1])
     with pytest.raises(CondensationError) as exc:
         q.fit_fugacity_batch(bad, -1)
@@ -264,8 +263,8 @@ def test_near_condensation_refit_costs_nothing():
     z = 1.0 - 10.0 ** rng.uniform(math.log10(3e-12), -3.0, 3000)
     T = rng.uniform(0.5, 2.0, z.size)
     li = q.eval_polylog_batch(z, -1)
-    rho = (2.0 * math.pi * T) ** 1.5 * li[1.5]
-    p = rho * T * li[2.5] / li[1.5]
+    rho = (2.0 * math.pi * T) ** 1.5 * li[1]
+    p = rho * T * li[2] / li[1]
     z0, _, li0, _, _ = state._fit(rho, p, -1)
     z1, _, li1, fell_back, _ = state._fit(rho, p, -1, guess=(z0, li0))
     assert not fell_back
@@ -282,7 +281,7 @@ def test_fit_fugacity_batch_round_trip(theta):
     else:
         zs = np.array([0.2, 1.0, 9.0])
     li = q.eval_polylog_batch(zs, theta)
-    gstar = li[2.5] / li[1.5] ** (5.0 / 3.0)
+    gstar = li[2] / li[1] ** (5.0 / 3.0)
     back = q.fit_fugacity_batch(gstar, theta)
     np.testing.assert_allclose(back, zs, rtol=1e-10)
 
@@ -291,7 +290,7 @@ def test_fugacity_fit_failure_modes():
     # Bosons: the ratio is bounded below by its condensation-boundary value
     # zeta(5/2)/zeta(3/2)^(5/3) ~ 0.2708
     li = q.eval_polylog_batch(float(np.nextafter(q.BOSE_Z_MAX, 0.0)), -1)
-    g_min = float(li[2.5][0]) / float(li[1.5][0]) ** (5.0 / 3.0)
+    g_min = float(li[2, 0]) / float(li[1, 0]) ** (5.0 / 3.0)
     with pytest.raises(CondensationError):
         q.fit_fugacity_batch(np.array([0.999 * g_min]), -1)
     # Fermions: the ratio tends to a positive constant in the degenerate limit
@@ -446,6 +445,26 @@ def test_closure_by_quadrature_at_bose_edge(z):
     closed = q.closure_moments(st, eq)
     gaps = _moment_gaps(mom, {"q_ijk": closed.q_ijk, "Delta_ij": closed.Delta_ij})
     assert max(gaps.values()) <= 1e-6, gaps
+
+
+def test_closure_by_quadrature_up_to_the_fermion_bound(rng):
+    """40 c8-style Fermion states, z log-uniform on [1e2, 0.95 FERMI_Z_C]: at
+    half width 12 sqrt(T) and 192 radii the quadrature meets the closure to
+    1e-12 (at c8's 8 and 64 the cut-off tail leaves ~2e-7 near z_c)."""
+    z_hi = 0.95 * q.polylog.FERMI_Z_C
+    for z in np.exp(rng.uniform(math.log(1e2), math.log(z_hi), 40)):
+        T = float(rng.uniform(0.5, 2.0))
+        eq = EquilibriumParams(theta=1, z=z, u=rng.uniform(-1.0, 1.0, 3), T=T)
+        S = rng.uniform(-1.0, 1.0, (3, 3))
+        S = 0.5 * (S + S.T)
+        S -= (S.trace() / 3.0) * np.eye(3)
+        amp = rng.uniform(0.0, 0.9) / np.abs(np.linalg.eigvalsh(S)).max()
+        st = q.MomentState13(rho=eq.rho, u=eq.u, p_ij=eq.p * (np.eye(3) + amp * S),
+                             q=rng.uniform(-1.5, 1.5, 3) * eq.p * math.sqrt(T))
+        mom = q.ansatz_moments(st, eq, n_nodes=192, half_width=12.0)
+        closed = q.closure_moments(st, eq)
+        gaps = _moment_gaps(mom, {"q_ijk": closed.q_ijk, "Delta_ij": closed.Delta_ij})
+        assert max(gaps.values()) <= 1e-12, (z, gaps)
 
 
 def test_ansatz_moments_node_count(monkeypatch):
