@@ -3,8 +3,11 @@
 Region scans classify the quasi-linear coefficient matrix on a grid of
 dimensionless deviations from equilibrium (sigma_hat = sigma/p and
 q_hat = q1/(p sqrt(T))) at fixed (theta, z), T = 1 and zero drift.  The
-matrices are affine in those deviations, so each scan assembles three basis
-matrices once and classifies the whole grid with batched eigensolves.
+matrices are affine in those deviations, so each scan assembles them at four
+points in one batched call (`_BASIS`: three span the affine basis, the
+fourth checks it) and classifies the whole grid with batched eigensolves.
+region3d, region-reg and its Grad13 comparison are one shear-grid scan
+(`_shear_scan`); region3d is its Grad13 run along axis 1.
 
 `run_verification_suite` bundles the self-checks the command line exposes:
 special-function oracles, closed-form polynomial coefficients, annihilating
@@ -19,13 +22,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from . import spectral
-from .errors import NoRoot
-from .matrices import (SystemKind, _unit_rows, assemble_A, assemble_A5_grad,
+from .matrices import (SystemKind, _a5_stack, _unit_rows, assemble_A,
                        assemble_axes, assemble_M, pslot, regularized_stack,
                        stack_states)
 from .polylog import (_SERIES_Z_MAX, FERMI_Z_C, FERMI_Z_MAX, ORDERS, _check_theta,
@@ -201,52 +203,32 @@ def _scan_summary(cells: np.ndarray, aux: Dict[str, object]) -> Dict[str, object
             "hyperbolic_max_imag": float(aux["max_imag"][hyp].max()) if found else None}
 
 
-def _mirror_rows(computed: np.ndarray, ny: int) -> np.ndarray:
-    """Fill rows y < 0 from the computed upper half via the parity symmetry.
-
-    Flipping the sign of every odd moment (u, q) conjugates the coefficient
-    matrix into minus itself, so the classification at -q_hat equals the one
-    at +q_hat exactly.  `computed` holds rows ny//2 .. ny-1.
-    """
-    half = ny // 2
-    cells = np.empty((ny, computed.shape[1]), dtype=computed.dtype)
-    cells[half:] = computed
-    for iy in range(half):
-        cells[iy] = cells[ny - 1 - iy]
-    return cells
+#: the (s_hat, q1_hat) points whose matrices a scan reads: the affine basis
+#: at the first three, a check of its affinity at the fourth
+_BASIS = ((0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.25, 1.5))
 
 
-def _affine_basis(assemble: Callable[[float, float, int], np.ndarray],
-                  axes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis decomposition A_d = A0[d] + s_hat As[d] + q1_hat Aq[d].
-
-    `assemble(s_hat, q1_hat, d)` builds one matrix.  The scans rely on its
-    affinity, so one more assembly per axis, off the basis points, must agree
-    with the decomposition; RuntimeError otherwise.
-    """
-    A0 = np.stack([assemble(0.0, 0.0, d) for d in axes])
-    As = (np.stack([assemble(0.5, 0.0, d) for d in axes]) - A0) / 0.5
-    Aq = np.stack([assemble(0.0, 1.0, d) for d in axes]) - A0
-    direct = np.stack([assemble(0.25, 1.5, d) for d in axes])
-    err = np.abs(direct - (A0 + 0.25 * As + 1.5 * Aq)).max(axis=(1, 2))
-    if np.any(err > 1e-10 * np.maximum(1.0, np.abs(direct).max(axis=(1, 2)))):
-        raise RuntimeError("affine decomposition of the coefficient matrix "
-                           "does not reproduce the direct assembly")
-    return A0, As, Aq
-
-
-def _scan(assemble: Callable[[float, float, int], np.ndarray], shat: np.ndarray,
-          qhat: np.ndarray, threads: Optional[int], direction=1,
+def _scan(X: np.ndarray, shat: np.ndarray, qhat: np.ndarray,
+          threads: Optional[int], direction=1,
           seed: int = 0) -> Tuple[np.ndarray, Dict[str, object]]:
-    """Class codes of `assemble`'s matrices over the (shat, qhat) grid.
+    """Class codes over the (shat, qhat) grid of matrices affine in the hat
+    variables, from their values X (4, axes, k, k) at the `_BASIS` points.
 
-    direction is an axis index, a unit 3-vector or "random", which draws one
-    unit direction per cell from a Philox stream and classifies every cell.
-    A fixed direction classifies only the q_hat >= 0 rows and mirrors them.
+    Per axis A_d = A0[d] + s_hat As[d] + q1_hat Aq[d]; the scans rely on this
+    affinity, so the fourth point must agree with it (RuntimeError otherwise).
+    direction is an axis index, a 3-vector or "random", which draws one unit
+    direction per cell from a Philox stream and classifies every cell.  A
+    fixed direction classifies only the q_hat >= 0 rows and mirrors them.
     Returns the codes and `_classify_cells`' report on the classified cells.
     """
+    A0 = X[0]
+    As = (X[1] - A0) / 0.5
+    Aq = X[2] - A0
+    err = np.abs(X[3] - (A0 + 0.25 * As + 1.5 * Aq)).max(axis=(1, 2))
+    if np.any(err > 1e-10 * np.maximum(1.0, np.abs(X[3]).max(axis=(1, 2)))):
+        raise RuntimeError("affine decomposition of the coefficient matrix "
+                           "does not reproduce the direct assembly")
     if isinstance(direction, str):
-        A0, As, Aq = _affine_basis(assemble, (1, 2, 3))
         S, Q = np.meshgrid(shat, qhat, indexing="xy")
         Sf, Qf = S.ravel(), Q.ravel()
         N = random_unit_vectors(np.random.Generator(np.random.Philox(seed)),
@@ -261,12 +243,12 @@ def _scan(assemble: Callable[[float, float, int], np.ndarray], shat: np.ndarray,
         codes, aux = _classify_cells(build, Sf.size, threads)
         return codes.reshape(qhat.size, shat.size), aux
     if isinstance(direction, (int, np.integer)):
-        B0, Bs, Bq = (B[0] for B in _affine_basis(assemble, (direction,)))
+        B0, Bs, Bq = (B[direction - 1] for B in (A0, As, Aq))
     else:
-        B0, Bs, Bq = (np.tensordot(direction, B, axes=1)
-                      for B in _affine_basis(assemble, (1, 2, 3)))
-    upper_q = qhat[qhat.size // 2:]
-    S, Q = np.meshgrid(shat, upper_q, indexing="xy")
+        n = _unit_rows(direction)[0]
+        B0, Bs, Bq = (np.tensordot(n, B, axes=1) for B in (A0, As, Aq))
+    half = qhat.size // 2
+    S, Q = np.meshgrid(shat, qhat[half:], indexing="xy")
     Sf, Qf = S.ravel(), Q.ravel()
 
     def build(sl: slice) -> np.ndarray:
@@ -274,11 +256,32 @@ def _scan(assemble: Callable[[float, float, int], np.ndarray], shat: np.ndarray,
                 + Qf[sl, None, None] * Bq[None])
 
     codes, aux = _classify_cells(build, Sf.size, threads)
-    return _mirror_rows(codes.reshape(upper_q.size, shat.size), qhat.size), aux
+    codes = codes.reshape(-1, shat.size)
+    # flipping the sign of every odd moment (u, q) conjugates the matrix into
+    # minus itself, so the class at -q_hat equals the one at +q_hat exactly
+    return np.concatenate((codes[::-1][:half], codes)), aux
 
 
-def _shear_assembly(kind: SystemKind, eq: EquilibriumParams):
-    return lambda s, q, d: assemble_A(kind, _shear_state(eq, s, q), eq, d)
+def _shear_scan(kind: SystemKind, eq: EquilibriumParams, n: int,
+                q1_hat_max: float, direction, seed: int,
+                threads: Optional[int]) -> RegionGrid:
+    """Classify the kind's 13x13 matrices over (sigma12_hat, q1_hat) at eq.
+
+    The only deviatoric stress component is sigma12; the grid spans the
+    admissible interval [-1, 1] in sigma12_hat, whose degenerate endpoints
+    are marked -1.  direction and seed are `_scan`'s; the metadata is
+    `_scan_summary`.
+    """
+    shat = np.linspace(-1.0, 1.0, n)
+    qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
+    basis = stack_states([_shear_state(eq, s, q) for s, q in _BASIS],
+                         [eq] * len(_BASIS))
+    cells, aux = _scan(assemble_axes(kind, basis), shat, qhat, threads,
+                       direction, seed)
+    cells[:, np.abs(shat) >= 1.0] = CODE_INADMISSIBLE
+    return RegionGrid(theta=eq.theta, z=eq.z, T=1.0, x_name="sigma12_hat",
+                      y_name="q1_hat", x=shat, y=qhat, cells=cells,
+                      metadata=_scan_summary(cells, aux))
 
 
 def region_scan_1d(theta: int, z: float, n: int = 401,
@@ -293,7 +296,9 @@ def region_scan_1d(theta: int, z: float, n: int = 401,
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
     shat = np.linspace(-0.999, 1.999, n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
-    cells, aux = _scan(lambda s, q, d: assemble_A5_grad(state5_from_hat(eq, s, q), eq),
+    w = np.array([[st.rho, st.u1, st.p11, st.q1, st.p] for st in
+                  (state5_from_hat(eq, s, q) for s, q in _BASIS)])
+    cells, aux = _scan(_a5_stack(SystemKind.Grad13, w, eq.coeffs)[:, None],
                        shat, qhat, threads)
     return RegionGrid(theta=eq.theta, z=z, T=1.0, x_name="sigma11_hat",
                       y_name="q1_hat", x=shat, y=qhat, cells=cells,
@@ -305,22 +310,14 @@ def region_scan_1d(theta: int, z: float, n: int = 401,
 def region_scan_3d_cross_section(theta: int, z: float, n: int = 401,
                                  q1_hat_max: float = 2.0,
                                  threads: Optional[int] = None) -> RegionGrid:
-    """Classify the full 13x13 plain closure over (sigma12_hat, q1_hat).
-
-    The only deviatoric stress component is sigma12; the grid spans the
-    admissible interval [-1, 1] in sigma12_hat, whose degenerate endpoints
-    are marked -1.
-    """
+    """Classify the full 13x13 plain closure along axis 1 over
+    (sigma12_hat, q1_hat) (see `_shear_scan`)."""
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
-    shat = np.linspace(-1.0, 1.0, n)
-    qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
-    cells, aux = _scan(_shear_assembly(SystemKind.Grad13, eq), shat, qhat, threads)
-    cells[:, np.abs(shat) >= 1.0] = CODE_INADMISSIBLE
-    return RegionGrid(theta=eq.theta, z=z, T=1.0, x_name="sigma12_hat",
-                      y_name="q1_hat", x=shat, y=qhat, cells=cells,
-                      metadata={"system": SystemKind.Grad13.value,
-                                "direction": [1.0, 0.0, 0.0], "mirrored": True,
-                                **_scan_summary(cells, aux)})
+    grid = _shear_scan(SystemKind.Grad13, eq, n, q1_hat_max, direction=1, seed=0,
+                       threads=threads)
+    grid.metadata.update(system=SystemKind.Grad13.value,
+                         direction=[1.0, 0.0, 0.0], mirrored=True)
+    return grid
 
 
 def region_scan_regularized(theta: int, z: float, n: int = 401,
@@ -333,42 +330,27 @@ def region_scan_regularized(theta: int, z: float, n: int = 401,
     direction is an axis index (1..3), an explicit 3-vector, or "random",
     which draws one unit direction per cell from a Philox stream.  With
     compare_grad=True the plain closure is classified on the identical grid
-    and its counts stored in the metadata for side-by-side reporting.  A zero
+    and its summary stored in the metadata under a "grad_" prefix.  A zero
     direction vector raises DomainError.
     """
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
-    shat = np.linspace(-1.0, 1.0, n)
-    qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
     random_dirs = isinstance(direction, str) and direction == "random"
-    if random_dirs or isinstance(direction, (int, np.integer)):
-        scan_dir = direction
-    else:
-        scan_dir = _unit_rows(direction)[0]
-    inadmissible = np.abs(shat) >= 1.0
-
-    def scan(kind: SystemKind) -> Tuple[np.ndarray, Dict[str, object]]:
-        cells, aux = _scan(_shear_assembly(kind, eq), shat, qhat, threads,
-                           scan_dir, seed)
-        cells[:, inadmissible] = CODE_INADMISSIBLE
-        return cells, aux
-
-    cells, aux = scan(SystemKind.FinalR13)
     meta: Dict[str, object] = {
         "system": SystemKind.FinalR13.value,
         "direction": "random" if random_dirs else list(_unit_rows(direction)[0]),
         "seed": seed if random_dirs else None,
         "mirrored": not random_dirs,
-        **_scan_summary(cells, aux),
     }
+    grid = _shear_scan(SystemKind.FinalR13, eq, n, q1_hat_max, direction, seed,
+                       threads)
+    grid.metadata.update(meta)
     if compare_grad:
-        grad_cells, grad_aux = scan(SystemKind.Grad13)
-        meta["grad_class_counts"] = class_counts(grad_cells)
-        meta["grad_area_fraction"] = area_fraction(grad_cells)
-        meta.update({"grad_" + k: v
-                     for k, v in _scan_summary(grad_cells, grad_aux).items()})
-    return RegionGrid(theta=eq.theta, z=z, T=1.0, x_name="sigma12_hat",
-                      y_name="q1_hat", x=shat, y=qhat, cells=cells,
-                      metadata=meta)
+        grad = _shear_scan(SystemKind.Grad13, eq, n, q1_hat_max, direction,
+                           seed, threads)
+        summary = {"class_counts": class_counts(grad.cells),
+                   "area_fraction": area_fraction(grad), **grad.metadata}
+        grid.metadata.update({"grad_" + k: v for k, v in summary.items()})
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +394,9 @@ def eigen_sweep_fugacity(theta: int, z_values: Optional[np.ndarray] = None,
         cols["sqrt_x_plus"][i] = math.sqrt(T * spectrum.x_plus)
     crossing = None
     if theta == 1:
-        try:
-            zc = spectral.fermion_crossing()
-            if z.min() <= zc <= z.max():
-                crossing = zc
-        except NoRoot:
-            crossing = None
+        zc = spectral.fermion_crossing()
+        if z.min() <= zc <= z.max():
+            crossing = zc
     return FugacitySweep(theta=theta, T=T, z=z, branches=cols,
                          crossing_z=crossing)
 

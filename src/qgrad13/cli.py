@@ -230,14 +230,15 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common_thermo(sp, need_z: bool = True) -> None:
+def _add_common_thermo(sp, need_z: bool = True, with_T: bool = False) -> None:
     sp.add_argument("--theta", type=int, required=True, choices=(-1, 0, 1),
                     help="statistics: +1 Fermion, 0 classical, -1 Boson")
     if need_z:
         sp.add_argument("--z", type=float, required=True,
                         help="fugacity (Bosons need z < 1)")
-    sp.add_argument("--T", type=float, default=1.0,
-                    help="equilibrium temperature (default 1)")
+    if with_T:
+        sp.add_argument("--T", type=float, default=1.0,
+                        help="equilibrium temperature (default 1)")
 
 
 @functools.lru_cache(maxsize=None)   # one parser per process, shared by every call
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_polylog)
 
     sp = sub.add_parser("eigs", help="eigenvalues and hyperbolicity verdict")
-    _add_common_thermo(sp, need_z=False)
+    _add_common_thermo(sp, need_z=False, with_T=True)
     sp.add_argument("--z", type=float, default=None,
                     help="fugacity of the equilibrium state "
                          "(omit when --state is given)")
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep-eigs",
                         help="equilibrium wave speeds as functions of fugacity")
-    _add_common_thermo(sp, need_z=False)
+    _add_common_thermo(sp, need_z=False, with_T=True)
     sp.add_argument("--zmin", type=_positive_float, default=None)
     sp.add_argument("--zmax", type=_positive_float, default=None)
     sp.add_argument("--n", type=_positive_int, default=161)
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("nsf",
                         help="transport coefficients from one relaxation "
                              "iteration")
-    _add_common_thermo(sp)
+    _add_common_thermo(sp, with_T=True)
     sp.add_argument("--system", choices=sorted(_KINDS), default="regularized")
     sp.add_argument("--tau", type=float, default=1.0,
                     help="relaxation time (default 1)")
@@ -309,10 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_nsf)
 
     sp = sub.add_parser("verify", help="run self-verification suites")
-    sp.add_argument("--suite", default="all",
-                    choices=["polylog", "charpoly", "annihilation",
-                             "linearization", "global-hyperbolicity",
-                             "closure-quadrature", "all"])
+    sp.add_argument("--suite", default="all", choices=[*analysis._SUITES, "all"])
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_verify)
 

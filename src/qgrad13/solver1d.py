@@ -85,13 +85,6 @@ class SimConfig:
                               u=(side["u1"], 0.0, 0.0), T=side["T"],
                               hhat=self.hhat)
 
-    def as_dict(self) -> dict:
-        return {"theta": self.theta, "cells": self.cells, "length": self.length,
-                "cfl": self.cfl, "tau": self.tau, "t_end": self.t_end,
-                "left": dict(self.left), "right": dict(self.right),
-                "boundary": self.boundary, "hhat": self.hhat,
-                "n_snapshots": self.n_snapshots}
-
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
         missing = {"theta", "cells", "length", "cfl", "tau", "t_end", "left",
@@ -228,7 +221,8 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
             z, T, li, fell_back, points = _fit(w[:, 0], w[:, 4], config.theta,
                                                config.hhat, guess)
         except (CondensationError, NoSolution) as exc:
-            raise InadmissibleCell(exc.index, f"no admissible fugacity: {exc}") from exc
+            raise InadmissibleCell(exc.index, f"no admissible fugacity in step {steps + 1} "
+                                              f"at t = {t:.6g}: {exc}") from exc
         guess = (z, li)
         fallbacks += fell_back
         fit_points += points

@@ -124,7 +124,7 @@ def test_regularized_scan_grad_comparison():
 def test_scan_rejects_non_affine_assembly():
     shat = np.linspace(-0.5, 0.5, 5)
     qhat = np.linspace(-1.0, 1.0, 5)
-    curved = lambda s, qh, d: np.diag([s * s, qh, 1.0])
+    curved = np.array([[np.diag([s * s, qh, 1.0])] * 3 for s, qh in analysis._BASIS])
     for direction in (1, (0.0, 1.0, 1.0), "random"):
         with pytest.raises(RuntimeError, match="affine"):
             analysis._scan(curved, shat, qhat, 1, direction)

@@ -154,6 +154,44 @@ def test_region_reg_compare(capsys):
     assert "fraction" in out and "grad" in out.lower()
 
 
+_REGION_SCANS = [["region1d", "--n", "41"],
+                 ["region3d", "--n", "31"],
+                 ["region-reg", "--n", "31", "--compare-grad", "--seed", "5"],
+                 ["region-reg", "--n", "21", "--direction", "2"],
+                 ["region-reg", "--n", "21", "--direction", "1,2,0.5", "--compare-grad"]]
+_REGION_DIGESTS = {
+    (1, "2.5"): ["d37c333c2478653778e1ab4c6d723dbc8ff1a87eb5c1f42cee1954409887b0ea",
+                 "ff7c9a187dad17c829171d1641c322070d6d2c5590ac4ad19a0f052114846f9d",
+                 "de0f84add2c8b74120e4a3dd3497e03e777e76d30c7d607e3eb9dc51f14822c6",
+                 "9f2926146919f9331e1b4495cd531b2ccebe5eb965caf99e5d57dd1e5dfda119",
+                 "68e467d31b0a1ca0c4f9f2c17bb0408d9f2fbc25f1296e10a1ba1164b5d97c00"],
+    (0, "2.5"): ["8b643b4ae8a2452e069f3db81ce143d45e4598099cc91be7ed796b14556e30f6",
+                 "3dda07762dbf84dd5820f05984bda5655539f70a1e752d26855d3489cd0d91a8",
+                 "173048b4927ae5f2b86f26cf11d8308185a0e7d154c80db74e1b8a33905439d7",
+                 "85898a66f5ae0a243de29bd928fad1becffc0a609e6ad0b277e598ecd2c379a8",
+                 "3363e3ed3bb5d35232bd850a482ead113a702e238c4945064a15c38f5052ba4c"],
+    (-1, "0.7"): ["c1bc489a4274f9a2ac5e4130b0ddde2fd34b5a452b73e5a6d63699971067db17",
+                  "c033e44cd3e242e2d7c9fdfbfbc3b133a53b2ba4bc55df6be84a4ea317beea05",
+                  "17c170dc97ff66292119edffb48c2a021bd29dad6715a7f293b9c3d185df7650",
+                  "4beeb868dc191257787bd12c7aebf185ca6060cee76ae351dccbdd94d49038eb",
+                  "3f6532e2bc439619e51214f7b91d8ef0eed32cffa4c03acc0ca42a26ff863ca8"],
+}
+
+
+@pytest.mark.parametrize("theta, z", list(_REGION_DIGESTS))
+def test_region_artifacts_frozen(theta, z, tmp_path, capsys):
+    """Each scan's CSV then sidecar, byte for byte.  hyperbolic_min_gap moves
+    by up to 1.3e-8 under a one-ulp change of the matrix entries, so these
+    pin the scans' basis matrices bit for bit, not only their class codes."""
+    path = tmp_path / "r.csv"
+    for argv, digest in zip(_REGION_SCANS, _REGION_DIGESTS[theta, z]):
+        assert main(argv + ["--theta", str(theta), "--z", z, "--out", str(path)]) == 0
+        h = hashlib.sha256(path.read_bytes())
+        h.update((tmp_path / "r.csv.meta.json").read_bytes())
+        assert h.hexdigest() == digest, argv
+    capsys.readouterr()
+
+
 def test_region_reg_vector_direction(capsys):
     rc = main(["region-reg", "--theta", "0", "--z", "1.0", "--n", "11",
                "--direction", "0.6,0.8,0.0"])
@@ -177,6 +215,16 @@ def test_nonpositive_n_is_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["polylog", "region1d", "region3d", "region-reg"])
+def test_temperature_only_where_it_is_read(command, capsys):
+    """Only eigs, sweep-eigs and nsf read --T; the others reject it."""
+    grid = [] if command == "polylog" else ["--n", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--theta", "1", "--z", "2", *grid, "--T", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --T 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("qmax", ["0", "-2"])

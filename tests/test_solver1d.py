@@ -1,4 +1,5 @@
 """1D relaxation solver: preservation, decay, stiff limit, bookkeeping."""
+import dataclasses
 import math
 
 import numpy as np
@@ -344,7 +345,7 @@ def test_non_finite_spectral_radius_is_inadmissible():
     """Past z ~ 2.3e5 the Fermion quartic has complex roots, so the radius
     is NaN; the run stops at the first such cell instead of in the CFL check."""
     cfg = _uniform_config(theta=1, z=5.0)
-    cfg = SimConfig(**{**cfg.as_dict(), "right": dict(z=1e6, u1=0.0, T=1.0)})
+    cfg = dataclasses.replace(cfg, right=dict(z=1e6, u1=0.0, T=1.0))
     with pytest.raises(InadmissibleCell) as exc:
         q.run(cfg)
     assert exc.value.index == cfg.cells // 2
@@ -355,7 +356,7 @@ def test_non_finite_spectral_radius_is_inadmissible():
 def test_radius_past_the_fermion_bound_names_it():
     """At z = 3e5 > FERMI_Z_C the radius is NaN, and the error says why."""
     cfg = _uniform_config(theta=1, z=5.0)
-    cfg = SimConfig(**{**cfg.as_dict(), "right": dict(z=3e5, u1=0.0, T=1.0)})
+    cfg = dataclasses.replace(cfg, right=dict(z=3e5, u1=0.0, T=1.0))
     with pytest.raises(InadmissibleCell) as exc:
         q.run(cfg)
     assert exc.value.index == cfg.cells // 2
@@ -380,8 +381,8 @@ def test_fermion_run_below_the_bound_finishes():
 @pytest.mark.parametrize("theta, z_left, z_right, index, cause", [
     (1, 2.1e5, 1e5, 1, f"in step 10 at t = 0.0110762, z = 231921 above the Fermion "
                        f"bound FERMI_Z_C = {FERMI_Z_C:.6g}"),
-    (-1, 1.0 - 1e-6, 0.99, 3, "no admissible fugacity: no Boson fugacity below "
-                              "condensation"),
+    (-1, 1.0 - 1e-6, 0.99, 3, "no admissible fugacity in step 8 at t = 0.014192: "
+                              "no Boson fugacity below condensation"),
 ], ids=["fermion-past-z_c", "boson-condensation"])
 def test_runs_past_the_domain_edges_name_the_cause(theta, z_left, z_right, index,
                                                    cause):
@@ -504,7 +505,7 @@ def test_config_validation(bad):
 
 def test_config_dict_round_trip():
     cfg = _uniform_config(boundary="copy", n_snapshots=7)
-    assert SimConfig.from_dict(cfg.as_dict()) == cfg
+    assert SimConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_csv_outputs(tmp_path):
