@@ -27,6 +27,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from . import spectral
+from .errors import DomainError
 from .matrices import (SystemKind, _a5_stack, _unit_rows, assemble_A,
                        assemble_axes, assemble_M, pslot, regularized_stack,
                        stack_states)
@@ -47,8 +48,10 @@ _Z_RANGE = {1: (1e-2, 1e2), -1: (0.01, 0.99), 0: (1e-2, 10.0)}
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
+    """threads, or by default the CPUs this process may run on."""
     if threads is None:
-        threads = os.cpu_count() or 1
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     return max(1, int(threads))
 
 
@@ -152,8 +155,14 @@ def write_region_csv(grid: RegionGrid, path: str) -> None:
     repeated runs produce byte-identical files.
     """
     xs = [_fmt(x) for x in grid.x]
-    rows = ("\n".join(f"{x},{ys},{code}" for x, code in zip(xs, row.tolist()))
-            for ys, row in zip(map(_fmt, grid.y), grid.cells))   # one grid row at a time
+    # a grid row is x[0], then "{code}\n{x[i + 1]}" for each cell i but the
+    # last and the last cell's bare code, all joined by ",{y},"; pieces holds
+    # them by code (offset by CODE_INADMISSIBLE) and cell
+    pieces = np.array([[f"{code}\n{x}" for x in xs[1:]] + [str(code)]
+                       for code in range(CODE_INADMISSIBLE, 4)], dtype=object)
+    cols = np.arange(len(xs))
+    rows = (f",{_fmt(y)},".join([xs[0], *pieces[row - CODE_INADMISSIBLE, cols].tolist()])
+            for y, row in zip(grid.y, grid.cells))   # one grid row at a time
     _write_lines(path, itertools.chain([f"{grid.x_name},{grid.y_name},class_code"], rows))
     _write_meta(path, _grid_metadata(grid))
 
@@ -235,10 +244,15 @@ def _scan(X: np.ndarray, shat: np.ndarray, qhat: np.ndarray,
                                 Sf.size)
 
         def build(sl: slice) -> np.ndarray:
-            base = np.einsum("cd,dij->cij", N[sl], A0)
-            base += Sf[sl, None, None] * np.einsum("cd,dij->cij", N[sl], As)
-            base += Qf[sl, None, None] * np.einsum("cd,dij->cij", N[sl], Aq)
-            return base
+            n = N[sl]
+            stack = np.einsum("cd,dij->cij", n, A0)
+            term = np.einsum("cd,dij->cij", n, As)
+            term *= Sf[sl, None, None]
+            stack += term
+            np.einsum("cd,dij->cij", n, Aq, out=term)
+            term *= Qf[sl, None, None]
+            stack += term
+            return stack
 
         codes, aux = _classify_cells(build, Sf.size, threads)
         return codes.reshape(qhat.size, shat.size), aux
@@ -252,8 +266,11 @@ def _scan(X: np.ndarray, shat: np.ndarray, qhat: np.ndarray,
     Sf, Qf = S.ravel(), Q.ravel()
 
     def build(sl: slice) -> np.ndarray:
-        return (B0[None] + Sf[sl, None, None] * Bs[None]
-                + Qf[sl, None, None] * Bq[None])
+        stack = np.multiply(Sf[sl, None, None], Bs)
+        stack += B0
+        term = np.multiply(Qf[sl, None, None], Bq)
+        stack += term
+        return stack
 
     codes, aux = _classify_cells(build, Sf.size, threads)
     codes = codes.reshape(-1, shat.size)
@@ -385,13 +402,15 @@ def eigen_sweep_fugacity(theta: int, z_values: Optional[np.ndarray] = None,
     theta = _check_theta(theta)
     z = default_sweep_grid(theta) if z_values is None \
         else np.atleast_1d(np.asarray(z_values, dtype=float))
-    cols = {name: np.empty(z.size) for name in FugacitySweep.BRANCH_ORDER}
-    for i, zi in enumerate(z):
-        spectrum = spectral.char_poly_equilibrium(float(zi), theta, T)
-        cols["zero"][i] = 0.0
-        cols["sqrt_x_minus"][i] = math.sqrt(T * spectrum.x_minus)
-        cols["sqrt_alpha"][i] = math.sqrt(T * spectrum.alpha_hat)
-        cols["sqrt_x_plus"][i] = math.sqrt(T * spectrum.x_plus)
+    if not T >= 0.0:
+        raise DomainError(f"temperature must be nonnegative, got {T}")
+    # li has no Fermion value past FERMI_Z_MAX, nor the quartic real roots
+    # there: the quartic's error names such a z
+    c = LiCoeffs(eval_polylog_batch(np.minimum(z, FERMI_Z_MAX) if theta == 1 else z,
+                                    theta), 1.0)
+    x_minus, x_plus = spectral._real_quartic_roots(z, c)
+    cols = {"zero": np.zeros(z.size), "sqrt_x_minus": np.sqrt(T * x_minus),
+            "sqrt_alpha": np.sqrt(T * c.alpha), "sqrt_x_plus": np.sqrt(T * x_plus)}
     crossing = None
     if theta == 1:
         zc = spectral.fermion_crossing()

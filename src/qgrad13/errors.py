@@ -34,6 +34,7 @@ class InadmissibleCell(RuntimeError):
 
     def __init__(self, index, message=""):
         self.index = index
+        self.reason = message
         super().__init__(f"cell {index} inadmissible{': ' + message if message else ''}")
 
 

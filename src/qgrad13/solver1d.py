@@ -248,7 +248,11 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
         decay = math.exp(-dt / config.tau)
         w[:, 2] = w[:, 4] + (w[:, 2] - w[:, 4]) * decay
         w[:, 3] *= decay
-        _validate_cells(w)
+        try:
+            _validate_cells(w)
+        except InadmissibleCell as exc:
+            raise InadmissibleCell(exc.index, f"{exc.reason} in step {steps + 1} "
+                                              f"at t = {t:.6g}") from exc
         t += dt
         steps += 1
         if steps > _MAX_STEPS:

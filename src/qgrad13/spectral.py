@@ -30,6 +30,9 @@ SV_TOL = 1e-8        # singular-value threshold (relative to ||A||) for rank
 GAP_TOL = 1e-7       # eigenvalue clustering gap, relative to 1 + |lambda|
 IMAG_TOL = 1e-9      # imaginary-part threshold, relative to 1 + |lambda|
 
+#: cluster matrices per SVD gather of `classify_batch`'s slow path
+_GATHER = 256
+
 
 class Classification(enum.Enum):
     HyperbolicStrict = "HyperbolicStrict"
@@ -118,18 +121,29 @@ def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarra
     np.minimum.at(min_gap, cell[1:], np.where(cell[1:] == cell[:-1], rel_gap, np.inf))
 
     slow = np.bincount(owner, minlength=N).nonzero()[0]
-    # one gather and one SVD: the slow cells for ||A||_2, then A - mean I
-    mats = A_stack[np.concatenate((slow, owner))]
-    mats.reshape(-1, k * k)[slow.size:, ::k + 1] -= value[pair, None]   # diagonals
-    sv = np.linalg.svd(mats, compute_uv=False)
-    scale = np.zeros(N)
-    scale[slow] = sv[:slow.size, 0]
-    sv = sv[slow.size:]
-    geometric = np.ones(start.size, dtype=np.intp)
-    geometric[pair] = np.add.reduce(
-        sv <= SV_TOL * np.maximum(scale[owner], 1e-300)[:, None], 1)
+    geometric = algebraic.copy()   # 1 for a single value
     min_sv = np.full(start.size, np.nan)
-    min_sv[pair] = sv[:, -1]
+    # F / sqrt(k) <= ||A||_2 <= F for the Frobenius norm F, each side widened by
+    # 1e-10 for rounding and clipped where F^2 can lose a term to underflow
+    # (below 1e-140) or overflow: a singular value of A - mean I at or below
+    # the low threshold counts, one above the high one does not, and only a
+    # cluster with a value between the two pays the SVD of A for its exact norm
+    low, high = SV_TOL * (1.0 - 1e-10) / math.sqrt(k), SV_TOL * (1.0 + 1e-10)
+    for i in range(0, pair.size, _GATHER):
+        sel = pair[i:i + _GATHER]
+        mats = A_stack[owner[i:i + _GATHER]]
+        fro = np.sqrt(np.einsum("nij,nij->n", mats, mats))   # inf, unwarned, past 1e154
+        mats.reshape(-1, k * k)[:, ::k + 1] -= value[sel, None]   # diagonals
+        sv = np.linalg.svd(mats, compute_uv=False)
+        min_sv[sel] = sv[:, -1]
+        count = np.add.reduce(sv <= (np.minimum(fro, 1e140) * low)[:, None], 1)
+        undecided = (count != np.add.reduce(
+            sv <= (np.maximum(fro, 1e-140) * high)[:, None], 1)).nonzero()[0]
+        if undecided.size:
+            scale = np.linalg.svd(A_stack[owner[i + undecided]], compute_uv=False)[:, 0]
+            count[undecided] = np.add.reduce(
+                sv[undecided] <= SV_TOL * np.maximum(scale, 1e-300)[:, None], 1)
+        geometric[sel] = count
 
     codes = np.where(real, CLASS_CODES[Classification.HyperbolicStrict],
                      CLASS_CODES[Classification.NonHyperbolic]).astype(np.int8)
@@ -239,14 +253,23 @@ def _coeffs(z: float, theta: int) -> LiCoeffs:
     return EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0).coeffs
 
 
+def _real_quartic_roots(z, c: LiCoeffs):
+    """x_minus and x_plus of the coefficient records c at the fugacities z; a
+    DomainError naming the first z whose quartic roots are complex (x_plus is
+    NaN), which lies above FERMI_Z_C."""
+    bad = np.isnan(c.x_plus)
+    if bad.any():
+        raise DomainError(f"equilibrium quartic has complex roots at "
+                          f"z={np.ravel(z)[np.argmax(bad)]}, above the Fermion "
+                          f"hyperbolicity bound FERMI_Z_C = {FERMI_Z_C!r}")
+    return c.x_minus, c.x_plus
+
+
 def char_poly_equilibrium(z: float, theta: int, T: float = 1.0) -> EquilibriumSpectrum:
     """Equilibrium spectrum lam_hat^5 (lam_hat^2 - alpha)^2 (lam_hat^4 - c1 lam_hat^2 + c0);
     a DomainError above FERMI_Z_C, where the quartic's roots are complex."""
     c = _coeffs(z, theta)
-    x_minus, x_plus = float(c.x_minus), float(c.x_plus)
-    if math.isnan(x_plus):
-        raise DomainError(f"equilibrium quartic has complex roots at z={z}, above "
-                          f"the Fermion hyperbolicity bound FERMI_Z_C = {FERMI_Z_C!r}")
+    x_minus, x_plus = map(float, _real_quartic_roots(z, c))
     sa, sm, sp = math.sqrt(c.alpha), math.sqrt(x_minus), math.sqrt(x_plus)
     lam = np.array([-sp, -sa, -sa, -sm, 0.0, 0.0, 0.0, 0.0, 0.0,
                     sm, sa, sa, sp])

@@ -21,6 +21,15 @@ def test_scan_deterministic_and_thread_invariant():
     np.testing.assert_array_equal(a.cells, c.cells)
 
 
+def test_default_threads_are_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 64)
+    assert analysis._resolve_threads(None) == 1
+    assert analysis._resolve_threads(3) == 3
+    monkeypatch.delattr(analysis.os, "sched_getaffinity")
+    assert analysis._resolve_threads(None) == 64
+
+
 def test_scan_mirror_symmetry_exact(theta):
     z = 0.7 if theta == -1 else 1.5
     g = q.region_scan_1d(theta, z, n=51)
@@ -145,16 +154,32 @@ def test_region_csv_byte_identical(tmp_path):
     assert len(p1.read_text().splitlines()) == 1 + 31 * 31
 
 
+def _code_grid(x, y, cells):
+    return analysis.RegionGrid(theta=1, z=2.0, T=1.0, x_name="sigma11_hat",
+                               y_name="q1_hat", x=np.asarray(x, dtype=float),
+                               y=np.asarray(y, dtype=float),
+                               cells=np.asarray(cells, dtype=np.int8))
+
+
 def test_region_csv_rows_match_per_cell_formatting(tmp_path):
-    g = q.region_scan_1d(1, 2.0, n=7)
+    """Byte for byte the per-cell writer: a scan, a grid holding every code
+    from -1 to 3, one column and one row."""
+    grids = [q.region_scan_1d(1, 2.0, n=7),
+             _code_grid(np.linspace(-0.999, 1.999, 9), np.linspace(-3.0, 3.0, 7),
+                        np.random.default_rng(3).integers(-1, 4, size=(7, 9))),
+             _code_grid([0.1], [-1.0, 0.0, 1.0 / 3.0, 2.0, 5e-300],
+                        [[-1], [0], [1], [2], [3]]),
+             _code_grid([-1.0, 0.25, 1.0 / 7.0, 1e20, 0.0], [2.5], [[3, 2, 1, 0, -1]])]
+    assert set(grids[1].cells.ravel().tolist()) == {-1, 0, 1, 2, 3}
     path = tmp_path / "r.csv"
-    q.write_region_csv(g, str(path))
-    lines = [f"{g.x_name},{g.y_name},class_code"]
-    for iy in range(g.y.size):
-        for ix in range(g.x.size):
-            lines.append(f"{analysis._fmt(g.x[ix])},{analysis._fmt(g.y[iy])},"
-                         f"{int(g.cells[iy, ix])}")
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    for g in grids:
+        q.write_region_csv(g, str(path))
+        lines = [f"{g.x_name},{g.y_name},class_code"]
+        for iy in range(g.y.size):
+            for ix in range(g.x.size):
+                lines.append(f"{analysis._fmt(g.x[ix])},{analysis._fmt(g.y[iy])},"
+                             f"{int(g.cells[iy, ix])}")
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +215,62 @@ def test_sweep_csv(tmp_path):
     assert lines[0].startswith("z,")
     assert len(lines) == 12
     json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+
+
+def _sweep_by_point(theta, z, T):
+    """The sweep one fugacity at a time: the branches from the N = 1 spectrum."""
+    cols = {name: np.empty(z.size) for name in q.FugacitySweep.BRANCH_ORDER}
+    for i, zi in enumerate(z):
+        sp = spectral.char_poly_equilibrium(float(zi), theta, T)
+        cols["zero"][i] = 0.0
+        cols["sqrt_x_minus"][i] = math.sqrt(T * sp.x_minus)
+        cols["sqrt_alpha"][i] = math.sqrt(T * sp.alpha_hat)
+        cols["sqrt_x_plus"][i] = math.sqrt(T * sp.x_plus)
+    return cols
+
+
+@pytest.mark.parametrize("T", [1.0, 0.7])
+def test_sweep_is_the_spectrum_point_by_point(theta, T):
+    """One batched li record gives every branch bit for bit as the per-z
+    equilibrium spectrum does."""
+    sw = q.eigen_sweep_fugacity(theta, T=T)
+    ref = _sweep_by_point(theta, sw.z, T)
+    for name in q.FugacitySweep.BRANCH_ORDER:
+        assert sw.branches[name].tobytes() == ref[name].tobytes(), name
+
+
+@pytest.mark.parametrize("theta, most", [(1, 12), (-1, 1), (0, 1)])
+def test_sweep_evaluates_li_once(theta, most, monkeypatch):
+    """A default sweep is one li evaluation; a Fermion sweep adds the branch
+    crossing's root search (11 calls)."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return q.eval_polylog_batch(*args, **kwargs)
+
+    for mod in (state, analysis):
+        monkeypatch.setattr(mod, "eval_polylog_batch", counting)
+    q.eigen_sweep_fugacity(theta)
+    assert len(calls) <= most
+    assert calls[0][0].size == 161
+
+
+@pytest.mark.parametrize("grid, named", [
+    ([1e2, 3e5, 1e13], "z=300000.0"),
+    ([1e13, 1e2], "z=10000000000000.0"),
+])
+def test_sweep_names_the_first_z_past_the_fermion_bound(grid, named):
+    """A Fermion grid past FERMI_Z_C names its first such z, also where the
+    grid reaches past li's table (FERMI_Z_MAX)."""
+    with pytest.raises(q.DomainError, match="complex roots") as exc:
+        q.eigen_sweep_fugacity(1, z_values=grid)
+    assert f"{named}, above" in str(exc.value)
+
+
+def test_sweep_rejects_negative_temperature():
+    with pytest.raises(q.DomainError, match="temperature"):
+        q.eigen_sweep_fugacity(0, T=-1.0)
 
 
 # ---------------------------------------------------------------------------

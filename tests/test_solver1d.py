@@ -396,14 +396,15 @@ def test_runs_past_the_domain_edges_name_the_cause(theta, z_left, z_right, index
 
 def test_rarefaction_names_the_column_that_broke():
     """The classical u1 = -2 | +2 rarefaction drives p11 negative beside the
-    jump in step 6; the error names p11 and its value."""
+    jump in step 6; the error names p11, its value, the step and its time."""
     side = dict(z=1.0, u1=-2.0, T=1.0)
     cfg = _edge_config(0, 1.0, 1.0, cells=200, tau=1.0,
                        left=side, right=dict(side, u1=2.0))
     with pytest.raises(InadmissibleCell) as exc:
         q.run(cfg)
     assert exc.value.index == 99
-    assert str(exc.value) == "cell 99 inadmissible: p11 = -0.442322 is not positive"
+    assert str(exc.value) == ("cell 99 inadmissible: p11 = -0.442322 is not positive "
+                              "in step 6 at t = 0.00272363")
 
 
 def _column_diagnosis(w):

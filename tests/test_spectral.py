@@ -1,5 +1,6 @@
 """Eigenvalue classification, characteristic polynomials, annihilation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,153 @@ def test_batch_codes_are_the_single_verdicts(rng):
         if diags is not None:
             assert [(c.value.real, c.algebraic, c.geometric, c.min_singular_value)
                     for c in v.diagnostics] == diags
+
+
+def _classify_reference(A_stack):
+    """`classify_batch` with the slow path it had before the Frobenius bounds:
+    one gather of the slow cells and of every cluster's A - mean I, one SVD,
+    and SV_TOL * ||A||_2 from the slow cells' svd(A)[:, 0]."""
+    A_stack = np.asarray(A_stack, dtype=float)
+    N, k = A_stack.shape[:2]
+    w = np.linalg.eigvals(A_stack)
+    max_imag = (np.maximum.reduce(np.abs(w.imag) / (1.0 + np.abs(w)), axis=1)
+                if w.dtype.kind == "c" else np.zeros(N))
+    real = max_imag <= spectral.IMAG_TOL
+    x = np.sort(w.real, axis=1)
+    ax = np.abs(x)
+    join = x[:, 1:] - x[:, :-1] <= spectral.GAP_TOL * (
+        1.0 + np.maximum(ax[:, :-1], ax[:, 1:]))
+    start = np.concatenate((real[:, None], ~join & real[:, None]),
+                           axis=1).ravel().nonzero()[0]
+    cell = start // k
+    algebraic = np.minimum(np.concatenate((start[1:], [N * k])), (cell + 1) * k) - start
+    x = x.ravel()
+    value = x[start] + 0.0
+    pair = (algebraic > 1).nonzero()[0]
+    first, size, owner = start[pair], algebraic[pair], cell[pair]
+    for m in np.bincount(size).nonzero()[0]:
+        sel = size == m
+        value[pair[sel]] = np.add.reduce(x[first[sel, None] + np.arange(m)], 1) / m
+    rel_gap = (value[1:] - value[:-1]) / (1.0 + np.abs(value[:-1]))
+    min_gap = np.where(real, np.inf, 0.0)
+    np.minimum.at(min_gap, cell[1:], np.where(cell[1:] == cell[:-1], rel_gap, np.inf))
+    slow = np.bincount(owner, minlength=N).nonzero()[0]
+    mats = A_stack[np.concatenate((slow, owner))]
+    mats.reshape(-1, k * k)[slow.size:, ::k + 1] -= value[pair, None]
+    sv = np.linalg.svd(mats, compute_uv=False)
+    scale = np.zeros(N)
+    scale[slow] = sv[:slow.size, 0]
+    sv = sv[slow.size:]
+    geometric = np.ones(start.size, dtype=np.intp)
+    geometric[pair] = np.add.reduce(
+        sv <= spectral.SV_TOL * np.maximum(scale[owner], 1e-300)[:, None], 1)
+    min_sv = np.full(start.size, np.nan)
+    min_sv[pair] = sv[:, -1]
+    codes = np.where(real, 0, 3).astype(np.int8)
+    codes[slow] = 1
+    codes[cell[geometric < algebraic]] = 2
+    clusters = {"cell": cell, "value": value, "algebraic": algebraic,
+                "geometric": geometric, "min_sv": min_sv}
+    return codes, {"max_imag": max_imag, "min_gap": min_gap,
+                   "eigenvalues": w.astype(complex, copy=False),
+                   "n_slow": np.array([slow.size]), "clusters": clusters}
+
+
+def _assert_classified_as_reference(A_stack):
+    """classify_batch's codes and every aux array equal the reference's."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes, aux = q.classify_batch(A_stack)
+    ref_codes, ref = _classify_reference(A_stack)
+    assert codes.dtype == ref_codes.dtype and np.array_equal(codes, ref_codes)
+    for key in ("max_imag", "min_gap", "eigenvalues", "n_slow"):
+        assert aux[key].dtype == ref[key].dtype and np.array_equal(aux[key], ref[key]), key
+    for key in ("cell", "value", "algebraic", "geometric", "min_sv"):
+        got, want = aux["clusters"][key], ref["clusters"][key]
+        assert got.dtype == want.dtype, key
+        assert np.array_equal(got, want, equal_nan=key == "min_sv"), key
+    return codes
+
+
+def _clustered(rng, k, n):
+    """n k x k matrices similar to diagonals with repeated values, some with
+    a Jordan block, some with a tiny perturbation."""
+    out = []
+    for i in range(n):
+        d = np.repeat(rng.normal(size=k), rng.integers(1, 4, size=k))[:k]
+        J = np.diag(d)
+        if i % 3 == 1 and d[0] == d[1]:
+            J[0, 1] = 1.0
+        P = rng.normal(size=(k, k))
+        A = P @ J @ np.linalg.inv(P)
+        if i % 3 == 2:
+            A += 1e-12 * rng.normal(size=(k, k))
+        out.append(A)
+    return np.stack(out)
+
+
+def test_slow_path_is_the_reference_on_mixed_stacks(rng):
+    """Random and clustered 5x5 and 13x13 stacks, the zero matrix, scaled
+    identities from 1e-200 to 1e200 and N = 1 stacks classify exactly as the
+    one-gather slow path did."""
+    for k in (5, 13):
+        _assert_classified_as_reference(rng.normal(size=(200, k, k)))
+        mixed = np.concatenate((_clustered(rng, k, 300), rng.normal(size=(50, k, k))))
+        codes = _assert_classified_as_reference(mixed)
+        assert set(codes.tolist()) >= {1, 2, 3}
+        for A in mixed[:3]:
+            _assert_classified_as_reference(A[None])
+    scaled = np.stack([c * np.eye(13) for c in
+                       (0.0, 1e-200, -1e-150, 1e-3, 1.0, 7.0, -1e150, 1e200)])
+    assert list(_assert_classified_as_reference(scaled)) == [1] * 8
+    for A in scaled[[0, 1, 7]]:
+        _assert_classified_as_reference(A[None])
+    jordan = 1e-200 * (np.eye(13) + np.eye(13, k=1))
+    assert _assert_classified_as_reference(jordan[None])[0] == 2
+
+
+def test_slow_path_is_the_reference_on_a_region_reg_grid(monkeypatch):
+    """Every FinalR13 cell of region-reg has a cluster; the stacks the scan
+    classifies, random and fixed direction, match the reference."""
+    seen = []
+
+    def checked(A_stack):
+        seen.append(len(A_stack))
+        _assert_classified_as_reference(A_stack)
+        return q.classify_batch(A_stack)
+
+    monkeypatch.setattr(analysis, "classify_batch", checked)
+    for direction in ("random", 2):
+        grid = q.region_scan_regularized(1, 2.5, n=21, direction=direction, seed=4,
+                                         threads=1)
+        assert grid.metadata["n_slow"] == grid.metadata["n_classified"]
+    assert sum(seen) == 21 * 21 + 21 * 11
+
+
+def test_slow_path_falls_back_to_the_exact_norm(monkeypatch):
+    """2 I + eps at (0, 1), eps log-spaced on [1e-9, 1e-6], sweeps the defect's
+    singular value eps through [SV_TOL F / sqrt(13), SV_TOL F]: those clusters
+    take the SVD of A for ||A||_2 and classify as the reference does.  The 600
+    clusters are gathered at most 256 at a time."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    stack = np.tile(2.0 * np.eye(13), (600, 1, 1))
+    stack[:, 0, 1] = np.logspace(-9, -6, 600)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    codes = _assert_classified_as_reference(stack)
+    monkeypatch.undo()
+    assert 200 < np.sum(codes == 1) < 400 and np.sum(codes == 1) + np.sum(codes == 2) == 600
+    calls = calls[:len(calls) - 1]   # the last is the reference's one gather
+    diagonals = [np.diagonal(a, axis1=1, axis2=2) for a in calls]
+    gathers = [a for a, d in zip(calls, diagonals) if np.all(d == 0.0)]
+    exact = [a for a, d in zip(calls, diagonals) if np.all(d == 2.0)]
+    assert len(gathers) == 3 and max(len(a) for a in gathers) == spectral._GATHER
+    assert exact and len(gathers) + len(exact) == len(calls)
 
 
 def _a_coeffs(c, rho, p, p11):
