@@ -7,7 +7,9 @@ matrices are affine in those deviations, so each scan assembles them at four
 points in one batched call (`_BASIS`: three span the affine basis, the
 fourth checks it) and classifies the whole grid with batched eigensolves.
 region3d, region-reg and its Grad13 comparison are one shear-grid scan
-(`_shear_scan`); region3d is its Grad13 run along axis 1.
+(`_shear_scan`); region3d is its Grad13 run along axis 1.  A fixed direction
+classifies only the q_hat >= 0 rows, and an axis direction only the
+sigma12_hat >= 0 columns of those; the rest are exact mirror copies.
 
 `run_verification_suite` bundles the self-checks the command line exposes:
 special-function oracles, closed-form polynomial coefficients, annihilating
@@ -199,9 +201,9 @@ def _classify_cells(build_stack: Callable[[slice], np.ndarray], n_cells: int,
 
 
 def _scan_summary(cells: np.ndarray, aux: Dict[str, object]) -> Dict[str, object]:
-    """Sidecar keys on what classify_batch did in a `_scan` grid.
+    """Sidecar keys on what classify_batch did in the block `_scan` returned.
 
-    The classified cells are the grid's last rows (the rest mirror them):
+    The classified cells are the block's last rows (the rest mirror them):
     their number, how many had an eigenvalue cluster, and the smallest
     min_gap and largest max_imag of those coded hyperbolic.
     """
@@ -227,7 +229,8 @@ def _scan(X: np.ndarray, shat: np.ndarray, qhat: np.ndarray,
     affinity, so the fourth point must agree with it (RuntimeError otherwise).
     direction is an axis index, a 3-vector or "random", which draws one unit
     direction per cell from a Philox stream and classifies every cell.  A
-    fixed direction classifies only the q_hat >= 0 rows and mirrors them.
+    fixed direction classifies only the q_hat >= 0 rows and mirrors them
+    (`_shear_scan` mirrors the sigma12_hat columns of an axis direction).
     Returns the codes and `_classify_cells`' report on the classified cells.
     """
     A0 = X[0]
@@ -286,19 +289,25 @@ def _shear_scan(kind: SystemKind, eq: EquilibriumParams, n: int,
 
     The only deviatoric stress component is sigma12; the grid spans the
     admissible interval [-1, 1] in sigma12_hat, whose degenerate endpoints
-    are marked -1.  direction and seed are `_scan`'s; the metadata is
-    `_scan_summary`.
+    are marked -1.  direction and seed are `_scan`'s.  An axis direction
+    also classifies only the sigma12_hat >= 0 columns and mirrors them; the
+    metadata is `_scan_summary` of the classified block.
     """
     shat = np.linspace(-1.0, 1.0, n)
     qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
     basis = stack_states([_shear_state(eq, s, q) for s, q in _BASIS],
                          [eq] * len(_BASIS))
-    cells, aux = _scan(assemble_axes(kind, basis), shat, qhat, threads,
+    half = n // 2 if isinstance(direction, (int, np.integer)) else 0
+    cells, aux = _scan(assemble_axes(kind, basis), shat[half:], qhat, threads,
                        direction, seed)
-    cells[:, np.abs(shat) >= 1.0] = CODE_INADMISSIBLE
+    cells[:, np.abs(shat[half:]) >= 1.0] = CODE_INADMISSIBLE
+    summary = _scan_summary(cells, aux)
+    # x2 -> -x2 flips sigma12, keeps q1 and maps e_d to +-e_d: the matrix at
+    # -sigma12_hat is +-P A P for a signed permutation P, so the class is equal
+    cells = np.concatenate((cells[:, ::-1][:, :half], cells), axis=1)
     return RegionGrid(theta=eq.theta, z=eq.z, T=1.0, x_name="sigma12_hat",
                       y_name="q1_hat", x=shat, y=qhat, cells=cells,
-                      metadata=_scan_summary(cells, aux))
+                      metadata=summary)
 
 
 def region_scan_1d(theta: int, z: float, n: int = 401,

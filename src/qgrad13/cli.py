@@ -39,20 +39,18 @@ _KINDS = {"grad": SystemKind.Grad13, "trivial": SystemKind.TrivialR13,
 
 
 def _parse_direction(text: str):
+    """An axis 1..3 or three finite comma-separated components."""
     parts = text.split(",")
-    if len(parts) == 1:
-        try:
-            axis = int(parts[0])
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"direction must be an axis 1..3 or three comma floats: {text!r}")
-        if axis not in (1, 2, 3):
-            raise argparse.ArgumentTypeError(f"axis must be 1, 2 or 3: {axis}")
-        return axis
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"direction needs exactly three components: {text!r}")
-    return [float(p) for p in parts]
+    try:
+        if len(parts) == 1 and int(text) in (1, 2, 3):
+            return int(text)
+        vec = [float(p) for p in parts]
+    except ValueError:
+        vec = []
+    if len(vec) == 3 and all(map(math.isfinite, vec)):
+        return vec
+    raise argparse.ArgumentTypeError(
+        f"must be an axis 1, 2 or 3 or three finite comma floats: {text!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -151,9 +149,8 @@ def _cmd_region(args) -> int:
         scan = analysis.region_scan_3d_cross_section
     else:
         scan = analysis.region_scan_regularized
-        kw.update(direction=args.direction if args.direction == "random"
-                  else _parse_direction(args.direction),
-                  seed=args.seed, compare_grad=args.compare_grad)
+        kw.update(direction=args.direction, seed=args.seed,
+                  compare_grad=args.compare_grad)
     _report_region(scan(args.theta, args.z, **kw), args.out)
     return 0
 
@@ -284,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="CSV output path")
         sp.set_defaults(func=_cmd_region)
     sp.add_argument("--direction", default="random",   # region-reg only
+                    type=lambda t: t if t == "random" else _parse_direction(t),
                     help="'random', an axis 1..3, or three comma floats")
     sp.add_argument("--seed", type=int, default=0,
                     help="Philox seed for the per-cell directions")

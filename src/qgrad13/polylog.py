@@ -246,12 +246,15 @@ def eval_polylog_batch(z, theta) -> np.ndarray:
     _validate_z(z, theta)
     if theta == 0:
         return np.repeat(z[None], len(ORDERS), axis=0)
-    vals = np.empty((len(ORDERS),) + z.shape)
+    shape = (len(ORDERS),) + z.shape
+    above = _fermi_chebyshev if theta == 1 else _bose_robinson
     lo = z <= _SERIES_Z_MAX
-    if lo.any():
-        vals[:, lo] = _series(z[lo], theta)
-    hi = ~lo
-    if hi.any():
-        mu = np.log(z[hi])
-        vals[:, hi] = _fermi_chebyshev(mu) if theta == 1 else _bose_robinson(mu)
+    # the kernels are elementwise: one that serves every point runs unmasked
+    if lo.all():
+        return _series(z.ravel(), theta).reshape(shape)
+    if not lo.any():
+        return above(np.log(z.ravel())).reshape(shape)
+    vals = np.empty(shape)
+    vals[:, lo] = _series(z[lo], theta)
+    vals[:, ~lo] = above(np.log(z[~lo]))
     return vals

@@ -380,8 +380,8 @@ def _refine(guess, target: np.ndarray, theta: int):
     for _ in range(3):
         if moving.size == 0:
             break
-        xm = np.clip(x[moving] - (curve[moving] - target[moving]) / slope[moving],
-                     _LOG_Z_LO, _LOG_Z_HI[theta])
+        xm = np.minimum(np.maximum(x[moving] - (curve[moving] - target[moving])
+                                   / slope[moving], _LOG_Z_LO), _LOG_Z_HI[theta])
         zm = _z_from_log(xm, theta)
         lm = eval_polylog_batch(zm, theta)
         points += moving.size

@@ -8,6 +8,7 @@ import pytest
 import qgrad13 as q
 from qgrad13 import Classification, EquilibriumParams, analysis, spectral, state
 from qgrad13.analysis import random_moment_state, random_unit_vectors
+from qgrad13.matrices import assemble_axes, stack_states
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,64 @@ def test_regularized_scan_grad_comparison():
     g = q.region_scan_regularized(0, 1.0, n=31, direction=1, compare_grad=True)
     assert "grad_area_fraction" in g.metadata
     assert g.metadata["grad_area_fraction"] < q.area_fraction(g)
+
+
+def _full_shear_grid(kind, eq, n, axis):
+    """Codes of every cell of a `_shear_scan` grid, each classified, the
+    matrices built from the `_BASIS` points in the scan's own order."""
+    shat, qhat = np.linspace(-1.0, 1.0, n), np.linspace(-2.0, 2.0, n)
+    basis = [state._shear_state(eq, s, qh) for s, qh in analysis._BASIS]
+    X = assemble_axes(kind, stack_states(basis, [eq] * 4))[:, axis - 1]
+    A0, As, Aq = X[0], (X[1] - X[0]) / 0.5, X[2] - X[0]
+    S, Q = np.meshgrid(shat, qhat)
+    stack = S.ravel()[:, None, None] * As + A0 + Q.ravel()[:, None, None] * Aq
+    cells = q.classify_batch(stack)[0].reshape(n, n)
+    cells[:, np.abs(shat) >= 1.0] = spectral.CODE_INADMISSIBLE
+    return cells
+
+
+@pytest.mark.parametrize("n", [21, 22])
+def test_axis_scans_classify_one_quadrant_of_the_full_grid(theta, n):
+    """An axis direction mirrors the sigma12_hat >= 0 columns and the
+    q1_hat >= 0 rows: region3d and region-reg along each axis, with and
+    without --compare-grad, equal every cell classified on its own."""
+    z = {1: 5.0, 0: 1.0, -1: 0.9}[theta]
+    eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
+    quadrant = (n - n // 2) ** 2
+    grad = {axis: _full_shear_grid(q.SystemKind.Grad13, eq, n, axis)
+            for axis in (1, 2, 3)}
+    g3 = q.region_scan_3d_cross_section(theta, z, n=n)
+    np.testing.assert_array_equal(g3.cells, grad[1])
+    assert g3.metadata["n_classified"] == quadrant
+    for axis in (1, 2, 3):
+        g = q.region_scan_regularized(theta, z, n=n, direction=axis, compare_grad=True)
+        np.testing.assert_array_equal(
+            g.cells, _full_shear_grid(q.SystemKind.FinalR13, eq, n, axis))
+        assert g.metadata["grad_class_counts"] == analysis.class_counts(grad[axis])
+        assert g.metadata["grad_n_classified"] == g.metadata["n_classified"] == quadrant
+        alone = q.region_scan_regularized(theta, z, n=n, direction=axis)
+        np.testing.assert_array_equal(alone.cells, g.cells)
+        assert alone.metadata == {k: v for k, v in g.metadata.items()
+                                  if not k.startswith("grad_")}
+
+
+def test_axis_scan_hands_the_classifier_one_quadrant(monkeypatch):
+    """region3d at n = 31 classifies 16 x 16 matrices; a vector direction
+    along the same axis classifies every column of the q1_hat >= 0 rows."""
+    sizes = []
+
+    def counting(A_stack):
+        sizes.append(A_stack.shape[0])
+        return spectral.classify_batch(A_stack)
+
+    monkeypatch.setattr(analysis, "classify_batch", counting)
+    g = q.region_scan_3d_cross_section(1, 2.0, n=31)
+    assert sum(sizes) == g.metadata["n_classified"] == 16 * 16
+    sizes.clear()
+    vec = q.region_scan_regularized(1, 2.0, n=31, direction=[0.0, 1.0, 0.0])
+    assert sum(sizes) == vec.metadata["n_classified"] == 16 * 31
+    axis = q.region_scan_regularized(1, 2.0, n=31, direction=2)
+    np.testing.assert_array_equal(vec.cells, axis.cells)
 
 
 def test_scan_rejects_non_affine_assembly():

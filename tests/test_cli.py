@@ -159,36 +159,52 @@ _REGION_SCANS = [["region1d", "--n", "41"],
                  ["region-reg", "--n", "31", "--compare-grad", "--seed", "5"],
                  ["region-reg", "--n", "21", "--direction", "2"],
                  ["region-reg", "--n", "21", "--direction", "1,2,0.5", "--compare-grad"]]
-_REGION_DIGESTS = {
-    (1, "2.5"): ["d37c333c2478653778e1ab4c6d723dbc8ff1a87eb5c1f42cee1954409887b0ea",
-                 "ff7c9a187dad17c829171d1641c322070d6d2c5590ac4ad19a0f052114846f9d",
-                 "de0f84add2c8b74120e4a3dd3497e03e777e76d30c7d607e3eb9dc51f14822c6",
-                 "9f2926146919f9331e1b4495cd531b2ccebe5eb965caf99e5d57dd1e5dfda119",
-                 "68e467d31b0a1ca0c4f9f2c17bb0408d9f2fbc25f1296e10a1ba1164b5d97c00"],
-    (0, "2.5"): ["8b643b4ae8a2452e069f3db81ce143d45e4598099cc91be7ed796b14556e30f6",
-                 "3dda07762dbf84dd5820f05984bda5655539f70a1e752d26855d3489cd0d91a8",
-                 "173048b4927ae5f2b86f26cf11d8308185a0e7d154c80db74e1b8a33905439d7",
-                 "85898a66f5ae0a243de29bd928fad1becffc0a609e6ad0b277e598ecd2c379a8",
-                 "3363e3ed3bb5d35232bd850a482ead113a702e238c4945064a15c38f5052ba4c"],
-    (-1, "0.7"): ["c1bc489a4274f9a2ac5e4130b0ddde2fd34b5a452b73e5a6d63699971067db17",
-                  "c033e44cd3e242e2d7c9fdfbfbc3b133a53b2ba4bc55df6be84a4ea317beea05",
-                  "17c170dc97ff66292119edffb48c2a021bd29dad6715a7f293b9c3d185df7650",
-                  "4beeb868dc191257787bd12c7aebf185ca6060cee76ae351dccbdd94d49038eb",
-                  "3f6532e2bc439619e51214f7b91d8ef0eed32cffa4c03acc0ca42a26ff863ca8"],
+_REGION_DIGESTS = {   # per scan: (CSV sha256, sidecar sha256)
+    (1, "2.5"): [("4ab0de2e4ede819eee0d9d83cb25d7fcbb0cf06ab56ef92a1929ff9c8ae3697a",
+                  "9cca6f78f6c5c76b66e3e18e8603a3f2d25f7aa423915755030cb183180be4e2"),
+                 ("4338462ce9bcdb7477f304d4e7c159cf0a6dda26c7b9fc86f1f42a9b73b04bc9",
+                  "7dc927d5c213bb2a11facc2f99cf4d817bcf0b8aa929de8b1f739f195871c59a"),
+                 ("6993d715e7fd1c43c97d2945bccfc2e7882ceb616882aa6139d7663d8772ebe5",
+                  "cc5cdd3aa0b708f6b2550bcd2dd25d80fabbbe5b3e5d900ad5cf69f5d6203c50"),
+                 ("3e044a6a944d1133e18ec9b95ab08f5712d28c45c9d871a7f327597399a77602",
+                  "fdc191cd9feb04d99bb470385a3e2f548c3b1d763c02bf2ba3335b5b4479304c"),
+                 ("3e044a6a944d1133e18ec9b95ab08f5712d28c45c9d871a7f327597399a77602",
+                  "3456021c685d66ad753d7e7830224ee859afae5facc9e818275854832f896976")],
+    (0, "2.5"): [("24c12feeb017c0e52bce7919ff1f166dd0b94794058ce1e4dcfeaf4dd548bb0e",
+                  "96c9596fb3e54743d8358a6bf58806110e5f25dd1390e21c735f8abf61f38dee"),
+                 ("87d8eb89aeb06ca4ab05bd0831a1feb5ce027ae57b81d87e3c3c463c8659524d",
+                  "ca7a334919e65cb52386e38258a7b280747e81b016c60f362b4c318c270846f7"),
+                 ("6993d715e7fd1c43c97d2945bccfc2e7882ceb616882aa6139d7663d8772ebe5",
+                  "c2ca0e0cd7f8fa3c6ec6a2775af5e6d7ad6af6039193fda017b1b851dd556edc"),
+                 ("3e044a6a944d1133e18ec9b95ab08f5712d28c45c9d871a7f327597399a77602",
+                  "f54454d1bddf2e0ccbeebf69aa6ba8c50fe4ed9c6a5c9d0787010bf1287dc7c7"),
+                 ("3e044a6a944d1133e18ec9b95ab08f5712d28c45c9d871a7f327597399a77602",
+                  "0da7a0dab9af6676a67019a90fc44890a762099c5ae6e58bce4bb2cbbae52617")],
+    (-1, "0.7"): [("cde5351c3ba9c6c6e8bd5ba4ed5c34ee95d238c33b9ba74a9725d7a9df1db642",
+                   "ea9510b55dc6df599c7b368931fe434deeb2aa18906659b0db4e2e8c43d9b2ed"),
+                  ("4c0d8aafc28474647e92308166b1eb605f9a9ce59dfb4f5a541cdb94d2437d29",
+                   "60c180b1c4fd1c54464373864c50d7d99bcf7e0b4c95d0b62b4d9e75e0907bf0"),
+                  ("6993d715e7fd1c43c97d2945bccfc2e7882ceb616882aa6139d7663d8772ebe5",
+                   "17b8f4cb75790f59888993ac2f097ad378bdf148b524eef895c9b5c988643ef6"),
+                  ("3e044a6a944d1133e18ec9b95ab08f5712d28c45c9d871a7f327597399a77602",
+                   "5c425f57b4e58737d829f875576194068ee636795d9b148ba0c8851ed908fc2b"),
+                  ("3e044a6a944d1133e18ec9b95ab08f5712d28c45c9d871a7f327597399a77602",
+                   "4e4eb1509ab0a5a96485bf93c80328aaece9727c1124f0ea9e678f7b8ce566d2")],
 }
 
 
 @pytest.mark.parametrize("theta, z", list(_REGION_DIGESTS))
 def test_region_artifacts_frozen(theta, z, tmp_path, capsys):
-    """Each scan's CSV then sidecar, byte for byte.  hyperbolic_min_gap moves
-    by up to 1.3e-8 under a one-ulp change of the matrix entries, so these
-    pin the scans' basis matrices bit for bit, not only their class codes."""
+    """Each scan's CSV and sidecar, byte for byte, each pinned on its own.
+    hyperbolic_min_gap moves by up to 1.3e-8 under a one-ulp change of the
+    matrix entries, so the sidecars pin the scans' basis matrices bit for
+    bit, not only their class codes."""
     path = tmp_path / "r.csv"
-    for argv, digest in zip(_REGION_SCANS, _REGION_DIGESTS[theta, z]):
+    for argv, (csv, meta) in zip(_REGION_SCANS, _REGION_DIGESTS[theta, z]):
         assert main(argv + ["--theta", str(theta), "--z", z, "--out", str(path)]) == 0
-        h = hashlib.sha256(path.read_bytes())
-        h.update((tmp_path / "r.csv.meta.json").read_bytes())
-        assert h.hexdigest() == digest, argv
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == csv, argv
+        sidecar = (tmp_path / "r.csv.meta.json").read_bytes()
+        assert hashlib.sha256(sidecar).hexdigest() == meta, argv
     capsys.readouterr()
 
 
@@ -204,6 +220,17 @@ def test_region_reg_zero_direction_exit3(capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("direction", ["4", "1,2", "x", "1,2,x", "nan,0,1", "inf,0,0"])
+def test_region_reg_bad_direction_is_usage_error(direction, capsys):
+    """Not an axis 1..3 or three finite components: a usage error naming it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["region-reg", "--theta", "0", "--z", "1.0", "--n", "5",
+              "--direction", direction])
+    assert exc.value.code == 2
+    assert f"argument --direction: must be an axis 1, 2 or 3 or three finite " \
+           f"comma floats: {direction!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

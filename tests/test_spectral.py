@@ -267,7 +267,7 @@ def test_slow_path_is_the_reference_on_a_region_reg_grid(monkeypatch):
         grid = q.region_scan_regularized(1, 2.5, n=21, direction=direction, seed=4,
                                          threads=1)
         assert grid.metadata["n_slow"] == grid.metadata["n_classified"]
-    assert sum(seen) == 21 * 21 + 21 * 11
+    assert sum(seen) == 21 * 21 + 11 * 11   # axis 2: one quadrant
 
 
 def test_slow_path_falls_back_to_the_exact_norm(monkeypatch):
