@@ -6,7 +6,7 @@ their hyperbolicity across state space and integrates the regularized
 system in one space dimension with relaxation.
 """
 from .errors import (CFLViolation, CondensationError, DomainError,
-                     InadmissibleCell, NoRoot, NoSolution, SingularD)
+                     InadmissibleCell, NoSolution, SingularD)
 from .polylog import BOSE_Z_MAX, ORDERS, ZETA_HALF, eval_polylog_batch
 from .state import (ClosureMoments, EquilibriumParams, MomentState5,
                     MomentState13, ansatz_moments, closure_moments,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BOSE_Z_MAX", "ORDERS", "ZETA_HALF", "eval_polylog_batch",
     "CFLViolation", "CondensationError", "DomainError", "InadmissibleCell",
-    "NoRoot", "NoSolution", "SingularD",
+    "NoSolution", "SingularD",
     "ClosureMoments", "EquilibriumParams", "MomentState5", "MomentState13",
     "ansatz_moments", "closure_moments",
     "equilibrium_state13", "fit_equilibrium", "fit_fugacity_batch",

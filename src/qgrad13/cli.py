@@ -18,8 +18,7 @@ import numpy as np
 
 from . import analysis, solver1d, spectral
 from .analysis import _fmt, _write_columns
-from .errors import (CFLViolation, DomainError, InadmissibleCell, NoRoot,
-                     SingularD)
+from .errors import CFLViolation, DomainError, InadmissibleCell, SingularD
 from .matrices import (SystemKind, assemble_A_direction,
                        assemble_A_regularized)
 from .polylog import FERMI_Z_C, ORDERS, eval_polylog_batch
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "iteration")
     _add_common_thermo(sp, with_T=True)
     sp.add_argument("--system", choices=sorted(_KINDS), default="regularized")
-    sp.add_argument("--tau", type=float, default=1.0,
+    sp.add_argument("--tau", type=_positive_float, default=1.0,
                     help="relaxation time (default 1)")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_nsf)
@@ -325,7 +324,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, InadmissibleCell, CFLViolation, SingularD, NoRoot) as exc:
+    except (DomainError, InadmissibleCell, CFLViolation, SingularD) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}),
               file=sys.stderr)

@@ -25,10 +25,6 @@ class SingularD(RuntimeError):
     """
 
 
-class NoRoot(RuntimeError):
-    """A bracketed root finder found no sign change (bug signal)."""
-
-
 class InadmissibleCell(RuntimeError):
     """A solver cell left the admissible set; carries the cell index."""
 

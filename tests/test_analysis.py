@@ -300,8 +300,8 @@ def test_sweep_is_the_spectrum_point_by_point(theta, T):
 
 @pytest.mark.parametrize("theta, most", [(1, 12), (-1, 1), (0, 1)])
 def test_sweep_evaluates_li_once(theta, most, monkeypatch):
-    """A default sweep is one li evaluation; a Fermion sweep adds the branch
-    crossing's root search (11 calls)."""
+    """A default sweep is one li evaluation; the Fermion branch crossing is a
+    pinned constant and evaluates none."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -340,10 +340,8 @@ def test_linearization_report(theta):
     rep = q.linearization_equality(theta, z)
     assert np.all(rep.e_final <= 1e-12 * rep.scale)
     if theta == 0:
-        assert rep.classical_collapse
         assert np.all(rep.e_trivial <= 1e-12 * rep.scale)
     else:
-        assert not rep.classical_collapse
         assert np.all(rep.e_trivial > 1e-6 * rep.scale)
 
 
@@ -404,21 +402,6 @@ def test_suite_runner():
         q.run_verification_suite("no-such-suite")
 
 
-def test_verify_charpoly_evaluates_li_once_per_state(monkeypatch):
-    """One equilibrium per random state feeds the closed forms and the
-    assembly: 20 states and the two classical checks, 22 li evaluations."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return q.eval_polylog_batch(*args, **kwargs)
-
-    for mod in (state, spectral, analysis):
-        monkeypatch.setattr(mod, "eval_polylog_batch", counting, raising=False)
-    assert analysis.verify_charpoly(seed=0)["ok"]
-    assert len(calls) <= 22
-
-
 def test_verify_charpoly_brackets_the_fermion_bound(monkeypatch):
     """The charpoly suite checks that c1^2 - 4 c0 changes sign between 0.99
     and 1.01 FERMI_Z_C; a bound placed off the sign change fails it."""
@@ -431,21 +414,6 @@ def test_verify_charpoly_brackets_the_fermion_bound(monkeypatch):
     for wrong in (2.0e5, 2.6e5):
         monkeypatch.setattr(analysis, "FERMI_Z_C", wrong)
         assert not bracket()[0]["ok"]
-
-
-def test_verify_annihilation_evaluates_li_once_per_fugacity(monkeypatch):
-    """Each of the 30 fugacities' equilibrium feeds both M1 and the residual;
-    the other 11 calls locate the Fermion branch crossing."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return q.eval_polylog_batch(*args, **kwargs)
-
-    for mod in (state, spectral, analysis):
-        monkeypatch.setattr(mod, "eval_polylog_batch", counting, raising=False)
-    assert analysis.verify_annihilation()["ok"]
-    assert len(calls) <= 41
 
 
 def test_fugacity_ranges_come_from_one_table():

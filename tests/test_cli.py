@@ -263,6 +263,16 @@ def test_nonpositive_qmax_is_usage_error(scan, qmax, capsys):
     assert f"--qmax: must be a positive number: {qmax}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf"])
+def test_nsf_nonpositive_tau_is_usage_error(tau, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nsf", "--theta", "1", "--z", "2", "--tau", tau])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--tau: must be a positive number: {tau}" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("option, value", [("--zmin", "-1"), ("--zmax", "0")])
 def test_sweep_eigs_nonpositive_bound_is_usage_error(option, value, capsys):
     bounds = {"--zmin": "0.5", "--zmax": "5", option: value}
@@ -295,6 +305,7 @@ def test_no_setting_without_a_caller():
     assert params(q.run_verification_suite) == ["name", "seed"]
     assert params(q.classify_batch) == ["A_stack"]
     assert params(q.diagonalizability_test) == ["A"]
+    assert params(q.fermion_crossing) == []
     assert params(analysis._classify_cells) == ["build_stack", "n_cells",
                                                 "threads"]
     assert "sigma11_hat_window" not in params(q.region_scan_1d)

@@ -18,7 +18,7 @@ from scipy.special import zeta
 
 import qgrad13
 from qgrad13 import BOSE_Z_MAX, ZETA_HALF, DomainError, eval_polylog_batch
-from qgrad13 import polylog, state
+from qgrad13 import polylog, spectral, state
 from qgrad13.polylog import ORDERS
 
 # mpmath, 40 digits, rounded to double; one value per order
@@ -46,6 +46,35 @@ def test_fermion_hyperbolicity_bound_against_mpmath():
     for z, sign in ((0.99 * z_c, 1.0), (1.01 * z_c, -1.0)):
         c = state.EquilibriumParams(theta=1, z=z, u=np.zeros(3), T=1.0).coeffs
         assert sign * (c.c1 ** 2 - 4.0 * c.c0) > 0.0
+
+
+def test_fermion_branch_crossing_against_mpmath():
+    """FERMI_Z_CROSS is the root of alpha^2 - c1 alpha + c0 at 40 digits, to
+    1e-10, and the coefficient record's branch gap changes sign across it.
+    li is the Fermi-Dirac integral over x = t^2 here: mpmath.polylog near
+    z = -12 takes about a second per order at 40 digits."""
+    def li(s, mu):
+        f = lambda t: t ** (2 * s - 1) / (mpmath.exp(t * t - mu) + 1)
+        return 2 * mpmath.quad(f, [0, mpmath.sqrt(mu), mpmath.inf]) / mpmath.gamma(s)
+
+    def gap(mu):
+        L1, L3, L5, L7, L9 = (li(mpmath.mpf(k) / 2, mu) for k in (1, 3, 5, 7, 9))
+        S = 5 * L1 * L5 - 3 * L3 ** 2
+        c0 = 3 * (7 * L3 * L7 - 5 * L5 ** 2) / S
+        c1 = (140 * L1 * L5 * L9 + 175 * L1 * L7 ** 2 - 84 * L3 ** 2 * L9
+              - 75 * L3 * L5 * L7) / (15 * L7 * S)
+        alpha = 7 * L9 / (5 * L7)
+        return alpha ** 2 - c1 * alpha + c0
+
+    with mpmath.workdps(40):
+        mu = mpmath.findroot(gap, (mpmath.mpf("2.458"), mpmath.mpf("2.459")), tol=1e-30)
+        z_star = float(mpmath.exp(mu))
+    assert abs(spectral.FERMI_Z_CROSS / z_star - 1.0) <= 1e-10
+    gaps = []
+    for z in (0.99 * z_star, 1.01 * z_star):
+        c = state.EquilibriumParams(theta=1, z=z, u=np.zeros(3), T=1.0).coeffs
+        gaps.append(c.alpha * c.alpha - c.c1 * c.alpha + c.c0)
+    assert gaps[0] * gaps[1] < 0.0
 
 
 def test_fermion_z5_frozen():
@@ -351,13 +380,21 @@ def test_zeta_table_pins_scipy_and_mpmath():
 
 
 def test_import_loads_no_scipy_submodule():
-    """Importing the package and its CLI pulls in neither scipy.optimize
-    (only `fermion_crossing` needs it) nor scipy.special."""
+    """The package runs on numpy alone: importing it and its CLI, a Fermion
+    sweep (which names the branch crossing) and the annihilation suite (which
+    checks across it) load no scipy module."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qgrad13.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, qgrad13, qgrad13.cli; print(sorted(m for m in "
-            "sys.modules if m.startswith(('scipy.optimize', 'scipy.special'))))")
+    code = ("import sys, qgrad13, qgrad13.cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            "qgrad13.cli.main(['sweep-eigs', '--theta', '1'])\n"
+            "qgrad13.cli.main(['verify', '--suite', 'annihilation'])\n"
+            "print(loaded())")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0] == "[]"
+    assert "branch crossing at z = 11.687471852165643" in out
+    assert "verify: OK" in out
+    assert out[-1] == "[]"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qgrad13 as q
-from qgrad13 import (Classification, EquilibriumParams, NoRoot, analysis, matrices,
+from qgrad13 import (Classification, EquilibriumParams, analysis, matrices,
                      spectral, state)
 from qgrad13.analysis import random_fugacity, random_moment_state, random_unit_vectors
 from qgrad13.polylog import FERMI_Z_C
@@ -471,11 +471,6 @@ def test_fermion_crossing_location_and_neighborhood():
         eq = EquilibriumParams(theta=1, z=z, u=np.zeros(3), T=1.0)
         M1 = q.assemble_M(eq, 1)
         assert q.annihilation_residual(M1, z, 1, T=1.0) <= 1e-9, z
-
-
-def test_fermion_crossing_requires_bracket():
-    with pytest.raises(NoRoot):
-        q.fermion_crossing(lo=20.0, hi=30.0)
 
 
 def test_char_poly_equilibrium_names_the_fermion_bound():
