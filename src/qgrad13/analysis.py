@@ -511,7 +511,10 @@ def maxwellian_iteration_nsf(kind: SystemKind, theta: int, z: float,
     varying at constant density (only the diagonal pressure columns).
     Both must equal kappa* = (5/2) tau p (7 li[7/2]/(2 li[5/2])
     - 5 li[5/2]/(2 li[3/2])) for a model with the correct limit.
+    tau must be positive and finite.
     """
+    if not 0.0 < tau < math.inf:
+        raise DomainError(f"relaxation time must be positive and finite, got {tau}")
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=T)
     st = equilibrium_state13(eq)
     A = assemble_A(kind, st, eq, 1)

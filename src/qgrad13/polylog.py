@@ -19,8 +19,14 @@ z = e^-1, mu = ln z = -1:
   Fermi-Dirac integral
   (1/Gamma(s)) \\int_0^inf t^(s-1) / (exp(t - ln z) + 1) dt
   on Gauss-Legendre panels, with t = y^2 on [0,1] to absorb the
-  t^(-1/2) endpoint of the s = 1/2 order.  Larger Fermion fugacities are
-  rejected; the fugacity fit searches up to the same bound.
+  t^(-1/2) endpoint of the s = 1/2 order.  The quadrature is the one li
+  path whose values depend on its batch: the node grid reaches from the
+  batch's largest z, and each order is one BLAS product over all points.
+  So its occupancy, which is elementwise, is built in blocks of rows into
+  one array (the import's peak memory holds one such array, not three),
+  and each order is still summed in one product.
+  Larger Fermion fugacities are rejected; the fugacity fit searches up to
+  the same bound.
 * Boson, e^-1 < z < 1: Robinson's expansion in powers of mu,
   Li_s(e^mu) = Gamma(1-s) (-mu)^(s-1) + sum_k zeta(s-k) mu^k / k!,
   k <= 20, zeta(k + 1/2) from a pinned table and zeta at negative arguments
@@ -75,6 +81,7 @@ _CHEB_PIECES = 14
 _CHEB_DEGREE = 24
 _PANEL_WIDTH = 6.0
 _TAIL_MARGIN = 55.0
+_OCC_ROWS = 8   # occupancy rows per block of `_fermi_quadrature`
 
 
 def _check_theta(theta) -> int:
@@ -162,15 +169,17 @@ def _fermi_quadrature(z: np.ndarray) -> np.ndarray:
     w = np.concatenate(w_parts)
     # occupancy 1 / (exp(x) + 1) written so the exponential never overflows
     # for large mu: e^-x / (1 + e^-x) above x = 0, 1 / (1 + e^x) below;
-    # in place, since these (z.size, t.size) passes are the solver's hot loop
-    x = t[None, :] - mu[:, None]
-    ex = np.abs(x)
-    np.exp(np.negative(ex, out=ex), out=ex)
-    occ = np.where(x >= 0.0, ex, 1.0)
-    ex += 1.0
-    occ /= ex
+    # a block's temporaries stay small, so only `occ` is full size
+    occ = np.empty((z.size, t.size))
+    for lo in range(0, z.size, _OCC_ROWS):
+        x = t - mu[lo:lo + _OCC_ROWS, None]
+        ex = np.exp(-np.abs(x))
+        np.divide(np.where(x >= 0.0, ex, 1.0), ex + 1.0,
+                  out=occ[lo:lo + _OCC_ROWS])
     sq = np.sqrt(t)
     tpow = (1.0 / sq, sq, t * sq, t * t * sq, t * t * t * sq)
+    # one product per order over the whole batch: BLAS orders its sums by
+    # shape, so summing row blocks would move the table's last bits
     return np.stack([occ @ (w * tp) / g for tp, g in zip(tpow, _GAMMA_S)])
 
 
@@ -208,8 +217,8 @@ def _fermi_chebyshev(mu: np.ndarray) -> np.ndarray:
     The gather copies each point's coefficients next to each other and
     2 x is full shape, so every pass runs on contiguous (5, N) rows.
     """
-    j = np.clip(np.searchsorted(_CHEB_EDGES, mu, side="right") - 1,
-                0, _CHEB_PIECES - 1)
+    j = np.searchsorted(_CHEB_EDGES, mu, side="right") - 1
+    j = np.minimum(np.maximum(j, 0), _CHEB_PIECES - 1)
     x = (mu - _CHEB_MID[j]) / _CHEB_HALF[j]
     c = _CHEB_COEF.take(j, axis=2)
     two_x = np.repeat(2.0 * x[None, :], len(ORDERS), axis=0)

@@ -315,6 +315,20 @@ def test_sweep_evaluates_li_once(theta, most, monkeypatch):
     assert calls[0][0].size == 161
 
 
+def test_default_sweep_makes_one_li_call(theta, monkeypatch):
+    """A default sweep evaluates li once, on its whole 161-point grid."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return q.eval_polylog_batch(*args, **kwargs)
+
+    for mod in (state, analysis):
+        monkeypatch.setattr(mod, "eval_polylog_batch", counting)
+    q.eigen_sweep_fugacity(theta)
+    assert len(calls) == 1 and calls[0][0].size == 161
+
+
 @pytest.mark.parametrize("grid, named", [
     ([1e2, 3e5, 1e13], "z=300000.0"),
     ([1e13, 1e2], "z=10000000000000.0"),
@@ -374,6 +388,12 @@ def test_nsf_scales_linearly_with_tau():
     b = q.maxwellian_iteration_nsf(q.SystemKind.FinalR13, 1, 2.0, tau=2.0)
     assert abs(b.mu / a.mu - 2.0) < 1e-14
     assert abs(b.kappa_star / a.kappa_star - 2.0) < 1e-14
+
+
+@pytest.mark.parametrize("tau", [-1.0, 0.0, math.nan, math.inf])
+def test_nsf_rejects_a_relaxation_time_not_positive_and_finite(tau):
+    with pytest.raises(q.DomainError, match="relaxation time"):
+        q.maxwellian_iteration_nsf(q.SystemKind.FinalR13, 1, 2.0, tau=tau)
 
 
 # ---------------------------------------------------------------------------

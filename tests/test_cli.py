@@ -431,6 +431,18 @@ def test_verify_suite(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("seed, digest", [
+    (0, "f2d77197f77d912ff7930f7c21ce8292772b539128b31df60e6d8f438c51a29a"),
+    (7, "fc7cdbd8aa719a09a5d98187ddb6005eede21ed31b55e0eadbf53342176094b0"),
+], ids=["seed0", "seed7"])
+def test_verify_all_output_frozen(seed, digest, capsys):
+    """`verify --suite all` stdout, byte for byte: every suite's verdicts and
+    values, the polylog suite's table-vs-quadrature value among them."""
+    assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_simulate_artifacts(tmp_path, capsys):
     cfg = dict(theta=0, cells=32, length=1.0, cfl=0.45, tau=0.05, t_end=0.05,
                left=dict(z=1.0, u1=0.0, T=1.0),

@@ -4,10 +4,12 @@ Frozen reference values were generated with mpmath at 40 digits before the
 evaluator was written; the mpmath cross-check below regenerates a few of
 them live so a regression cannot hide behind the frozen copies.
 """
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -356,8 +358,11 @@ def _masked_fermi_quadrature(z):
 
 
 def test_fermi_quadrature_bits_match_masked_occupancy(rng):
-    """The occupancy without boolean scatters rounds exactly as the masked one."""
-    for size in (1, 7, 400):
+    """The occupancy without boolean scatters rounds exactly as the masked one,
+    at batch sizes on and off a multiple of the occupancy's row block, the
+    table's 350 among them."""
+    assert 350 % polylog._OCC_ROWS and 9 % polylog._OCC_ROWS
+    for size in (1, 7, 9, 350, 400):
         # ln z from -0.1 to 27, and the top of the Fermion range, 1e12
         z = np.append(np.exp(rng.uniform(-0.1, 27.0, size - 1)), 1e12)
         got = polylog._fermi_quadrature(z)
@@ -365,6 +370,29 @@ def test_fermi_quadrature_bits_match_masked_occupancy(rng):
         assert got.shape == (5, size)
         for k in range(len(ORDERS)):
             assert np.array_equal(got[k], ref[k]), (size, k)
+
+
+def test_chebyshev_table_bits_pinned():
+    """The Fermion table built at import, byte for byte."""
+    assert polylog._CHEB_COEF.shape == (25, 5, 14)
+    assert hashlib.sha256(polylog._CHEB_COEF.tobytes()).hexdigest() == (
+        "2891854b6140f6d0b7a7f3421f15f5603127e54ce6689569df0d3d1a54df824f")
+
+
+def test_chebyshev_table_peak_memory():
+    """Building the table holds one full (nodes, quadrature points) occupancy
+    and only small blocks besides: its traced peak stays within 1.25 times
+    that array's bytes."""
+    rows = polylog._CHEB_PIECES * (polylog._CHEB_DEGREE + 1)
+    one = rows * 960 * 8   # 15 panels of 64 Gauss-Legendre points
+    tracemalloc.start()
+    try:
+        coef = polylog._chebyshev_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 350 and np.array_equal(coef, polylog._CHEB_COEF)
+    assert peak <= 1.25 * one, peak
 
 
 def test_zeta_table_pins_scipy_and_mpmath():
