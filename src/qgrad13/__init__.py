@@ -20,8 +20,7 @@ from .spectral import (ShearCharPolyCoeffs, Classification, EquilibriumSpectrum,
                        shear_charpoly_coeffs, char_poly_equilibrium,
                        charpoly_coeffs, classify_batch,
                        diagonalizability_test, fermion_crossing)
-from .analysis import (FugacitySweep, LinearizationReport, NSFReport,
-                       RegionGrid, area_fraction, eigen_sweep_fugacity,
+from .analysis import (LinearizationReport, NSFReport, RegionGrid, area_fraction,
                        linearization_equality, maxwellian_iteration_nsf,
                        random_moment_state, region_scan_1d,
                        region_scan_3d_cross_section, region_scan_regularized,
@@ -47,8 +46,8 @@ __all__ = [
     "HyperbolicityVerdict", "annihilation_residual", "shear_charpoly_coeffs",
     "char_poly_equilibrium", "charpoly_coeffs",
     "classify_batch", "diagonalizability_test", "fermion_crossing",
-    "FugacitySweep", "LinearizationReport", "NSFReport", "RegionGrid",
-    "area_fraction", "eigen_sweep_fugacity", "linearization_equality",
+    "LinearizationReport", "NSFReport", "RegionGrid", "area_fraction",
+    "linearization_equality",
     "maxwellian_iteration_nsf", "random_moment_state", "region_scan_1d",
     "region_scan_3d_cross_section", "region_scan_regularized",
     "run_verification_suite", "write_region_csv", "write_sweep_csv",

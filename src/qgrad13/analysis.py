@@ -9,7 +9,8 @@ fourth checks it) and classifies the whole grid with batched eigensolves.
 region3d, region-reg and its Grad13 comparison are one shear-grid scan
 (`_shear_scan`); region3d is its Grad13 run along axis 1.  A fixed direction
 classifies only the q_hat >= 0 rows, and an axis direction only the
-sigma12_hat >= 0 columns of those; the rest are exact mirror copies.
+sigma12_hat >= 0 columns of those; the rest are exact mirror copies.  The
+branch sweep tabulates `spectral.char_poly_equilibrium` over a fugacity grid.
 
 `run_verification_suite` bundles the self-checks the command line exposes:
 special-function oracles, closed-form polynomial coefficients, annihilating
@@ -382,59 +383,33 @@ def region_scan_regularized(theta: int, z: float, n: int = 401,
 # ---------------------------------------------------------------------------
 # characteristic-speed sweep
 
-@dataclass(frozen=True, eq=False)
-class FugacitySweep:
-    """Nonnegative equilibrium wave speeds lam_hat(z), tracked per branch."""
-
-    theta: int
-    T: float
-    z: np.ndarray
-    branches: Dict[str, np.ndarray]
-    crossing_z: Optional[float]
-
-    BRANCH_ORDER = ("zero", "sqrt_x_minus", "sqrt_alpha", "sqrt_x_plus")
-
-
 def default_sweep_grid(theta: int, n: int = 161) -> np.ndarray:
     lo, hi = _Z_RANGE[_check_theta(theta)]
     return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
-def eigen_sweep_fugacity(theta: int, z_values: Optional[np.ndarray] = None,
-                         T: float = 1.0) -> FugacitySweep:
-    """Sweep the factored equilibrium spectrum over fugacity.
+def _sweep_columns(spectrum: spectral.EquilibriumSpectrum):
+    """The nonnegative wave speeds sqrt(T x) of a spectrum over a fugacity
+    grid, by branch, and the Fermion branch crossing if the grid spans it.
 
     Branches are tracked by identity (quartic root x-, doubled branch alpha,
     quartic root x+), not by magnitude, so the Fermion curves cross cleanly
     near z ~ 11.7 instead of being reordered.
     """
-    theta = _check_theta(theta)
-    z = default_sweep_grid(theta) if z_values is None \
-        else np.atleast_1d(np.asarray(z_values, dtype=float))
-    if not T >= 0.0:
-        raise DomainError(f"temperature must be nonnegative, got {T}")
-    # li has no Fermion value past FERMI_Z_MAX, nor the quartic real roots
-    # there: the quartic's error names such a z
-    c = LiCoeffs(eval_polylog_batch(np.minimum(z, FERMI_Z_MAX) if theta == 1 else z,
-                                    theta), 1.0)
-    x_minus, x_plus = spectral._real_quartic_roots(z, c)
-    cols = {"zero": np.zeros(z.size), "sqrt_x_minus": np.sqrt(T * x_minus),
-            "sqrt_alpha": np.sqrt(T * c.alpha), "sqrt_x_plus": np.sqrt(T * x_plus)}
-    crossing = None
-    if theta == 1:
-        zc = spectral.fermion_crossing()
-        if z.min() <= zc <= z.max():
-            crossing = zc
-    return FugacitySweep(theta=theta, T=T, z=z, branches=cols,
-                         crossing_z=crossing)
+    T, z = spectrum.T, spectrum.z
+    cols = {"zero": np.zeros(z.size), "sqrt_x_minus": np.sqrt(T * spectrum.x_minus),
+            "sqrt_alpha": np.sqrt(T * spectrum.alpha_hat),
+            "sqrt_x_plus": np.sqrt(T * spectrum.x_plus)}
+    zc = spectral.fermion_crossing()
+    crossing = zc if spectrum.theta == 1 and z.min() <= zc <= z.max() else None
+    return cols, crossing
 
 
-def write_sweep_csv(sweep: FugacitySweep, path: str) -> None:
-    names = FugacitySweep.BRANCH_ORDER
-    _write_columns(path, "z," + ",".join(names),
-                   [sweep.z, *(sweep.branches[n] for n in names)])
-    _write_meta(path, {"theta": sweep.theta, "T": sweep.T, "n": int(sweep.z.size),
-                       "crossing_z": sweep.crossing_z})
+def write_sweep_csv(spectrum: spectral.EquilibriumSpectrum, path: str) -> None:
+    cols, crossing = _sweep_columns(spectrum)
+    _write_columns(path, "z," + ",".join(cols), [spectrum.z, *cols.values()])
+    _write_meta(path, {"theta": spectrum.theta, "T": spectrum.T,
+                       "n": int(spectrum.z.size), "crossing_z": crossing})
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +466,7 @@ class NSFReport:
     residual: np.ndarray      # (kfp - k*, kfr - k*, kfp - kfr)
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind.value, "theta": self.theta, "z": self.z,
-                "T": self.T, "tau": self.tau, "mu": self.mu,
-                "mu_reference": self.mu_reference,
-                "kappa_fixed_p": self.kappa_fixed_p,
-                "kappa_fixed_rho": self.kappa_fixed_rho,
-                "kappa_star": self.kappa_star,
+        return {**vars(self), "kind": self.kind.value,
                 "residual": self.residual.tolist()}
 
 

@@ -163,16 +163,15 @@ def _cmd_sweep_eigs(args) -> int:
         z = np.logspace(np.log10(args.zmin), np.log10(args.zmax), args.n)
     else:
         z = analysis.default_sweep_grid(args.theta, args.n)
-    sweep = analysis.eigen_sweep_fugacity(args.theta, z, T=args.T)
-    if sweep.crossing_z is not None:
-        print(f"branch crossing at z = {_fmt(sweep.crossing_z)}")
-    first, last = 0, sweep.z.size - 1
-    for i in (first, last):
-        vals = ", ".join(f"{n}={_fmt(sweep.branches[n][i])}"
-                         for n in sweep.BRANCH_ORDER)
-        print(f"z={_fmt(sweep.z[i])}: {vals}")
+    spectrum = spectral.char_poly_equilibrium(z, args.theta, T=args.T)
+    cols, crossing = analysis._sweep_columns(spectrum)
+    if crossing is not None:
+        print(f"branch crossing at z = {_fmt(crossing)}")
+    for i in (0, z.size - 1):
+        vals = ", ".join(f"{n}={_fmt(v[i])}" for n, v in cols.items())
+        print(f"z={_fmt(z[i])}: {vals}")
     if args.out:
-        analysis.write_sweep_csv(sweep, args.out)
+        analysis.write_sweep_csv(spectrum, args.out)
         print(f"wrote {args.out} and {args.out}.meta.json")
     return 0
 

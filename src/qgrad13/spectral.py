@@ -8,10 +8,12 @@ classifier, batched over a stack of matrices; `diagonalizability_test` is
 its N = 1 case, with the clusters spelled out.  Closed-form characteristic
 polynomials (the equilibrium factorization and the shear-perturbed
 coefficient set) provide independent cross-checks of the assembled
-matrices, and the annihilating-polynomial residual certifies
-diagonalizability of the constant factor M1 without symbolic algebra.  The
-Fermion fugacity where the doubled branch meets a quartic root is a pinned
-model constant, like FERMI_Z_C, so the module needs numpy alone.
+matrices; `char_poly_equilibrium` is the one equilibrium spectrum, over a
+float fugacity or an array of them, which the fugacity sweep tabulates.  The
+annihilating-polynomial residual certifies diagonalizability of the
+constant factor M1 without symbolic algebra.  The Fermion fugacity where
+the doubled branch meets a quartic root is a pinned model constant, like
+FERMI_Z_C, so the module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .matrices import SystemKind, assemble_A
-from .polylog import FERMI_Z_C
+from .polylog import FERMI_Z_C, FERMI_Z_MAX, _check_theta, eval_polylog_batch
 from .state import EquilibriumParams, LiCoeffs, _shear_state
 
 #: the classification tolerances, the same for every caller
@@ -230,7 +232,8 @@ def shear_charpoly_coeffs(z: float, theta: int, epsilon: float = 0.0) -> ShearCh
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumSpectrum:
-    """Factored equilibrium characteristic polynomial and its 13 roots."""
+    """Factored equilibrium characteristic polynomial and its 13 roots: float
+    fields at one fugacity, arrays over N fugacities (lambda_hat (N, 13))."""
 
     z: float
     theta: int
@@ -240,7 +243,7 @@ class EquilibriumSpectrum:
     c1: float
     x_minus: float            # quartic roots in lam_hat^2
     x_plus: float
-    lambda_hat: np.ndarray    # 13 values, ascending
+    lambda_hat: np.ndarray    # 13 values per fugacity, ascending
 
     def eigenvalues(self, u1: float = 0.0) -> np.ndarray:
         return u1 + math.sqrt(self.T) * self.lambda_hat
@@ -251,29 +254,32 @@ def _coeffs(z: float, theta: int) -> LiCoeffs:
     return EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0).coeffs
 
 
-def _real_quartic_roots(z, c: LiCoeffs):
-    """x_minus and x_plus of the coefficient records c at the fugacities z; a
-    DomainError naming the first z whose quartic roots are complex (x_plus is
-    NaN), which lies above FERMI_Z_C."""
+def char_poly_equilibrium(z, theta: int, T: float = 1.0) -> EquilibriumSpectrum:
+    """Equilibrium spectrum lam_hat^5 (lam_hat^2 - alpha)^2 (lam_hat^4 - c1 lam_hat^2 + c0)
+    at a fugacity z or an array of them, with one li evaluation.
+
+    A DomainError for T < 0, and above FERMI_Z_C, where the quartic's roots
+    are complex: it names the first such z, also past li's Fermion table
+    (FERMI_Z_MAX), where the quartic has no real roots either.
+    """
+    theta = _check_theta(theta)
+    if not T >= 0.0:
+        raise DomainError(f"temperature must be nonnegative, got {T}")
+    zs = np.atleast_1d(np.asarray(z, dtype=float))
+    c = LiCoeffs(eval_polylog_batch(np.minimum(zs, FERMI_Z_MAX) if theta == 1 else zs,
+                                    theta), 1.0)
     bad = np.isnan(c.x_plus)
     if bad.any():
         raise DomainError(f"equilibrium quartic has complex roots at "
-                          f"z={np.ravel(z)[np.argmax(bad)]}, above the Fermion "
+                          f"z={zs[np.argmax(bad)]}, above the Fermion "
                           f"hyperbolicity bound FERMI_Z_C = {FERMI_Z_C!r}")
-    return c.x_minus, c.x_plus
-
-
-def char_poly_equilibrium(z: float, theta: int, T: float = 1.0) -> EquilibriumSpectrum:
-    """Equilibrium spectrum lam_hat^5 (lam_hat^2 - alpha)^2 (lam_hat^4 - c1 lam_hat^2 + c0);
-    a DomainError above FERMI_Z_C, where the quartic's roots are complex."""
-    c = _coeffs(z, theta)
-    x_minus, x_plus = map(float, _real_quartic_roots(z, c))
-    sa, sm, sp = math.sqrt(c.alpha), math.sqrt(x_minus), math.sqrt(x_plus)
-    lam = np.array([-sp, -sa, -sa, -sm, 0.0, 0.0, 0.0, 0.0, 0.0,
-                    sm, sa, sa, sp])
-    return EquilibriumSpectrum(z=z, theta=theta, T=T, alpha_hat=c.alpha,
-                               c0=float(c.c0), c1=float(c.c1), x_minus=x_minus,
-                               x_plus=x_plus, lambda_hat=np.sort(lam))
+    sa, sm, sp = np.sqrt(c.alpha), np.sqrt(c.x_minus), np.sqrt(c.x_plus)
+    zero = np.zeros_like(sa)
+    lam = np.sort(np.stack([-sp, -sa, -sa, -sm, *[zero] * 5, sm, sa, sa, sp], axis=-1))
+    fields = (c.alpha, c.c0, c.c1, c.x_minus, c.x_plus)
+    if np.ndim(z) == 0:
+        fields, lam, zs = [float(f[0]) for f in fields], lam[0], z
+    return EquilibriumSpectrum(zs, theta, T, *fields, lam)
 
 
 #: tolerance on |alpha^2 - c1 alpha + c0| below which the doubled branch is

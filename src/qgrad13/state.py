@@ -176,6 +176,8 @@ class MomentState13:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(3))
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise DomainError(f"density must be positive, got {self.rho}")
+        if not (np.isfinite(self.u).all() and np.isfinite(self.q).all()):
+            raise DomainError("velocity and heat flux must be finite")
         scale = float(np.abs(self.p_ij).max())
         if not np.isfinite(self.p_ij).all() or scale == 0.0:
             raise DomainError("pressure tensor must be finite and nonzero")
@@ -220,6 +222,8 @@ class MomentState5:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.rho > 0.0 and self.p > 0.0 and self.p11 > 0.0):
             raise DomainError("rho, p and p11 must all be positive")
+        if not (math.isfinite(self.u1) and math.isfinite(self.q1)):
+            raise DomainError("u1 and q1 must be finite")
         ratio = self.p11 / self.p - 1.0
         if not (-1.0 < ratio < 2.0):
             raise DomainError(

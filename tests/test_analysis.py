@@ -244,88 +244,93 @@ def test_region_csv_rows_match_per_cell_formatting(tmp_path):
 # ---------------------------------------------------------------------------
 # fugacity sweeps
 
+def _sweep(theta, T=1.0):
+    """The equilibrium spectrum over the default grid, and its branch columns."""
+    spectrum = q.char_poly_equilibrium(analysis.default_sweep_grid(theta), theta, T)
+    return spectrum, *analysis._sweep_columns(spectrum)
+
+
 def test_sweep_classical_branches_constant():
-    sw = q.eigen_sweep_fugacity(0)
-    assert sw.crossing_z is None
+    _, cols, crossing = _sweep(0)
+    assert crossing is None
     ref = {"zero": 0.0, "sqrt_alpha": math.sqrt(1.4)}
     lo, hi = sorted(np.roots([1.0, -5.2, 3.0]).real)
     ref["sqrt_x_minus"], ref["sqrt_x_plus"] = math.sqrt(lo), math.sqrt(hi)
-    for name, vals in sw.branches.items():
+    assert list(cols) == ["zero", "sqrt_x_minus", "sqrt_alpha", "sqrt_x_plus"]
+    for name, vals in cols.items():
         np.testing.assert_allclose(vals, ref[name], rtol=0, atol=1e-16 + 1e-12)
 
 
 def test_sweep_fermion_finds_crossing():
-    sw = q.eigen_sweep_fugacity(1)
-    assert sw.crossing_z is not None
-    assert abs(sw.crossing_z - 11.687) < 5e-3
+    _, _, crossing = _sweep(1)
+    assert crossing is not None
+    assert abs(crossing - 11.687) < 5e-3
 
 
 def test_sweep_boson_range_capped():
-    sw = q.eigen_sweep_fugacity(-1)
-    assert np.max(sw.z) < 1.0
-    assert sw.crossing_z is None
+    spectrum, _, crossing = _sweep(-1)
+    assert np.max(spectrum.z) < 1.0
+    assert crossing is None
 
 
 def test_sweep_csv(tmp_path):
-    sw = q.eigen_sweep_fugacity(1, z_values=np.logspace(-1, 1, 11))
+    spectrum = q.char_poly_equilibrium(np.logspace(-1, 1, 11), 1)
     p = tmp_path / "sweep.csv"
-    q.write_sweep_csv(sw, str(p))
+    q.write_sweep_csv(spectrum, str(p))
     lines = p.read_text().splitlines()
-    assert lines[0].startswith("z,")
+    assert lines[0] == "z,zero,sqrt_x_minus,sqrt_alpha,sqrt_x_plus"
     assert len(lines) == 12
     json.loads((tmp_path / "sweep.csv.meta.json").read_text())
 
 
-def _sweep_by_point(theta, z, T):
-    """The sweep one fugacity at a time: the branches from the N = 1 spectrum."""
-    cols = {name: np.empty(z.size) for name in q.FugacitySweep.BRANCH_ORDER}
-    for i, zi in enumerate(z):
-        sp = spectral.char_poly_equilibrium(float(zi), theta, T)
-        cols["zero"][i] = 0.0
-        cols["sqrt_x_minus"][i] = math.sqrt(T * sp.x_minus)
-        cols["sqrt_alpha"][i] = math.sqrt(T * sp.alpha_hat)
-        cols["sqrt_x_plus"][i] = math.sqrt(T * sp.x_plus)
-    return cols
+_FIELDS = ("alpha_hat", "c0", "c1", "x_minus", "x_plus")
 
 
 @pytest.mark.parametrize("T", [1.0, 0.7])
 def test_sweep_is_the_spectrum_point_by_point(theta, T):
-    """One batched li record gives every branch bit for bit as the per-z
-    equilibrium spectrum does."""
-    sw = q.eigen_sweep_fugacity(theta, T=T)
-    ref = _sweep_by_point(theta, sw.z, T)
-    for name in q.FugacitySweep.BRANCH_ORDER:
-        assert sw.branches[name].tobytes() == ref[name].tobytes(), name
+    """The array call over a grid gives every field, bit for bit, as the float
+    call does at each of its fugacities; the float call gives float fields."""
+    spectrum, cols, _ = _sweep(theta, T)
+    ones = [q.char_poly_equilibrium(float(z), theta, T) for z in spectrum.z]
+    assert all(type(getattr(one, name)) is float for one in ones for name in _FIELDS)
+    for name in _FIELDS:
+        ref = np.array([getattr(one, name) for one in ones])
+        assert getattr(spectrum, name).tobytes() == ref.tobytes(), name
+    assert spectrum.lambda_hat.shape == (spectrum.z.size, 13)
+    for get in (lambda s: s.lambda_hat, lambda s: s.eigenvalues(0.3)):
+        assert get(spectrum).tobytes() == np.stack([get(one) for one in ones]).tobytes()
+    ref = np.array([[math.sqrt(T * one.x_minus), math.sqrt(T * one.alpha_hat),
+                     math.sqrt(T * one.x_plus)] for one in ones])
+    got = np.stack([cols["sqrt_x_minus"], cols["sqrt_alpha"], cols["sqrt_x_plus"]], 1)
+    assert got.tobytes() == ref.tobytes()
+
+
+def _count_li_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return q.eval_polylog_batch(*args, **kwargs)
+
+    for mod in (state, spectral):
+        monkeypatch.setattr(mod, "eval_polylog_batch", counting)
+    return calls
 
 
 @pytest.mark.parametrize("theta, most", [(1, 12), (-1, 1), (0, 1)])
 def test_sweep_evaluates_li_once(theta, most, monkeypatch):
     """A default sweep is one li evaluation; the Fermion branch crossing is a
     pinned constant and evaluates none."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return q.eval_polylog_batch(*args, **kwargs)
-
-    for mod in (state, analysis):
-        monkeypatch.setattr(mod, "eval_polylog_batch", counting)
-    q.eigen_sweep_fugacity(theta)
+    calls = _count_li_calls(monkeypatch)
+    _sweep(theta)
     assert len(calls) <= most
     assert calls[0][0].size == 161
 
 
 def test_default_sweep_makes_one_li_call(theta, monkeypatch):
     """A default sweep evaluates li once, on its whole 161-point grid."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return q.eval_polylog_batch(*args, **kwargs)
-
-    for mod in (state, analysis):
-        monkeypatch.setattr(mod, "eval_polylog_batch", counting)
-    q.eigen_sweep_fugacity(theta)
+    calls = _count_li_calls(monkeypatch)
+    _sweep(theta)
     assert len(calls) == 1 and calls[0][0].size == 161
 
 
@@ -337,13 +342,14 @@ def test_sweep_names_the_first_z_past_the_fermion_bound(grid, named):
     """A Fermion grid past FERMI_Z_C names its first such z, also where the
     grid reaches past li's table (FERMI_Z_MAX)."""
     with pytest.raises(q.DomainError, match="complex roots") as exc:
-        q.eigen_sweep_fugacity(1, z_values=grid)
+        q.char_poly_equilibrium(grid, 1)
     assert f"{named}, above" in str(exc.value)
 
 
 def test_sweep_rejects_negative_temperature():
-    with pytest.raises(q.DomainError, match="temperature"):
-        q.eigen_sweep_fugacity(0, T=-1.0)
+    for z in (analysis.default_sweep_grid(0), 1.0):
+        with pytest.raises(q.DomainError, match="temperature"):
+            q.char_poly_equilibrium(z, 0, T=-1.0)
 
 
 # ---------------------------------------------------------------------------

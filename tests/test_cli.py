@@ -122,6 +122,32 @@ def test_eigs_regularized_json_frozen(state_file, argv, digest, tmp_path, capsys
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("system, state_file, digest", [
+    ("grad", False, "b57cdb2de060e1d629ad0d0e84bed8ec247b9ef233747dd0124d27410c19070f"),
+    ("grad", True, "36a2a4db61930212f95fa004ca3880a5da91b800184e9b2c46c72dfb0b149f07"),
+    ("trivial", False, "cc090c53d70e873deb37d66f15b4f7d7b90b4daca6d7ec1d3ee1891e0667f47b"),
+    ("trivial", True, "076650aa088d81052b7b8d0fad5f2ba43ca12b69d9cce616fe78291052fe7208"),
+], ids=["grad-fermion-equilibrium", "grad-boson-sheared",
+        "trivial-fermion-equilibrium", "trivial-boson-sheared"])
+def test_eigs_grad_and_trivial_json_frozen(system, state_file, digest, tmp_path,
+                                           capsys):
+    """`eigs --json` of the plain closure and the projection foil, byte for
+    byte, at a Fermion equilibrium and at a sheared Boson state (digests of
+    numpy's bundled LAPACK eigensolver output on x86-64)."""
+    argv = ["--theta", "1", "--z", "2.0"]
+    if state_file:
+        eq = q.EquilibriumParams(theta=-1, z=0.5, u=np.zeros(3), T=1.0)
+        d = q.equilibrium_state13(eq).as_dict()
+        d["p_ij"][0][1] = d["p_ij"][1][0] = 0.2 * eq.p
+        d["q"][0] = 0.3 * eq.p
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps(d))
+        argv = ["--theta", "-1", "--state", str(f)]
+    assert main(["eigs", "--system", system, "--dir", "1,1,0", "--json"] + argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, key", [
     (["simulate", "--config"], "theta"),
     (["eigs", "--theta", "0", "--state"], "rho"),
@@ -133,6 +159,21 @@ def test_malformed_input_file_is_domain_error(argv, key, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "DomainError"
     assert repr(key) in err["message"]
+
+
+@pytest.mark.parametrize("field, value", [("q", "NaN"), ("u", "Infinity")])
+def test_non_finite_state_file_is_domain_error(field, value, tmp_path, capsys):
+    """A non-finite velocity or heat flux is a domain error (exit 3), not a
+    linear-algebra traceback."""
+    eq = q.EquilibriumParams(theta=0, z=0.5, u=np.zeros(3), T=1.0)
+    d = q.equilibrium_state13(eq).as_dict()
+    d[field][0] = float(value)
+    f = tmp_path / "state.json"
+    f.write_text(json.dumps(d))
+    assert value in f.read_text()
+    assert main(["eigs", "--theta", "0", "--state", str(f)]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "DomainError" and "finite" in err["message"]
 
 
 def test_region1d_deterministic_artifact(tmp_path, capsys):
@@ -317,8 +358,9 @@ def test_no_setting_without_a_caller():
 
 
 def test_no_export_only_tests_use():
-    """One 13x13 assembly and one 5x5 builder: the per-model copies stay gone,
-    and the helpers only tests call stay out of the public names."""
+    """One 13x13 assembly, one 5x5 builder and one equilibrium spectrum: the
+    per-model copies and the sweep's copy stay gone, and the helpers only
+    tests call stay out of the public names."""
     from qgrad13 import matrices
 
     for name in ("assemble_A_grad_3d", "assemble_D", "axis_permutation_matrix"):
@@ -326,6 +368,9 @@ def test_no_export_only_tests_use():
     for name in ("assemble_A_grad_3d", "_assemble_A_reg", "_a_coeffs", "assemble_D",
                  "axis_permutation_matrix"):
         assert not hasattr(matrices, name), name
+    for name in ("FugacitySweep", "eigen_sweep_fugacity"):
+        assert name not in q.__all__ and not hasattr(analysis, name), name
+    assert not hasattr(q.spectral, "_real_quartic_roots")
 
 
 def test_sweep_eigs(tmp_path, capsys):
@@ -335,6 +380,25 @@ def test_sweep_eigs(tmp_path, capsys):
     assert rc == 0
     assert len(out_file.read_text().splitlines()) == 26
     assert "11.68" in capsys.readouterr().out  # branch crossing location
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--theta", "-1"], "3c8f34c0653d16e041c193b749748179660615c3549c5809335a32a1994c76a6"),
+    (["--theta", "0"], "df3ef1c19887b4766aa86e8ef6b6a7c156ae6608743537aef323a8caf63a2da6"),
+    (["--theta", "1"], "e6f3735363fd01b80d57457285cfc1a7c3360fb1d9e471a44276e93ded8bff7f"),
+    (["--theta", "1", "--T", "0.7", "--zmin", "0.1", "--zmax", "50", "--n", "25"],
+     "b35897066c53c460e40242cfea744d53d906ce24e9737842eae662bd5970b4ff"),
+], ids=["boson", "classical", "fermion", "fermion-T0.7"])
+def test_sweep_eigs_output_frozen(argv, digest, tmp_path, capsys):
+    """`sweep-eigs --out` stdout, CSV and sidecar, byte for byte.  T = 0.7 is
+    where sqrt(T x) and sqrt(T) sqrt(x) round apart."""
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep-eigs"] + argv + ["--out", out]) == 0
+    h = hashlib.sha256(capsys.readouterr().out.replace(out, "OUT").encode())
+    for path in (out, out + ".meta.json"):
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    assert h.hexdigest() == digest
 
 
 def test_sweep_eigs_names_the_fermion_bound(capsys):
@@ -422,6 +486,22 @@ def test_nsf_trivial_reports_mismatch(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert max(abs(r) for r in out["residual"]) > 1e-2 * out["kappa_star"]
+
+
+@pytest.mark.parametrize("system, digest", [
+    ("grad", "98186d9189465debcd9b47c341a2e167915a1f54538eb5d7b583a3fa9a038afc"),
+    ("regularized", "23551cd6ede47c20c7a14d42145f89895579390561250cbff44fa252371a8511"),
+    ("trivial", "2ff195c2cd9d680ce75fd8dee7d76a3a196a1bd51de0b9504225e25626f9490d"),
+], ids=["grad", "regularized", "trivial"])
+def test_nsf_output_frozen(system, digest, capsys):
+    """`nsf` text then `--json` per statistics, byte for byte."""
+    h = hashlib.sha256()
+    for theta, z in (("-1", "0.5"), ("0", "1.0"), ("1", "2.0")):
+        for extra in ([], ["--json"]):
+            assert main(["nsf", "--theta", theta, "--z", z, "--T", "1.3",
+                         "--tau", "0.5", "--system", system] + extra) == 0
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == digest
 
 
 def test_verify_suite(capsys):

@@ -475,10 +475,11 @@ def test_fermion_crossing_location_and_neighborhood():
 
 def test_char_poly_equilibrium_names_the_fermion_bound():
     """Above FERMI_Z_C the quartic's roots are complex: a DomainError that
-    names the bound, not a convergence failure."""
+    names the bound, not a convergence failure, also past li's table."""
     q.char_poly_equilibrium(0.99 * FERMI_Z_C, 1)
-    with pytest.raises(q.DomainError, match=f"FERMI_Z_C = {FERMI_Z_C!r}"):
-        q.char_poly_equilibrium(3e5, 1)
+    for z in (3e5, 1e13):
+        with pytest.raises(q.DomainError, match=f"FERMI_Z_C = {FERMI_Z_C!r}"):
+            q.char_poly_equilibrium(z, 1)
 
 
 def test_regularization_hyperbolic_up_to_the_domain_edges(monkeypatch):

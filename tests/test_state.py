@@ -317,6 +317,20 @@ def test_state5_rejects_outside_window(shat):
         MomentState5(rho=eq.rho, u1=0.0, p11=eq.p * (1.0 + shat), q1=0.0, p=eq.p)
 
 
+@pytest.mark.parametrize("u1, q1_hat", [(math.nan, 0.0), (0.0, math.nan),
+                                         (math.inf, 0.0), (0.0, -math.inf)])
+def test_states_reject_non_finite_velocity_or_heat_flux(u1, q1_hat):
+    """u and q must be finite in both states: a NaN there is a domain error,
+    not a verdict."""
+    eq = EquilibriumParams(theta=0, z=1.0, u=np.zeros(3), T=1.0)
+    with pytest.raises(DomainError, match="finite"):
+        q.state5_from_hat(eq, 0.0, q1_hat, u1=u1)
+    st = q.equilibrium_state13(eq)
+    with pytest.raises(DomainError, match="finite"):
+        q.MomentState13(rho=st.rho, u=[u1, 0.0, 0.0], p_ij=st.p_ij,
+                        q=[q1_hat, 0.0, 0.0])
+
+
 def test_ansatz_reproduces_its_own_moments(theta, rng):
     for _ in range(3):
         st, eq = random_moment_state(rng, theta, bose_z_max=0.8)
@@ -447,14 +461,12 @@ def test_closure_by_quadrature_at_bose_edge(z):
     assert max(gaps.values()) <= 1e-6, gaps
 
 
-def test_closure_by_quadrature_up_to_the_fermion_bound(rng):
-    """40 c8-style Fermion states, z log-uniform on [1e2, 0.95 FERMI_Z_C]: at
-    half width 12 sqrt(T) and 192 radii the quadrature meets the closure to
-    1e-12 (at c8's 8 and 64 the cut-off tail leaves ~2e-7 near z_c)."""
-    z_hi = 0.95 * q.polylog.FERMI_Z_C
-    for z in np.exp(rng.uniform(math.log(1e2), math.log(z_hi), 40)):
+def _closure_by_quadrature_at(rng, theta, zs):
+    """c8-style states at the fugacities zs: at half width 12 sqrt(T) and 192
+    radii the quadrature meets the closure to 1e-12."""
+    for z in zs:
         T = float(rng.uniform(0.5, 2.0))
-        eq = EquilibriumParams(theta=1, z=z, u=rng.uniform(-1.0, 1.0, 3), T=T)
+        eq = EquilibriumParams(theta=theta, z=z, u=rng.uniform(-1.0, 1.0, 3), T=T)
         S = rng.uniform(-1.0, 1.0, (3, 3))
         S = 0.5 * (S + S.T)
         S -= (S.trace() / 3.0) * np.eye(3)
@@ -465,6 +477,22 @@ def test_closure_by_quadrature_up_to_the_fermion_bound(rng):
         closed = q.closure_moments(st, eq)
         gaps = _moment_gaps(mom, {"q_ijk": closed.q_ijk, "Delta_ij": closed.Delta_ij})
         assert max(gaps.values()) <= 1e-12, (z, gaps)
+
+
+def test_closure_by_quadrature_up_to_the_fermion_bound(rng):
+    """40 c8-style Fermion states, z log-uniform on [1e2, 0.95 FERMI_Z_C]: at
+    half width 12 sqrt(T) and 192 radii the quadrature meets the closure to
+    1e-12 (at c8's 8 and 64 the cut-off tail leaves ~2e-7 near z_c)."""
+    z_hi = 0.95 * q.polylog.FERMI_Z_C
+    zs = np.exp(rng.uniform(math.log(1e2), math.log(z_hi), 40))
+    _closure_by_quadrature_at(rng, 1, zs)
+
+
+def test_closure_by_quadrature_up_to_the_condensation_edge(rng):
+    """40 c8-style Boson states, 1 - z log-uniform on [1e-9, 1e-1]: the
+    Fermion test's bound holds there too (c8 stops at z = 0.9, where its
+    8 sqrt(T) cut-off leaves ~5e-10)."""
+    _closure_by_quadrature_at(rng, -1, 1.0 - 10.0 ** rng.uniform(-9.0, -1.0, 40))
 
 
 def test_ansatz_moments_node_count(monkeypatch):
