@@ -34,8 +34,8 @@ from .errors import DomainError
 from .matrices import (SystemKind, _a5_stack, _unit_rows, assemble_A,
                        assemble_axes, assemble_M, pslot, regularized_stack,
                        stack_states)
-from .polylog import (_SERIES_Z_MAX, FERMI_Z_C, FERMI_Z_MAX, ORDERS, _check_theta,
-                      _fermi_quadrature, eval_polylog_batch)
+from .polylog import (_SERIES_Z_MAX, FERMI_Z_C, FERMI_Z_MAX, ORDERS, ZETA_HALF,
+                      _check_theta, _fermi_quadrature, eval_polylog_batch)
 from .spectral import (CLASS_CODES, CODE_INADMISSIBLE, Classification,
                        classify_batch)
 from .state import (EquilibriumParams, LiCoeffs, MomentState13, _shear_state,
@@ -564,7 +564,7 @@ def verify_polylog(seed: int = 0) -> dict:
     got = eval_polylog_batch(5.0, 1)[:, 0]
     for s, val, ref in zip(ORDERS, got, frozen):
         checks.append(_check(f"fermion z=5 order {s}", float(val) / ref - 1.0, 1e-12))
-    eta_half = (1.0 - math.sqrt(2.0)) * (-1.4603545088095868)
+    eta_half = (1.0 - math.sqrt(2.0)) * ZETA_HALF
     checks.append(_check("fermion z=1 order 1/2 vs eta(1/2)",
                          float(eval_polylog_batch(1.0, 1)[0, 0]) / eta_half - 1.0,
                          1e-12))

@@ -258,13 +258,15 @@ def char_poly_equilibrium(z, theta: int, T: float = 1.0) -> EquilibriumSpectrum:
     """Equilibrium spectrum lam_hat^5 (lam_hat^2 - alpha)^2 (lam_hat^4 - c1 lam_hat^2 + c0)
     at a fugacity z or an array of them, with one li evaluation.
 
-    A DomainError for T < 0, and above FERMI_Z_C, where the quartic's roots
-    are complex: it names the first such z, also past li's Fermion table
+    A DomainError for T < 0 or infinite, and above FERMI_Z_C, where the
+    quartic's roots are complex: it names the first such z, also past li's Fermion table
     (FERMI_Z_MAX), where the quartic has no real roots either.
     """
     theta = _check_theta(theta)
     if not T >= 0.0:
         raise DomainError(f"temperature must be nonnegative, got {T}")
+    if T == math.inf:
+        raise DomainError("temperature must be finite, got inf")
     zs = np.atleast_1d(np.asarray(z, dtype=float))
     c = LiCoeffs(eval_polylog_batch(np.minimum(zs, FERMI_Z_MAX) if theta == 1 else zs,
                                     theta), 1.0)

@@ -222,8 +222,9 @@ class MomentState5:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.rho > 0.0 and self.p > 0.0 and self.p11 > 0.0):
             raise DomainError("rho, p and p11 must all be positive")
-        if not (math.isfinite(self.u1) and math.isfinite(self.q1)):
-            raise DomainError("u1 and q1 must be finite")
+        if not (math.isfinite(self.rho) and math.isfinite(self.u1)
+                and math.isfinite(self.q1)):
+            raise DomainError("rho, u1 and q1 must be finite")
         ratio = self.p11 / self.p - 1.0
         if not (-1.0 < ratio < 2.0):
             raise DomainError(
@@ -461,21 +462,26 @@ def grad_ansatz_eval(state: MomentState13, eq: EquilibriumParams, v) -> np.ndarr
     """
     v = np.asarray(v, dtype=float)
     single = v.ndim == 1
-    vv = v.reshape(-1, 3)
     li = eq.li
     T, p, z, theta = eq.T, eq.p, eq.z, eq.theta
-    c = vv - eq.u
-    c2 = np.einsum("ni,ni->n", c, c)
+    # peculiar velocities as component rows (3, N); each row sum is taken in
+    # the order einsum("ni,ni->n") uses on point-major rows, (x0 + x2) + x1
+    c = v.reshape(-1, 3).T - eq.u[:, None]
+    cc = c * c
+    c2 = (cc[0] + cc[2]) + cc[1]
     ez = z * np.exp(-c2 / (2.0 * T))
     if theta == 0:
         feq = ez
     else:
         feq = ez / (1.0 + theta * ez)
     sig = state.sigma
-    sterm = (np.einsum("ni,ni->n", c @ sig, c) / T
+    # the two products keep the BLAS layouts whose sums match the point-major
+    # c @ sig and c @ q bit for bit; a gemv on the rows c moves the heat flux
+    sc = (sig.T @ c) * c
+    sterm = (((sc[0] + sc[2]) + sc[1]) / T
              - np.trace(sig) * (li[2.5] / li[1.5])) * (li[2.5] / li[3.5]) / (2.0 * p)
-    qterm = (c @ state.q) * (c2 / T - 5.0 * li[3.5] / li[2.5]) \
-        / (5.0 * p * T * eq.coeffs.frakB)
+    qterm = (np.ascontiguousarray(c.T) @ state.q) \
+        * (c2 / T - 5.0 * li[3.5] / li[2.5]) / (5.0 * p * T * eq.coeffs.frakB)
     out = feq * (1.0 + sterm + qterm)
     return float(out[0]) if single else out
 
@@ -546,12 +552,17 @@ def ansatz_moments(state: MomentState13, eq: EquilibriumParams,
     Used to verify that the ansatz reproduces its own state and the closure
     formulas; it reads li only through grad_ansatz_eval.
     """
+    if not (n_nodes >= 1 and 0.0 < half_width < math.inf):
+        raise DomainError(f"need n_nodes >= 1 and a positive finite half_width, "
+                          f"got {n_nodes} and {half_width}")
     x, wts = _radial_rule(n_nodes)
     radius = half_width * math.sqrt(eq.T)
     r = 0.5 * radius * (x + 1.0)
     w_r = 0.5 * radius * wts * r * r
-    C = (r[:, None, None] * _DIRS[None, :, :]).reshape(-1, 3)
-    f = (eq.hhat * grad_ansatz_eval(state, eq, eq.u + C)).reshape(n_nodes, -1)
+    # node velocities as component rows (3, P); _DIRS is read on each call
+    V = (r[:, None] * np.ascontiguousarray(_DIRS.T)[:, None, :]).reshape(3, -1) \
+        + eq.u[:, None]
+    f = (eq.hhat * grad_ansatz_eval(state, eq, V.T)).reshape(n_nodes, -1)
     m = (w_r * r ** np.arange(5.0)[:, None]) @ f * _DIR_WEIGHTS   # m_k[b]
     D = _DIRS
     rho = float(np.sum(m[0]))

@@ -352,6 +352,13 @@ def test_sweep_rejects_negative_temperature():
             q.char_poly_equilibrium(z, 0, T=-1.0)
 
 
+def test_sweep_rejects_infinite_temperature():
+    """T = inf is a domain error, not inf and NaN speeds."""
+    for z in (analysis.default_sweep_grid(0), 2.0):
+        with pytest.raises(q.DomainError, match="temperature must be finite"):
+            q.char_poly_equilibrium(z, 1, T=math.inf)
+
+
 # ---------------------------------------------------------------------------
 # linearization and transport
 

@@ -412,6 +412,14 @@ def test_sweep_eigs_names_the_fermion_bound(capsys):
     assert "z=300000" in err["message"]
 
 
+def test_sweep_eigs_rejects_infinite_temperature(capsys):
+    """--T inf is a domain error (exit 3), not a table of inf speeds."""
+    assert main(["sweep-eigs", "--theta", "0", "--T", "inf", "--n", "3"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "DomainError",
+                   "message": "temperature must be finite, got inf"}
+
+
 def test_eigs_names_the_fermion_bound(tmp_path, capsys):
     """Above FERMI_Z_C, from --z or from a --state file, the class line names
     the bound and --json gains `fermi_z_c`; below it, or for TrivialR13,

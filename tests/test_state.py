@@ -317,6 +317,13 @@ def test_state5_rejects_outside_window(shat):
         MomentState5(rho=eq.rho, u1=0.0, p11=eq.p * (1.0 + shat), q1=0.0, p=eq.p)
 
 
+@pytest.mark.parametrize("rho", [math.inf, math.nan])
+def test_state5_rejects_non_finite_density(rho):
+    """An infinite density is a domain error, as in MomentState13."""
+    with pytest.raises(DomainError):
+        MomentState5(rho=rho, u1=0.0, p11=1.0, q1=0.0, p=1.0)
+
+
 @pytest.mark.parametrize("u1, q1_hat", [(math.nan, 0.0), (0.0, math.nan),
                                          (math.inf, 0.0), (0.0, -math.inf)])
 def test_states_reject_non_finite_velocity_or_heat_flux(u1, q1_hat):
@@ -433,6 +440,72 @@ def test_ansatz_moments_match_pointwise_contraction(theta, nodes, rng):
         got = q.ansatz_moments(st, eq, n_nodes=nodes, half_width=8.0)
         gaps = _moment_gaps(got, _pointwise_moments(st, eq, nodes, 8.0))
         assert max(gaps.values()) <= 1e-13, (eq.z, gaps)
+
+
+def _point_major_ansatz(st, eq, v):
+    """grad_ansatz_eval as it ran on point-major (N, 3) velocities, with
+    einsum row sums and the products c @ sigma and c @ q: its reference."""
+    v = np.asarray(v, dtype=float)
+    single = v.ndim == 1
+    li = eq.li
+    T, p, z, theta = eq.T, eq.p, eq.z, eq.theta
+    c = v.reshape(-1, 3) - eq.u
+    c2 = np.einsum("ni,ni->n", c, c)
+    ez = z * np.exp(-c2 / (2.0 * T))
+    feq = ez if theta == 0 else ez / (1.0 + theta * ez)
+    sig = st.sigma
+    sterm = (np.einsum("ni,ni->n", c @ sig, c) / T
+             - np.trace(sig) * (li[2.5] / li[1.5])) * (li[2.5] / li[3.5]) / (2.0 * p)
+    qterm = (c @ st.q) * (c2 / T - 5.0 * li[3.5] / li[2.5]) \
+        / (5.0 * p * T * eq.coeffs.frakB)
+    out = feq * (1.0 + sterm + qterm)
+    return float(out[0]) if single else out
+
+
+def _point_major_moments(st, eq, n_nodes, half_width):
+    """ansatz_moments as it ran on point-major nodes eq.u + C: its reference."""
+    x, wts = leggauss(n_nodes)
+    radius = half_width * math.sqrt(eq.T)
+    r = 0.5 * radius * (x + 1.0)
+    w_r = 0.5 * radius * wts * r * r
+    D = state._DIRS
+    C = (r[:, None, None] * D[None, :, :]).reshape(-1, 3)
+    f = (eq.hhat * _point_major_ansatz(st, eq, eq.u + C)).reshape(n_nodes, -1)
+    m = (w_r * r ** np.arange(5.0)[:, None]) @ f * state._DIR_WEIGHTS
+    rho = float(np.sum(m[0]))
+    return {"rho": rho, "u": eq.u + (m[1] @ D) / rho,
+            "p_ij": (m[2] * D.T) @ D, "q": 0.5 * (m[3] @ D),
+            "q_ijk": (m[3] * D.T[:, None] * D.T) @ D,
+            "Delta_ij": (m[4] * D.T) @ D}
+
+
+def test_component_rows_are_the_point_major_reference(theta, rng):
+    """The quadrature on component rows (3, P) gives the point-major
+    reference's moments and ansatz values bit for bit, at u != 0."""
+    for _ in range(30):
+        st, eq = random_moment_state(rng, theta)
+        assert np.all(eq.u != 0.0)
+        for nodes, half_width in ((64, 8.0), (96, 8.0), (192, 12.0)):
+            got = q.ansatz_moments(st, eq, n_nodes=nodes, half_width=half_width)
+            ref = _point_major_moments(st, eq, nodes, half_width)
+            for k, v in ref.items():
+                assert np.array_equal(got[k], v), (nodes, k)
+        V = eq.u + rng.normal(size=(500, 3)) * 2.0 * math.sqrt(eq.T)
+        assert np.array_equal(q.grad_ansatz_eval(st, eq, V),
+                              _point_major_ansatz(st, eq, V))
+        one = q.grad_ansatz_eval(st, eq, V[0])
+        assert type(one) is float and one == _point_major_ansatz(st, eq, V[0])
+
+
+@pytest.mark.parametrize("n_nodes, half_width", [
+    (64, -8.0), (64, 0.0), (64, math.nan), (64, math.inf), (0, 12.0)])
+def test_ansatz_moments_rejects_bad_rule(n_nodes, half_width):
+    """A rule with no radii or a sphere that is not positive and finite is a
+    domain error, not negative or NaN moments."""
+    eq = EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=1.0)
+    with pytest.raises(DomainError, match="half_width"):
+        q.ansatz_moments(q.equilibrium_state13(eq), eq, n_nodes=n_nodes,
+                         half_width=half_width)
 
 
 def test_ansatz_moments_angular_rule_is_exact(theta, rng, monkeypatch):
