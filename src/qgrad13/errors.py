@@ -26,11 +26,22 @@ class SingularD(RuntimeError):
 
 
 class InadmissibleCell(RuntimeError):
-    """A solver cell left the admissible set; carries the cell index."""
+    """A solver cell left the admissible set.
 
-    def __init__(self, index, message=""):
+    The message says in words what the fields hold: the cell `index`, the
+    `quantity` that broke ("p11", "sigma11/p", "fugacity", "spectral
+    radius", ...), its `value` where one exists, and the `step` and time `t`,
+    both None for the initial check.
+    """
+
+    def __init__(self, index, message="", *, quantity=None, value=None,
+                 step=None, t=None):
         self.index = index
         self.reason = message
+        self.quantity = quantity
+        self.value = value
+        self.step = step
+        self.t = t
         super().__init__(f"cell {index} inadmissible{': ' + message if message else ''}")
 
 

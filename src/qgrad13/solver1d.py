@@ -35,6 +35,7 @@ from .state import EquilibriumParams, LiCoeffs, _fit
 
 _MAX_STEPS = 5_000_000
 _LEDGER = ("time", "mass", "momentum", "energy")
+_COLUMNS = ("rho", "u1", "p11", "q1", "p")      # one row of w
 
 
 @dataclass(frozen=True)
@@ -131,12 +132,14 @@ def _a5_final_stack(w: np.ndarray, T: np.ndarray, li: np.ndarray
     return _a5_stack(SystemKind.FinalR13, w, c), np.abs(w[:, 1]) + np.sqrt(T * c.x_plus)
 
 
-def _validate_cells(w: np.ndarray) -> None:
+def _validate_cells(w: np.ndarray, step: Optional[int] = None,
+                    t: Optional[float] = None) -> None:
     """First inadmissible cell wins; raised with its index for diagnostics.
 
     One combined test clears an admissible state; only a failing one is
     diagnosed, naming the first of rho, p11 and p that is not positive, or
     else the ratio (there, p11 > 0 follows from p > 0 and ratio > -1).
+    `step` and `t` say where a run broke; both are None for its start.
     """
     rho, _, p11, _, p = w.T
     with np.errstate(all="ignore"):
@@ -144,17 +147,22 @@ def _validate_cells(w: np.ndarray) -> None:
     if (np.isfinite(w).all() and rho.min() > 0.0 and p.min() > 0.0
             and ratio.min() > -1.0 and ratio.max() < 2.0):
         return
-    finite = np.isfinite(w).all(axis=1)
+    where = "" if step is None else f" in step {step} at t = {t:.6g}"
+    finite = np.isfinite(w)
     if not finite.all():
-        raise InadmissibleCell(int(np.argmin(finite)), "non-finite moments")
+        i = int(np.argmin(finite.all(axis=1)))
+        k = int(np.argmin(finite[i]))
+        raise InadmissibleCell(i, "non-finite moments" + where, quantity=_COLUMNS[k],
+                               value=float(w[i, k]), step=step, t=t)
     bad = w[:, ::2] <= 0.0                     # rho, p11, p
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
-        k = int(np.argmax(bad[i]))
-        raise InadmissibleCell(i, f"{('rho', 'p11', 'p')[k]} = {w[i, 2 * k]:.6g} "
-                                  "is not positive")
-    idx = int(np.argmin((ratio > -1.0) & (ratio < 2.0)))   # only the ratio is left
-    raise InadmissibleCell(idx, f"sigma11/p = {ratio[idx]:.6g} outside (-1, 2)")
+        k = 2 * int(np.argmax(bad[i]))
+        raise InadmissibleCell(i, f"{_COLUMNS[k]} = {w[i, k]:.6g} is not positive{where}",
+                               quantity=_COLUMNS[k], value=float(w[i, k]), step=step, t=t)
+    i = int(np.argmin((ratio > -1.0) & (ratio < 2.0)))   # only the ratio is left
+    raise InadmissibleCell(i, f"sigma11/p = {ratio[i]:.6g} outside (-1, 2){where}",
+                           quantity="sigma11/p", value=float(ratio[i]), step=step, t=t)
 
 
 def _conserved(w: np.ndarray, dx: float) -> Tuple[float, float, float]:
@@ -222,7 +230,8 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
                                                config.hhat, guess)
         except (CondensationError, NoSolution) as exc:
             raise InadmissibleCell(exc.index, f"no admissible fugacity in step {steps + 1} "
-                                              f"at t = {t:.6g}: {exc}") from exc
+                                              f"at t = {t:.6g}: {exc}",
+                                   quantity="fugacity", step=steps + 1, t=t) from exc
         guess = (z, li)
         fallbacks += fell_back
         fit_points += points
@@ -233,7 +242,9 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
             above = (f" above the Fermion bound FERMI_Z_C = {FERMI_Z_C:.6g}"
                      if config.theta == 1 and z[i] > FERMI_Z_C else "")
             raise InadmissibleCell(i, f"spectral radius {alpha[i]} in step {steps + 1} "
-                                      f"at t = {t:.6g}, z = {z[i]:.6g}{above}")
+                                      f"at t = {t:.6g}, z = {z[i]:.6g}{above}",
+                                   quantity="spectral radius", value=float(alpha[i]),
+                                   step=steps + 1, t=t)
         max_speed = max(max_speed, amax)
         dt_cfl = config.cfl * dx / amax if amax > 0.0 else math.inf
         if not (dt_cfl > 0.0 and math.isfinite(dt_cfl)):
@@ -248,11 +259,7 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
         decay = math.exp(-dt / config.tau)
         w[:, 2] = w[:, 4] + (w[:, 2] - w[:, 4]) * decay
         w[:, 3] *= decay
-        try:
-            _validate_cells(w)
-        except InadmissibleCell as exc:
-            raise InadmissibleCell(exc.index, f"{exc.reason} in step {steps + 1} "
-                                              f"at t = {t:.6g}") from exc
+        _validate_cells(w, steps + 1, t)
         t += dt
         steps += 1
         if steps > _MAX_STEPS:

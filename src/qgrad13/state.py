@@ -30,6 +30,8 @@ from .polylog import (BOSE_Z_MAX, FERMI_Z_MAX, ORDERS, _check_theta,
                       eval_polylog_batch)
 
 _TWO_PI = 2.0 * math.pi
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 def _square(x):
@@ -192,7 +194,7 @@ class MomentState13:
 
     @property
     def sigma(self) -> np.ndarray:
-        return self.p_ij - self.p * np.eye(3)
+        return self.p_ij - self.p * _EYE3
 
     def as_dict(self) -> dict:
         return {"rho": self.rho, "u": self.u.tolist(),
@@ -461,40 +463,62 @@ def grad_ansatz_eval(state: MomentState13, eq: EquilibriumParams, v) -> np.ndarr
     f_eq = 1 / (z^-1 exp(|v-u|^2 / 2T) + theta).
     """
     v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
     li = eq.li
-    T, p, z, theta = eq.T, eq.p, eq.z, eq.theta
-    # peculiar velocities as component rows (3, N); each row sum is taken in
-    # the order einsum("ni,ni->n") uses on point-major rows, (x0 + x2) + x1
-    c = v.reshape(-1, 3).T - eq.u[:, None]
-    cc = c * c
-    c2 = (cc[0] + cc[2]) + cc[1]
-    ez = z * np.exp(-c2 / (2.0 * T))
-    if theta == 0:
-        feq = ez
-    else:
-        feq = ez / (1.0 + theta * ez)
+    T, p, theta = eq.T, eq.p, eq.theta
     sig = state.sigma
+    # peculiar velocities as component rows (3, N); every step after the two
+    # products runs in place on arrays made here, with the operands and in
+    # the order of the expression feq (1 + sterm + qterm), so bits are kept
+    c = v.reshape(-1, 3).T - eq.u[:, None]
     # the two products keep the BLAS layouts whose sums match the point-major
-    # c @ sig and c @ q bit for bit; a gemv on the rows c moves the heat flux
-    sc = (sig.T @ c) * c
-    sterm = (((sc[0] + sc[2]) + sc[1]) / T
-             - np.trace(sig) * (li[2.5] / li[1.5])) * (li[2.5] / li[3.5]) / (2.0 * p)
-    qterm = (np.ascontiguousarray(c.T) @ state.q) \
-        * (c2 / T - 5.0 * li[3.5] / li[2.5]) / (5.0 * p * T * eq.coeffs.frakB)
-    out = feq * (1.0 + sterm + qterm)
-    return float(out[0]) if single else out
+    # c @ sig and c @ q bit for bit; a gemv on the rows c moves the heat flux.
+    # numpy writes the point-major copy faster a column at a time than as a
+    # transposing copy
+    cp = np.empty((c.shape[1], 3))
+    cp[:, 0], cp[:, 1], cp[:, 2] = c
+    out = cp @ state.q
+    del cp
+    sc = sig.T @ c
+    sc *= c
+    # each row sum is taken in the order einsum("ni,ni->n") uses on
+    # point-major rows, (x0 + x2) + x1
+    cc = np.multiply(c, c, out=c)                 # c is not read again
+    c2, feq = cc[0], cc[1]
+    c2 += cc[2]
+    c2 += cc[1]
+    np.divide(c2, -2.0 * T, out=feq)              # -c2 / (2 T), one rounding
+    np.exp(feq, out=feq)
+    feq *= eq.z
+    # theta ez is exact for theta = +-1, so 1 + theta ez is 1 +- ez
+    if theta == 1:
+        feq /= np.add(1.0, feq, out=cc[2])
+    elif theta == -1:
+        feq /= np.subtract(1.0, feq, out=cc[2])
+    sterm = sc[0]
+    sterm += sc[2]
+    sterm += sc[1]
+    sterm /= T
+    sterm -= sig.trace() * (li[2.5] / li[1.5])
+    sterm *= li[2.5] / li[3.5]
+    sterm /= 2.0 * p
+    c2 /= T
+    c2 -= 5.0 * li[3.5] / li[2.5]
+    out *= c2                                      # qterm
+    out /= 5.0 * p * T * eq.coeffs.frakB
+    sterm += 1.0
+    out += sterm
+    out *= feq
+    return float(out[0]) if v.ndim == 1 else out
 
 
 def closure_moments(state: MomentState13, eq: EquilibriumParams) -> ClosureMoments:
     """Closed q_ijk and Delta_ij induced by the 13 variables."""
     li = eq.li
     q = state.q
-    delta = np.eye(3)
-    q_ijk = 0.4 * (delta[:, :, None] * q + delta[:, None, :] * q[:, None]
-                   + delta * q[:, None, None])
+    q_ijk = 0.4 * (_EYE3[:, :, None] * q + _EYE3[:, None, :] * q[:, None]
+                   + _EYE3 * q[:, None, None])
     pref = eq.hhat * (_TWO_PI * eq.T) ** 1.5 * eq.T ** 2 * li[3.5]
-    Delta_ij = pref * (5.0 * delta + 7.0 * (state.sigma / state.p)
+    Delta_ij = pref * (5.0 * _EYE3 + 7.0 * (state.sigma / state.p)
                        * li[2.5] * li[4.5] / li[3.5] ** 2)
     return ClosureMoments(q_ijk=q_ijk, Delta_ij=Delta_ij)
 
@@ -560,12 +584,13 @@ def ansatz_moments(state: MomentState13, eq: EquilibriumParams,
     r = 0.5 * radius * (x + 1.0)
     w_r = 0.5 * radius * wts * r * r
     # node velocities as component rows (3, P); _DIRS is read on each call
-    V = (r[:, None] * np.ascontiguousarray(_DIRS.T)[:, None, :]).reshape(3, -1) \
-        + eq.u[:, None]
-    f = (eq.hhat * grad_ansatz_eval(state, eq, V.T)).reshape(n_nodes, -1)
+    V = (r[:, None] * np.ascontiguousarray(_DIRS.T)[:, None, :]).reshape(3, -1)
+    V += eq.u[:, None]
+    f = grad_ansatz_eval(state, eq, V.T).reshape(n_nodes, -1)
+    f *= eq.hhat
     m = (w_r * r ** np.arange(5.0)[:, None]) @ f * _DIR_WEIGHTS   # m_k[b]
     D = _DIRS
-    rho = float(np.sum(m[0]))
+    rho = float(m[0].sum())
     return {"rho": rho, "u": eq.u + (m[1] @ D) / rho,
             "p_ij": (m[2] * D.T) @ D, "q": 0.5 * (m[3] @ D),
             "q_ijk": (m[3] * D.T[:, None] * D.T) @ D,

@@ -407,6 +407,38 @@ def test_rarefaction_names_the_column_that_broke():
                               "in step 6 at t = 0.00272363")
 
 
+@pytest.mark.parametrize("cfg, index, quantity, value, step, t", [
+    (_edge_config(0, 1.0, 1.0, cells=200, tau=1.0, left=dict(z=1.0, u1=-2.0, T=1.0),
+                  right=dict(z=1.0, u1=2.0, T=1.0)),
+     99, "p11", -0.442322, 6, 0.00272363),
+    (_edge_config(1, 2.1e5, 1e5), 1, "spectral radius", math.nan, 10, 0.0110762),
+    (_edge_config(-1, 1.0 - 1e-6, 0.99), 3, "fugacity", None, 8, 0.014192),
+], ids=["rarefaction", "fermion-past-z_c", "boson-condensation"])
+def test_inadmissible_cell_carries_the_failure_as_data(cfg, index, quantity, value,
+                                                       step, t):
+    """The failure's quantity, value, step and time are fields, not only text."""
+    with pytest.raises(InadmissibleCell) as exc:
+        q.run(cfg)
+    err = exc.value
+    assert (err.index, err.quantity, err.step) == (index, quantity, step)
+    assert err.t == pytest.approx(t, rel=1e-5)
+    if value is None:
+        assert err.value is None
+    else:
+        assert err.value == pytest.approx(value, rel=1e-5, nan_ok=True)
+
+
+def test_initial_check_failure_has_no_step():
+    cfg = _uniform_config()
+    w0 = q.initial_condition(cfg)[1].copy()
+    w0[7, 4] = -1.0
+    with pytest.raises(InadmissibleCell) as exc:
+        q.run(cfg, w0=w0)
+    err = exc.value
+    assert (err.index, err.quantity, err.value, err.step, err.t) == (7, "p", -1.0,
+                                                                     None, None)
+
+
 def _column_diagnosis(w):
     """The per-step check as it was before its combined fast test: the
     behaviour `_validate_cells` keeps for every state."""

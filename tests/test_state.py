@@ -1,6 +1,7 @@
 """Equilibrium thermodynamics, fugacity fitting and the moment ansatz."""
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -378,6 +379,29 @@ def test_closure_moments_q_ijk_matches_einsum_bitwise(theta, rng):
                               _einsum_closure_q_ijk(st.q))
 
 
+def _reference_closure_delta(st, eq):
+    """closure_moments' Delta_ij with sigma and p rebuilt from p_ij: its reference."""
+    li = eq.li
+    p = float(st.p_ij.trace()) / 3.0
+    sigma = st.p_ij - p * np.eye(3)
+    pref = eq.hhat * (2.0 * math.pi * eq.T) ** 1.5 * eq.T ** 2 * li[3.5]
+    return pref * (5.0 * np.eye(3) + 7.0 * (sigma / p)
+                   * li[2.5] * li[4.5] / li[3.5] ** 2)
+
+
+def _with_hhat(eq, hhat):
+    return EquilibriumParams(theta=eq.theta, z=eq.z, u=eq.u, T=eq.T, hhat=hhat)
+
+
+def test_closure_moments_delta_ij_matches_reference_bitwise(theta, rng):
+    """Delta_ij bit for bit, at hhat = 1 and at hhat != 1."""
+    for _ in range(20):
+        st, eq = random_moment_state(rng, theta)
+        for e in (eq, _with_hhat(eq, 0.4), _with_hhat(eq, 2.5)):
+            assert np.array_equal(q.closure_moments(st, e).Delta_ij,
+                                  _reference_closure_delta(st, e)), e.hhat
+
+
 def _pointwise_moments(st, eq, n_nodes, half_width):
     """The moments of ansatz_moments summed point by point over the same
     spherical nodes: the reference for its separable contraction."""
@@ -481,8 +505,9 @@ def _point_major_moments(st, eq, n_nodes, half_width):
 
 def test_component_rows_are_the_point_major_reference(theta, rng):
     """The quadrature on component rows (3, P) gives the point-major
-    reference's moments and ansatz values bit for bit, at u != 0."""
-    for _ in range(30):
+    reference's moments and ansatz values bit for bit, at u != 0 and at
+    hhat != 1."""
+    for i in range(30):
         st, eq = random_moment_state(rng, theta)
         assert np.all(eq.u != 0.0)
         for nodes, half_width in ((64, 8.0), (96, 8.0), (192, 12.0)):
@@ -490,11 +515,32 @@ def test_component_rows_are_the_point_major_reference(theta, rng):
             ref = _point_major_moments(st, eq, nodes, half_width)
             for k, v in ref.items():
                 assert np.array_equal(got[k], v), (nodes, k)
+        if i < 10:
+            for hhat in (0.4, 2.5):
+                e = _with_hhat(eq, hhat)
+                got = q.ansatz_moments(st, e, n_nodes=64, half_width=8.0)
+                for k, v in _point_major_moments(st, e, 64, 8.0).items():
+                    assert np.array_equal(got[k], v), (hhat, k)
         V = eq.u + rng.normal(size=(500, 3)) * 2.0 * math.sqrt(eq.T)
         assert np.array_equal(q.grad_ansatz_eval(st, eq, V),
                               _point_major_ansatz(st, eq, V))
         one = q.grad_ansatz_eval(st, eq, V[0])
         assert type(one) is float and one == _point_major_ansatz(st, eq, V[0])
+
+
+def test_ansatz_moments_peak_memory(theta, rng):
+    """One call at 96 radii holds about ten P-length doubles (P = 96 * 32):
+    the node rows, the peculiar rows, the point-major copy or the stress
+    product, and the result; the elementwise steps allocate nothing."""
+    st, eq = random_moment_state(rng, theta)
+    q.ansatz_moments(st, eq, n_nodes=96, half_width=8.0)   # radial rule cached
+    tracemalloc.start()
+    try:
+        q.ansatz_moments(st, eq, n_nodes=96, half_width=8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 96 * 32 * 8, peak
 
 
 @pytest.mark.parametrize("n_nodes, half_width", [
