@@ -10,8 +10,8 @@ from .errors import (CFLViolation, CondensationError, DomainError,
 from .polylog import BOSE_Z_MAX, ORDERS, ZETA_HALF, eval_polylog_batch
 from .state import (ClosureMoments, EquilibriumParams, MomentState5,
                     MomentState13, ansatz_moments, closure_moments,
-                    equilibrium_state13, fit_equilibrium, fit_fugacity_batch,
-                    grad_ansatz_eval, state5_from_hat)
+                    equilibrium_state13, fit_equilibrium, grad_ansatz_eval,
+                    state5_from_hat)
 from .matrices import (SystemKind, SystemMatrices, assemble_A, assemble_A5_grad,
                        assemble_A_direction, assemble_A_regularized,
                        assemble_M, pslot)
@@ -37,8 +37,8 @@ __all__ = [
     "NoSolution", "SingularD",
     "ClosureMoments", "EquilibriumParams", "MomentState5", "MomentState13",
     "ansatz_moments", "closure_moments",
-    "equilibrium_state13", "fit_equilibrium", "fit_fugacity_batch",
-    "grad_ansatz_eval", "state5_from_hat",
+    "equilibrium_state13", "fit_equilibrium", "grad_ansatz_eval",
+    "state5_from_hat",
     "SystemKind", "SystemMatrices",
     "assemble_A", "assemble_A5_grad", "assemble_A_direction",
     "assemble_A_regularized", "assemble_M", "pslot",

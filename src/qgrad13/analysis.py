@@ -85,14 +85,12 @@ def class_counts(cells: np.ndarray) -> Dict[str, int]:
     return {_CODE_NAMES[int(v)]: int(c) for v, c in zip(vals, counts)}
 
 
-def area_fraction(grid_or_cells) -> float:
+def area_fraction(grid: RegionGrid) -> float:
     """Fraction of admissible cells classified hyperbolic (strict or degenerate)."""
-    cells = grid_or_cells.cells if isinstance(grid_or_cells, RegionGrid) \
-        else np.asarray(grid_or_cells)
-    admissible = int(np.sum(cells >= 0))
+    admissible = int(np.sum(grid.cells >= 0))
     if admissible == 0:
         return 0.0
-    good = int(np.sum((cells == 0) | (cells == 1)))
+    good = int(np.sum((grid.cells == 0) | (grid.cells == 1)))
     return good / admissible
 
 
@@ -117,7 +115,7 @@ def _grid_metadata(grid: RegionGrid) -> Dict[str, object]:
         "y_min": float(grid.y[0]), "y_max": float(grid.y[-1]),
         "nx": int(grid.x.size), "ny": int(grid.y.size),
         "class_counts": class_counts(grid.cells),
-        "area_fraction": area_fraction(grid.cells),
+        "area_fraction": area_fraction(grid),
         "boundary_cell_count": int(boundary.shape[0]),
     }
     if boundary.shape[0] <= 20000:
@@ -419,31 +417,26 @@ def write_sweep_csv(spectrum: spectral.EquilibriumSpectrum, path: str) -> None:
 class LinearizationReport:
     """Per-axis distance of each regularization from the plain closure at equilibrium."""
 
-    theta: int
-    z: float
-    T: float
     scale: np.ndarray
     e_final: np.ndarray
     e_trivial: np.ndarray
 
 
-def linearization_equality(theta: int, z: float, T: float = 1.0,
-                           u=(0.0, 0.0, 0.0)) -> LinearizationReport:
-    """Compare both regularizations against the plain closure at equilibrium.
+def linearization_equality(theta: int, z: float) -> LinearizationReport:
+    """Compare both regularizations against the plain closure at equilibrium, T = 1, u = 0.
 
     The final regularization agrees to rounding on every axis; the projection
     variant does not for theta = +-1.  In the classical limit the projection
     variant collapses onto the plain closure too, as e_trivial shows.
     """
-    eq = EquilibriumParams(theta=theta, z=z, u=np.asarray(u, dtype=float), T=T)
+    eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
     S = stack_states((equilibrium_state13(eq),), (eq,))
     Ag, Af, At = (assemble_axes(kind, S)[0] for kind in
                   (SystemKind.Grad13, SystemKind.FinalR13, SystemKind.TrivialR13))
     scale = np.abs(Ag).max(axis=(1, 2))
     e_final = np.abs(Af - Ag).max(axis=(1, 2))
     e_triv = np.abs(At - Ag).max(axis=(1, 2))
-    return LinearizationReport(theta=eq.theta, z=z, T=T, scale=scale,
-                               e_final=e_final, e_trivial=e_triv)
+    return LinearizationReport(scale=scale, e_final=e_final, e_trivial=e_triv)
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +634,9 @@ def verify_charpoly(seed: int = 0) -> dict:
 
 
 def _annihilation_grid(theta: int) -> np.ndarray:
-    lo, hi = _Z_RANGE[theta]
     if theta == -1:
-        return np.linspace(lo, hi, 9)
-    return np.logspace(math.log10(lo), math.log10(hi), 9)
+        return np.linspace(*_Z_RANGE[-1], 9)
+    return default_sweep_grid(theta, 9)
 
 
 def _worst_annihilation(theta: int, zs) -> float:

@@ -93,6 +93,10 @@ def _load_state(path: str) -> MomentState13:
 def _cmd_eigs(args) -> int:
     kind = _KINDS[args.system]
     if args.state is not None:
+        if args.z is not None or args.T is not None:
+            print("eigs: --z and --T do not combine with --state, whose own "
+                  "fit sets them", file=sys.stderr)
+            return 2
         state = _load_state(args.state)
         eq = fit_equilibrium(state.rho, state.p, args.theta, args.hhat, u=state.u)
     elif args.z is None:
@@ -100,7 +104,7 @@ def _cmd_eigs(args) -> int:
         return 2
     else:
         eq = EquilibriumParams(theta=args.theta, z=args.z, u=np.zeros(3),
-                               T=args.T, hhat=args.hhat)
+                               T=1.0 if args.T is None else args.T, hhat=args.hhat)
         state = equilibrium_state13(eq)
     if kind is SystemKind.FinalR13:
         A = assemble_A_regularized(state, eq, args.dir).A
@@ -252,10 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_polylog)
 
     sp = sub.add_parser("eigs", help="eigenvalues and hyperbolicity verdict")
-    _add_common_thermo(sp, need_z=False, with_T=True)
+    _add_common_thermo(sp, need_z=False)
     sp.add_argument("--z", type=float, default=None,
                     help="fugacity of the equilibrium state "
                          "(omit when --state is given)")
+    sp.add_argument("--T", type=float, default=None,
+                    help="equilibrium temperature (default 1; not with --state)")
     sp.add_argument("--system", choices=sorted(_KINDS), default="grad")
     sp.add_argument("--state", help="JSON file with a 13-moment state "
                                     "(rho, u, p_ij, q); equilibrium otherwise")

@@ -37,7 +37,6 @@ class InadmissibleCell(RuntimeError):
     def __init__(self, index, message="", *, quantity=None, value=None,
                  step=None, t=None):
         self.index = index
-        self.reason = message
         self.quantity = quantity
         self.value = value
         self.step = step

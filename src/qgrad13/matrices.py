@@ -40,7 +40,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,7 +87,7 @@ def stack_states(states: Sequence[MomentState13],
     for st, eq in zip(states, eqs, strict=True):
         _require_consistent(st.rho, st.p, eq)
     coeffs = eqs[0].coeffs if len(eqs) == 1 else LiCoeffs(
-        np.column_stack([list(eq.li.values()) for eq in eqs]),
+        np.column_stack([eq.coeffs.li for eq in eqs]),
         np.array([eq.T for eq in eqs]))
     return StateStack(*(np.array([getattr(st, a) for st in states])
                         for a in ("rho", "u", "p_ij", "q")), coeffs)
@@ -281,14 +281,12 @@ def assemble_along(kind: SystemKind, S: StateStack, n) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SystemMatrices:
-    """Assembled matrices of one model along one direction, or their stacks."""
+    """Final regularization A = D^-1 (M + u_n I) D and B = D A - u_n D, or their stacks."""
 
-    kind: SystemKind
-    direction: np.ndarray
     A: np.ndarray
-    D: Optional[np.ndarray] = None
-    M: Optional[np.ndarray] = None
-    B: Optional[np.ndarray] = None
+    D: np.ndarray
+    M: np.ndarray
+    B: np.ndarray
 
 
 def regularized_stack(S: StateStack, n) -> SystemMatrices:
@@ -315,7 +313,7 @@ def regularized_stack(S: StateStack, n) -> SystemMatrices:
     if (bad := resid > 1e-10 * np.maximum(1.0, np.abs(DA).reshape(-1, 169).max(1))).any():
         k = int(bad.argmax())
         raise SingularD(f"state {k}: factorization residual {resid[k]:.3e} (bug signal)")
-    return SystemMatrices(kind=SystemKind.FinalR13, direction=n, A=A, D=D, M=M, B=B)
+    return SystemMatrices(A=A, D=D, M=M, B=B)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +349,7 @@ def assemble_A_regularized(state: MomentState13, eq: EquilibriumParams,
     the factorization D A = (M + u_n I) D on the spot.
     """
     sm = regularized_stack(stack_states((state,), (eq,)), d)
-    return SystemMatrices(kind=SystemKind.FinalR13, direction=sm.direction[0],
-                          A=sm.A[0], D=sm.D[0], M=sm.M[0], B=sm.B[0])
+    return SystemMatrices(A=sm.A[0], D=sm.D[0], M=sm.M[0], B=sm.B[0])
 
 
 # ---------------------------------------------------------------------------

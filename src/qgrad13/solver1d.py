@@ -31,7 +31,7 @@ from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoSolution)
 from .matrices import SystemKind, _a5_stack
 from .polylog import FERMI_Z_C, _check_theta
-from .state import EquilibriumParams, LiCoeffs, _fit
+from .state import EquilibriumParams, LiCoeffs, _fit, _read
 
 _MAX_STEPS = 5_000_000
 _LEDGER = ("time", "mass", "momentum", "energy")
@@ -89,16 +89,25 @@ class SimConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
         missing = {"theta", "cells", "length", "cfl", "tau", "t_end", "left",
-                   "right"} - set(d)
+                   "right"} - set(d if isinstance(d, dict) else ())
         if missing:
             raise DomainError(f"run description lacks {sorted(missing)}")
-        return cls(theta=d["theta"], cells=int(d["cells"]),
-                   length=float(d["length"]), cfl=float(d["cfl"]),
-                   tau=float(d["tau"]), t_end=float(d["t_end"]),
-                   left=dict(d["left"]), right=dict(d["right"]),
-                   boundary=d.get("boundary", "periodic"),
-                   hhat=float(d.get("hhat", 1.0)),
-                   n_snapshots=int(d.get("n_snapshots", 11)))
+        d = {"boundary": "periodic", "hhat": 1.0, "n_snapshots": 11, **d}
+        kw = {k: _read(d, k, _integral, "an integer") for k in ("cells", "n_snapshots")}
+        kw.update({k: _read(d, k, float, "a number")
+                   for k in ("length", "cfl", "tau", "t_end", "hhat")})
+        for name in ("left", "right"):
+            s = _read(d, name, dict, "an object with keys z, u1 and T")
+            kw[name] = {**s, **{k: _read(s, k, float, "a number", name + " ")
+                                for k in ("z", "u1", "T") if k in s}}
+        return cls(theta=d["theta"], boundary=d["boundary"], **kw)
+
+
+def _integral(x) -> int:
+    """x as an int where it is integral: 10 or 10.0, not 10.7."""
+    if not float(x).is_integer():
+        raise ValueError(x)
+    return int(float(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +194,7 @@ def _start(config: SimConfig):
               for side in (config.left, config.right))
     w = np.where(left[:, None], [lo.rho, lo.u[0], lo.p, 0.0, lo.p],
                  [hi.rho, hi.u[0], hi.p, 0.0, hi.p])
-    li = np.where(left, *(np.array([*eq.li.values()])[:, None] for eq in (lo, hi)))
+    li = np.where(left, *(np.array(eq.coeffs.li)[:, None] for eq in (lo, hi)))
     return x, w, (np.where(left, lo.z, hi.z), li)
 
 

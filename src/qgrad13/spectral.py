@@ -292,11 +292,10 @@ CROSSING_TOL = 1e-6
 FERMI_Z_CROSS = 11.687471852165643
 
 
-def annihilation_residual(M1: np.ndarray, z: float, theta: int,
-                          T: float = 1.0) -> float:
-    """Normalized norm of p(M1), the product over distinct eigenvalue factors.
+def annihilation_residual(M1: np.ndarray, z: float, theta: int) -> float:
+    """Normalized norm of p(M1) at T = 1, the product over distinct eigenvalue factors.
 
-    p(M1) = M1 (M1^2 - alpha T I)(M1^4 - c1 T M1^2 + c0 T^2 I); the middle
+    p(M1) = M1 (M1^2 - alpha I)(M1^4 - c1 M1^2 + c0 I); the middle
     factor is dropped when alpha coincides with a quartic root (within
     CROSSING_TOL), since the quartic factor already covers those directions.
     A small residual certifies that M1 is diagonalizable.
@@ -304,11 +303,11 @@ def annihilation_residual(M1: np.ndarray, z: float, theta: int,
     c = _coeffs(z, theta)
     eye = np.eye(13)
     M2 = M1 @ M1
-    quartic = M2 @ M2 - c.c1 * T * M2 + c.c0 * T ** 2 * eye
+    quartic = M2 @ M2 - c.c1 * M2 + c.c0 * eye
     if abs(c.alpha * c.alpha - c.c1 * c.alpha + c.c0) <= CROSSING_TOL:
         PM = M1 @ quartic
     else:
-        PM = M1 @ (M2 - c.alpha * T * eye) @ quartic
+        PM = M1 @ (M2 - c.alpha * eye) @ quartic
     return float(np.max(np.abs(PM)) / np.max(np.abs(M1)) ** 7)
 
 

@@ -20,14 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import CondensationError, DomainError, NoSolution
-from .polylog import (BOSE_Z_MAX, FERMI_Z_MAX, ORDERS, _check_theta,
-                      eval_polylog_batch)
+from .polylog import BOSE_Z_MAX, FERMI_Z_MAX, _check_theta, eval_polylog_batch
 
 _TWO_PI = 2.0 * math.pi
 _EYE3 = np.eye(3)
@@ -54,11 +53,11 @@ class _once(cached_property):
 class LiCoeffs:
     """Every li-derived coefficient of the equilibrium expansion, in one place.
 
-    Built from li, five rows in `ORDERS` order, and the temperature T by
-    plain arithmetic, so the rows may be floats (one equilibrium,
-    `EquilibriumParams.coeffs`) or arrays over N fugacities (the solver's
-    cells).  Each is computed on first read and kept, so a reader pays only
-    for what it reads.  Lk stands for li[k/2], Ljk for the ratio Lj / Lk.
+    Built from li, five rows in `polylog.ORDERS` order kept as `li`, and the
+    temperature T by plain arithmetic, so the rows may be floats (one
+    equilibrium, `EquilibriumParams.coeffs`) or arrays over N fugacities
+    (the solver's cells).  Each is computed on first read and kept, so a
+    reader pays only for what it reads.  Lk stands for li[k/2], Ljk for Lj / Lk.
     b_low enters the reduced 5x5 block (orders 1/2..5/2) and b_high the
     regularization factors (3/2..7/2); they coincide only classically.
     rho_phi_rho .. p_psi_p are the chain-rule derivatives through
@@ -70,7 +69,7 @@ class LiCoeffs:
     """
 
     def __init__(self, li, T):
-        self.T = T
+        self.li, self.T = li, T
         self.L1, self.L3, self.L5, self.L7, self.L9 = li
 
     L13 = _once(lambda c: c.L1 / c.L3)
@@ -122,9 +121,9 @@ class EquilibriumParams:
     """Equilibrium anchor (theta, z, u, T) with particle constant hhat.
 
     The li values are evaluated once, on construction, where they double as
-    the fugacity domain check; `coeffs` holds every coefficient derived
-    from them.  `_li`, the five li rows already evaluated at exactly z (the
-    fit's), takes their place.
+    the fugacity domain check; `coeffs` holds them as Python floats, with
+    every coefficient derived from them.  `_li`, the five li rows already
+    evaluated at exactly z (the fit's), takes their place.
     """
 
     theta: int
@@ -132,7 +131,7 @@ class EquilibriumParams:
     u: np.ndarray
     T: float
     hhat: float = 1.0
-    li: Dict[float, float] = field(init=False, repr=False)
+    coeffs: LiCoeffs = field(init=False, repr=False)
     _li: InitVar[Optional[np.ndarray]] = None
 
     def __post_init__(self, _li):
@@ -143,23 +142,20 @@ class EquilibriumParams:
         object.__setattr__(self, "hhat", float(self.hhat))
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise DomainError(f"temperature must be positive, got {self.T}")
-        if not (self.hhat > 0.0):
-            raise DomainError(f"hhat must be positive, got {self.hhat}")
+        if not 0.0 < self.hhat < math.inf:
+            raise DomainError(f"hhat must be positive and finite, got {self.hhat}")
         if _li is None:
             _li = eval_polylog_batch(self.z, self.theta)[:, 0]
-        object.__setattr__(self, "li", dict(zip(ORDERS, map(float, _li))))
-
-    @cached_property
-    def coeffs(self) -> LiCoeffs:
-        return LiCoeffs(self.li.values(), self.T)
+        # Python floats: numpy scalars square differently (see `_square`)
+        object.__setattr__(self, "coeffs", LiCoeffs(tuple(map(float, _li)), self.T))
 
     @cached_property
     def rho(self) -> float:
-        return self.hhat * (_TWO_PI * self.T) ** 1.5 * self.li[1.5]
+        return self.hhat * (_TWO_PI * self.T) ** 1.5 * self.coeffs.L3
 
     @cached_property
     def p(self) -> float:
-        return self.hhat * (_TWO_PI * self.T) ** 1.5 * self.T * self.li[2.5]
+        return self.hhat * (_TWO_PI * self.T) ** 1.5 * self.T * self.coeffs.L5
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,11 +198,24 @@ class MomentState13:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MomentState13":
-        missing = {"rho", "u", "p_ij", "q"} - set(d)
+        missing = {"rho", "u", "p_ij", "q"} - set(d if isinstance(d, dict) else ())
         if missing:
             raise DomainError(f"moment state lacks {sorted(missing)}")
-        return cls(rho=d["rho"], u=np.asarray(d["u"]),
-                   p_ij=np.asarray(d["p_ij"]), q=np.asarray(d["q"]))
+
+        def array(key, *shape):
+            return _read(d, key, lambda x: np.asarray(x, dtype=float).reshape(shape),
+                         "x".join(map(str, shape)) + " numbers")
+
+        return cls(rho=_read(d, "rho", float, "a number"), u=array("u", 3),
+                   p_ij=array("p_ij", 3, 3), q=array("q", 3))
+
+
+def _read(d: dict, key: str, convert, what: str, where: str = ""):
+    """convert(d[key]) for a JSON reader, or a DomainError naming the key."""
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError):
+        raise DomainError(f"{where}{key} must be {what}, got {d[key]!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,10 +260,10 @@ def equilibrium_state13(eq: EquilibriumParams) -> MomentState13:
 
 
 def state5_from_hat(eq: EquilibriumParams, sigma11_hat: float = 0.0,
-                    q1_hat: float = 0.0, u1: float | None = None) -> MomentState5:
-    """Build a reduced state from dimensionless sigma11/p and q1/(p sqrt(T))."""
+                    q1_hat: float = 0.0) -> MomentState5:
+    """Build a reduced state at eq's drift from sigma11/p and q1/(p sqrt(T))."""
     p = eq.p
-    return MomentState5(rho=eq.rho, u1=eq.u[0] if u1 is None else u1,
+    return MomentState5(rho=eq.rho, u1=eq.u[0],
                         p11=p * (1.0 + sigma11_hat),
                         q1=q1_hat * p * math.sqrt(eq.T), p=p)
 
@@ -463,7 +472,7 @@ def grad_ansatz_eval(state: MomentState13, eq: EquilibriumParams, v) -> np.ndarr
     f_eq = 1 / (z^-1 exp(|v-u|^2 / 2T) + theta).
     """
     v = np.asarray(v, dtype=float)
-    li = eq.li
+    k = eq.coeffs
     T, p, theta = eq.T, eq.p, eq.theta
     sig = state.sigma
     # peculiar velocities as component rows (3, N); every step after the two
@@ -498,13 +507,13 @@ def grad_ansatz_eval(state: MomentState13, eq: EquilibriumParams, v) -> np.ndarr
     sterm += sc[2]
     sterm += sc[1]
     sterm /= T
-    sterm -= sig.trace() * (li[2.5] / li[1.5])
-    sterm *= li[2.5] / li[3.5]
+    sterm -= sig.trace() * (k.L5 / k.L3)
+    sterm *= k.L5 / k.L7
     sterm /= 2.0 * p
     c2 /= T
-    c2 -= 5.0 * li[3.5] / li[2.5]
+    c2 -= 5.0 * k.L7 / k.L5
     out *= c2                                      # qterm
-    out /= 5.0 * p * T * eq.coeffs.frakB
+    out /= 5.0 * p * T * k.frakB
     sterm += 1.0
     out += sterm
     out *= feq
@@ -513,13 +522,13 @@ def grad_ansatz_eval(state: MomentState13, eq: EquilibriumParams, v) -> np.ndarr
 
 def closure_moments(state: MomentState13, eq: EquilibriumParams) -> ClosureMoments:
     """Closed q_ijk and Delta_ij induced by the 13 variables."""
-    li = eq.li
+    k = eq.coeffs
     q = state.q
     q_ijk = 0.4 * (_EYE3[:, :, None] * q + _EYE3[:, None, :] * q[:, None]
                    + _EYE3 * q[:, None, None])
-    pref = eq.hhat * (_TWO_PI * eq.T) ** 1.5 * eq.T ** 2 * li[3.5]
+    pref = eq.hhat * (_TWO_PI * eq.T) ** 1.5 * eq.T ** 2 * k.L7
     Delta_ij = pref * (5.0 * _EYE3 + 7.0 * (state.sigma / state.p)
-                       * li[2.5] * li[4.5] / li[3.5] ** 2)
+                       * k.L5 * k.L9 / k.L7 ** 2)
     return ClosureMoments(q_ijk=q_ijk, Delta_ij=Delta_ij)
 
 

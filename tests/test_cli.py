@@ -1,4 +1,5 @@
 """Command line interface: exit codes, JSON payloads, artifact determinism."""
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -65,6 +66,25 @@ def test_eigs_equilibrium(capsys):
 def test_eigs_needs_a_state(capsys):
     assert main(["eigs", "--theta", "1"]) == 2
     assert capsys.readouterr().err.strip() != ""
+
+
+@pytest.mark.parametrize("option", [["--z", "3"], ["--T", "5"]], ids=["z", "T"])
+def test_eigs_state_takes_no_z_or_T(option, tmp_path, capsys):
+    """The state file's own fit sets z and T, so either option is a usage
+    error (exit 2), not silently ignored."""
+    f = tmp_path / "state.json"
+    eq = q.EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=1.0)
+    f.write_text(json.dumps(q.equilibrium_state13(eq).as_dict()))
+    assert main(["eigs", "--theta", "1", "--state", str(f)] + option) == 2
+    captured = capsys.readouterr()
+    assert "--z and --T do not combine with --state" in captured.err
+    assert captured.out == ""
+
+
+def test_eigs_rejects_infinite_hhat(capsys):
+    assert main(["eigs", "--theta", "0", "--z", "1", "--hhat", "inf"]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "DomainError", "message": "hhat must be positive and finite, got inf"}
 
 
 def test_eigs_from_state_file(tmp_path, capsys):
@@ -355,6 +375,16 @@ def test_no_setting_without_a_caller():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "polylog", "--threads", "2"])
     assert exc.value.code == 2
+    # nor the settings, fields and li copy no caller set or read
+    assert params(q.linearization_equality) == ["theta", "z"]
+    assert params(q.annihilation_residual) == ["M1", "z", "theta"]
+    assert params(q.state5_from_hat) == ["eq", "sigma11_hat", "q1_hat"]
+    for cls, names in ((q.SystemMatrices, ["A", "D", "M", "B"]),
+                       (q.LinearizationReport, ["scale", "e_final", "e_trivial"])):
+        assert [f.name for f in dataclasses.fields(cls)] == names
+    assert not hasattr(q.InadmissibleCell(0, "x"), "reason")
+    eq = q.EquilibriumParams(theta=0, z=1.0, u=np.zeros(3), T=1.0)
+    assert not hasattr(eq, "li") and eq.coeffs.li == (1.0,) * 5
 
 
 def test_no_export_only_tests_use():
@@ -371,6 +401,7 @@ def test_no_export_only_tests_use():
     for name in ("FugacitySweep", "eigen_sweep_fugacity"):
         assert name not in q.__all__ and not hasattr(analysis, name), name
     assert not hasattr(q.spectral, "_real_quartic_roots")
+    assert "fit_fugacity_batch" not in q.__all__ and not hasattr(q, "fit_fugacity_batch")
 
 
 def test_sweep_eigs(tmp_path, capsys):

@@ -46,10 +46,10 @@ def _random_cells(theta, rng, n):
             else float(10.0 ** rng.uniform(-1.5, 1.5))
         eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3),
                                T=float(rng.uniform(0.3, 3.0)))
-        st5 = q.state5_from_hat(eq, float(rng.uniform(-0.99, 1.99)),
-                                float(rng.choice([-1, 1]) * rng.uniform(0.01, 2)),
-                                u1=float(rng.choice([-1, 1])
-                                         * rng.uniform(0.01, 2)))
+        shat = float(rng.uniform(-0.99, 1.99))
+        qhat = float(rng.choice([-1, 1]) * rng.uniform(0.01, 2))
+        u1 = float(rng.choice([-1, 1]) * rng.uniform(0.01, 2))
+        st5 = q.state5_from_hat(dataclasses.replace(eq, u=(u1, 0, 0)), shat, qhat)
         rows.append([st5.rho, st5.u1, st5.p11, st5.q1, st5.p])
     return np.array(rows)
 
@@ -59,9 +59,8 @@ def test_coefficient_stack_matches_reduction(theta, rng):
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.3)
     rows, states = [], []
     for _ in range(4):
-        st5 = q.state5_from_hat(eq, float(rng.uniform(-0.5, 1.0)),
-                                float(rng.uniform(-1, 1)),
-                                u1=float(rng.uniform(-1, 1)))
+        shat, qhat, u1 = (float(rng.uniform(*b)) for b in ((-0.5, 1.0), (-1, 1), (-1, 1)))
+        st5 = q.state5_from_hat(dataclasses.replace(eq, u=(u1, 0, 0)), shat, qhat)
         states.append(st5)
         rows.append([st5.rho, st5.u1, st5.p11, st5.q1, st5.p])
     w = np.array(rows)
@@ -534,6 +533,35 @@ def test_config_validation(bad):
     args.update(bad)
     with pytest.raises(DomainError):
         SimConfig(**args)
+
+
+def test_config_rejects_infinite_hhat():
+    """An infinite hhat fails where the run is described, not in the first
+    cell check."""
+    with pytest.raises(DomainError, match="hhat must be positive and finite, got inf"):
+        _uniform_config(hhat=math.inf)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("cells", "abc", "cells must be an integer, got 'abc'"),
+    ("cells", 10.7, "cells must be an integer, got 10.7"),
+    ("n_snapshots", 2.5, "n_snapshots must be an integer, got 2.5"),
+    ("length", [1.0], "length must be a number, got [1.0]"),
+    ("hhat", None, "hhat must be a number, got None"),
+    ("left", 5, "left must be an object with keys z, u1 and T, got 5"),
+    ("right", "abc", "right must be an object with keys z, u1 and T, got 'abc'"),
+    ("left", dict(z="x", u1=0.0, T=1.0), "left z must be a number, got 'x'"),
+], ids=["cells-str", "cells-10.7", "n_snapshots-2.5", "length-list", "hhat-null",
+        "left-int", "right-str", "left-z-str"])
+def test_config_from_dict_names_the_malformed_key(key, value, message):
+    """A malformed value in a run description is a DomainError (exit 3 on
+    the command line) that names its key; integral floats still count."""
+    d = dataclasses.asdict(_uniform_config())
+    assert SimConfig.from_dict({**d, "cells": 8.0, "n_snapshots": 3.0}) \
+        == _uniform_config(cells=8, n_snapshots=3)
+    with pytest.raises(DomainError) as exc:
+        SimConfig.from_dict({**d, key: value})
+    assert str(exc.value) == message
 
 
 def test_config_dict_round_trip():

@@ -1,4 +1,5 @@
 """Eigenvalue classification, characteristic polynomials, annihilation."""
+import dataclasses
 import math
 import warnings
 
@@ -323,9 +324,9 @@ def test_grad_reduced_matrix_matches_raw_li_reference(theta, rng):
         z = random_fugacity(rng, theta)
         eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3),
                                T=float(rng.uniform(0.5, 2.0)))
-        st5 = q.state5_from_hat(eq, float(rng.uniform(-0.999, 1.999)),
-                                float(rng.uniform(-3.0, 3.0)),
-                                u1=float(rng.uniform(-1.0, 1.0)))
+        shat, qhat, u1 = (float(rng.uniform(*b))
+                          for b in ((-0.999, 1.999), (-3.0, 3.0), (-1.0, 1.0)))
+        st5 = q.state5_from_hat(dataclasses.replace(eq, u=(u1, 0, 0)), shat, qhat)
         rho, u1, p11, q1, p = st5.rho, st5.u1, st5.p11, st5.q1, st5.p
         a1, a2, a3 = _a_coeffs(eq.coeffs, rho, p, p11)
         ref = np.array([[u1, rho, 0.0, 0.0, 0.0],
@@ -360,9 +361,8 @@ def test_analytic_reduced_charpoly(theta, rng):
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.3)
     rt = math.sqrt(eq.T)
     for _ in range(6):
-        st5 = q.state5_from_hat(eq, float(rng.uniform(-0.9, 1.9)),
-                                float(rng.uniform(-2, 2)),
-                                u1=float(rng.uniform(-1, 1)))
+        shat, qhat, u1 = (float(rng.uniform(*b)) for b in ((-0.9, 1.9), (-2, 2), (-1, 1)))
+        st5 = q.state5_from_hat(dataclasses.replace(eq, u=(u1, 0, 0)), shat, qhat)
         A5 = q.assemble_A5_grad(st5, eq)
         coeffs = _char_poly_A5_analytic(st5, eq)
         lam = np.linalg.eigvals(A5)
@@ -461,7 +461,7 @@ def test_annihilation_at_equilibrium(theta):
     for z in zs:
         eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
         M1 = q.assemble_M(eq, 1)
-        assert q.annihilation_residual(M1, z, theta, T=1.0) <= tol, z
+        assert q.annihilation_residual(M1, z, theta) <= tol, z
 
 
 def test_fermion_crossing_location_and_neighborhood():
@@ -470,7 +470,7 @@ def test_fermion_crossing_location_and_neighborhood():
     for z in (z_star - 0.05, z_star, z_star + 0.05):
         eq = EquilibriumParams(theta=1, z=z, u=np.zeros(3), T=1.0)
         M1 = q.assemble_M(eq, 1)
-        assert q.annihilation_residual(M1, z, 1, T=1.0) <= 1e-9, z
+        assert q.annihilation_residual(M1, z, 1) <= 1e-9, z
 
 
 def test_char_poly_equilibrium_names_the_fermion_bound():
@@ -520,7 +520,7 @@ def test_closed_forms_evaluate_polylog_once(theta, monkeypatch):
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
     M1 = q.assemble_M(eq, 1)
     calls.clear()
-    q.annihilation_residual(M1, z, theta, T=1.0)
+    q.annihilation_residual(M1, z, theta)
     assert len(calls) == 1
 
 

@@ -1,4 +1,5 @@
 """Equilibrium thermodynamics, fugacity fitting and the moment ansatz."""
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -39,7 +40,7 @@ def test_equilibrium_params_evaluates_polylog_once(theta, monkeypatch):
 
     monkeypatch.setattr(state, "eval_polylog_batch", counting)
     eq = EquilibriumParams(theta=theta, z=0.6, u=np.zeros(3), T=1.3)
-    eq.li, eq.rho, eq.p
+    eq.coeffs.li, eq.rho, eq.p
     assert len(calls) == 1
     eq.coeffs.alpha
     assert len(calls) == 1
@@ -230,7 +231,7 @@ def test_fit_equilibrium_evaluates_li_once_per_fugacity(theta, monkeypatch):
     eq = q.fit_equilibrium(1.0, 1.0, theta)
     assert len(calls) == (1 if theta == 0 else 46)
     monkeypatch.undo()
-    assert eq.li == EquilibriumParams(theta=theta, z=eq.z, u=np.zeros(3), T=eq.T).li
+    assert eq.coeffs.li == EquilibriumParams(theta=theta, z=eq.z, u=np.zeros(3), T=eq.T).coeffs.li
 
 
 def test_fit_range_errors_name_the_first_offending_entry():
@@ -238,10 +239,10 @@ def test_fit_range_errors_name_the_first_offending_entry():
     gstar = li[2] / li[1] ** (5.0 / 3.0)
     bad = np.array([gstar[0], gstar[1], 0.1, gstar[0], 0.1])
     with pytest.raises(CondensationError) as exc:
-        q.fit_fugacity_batch(bad, -1)
+        state.fit_fugacity_batch(bad, -1)
     assert exc.value.index == 2
     with pytest.raises(NoSolution) as exc:
-        q.fit_fugacity_batch(np.array([1.0, 2.0, -1.0]), 1)
+        state.fit_fugacity_batch(np.array([1.0, 2.0, -1.0]), 1)
     assert exc.value.index == 2
     # a warm start maps the fallback's index back to the full batch: cells 2
     # (a far guess) and 6 (needs z >= 1) miss, and the second of them offends
@@ -283,7 +284,7 @@ def test_fit_fugacity_batch_round_trip(theta):
         zs = np.array([0.2, 1.0, 9.0])
     li = q.eval_polylog_batch(zs, theta)
     gstar = li[2] / li[1] ** (5.0 / 3.0)
-    back = q.fit_fugacity_batch(gstar, theta)
+    back = state.fit_fugacity_batch(gstar, theta)
     np.testing.assert_allclose(back, zs, rtol=1e-10)
 
 
@@ -293,18 +294,18 @@ def test_fugacity_fit_failure_modes():
     li = q.eval_polylog_batch(float(np.nextafter(q.BOSE_Z_MAX, 0.0)), -1)
     g_min = float(li[2, 0]) / float(li[1, 0]) ** (5.0 / 3.0)
     with pytest.raises(CondensationError):
-        q.fit_fugacity_batch(np.array([0.999 * g_min]), -1)
+        state.fit_fugacity_batch(np.array([0.999 * g_min]), -1)
     # Fermions: the ratio tends to a positive constant in the degenerate limit
     with pytest.raises(NoSolution):
-        q.fit_fugacity_batch(np.array([0.45]), 1)
+        state.fit_fugacity_batch(np.array([0.45]), 1)
     # and no statistics reaches arbitrarily dilute ratios within the z range
     with pytest.raises(NoSolution):
-        q.fit_fugacity_batch(np.array([1e10]), 1)
+        state.fit_fugacity_batch(np.array([1e10]), 1)
 
 
 def test_state5_hat_construction():
     eq = EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=1.5)
-    st = q.state5_from_hat(eq, sigma11_hat=0.4, q1_hat=-0.7, u1=0.3)
+    st = q.state5_from_hat(dataclasses.replace(eq, u=(0.3, 0, 0)), sigma11_hat=0.4, q1_hat=-0.7)
     assert st.p == eq.p
     assert abs(st.p11 - eq.p * 1.4) < 1e-13
     assert abs(st.q1 + 0.7 * eq.p * math.sqrt(1.5)) < 1e-13
@@ -332,7 +333,7 @@ def test_states_reject_non_finite_velocity_or_heat_flux(u1, q1_hat):
     not a verdict."""
     eq = EquilibriumParams(theta=0, z=1.0, u=np.zeros(3), T=1.0)
     with pytest.raises(DomainError, match="finite"):
-        q.state5_from_hat(eq, 0.0, q1_hat, u1=u1)
+        q.state5_from_hat(dataclasses.replace(eq, u=(u1, 0, 0)), 0.0, q1_hat)
     st = q.equilibrium_state13(eq)
     with pytest.raises(DomainError, match="finite"):
         q.MomentState13(rho=st.rho, u=[u1, 0.0, 0.0], p_ij=st.p_ij,
@@ -381,7 +382,7 @@ def test_closure_moments_q_ijk_matches_einsum_bitwise(theta, rng):
 
 def _reference_closure_delta(st, eq):
     """closure_moments' Delta_ij with sigma and p rebuilt from p_ij: its reference."""
-    li = eq.li
+    li = dict(zip(q.ORDERS, eq.coeffs.li))
     p = float(st.p_ij.trace()) / 3.0
     sigma = st.p_ij - p * np.eye(3)
     pref = eq.hhat * (2.0 * math.pi * eq.T) ** 1.5 * eq.T ** 2 * li[3.5]
@@ -471,7 +472,7 @@ def _point_major_ansatz(st, eq, v):
     einsum row sums and the products c @ sigma and c @ q: its reference."""
     v = np.asarray(v, dtype=float)
     single = v.ndim == 1
-    li = eq.li
+    li = dict(zip(q.ORDERS, eq.coeffs.li))
     T, p, z, theta = eq.T, eq.p, eq.z, eq.theta
     c = v.reshape(-1, 3) - eq.u
     c2 = np.einsum("ni,ni->n", c, c)
@@ -641,6 +642,30 @@ def test_ansatz_moments_builds_radial_rule_once(monkeypatch):
     again = q.ansatz_moments(st, eq, n_nodes=40)
     for k, v in first.items():
         np.testing.assert_array_equal(again[k], v)
+
+
+@pytest.mark.parametrize("hhat", [math.inf, math.nan, -1.0])
+def test_equilibrium_params_rejects_hhat_outside_0_inf(hhat):
+    with pytest.raises(DomainError, match=f"hhat must be positive and finite, got {hhat}"):
+        EquilibriumParams(theta=0, z=1.0, u=np.zeros(3), T=1.0, hhat=hhat)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("rho", "x", "rho must be a number, got 'x'"),
+    ("rho", [1.0, 2.0], "rho must be a number, got [1.0, 2.0]"),
+    ("u", [0.0, 0.0], "u must be 3 numbers, got [0.0, 0.0]"),
+    ("q", None, "q must be 3 numbers, got None"),
+    ("p_ij", "a", "p_ij must be 3x3 numbers, got 'a'"),
+    ("p_ij", [[1.0, 0.0], [0.0, 1.0]], "p_ij must be 3x3 numbers, got [[1.0, 0.0], [0.0, 1.0]]"),
+], ids=["rho-str", "rho-list", "u-2", "q-null", "p_ij-str", "p_ij-2x2"])
+def test_moment_state_from_dict_names_the_malformed_key(key, value, message):
+    """A malformed value in a state file is a DomainError (exit 3 on the
+    command line) that names its key."""
+    d = q.equilibrium_state13(EquilibriumParams(theta=0, z=1.0, u=np.zeros(3), T=1.0)).as_dict()
+    assert np.array_equal(q.MomentState13.from_dict(d).p_ij, d["p_ij"])
+    with pytest.raises(DomainError) as exc:
+        q.MomentState13.from_dict({**d, key: value})
+    assert str(exc.value) == message
 
 
 def test_equilibrium_params_validation():
