@@ -10,16 +10,14 @@ from .errors import (CFLViolation, CondensationError, DomainError,
 from .polylog import BOSE_Z_MAX, ORDERS, ZETA_HALF, eval_polylog_batch
 from .state import (ClosureMoments, EquilibriumParams, MomentState5,
                     MomentState13, ansatz_moments, closure_moments,
-                    equilibrium_state13, fit_equilibrium, grad_ansatz_eval,
-                    state5_from_hat)
+                    equilibrium_state13, fit_equilibrium, state5_from_hat)
 from .matrices import (SystemKind, SystemMatrices, assemble_A, assemble_A5_grad,
                        assemble_A_direction, assemble_A_regularized,
                        assemble_M, pslot)
 from .spectral import (ShearCharPolyCoeffs, Classification, EquilibriumSpectrum,
                        HyperbolicityVerdict, annihilation_residual,
                        shear_charpoly_coeffs, char_poly_equilibrium,
-                       charpoly_coeffs, classify_batch,
-                       diagonalizability_test, fermion_crossing)
+                       classify_batch, diagonalizability_test, fermion_crossing)
 from .analysis import (LinearizationReport, NSFReport, RegionGrid, area_fraction,
                        linearization_equality, maxwellian_iteration_nsf,
                        random_moment_state, region_scan_1d,
@@ -37,15 +35,14 @@ __all__ = [
     "NoSolution", "SingularD",
     "ClosureMoments", "EquilibriumParams", "MomentState5", "MomentState13",
     "ansatz_moments", "closure_moments",
-    "equilibrium_state13", "fit_equilibrium", "grad_ansatz_eval",
-    "state5_from_hat",
+    "equilibrium_state13", "fit_equilibrium", "state5_from_hat",
     "SystemKind", "SystemMatrices",
     "assemble_A", "assemble_A5_grad", "assemble_A_direction",
     "assemble_A_regularized", "assemble_M", "pslot",
     "ShearCharPolyCoeffs", "Classification", "EquilibriumSpectrum",
     "HyperbolicityVerdict", "annihilation_residual", "shear_charpoly_coeffs",
-    "char_poly_equilibrium", "charpoly_coeffs",
-    "classify_batch", "diagonalizability_test", "fermion_crossing",
+    "char_poly_equilibrium", "classify_batch", "diagonalizability_test",
+    "fermion_crossing",
     "LinearizationReport", "NSFReport", "RegionGrid", "area_fraction",
     "linearization_equality",
     "maxwellian_iteration_nsf", "random_moment_state", "region_scan_1d",

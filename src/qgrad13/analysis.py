@@ -189,13 +189,8 @@ def _classify_cells(build_stack: Callable[[slice], np.ndarray], n_cells: int,
             aux[key][sl] = chunk[key]
         return int(chunk["n_slow"][0])
 
-    threads = _resolve_threads(threads)
-    if threads == 1 or len(slices) == 1:
-        n_slow = [work(sl) for sl in slices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            n_slow = list(pool.map(work, slices))
-    aux["n_slow"] = sum(n_slow)
+    with ThreadPoolExecutor(max_workers=_resolve_threads(threads)) as pool:
+        aux["n_slow"] = sum(pool.map(work, slices))
     return codes, aux
 
 
@@ -239,39 +234,30 @@ def _scan(X: np.ndarray, shat: np.ndarray, qhat: np.ndarray,
     if np.any(err > 1e-10 * np.maximum(1.0, np.abs(X[3]).max(axis=(1, 2)))):
         raise RuntimeError("affine decomposition of the coefficient matrix "
                            "does not reproduce the direct assembly")
+    N, half = None, qhat.size // 2
     if isinstance(direction, str):
-        S, Q = np.meshgrid(shat, qhat, indexing="xy")
-        Sf, Qf = S.ravel(), Q.ravel()
         N = random_unit_vectors(np.random.Generator(np.random.Philox(seed)),
-                                Sf.size)
-
-        def build(sl: slice) -> np.ndarray:
-            n = N[sl]
-            stack = np.einsum("cd,dij->cij", n, A0)
-            term = np.einsum("cd,dij->cij", n, As)
-            term *= Sf[sl, None, None]
-            stack += term
-            np.einsum("cd,dij->cij", n, Aq, out=term)
-            term *= Qf[sl, None, None]
-            stack += term
-            return stack
-
-        codes, aux = _classify_cells(build, Sf.size, threads)
-        return codes.reshape(qhat.size, shat.size), aux
-    if isinstance(direction, (int, np.integer)):
-        B0, Bs, Bq = (B[direction - 1] for B in (A0, As, Aq))
+                                qhat.size * shat.size)
+        half = 0
+    elif isinstance(direction, (int, np.integer)):
+        A0, As, Aq = (B[direction - 1] for B in (A0, As, Aq))
     else:
         n = _unit_rows(direction)[0]
-        B0, Bs, Bq = (np.tensordot(n, B, axes=1) for B in (A0, As, Aq))
-    half = qhat.size // 2
+        A0, As, Aq = (np.tensordot(n, B, axes=1) for B in (A0, As, Aq))
     S, Q = np.meshgrid(shat, qhat[half:], indexing="xy")
     Sf, Qf = S.ravel(), Q.ravel()
 
+    def part(B: np.ndarray, sl: slice, term: np.ndarray) -> np.ndarray:
+        """B for the cells sl: shared by all, or per random direction
+        contracted into term."""
+        return B if N is None else np.einsum("cd,dij->cij", N[sl], B, out=term)
+
     def build(sl: slice) -> np.ndarray:
-        stack = np.multiply(Sf[sl, None, None], Bs)
-        stack += B0
-        term = np.multiply(Qf[sl, None, None], Bq)
-        stack += term
+        # s_hat Bs + B0 + q_hat Bq, keeping only the stack and one term alive
+        term = np.empty((sl.stop - sl.start,) + X.shape[-2:])
+        stack = np.multiply(Sf[sl, None, None], part(As, sl, term))
+        stack += part(A0, sl, term)
+        stack += np.multiply(Qf[sl, None, None], part(Aq, sl, term), out=term)
         return stack
 
     codes, aux = _classify_cells(build, Sf.size, threads)

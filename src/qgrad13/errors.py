@@ -45,4 +45,4 @@ class InadmissibleCell(RuntimeError):
 
 
 class CFLViolation(RuntimeError):
-    """Computed time step is nonpositive."""
+    """The run spent its step budget before reaching t_end."""

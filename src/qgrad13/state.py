@@ -116,6 +116,14 @@ class LiCoeffs:
     x_minus = _once(lambda c: c.c0 / c.x_plus)   # Vieta: c1 - root cancels as z -> 1
 
 
+def _checked_hhat(hhat) -> float:
+    """hhat as a float, if it is positive and finite (DomainError otherwise)."""
+    hhat = float(hhat)
+    if not 0.0 < hhat < math.inf:
+        raise DomainError(f"hhat must be positive and finite, got {hhat}")
+    return hhat
+
+
 @dataclass(frozen=True, eq=False)
 class EquilibriumParams:
     """Equilibrium anchor (theta, z, u, T) with particle constant hhat.
@@ -139,11 +147,9 @@ class EquilibriumParams:
         object.__setattr__(self, "z", float(self.z))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(3))
         object.__setattr__(self, "T", float(self.T))
-        object.__setattr__(self, "hhat", float(self.hhat))
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise DomainError(f"temperature must be positive, got {self.T}")
-        if not 0.0 < self.hhat < math.inf:
-            raise DomainError(f"hhat must be positive and finite, got {self.hhat}")
+        object.__setattr__(self, "hhat", _checked_hhat(self.hhat))
         if _li is None:
             _li = eval_polylog_batch(self.z, self.theta)[:, 0]
         # Python floats: numpy scalars square differently (see `_square`)
@@ -456,6 +462,7 @@ def fit_equilibrium(rho: float, p: float, theta: int, hhat: float = 1.0,
     """Invert (rho, p) -> (z, T); round-trips with EquilibriumParams.rho, .p to 1e-10."""
     if not (rho > 0.0 and p > 0.0 and math.isfinite(rho) and math.isfinite(p)):
         raise NoSolution(f"need positive finite rho and p, got {rho}, {p}")
+    hhat = _checked_hhat(hhat)
     z, T, li, _, _ = _fit(np.array([rho]), np.array([p]), theta, hhat)
     return EquilibriumParams(theta=theta, z=float(z[0]), u=np.asarray(u),
                              T=float(T[0]), hhat=hhat, _li=li[:, 0])

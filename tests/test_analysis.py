@@ -131,40 +131,60 @@ def test_regularized_scan_grad_comparison():
     assert g.metadata["grad_area_fraction"] < q.area_fraction(g)
 
 
-def _full_shear_grid(kind, eq, n, axis):
-    """Codes of every cell of a `_shear_scan` grid, each classified, the
-    matrices built from the `_BASIS` points in the scan's own order."""
+def _full_shear_grid(kind, eq, n, direction):
+    """Codes of every cell of a `_shear_scan` grid, each classified, and how
+    many of the cells a scan classifies (an axis direction's sigma12_hat >= 0,
+    q1_hat >= 0 quadrant, or all for "random") have an eigenvalue cluster.
+    The matrices are built from the `_BASIS` points in the scan's own order,
+    along an axis or per cell along the scan's Philox directions (seed 0)."""
     shat, qhat = np.linspace(-1.0, 1.0, n), np.linspace(-2.0, 2.0, n)
     basis = [state._shear_state(eq, s, qh) for s, qh in analysis._BASIS]
-    X = assemble_axes(kind, stack_states(basis, [eq] * 4))[:, axis - 1]
+    X = assemble_axes(kind, stack_states(basis, [eq] * 4))
     A0, As, Aq = X[0], (X[1] - X[0]) / 0.5, X[2] - X[0]
+    classified = np.zeros((n, n), dtype=bool)
+    if direction == "random":
+        N = random_unit_vectors(np.random.Generator(np.random.Philox(0)), n * n)
+        A0, As, Aq = (np.einsum("cd,dij->cij", N, B) for B in (A0, As, Aq))
+        classified[:] = True
+    else:
+        A0, As, Aq = A0[direction - 1], As[direction - 1], Aq[direction - 1]
+        classified[n // 2:, n // 2:] = True
     S, Q = np.meshgrid(shat, qhat)
     stack = S.ravel()[:, None, None] * As + A0 + Q.ravel()[:, None, None] * Aq
-    cells = q.classify_batch(stack)[0].reshape(n, n)
+    codes, aux = q.classify_batch(stack)
+    clusters = aux["clusters"]
+    slow = np.zeros(n * n, dtype=bool)
+    slow[clusters["cell"][clusters["algebraic"] > 1]] = True
+    cells = codes.reshape(n, n)
     cells[:, np.abs(shat) >= 1.0] = spectral.CODE_INADMISSIBLE
-    return cells
+    return cells, int(np.count_nonzero(slow & classified.ravel()))
 
 
-@pytest.mark.parametrize("n", [21, 22])
+@pytest.mark.parametrize("n", [21, 22, 33, 34])
 def test_axis_scans_classify_one_quadrant_of_the_full_grid(theta, n):
     """An axis direction mirrors the sigma12_hat >= 0 columns and the
-    q1_hat >= 0 rows: region3d and region-reg along each axis, with and
-    without --compare-grad, equal every cell classified on its own."""
+    q1_hat >= 0 rows, and a random one classifies every cell, more than 1024
+    of them (several chunks) at n = 33 and 34: region3d and region-reg along
+    each axis and at random, with and without --compare-grad, equal every
+    cell classified on its own, with the same count of cells classified and
+    of those on the slow path."""
     z = {1: 5.0, 0: 1.0, -1: 0.9}[theta]
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
     quadrant = (n - n // 2) ** 2
-    grad = {axis: _full_shear_grid(q.SystemKind.Grad13, eq, n, axis)
-            for axis in (1, 2, 3)}
+    directions = (1, 2, 3, "random")
+    grad = {d: _full_shear_grid(q.SystemKind.Grad13, eq, n, d) for d in directions}
     g3 = q.region_scan_3d_cross_section(theta, z, n=n)
-    np.testing.assert_array_equal(g3.cells, grad[1])
-    assert g3.metadata["n_classified"] == quadrant
-    for axis in (1, 2, 3):
-        g = q.region_scan_regularized(theta, z, n=n, direction=axis, compare_grad=True)
-        np.testing.assert_array_equal(
-            g.cells, _full_shear_grid(q.SystemKind.FinalR13, eq, n, axis))
-        assert g.metadata["grad_class_counts"] == analysis.class_counts(grad[axis])
-        assert g.metadata["grad_n_classified"] == g.metadata["n_classified"] == quadrant
-        alone = q.region_scan_regularized(theta, z, n=n, direction=axis)
+    np.testing.assert_array_equal(g3.cells, grad[1][0])
+    assert (g3.metadata["n_classified"], g3.metadata["n_slow"]) == (quadrant, grad[1][1])
+    for d in directions:
+        g = q.region_scan_regularized(theta, z, n=n, direction=d, compare_grad=True)
+        cells, n_slow = _full_shear_grid(q.SystemKind.FinalR13, eq, n, d)
+        np.testing.assert_array_equal(g.cells, cells)
+        assert g.metadata["grad_class_counts"] == analysis.class_counts(grad[d][0])
+        classified = n * n if d == "random" else quadrant
+        assert g.metadata["grad_n_classified"] == g.metadata["n_classified"] == classified
+        assert (g.metadata["n_slow"], g.metadata["grad_n_slow"]) == (n_slow, grad[d][1])
+        alone = q.region_scan_regularized(theta, z, n=n, direction=d)
         np.testing.assert_array_equal(alone.cells, g.cells)
         assert alone.metadata == {k: v for k, v in g.metadata.items()
                                   if not k.startswith("grad_")}

@@ -87,6 +87,18 @@ def test_eigs_rejects_infinite_hhat(capsys):
     assert err == {"type": "DomainError", "message": "hhat must be positive and finite, got inf"}
 
 
+@pytest.mark.parametrize("hhat", ["inf", "0"])
+def test_eigs_from_state_rejects_hhat_outside_0_inf(tmp_path, capsys, hhat):
+    """The fit of a state file names hhat, not the pressure/density ratio."""
+    eq = q.EquilibriumParams(theta=0, z=1.0, u=np.zeros(3), T=1.0)
+    f = tmp_path / "st.json"
+    f.write_text(json.dumps(q.equilibrium_state13(eq).as_dict()))
+    assert main(["eigs", "--theta", "0", "--state", str(f), "--hhat", hhat]) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "DomainError",
+                   "message": f"hhat must be positive and finite, got {float(hhat)}"}
+
+
 def test_eigs_from_state_file(tmp_path, capsys):
     eq = q.EquilibriumParams(theta=-1, z=0.5, u=np.zeros(3), T=1.0)
     st = q.equilibrium_state13(eq)
@@ -401,7 +413,8 @@ def test_no_export_only_tests_use():
     for name in ("FugacitySweep", "eigen_sweep_fugacity"):
         assert name not in q.__all__ and not hasattr(analysis, name), name
     assert not hasattr(q.spectral, "_real_quartic_roots")
-    assert "fit_fugacity_batch" not in q.__all__ and not hasattr(q, "fit_fugacity_batch")
+    for name in ("fit_fugacity_batch", "charpoly_coeffs", "grad_ansatz_eval"):
+        assert name not in q.__all__ and not hasattr(q, name), name
 
 
 def test_sweep_eigs(tmp_path, capsys):

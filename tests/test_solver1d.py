@@ -515,6 +515,24 @@ def test_step_budget_guard(monkeypatch):
         q.run(_uniform_config(t_end=5.0))
 
 
+def test_zero_spectral_radius_is_an_inadmissible_cell(monkeypatch):
+    """A zero radius gives no usable time step: the one radius guard stops
+    the run at cell 0 in step 1, as it does a non-finite radius."""
+    real = solver1d._a5_final_stack
+
+    def still(w, T, li):
+        A, radius = real(w, T, li)
+        return A, np.zeros_like(radius)
+
+    monkeypatch.setattr(solver1d, "_a5_final_stack", still)
+    with pytest.raises(InadmissibleCell) as exc:
+        q.run(_uniform_config())
+    err = exc.value
+    assert (err.index, err.quantity, err.value, err.step) == (0, "spectral radius",
+                                                              0.0, 1)
+    assert str(err).startswith("cell 0 inadmissible: spectral radius 0.0 in step 1 ")
+
+
 @pytest.mark.parametrize("bad", [
     dict(cells=3),
     dict(cfl=1.5),

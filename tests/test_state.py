@@ -160,8 +160,8 @@ def test_ansatz_scales_inversely_with_hhat():
     base = EquilibriumParams(theta=1, z=1.5, u=np.zeros(3), T=1.0)
     scaled = EquilibriumParams(theta=1, z=1.5, u=np.zeros(3), T=1.0, hhat=3.0)
     v = np.array([[0.3, -0.2, 1.0], [0.0, 0.0, 0.0]])
-    f0 = q.grad_ansatz_eval(q.equilibrium_state13(base), base, v)
-    f3 = q.grad_ansatz_eval(q.equilibrium_state13(scaled), scaled, v)
+    f0 = state.grad_ansatz_eval(q.equilibrium_state13(base), base, v)
+    f3 = state.grad_ansatz_eval(q.equilibrium_state13(scaled), scaled, v)
     # rho triples with hhat while the occupancy stays put, so f itself is
     # hhat-independent; the moments pick up the factor through rho/hhat
     np.testing.assert_allclose(f3, f0, rtol=1e-13)
@@ -413,7 +413,7 @@ def _pointwise_moments(st, eq, n_nodes, half_width):
     W = np.outer(0.5 * radius * wts * r * r, state._DIR_WEIGHTS).reshape(-1)
     V = eq.u + C
     c2 = np.einsum("ni,ni->n", C, C)
-    fw = eq.hhat * W * q.grad_ansatz_eval(st, eq, V)
+    fw = eq.hhat * W * state.grad_ansatz_eval(st, eq, V)
     rho = float(np.sum(fw))
     return {"rho": rho, "u": (fw @ V) / rho,
             "p_ij": np.einsum("n,ni,nj->ij", fw, C, C),
@@ -433,7 +433,7 @@ def _tensor_grid_moments(st, eq, n_nodes, half_width):
          ).reshape(-1) * half ** 3
     C = V - eq.u
     c2 = np.einsum("ni,ni->n", C, C)
-    fw = eq.hhat * W * q.grad_ansatz_eval(st, eq, V)
+    fw = eq.hhat * W * state.grad_ansatz_eval(st, eq, V)
     rho = float(np.sum(fw))
     return {"rho": rho, "u": (fw @ V) / rho,
             "p_ij": np.einsum("n,ni,nj->ij", fw, C, C),
@@ -523,9 +523,9 @@ def test_component_rows_are_the_point_major_reference(theta, rng):
                 for k, v in _point_major_moments(st, e, 64, 8.0).items():
                     assert np.array_equal(got[k], v), (hhat, k)
         V = eq.u + rng.normal(size=(500, 3)) * 2.0 * math.sqrt(eq.T)
-        assert np.array_equal(q.grad_ansatz_eval(st, eq, V),
+        assert np.array_equal(state.grad_ansatz_eval(st, eq, V),
                               _point_major_ansatz(st, eq, V))
-        one = q.grad_ansatz_eval(st, eq, V[0])
+        one = state.grad_ansatz_eval(st, eq, V[0])
         assert type(one) is float and one == _point_major_ansatz(st, eq, V[0])
 
 
@@ -619,10 +619,11 @@ def test_ansatz_moments_node_count(monkeypatch):
     # the closure checks stay cheap only while the node set grows linearly
     # in n_nodes; a tensor grid would make this n_nodes**3
     points = []
+    real = state.grad_ansatz_eval
 
     def counting(st, eq, v):
         points.append(len(v))
-        return q.grad_ansatz_eval(st, eq, v)
+        return real(st, eq, v)
 
     monkeypatch.setattr(state, "grad_ansatz_eval", counting)
     eq = EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=1.0)
@@ -648,6 +649,17 @@ def test_ansatz_moments_builds_radial_rule_once(monkeypatch):
 def test_equilibrium_params_rejects_hhat_outside_0_inf(hhat):
     with pytest.raises(DomainError, match=f"hhat must be positive and finite, got {hhat}"):
         EquilibriumParams(theta=0, z=1.0, u=np.zeros(3), T=1.0, hhat=hhat)
+
+
+@pytest.mark.parametrize("hhat", [math.inf, 0.0, -1.0, math.nan])
+def test_fit_equilibrium_rejects_hhat_outside_0_inf(hhat):
+    """The fit names hhat, as EquilibriumParams does, before it fits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc:
+            q.fit_equilibrium(1.0, 1.0, 1, hhat=hhat)
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == f"hhat must be positive and finite, got {hhat}"
 
 
 @pytest.mark.parametrize("key, value, message", [
