@@ -18,18 +18,18 @@ for N cells by `_a5_stack`, differ by four non-equilibrium terms.
 
 A and D are written by op tables, built once at import by running the
 assembly loops over index symbols (`_a_ops`, `_d_ops`).  An op adds term t,
-at the op's symbols (i, j, k), to entry (row, col) of the axis-d matrix.
-Each term in `_TERMS` is one expression, evaluated for all its ops and all N
-states at once on (n_ops, N) arrays, with 0/1 masks as floats (o.k_d for
-k == d), so products of masks are 0 or 1 and sums count.  The term-order
-rule fixes the rounding: no entry takes two ops of one term, and every entry
-meets its terms in the order the terms first appear in the op list, so one
-scatter per term sums each entry onto u_d I in the loops' order, signed zeros
-included.
-D's ops are assignments onto the identity; M_d is M_1's template under the
-axis swap 1 <-> d; a direction n, normalized once, gives
-(0 + n1 A_1) + n2 A_2 + n3 A_3.  The per-state functions are the N = 1 case,
-so a batch equals its states one by one, bit for bit.
+at the op's symbols (i, j, k), to entry (row, col) of the axis-d matrix; D's
+ops set entries of the identity.  Each term in `_TERMS` is one expression,
+evaluated for all its ops and all N states at once into rows of one value
+table, with 0/1 masks as floats (o.k_d for k == d) whose products are counts
+taken at import.  The term-order rule fixes the rounding: no entry takes two
+ops of one term, and every entry meets its terms in the order the terms
+first appear in the op list, so adding the w-th term of every entry that
+has one in wave w, one gather a wave, sums each entry onto u_d I in the
+loops' order, signed zeros included.  M_d is M_1's template
+under the axis swap 1 <-> d; a direction n, normalized once, gives
+(0 + n1 A_1) + n2 A_2 + n3 A_3.  The per-state functions are the N = 1
+case, so a batch equals its states one by one, bit for bit.
 
 Every li-derived coefficient comes from the equilibrium's record
 `EquilibriumParams.coeffs` (`state.LiCoeffs`); none is derived here.
@@ -100,8 +100,8 @@ def _columns(kind: SystemKind, S: StateStack) -> SimpleNamespace:
     """What the terms of the kind's A (and of D) read: the scalars and
     coefficients over the N states, p_ij and sigma as (9, N), q as (3, N)."""
     c, P, rho = S.coeffs, S.p_ij.reshape(-1, 9).T, S.rho
-    p = ((P[0] + P[4]) + P[8]) / 3.0   # as np.trace
-    s = SimpleNamespace(rho=rho, p=p, P=P, q=S.q.T, sig=P - p * _EYE3, dfrak=c.dfrak,
+    p = np.add.reduce(P[::4]) / 3.0   # (P11 + P22) + P33, as np.trace
+    s = SimpleNamespace(rho=rho, p=p, P=P, q=S.q.T, sig=P - p * _EYE3, dfp=c.dfrak * p,
                         b=c.b_high)
     if kind is SystemKind.Grad13:
         s.phi, s.psi, s.const = c.phi, c.psi, 3.5 * c.psi - 2.5 * c.phi
@@ -117,30 +117,31 @@ def _columns(kind: SystemKind, S: StateStack) -> SimpleNamespace:
 _EYE3 = np.eye(3).reshape(9, 1)
 
 # Each term once, over the states s and the ops o, one row per op: o.k_d is
-# the float mask (k == d), o.kd indexes entry (k, d) of the flat s.P and
-# s.sig, and o.k component k of s.q.
+# the float mask (k == d), o.pair the count (j == d)(i == k) + (i == d)(j == k)
+# and o.triple that plus (i == j)(k == d), o.kd indexes entry (k, d) of the
+# flat s.P and s.sig, and o.k component k of s.q.
 _TERMS = {
     "rho": lambda s, o: s.rho,
     "1/rho": lambda s, o: 1.0 / s.rho,
-    "stress u Grad13": lambda s, o: (s.P[o.ij] * o.k_d + s.P[o.dj] * o.i_k
-                                     + s.P[o.di] * o.j_k),
+    "stress u Grad13": lambda s, o: (s.P.take(o.ij, 0) * o.k_d + s.P.take(o.dj, 0) * o.i_k
+                                     + s.P.take(o.di, 0) * o.j_k),
     "stress u R13": lambda s, o: (
-        s.p * (o.j_d * o.i_k + o.i_d * o.j_k)
-        + 0.4 * (s.sig[o.ki] * o.j_d + s.sig[o.kj] * o.i_d)
-        + o.i_j * (s.p * o.k_d + 0.4 * s.sig[o.kd])),
-    "stress q": lambda s, o: 0.4 * (o.i_j * o.k_d + o.i_d * o.j_k + o.j_d * o.i_k),
-    "heat rho Grad13": lambda s, o: o.i_d * 2.5 * s.p * s.phi_rho + 3.5 * s.sig[o.id] * s.psi_rho,
-    "heat u Grad13": lambda s, o: (1.4 * s.q[o.i] * o.k_d + 1.4 * s.q[o.d] * o.i_k
-                                   + 0.4 * o.i_d * s.q[o.k]),
+        s.p * o.pair + 0.4 * (s.sig.take(o.ki, 0) * o.j_d + s.sig.take(o.kj, 0) * o.i_d)
+        + o.i_j * (s.p * o.k_d + 0.4 * s.sig.take(o.kd, 0))),
+    "stress q": lambda s, o: 0.4 * o.triple,
+    "heat rho Grad13": lambda s, o: (o.i_d * 2.5 * s.p * s.phi_rho
+                                     + 3.5 * s.sig.take(o.id, 0) * s.psi_rho),
+    "heat u Grad13": lambda s, o: (1.4 * s.q.take(o.i, 0) * o.k_d + 1.4 * s.q.take(o.d, 0) * o.i_k
+                                   + 0.4 * o.i_d * s.q.take(o.k, 0)),
     "heat rho R13": lambda s, o: o.i_d * s.k_rho * s.p / s.rho,
-    "heat p": lambda s, o: -(s.dfrak * s.p * o.i_j + s.sig[o.ij]) / s.rho,
+    "heat p": lambda s, o: -(s.dfp * o.i_j + s.sig.take(o.ij, 0)) / s.rho,
     "heat const": lambda s, o: s.const,
     "heat diag Grad13": lambda s, o: (o.i_d * (2.5 * (s.phi + s.p * s.phi_p) - 3.5 * s.psi)
-                                      + 3.5 * s.sig[o.id] * s.psi_p) / 3.0,
+                                      + 3.5 * s.sig.take(o.id, 0) * s.psi_p) / 3.0,
     "heat diag R13": lambda s, o: o.i_d * (s.k_p - s.Tc) / 3.0,
     "D p/rho": lambda s, o: -(s.p / s.rho) * s.b,
     "D trace": lambda s, o: o.i_j + (s.b - 1.0) / 3.0,
-    "D heat": lambda s, o: s.dfrak * s.p * o.i_j + s.sig[o.ij],
+    "D heat": lambda s, o: s.dfp * o.i_j + s.sig.take(o.ij, 0),
 }
 
 
@@ -167,18 +168,21 @@ def _a_ops(kind: SystemKind):
 
 
 def _d_ops():
-    """(1, row, col, term, i, j, k) per `D[row, col] = term` off the identity."""
-    ops = [(1, i, i, "rho", 0, 0, 0) for i in (1, 2, 3)]
+    """(4, row, col, term, i, j, k) per `D[row, col] = term` off the identity:
+    D's entries follow those of A_1, A_2 and A_3."""
+    ops = [(4, i, i, "rho", 0, 0, 0) for i in (1, 2, 3)]
     for m in (1, 2, 3):
-        ops.append((1, pslot(m, m), 0, "D p/rho", 0, 0, 0))
-        ops += [(1, pslot(m, m), pslot(n, n), "D trace", m, n, 0) for n in (1, 2, 3)]
-    return ops + [(1, 9 + i, k, "D heat", i, k, 0) for i in (1, 2, 3) for k in (1, 2, 3)]
+        ops.append((4, pslot(m, m), 0, "D p/rho", 0, 0, 0))
+        ops += [(4, pslot(m, m), pslot(n, n), "D trace", m, n, 0) for n in (1, 2, 3)]
+    return ops + [(4, 9 + i, k, "D heat", i, k, 0) for i in (1, 2, 3) for k in (1, 2, 3)]
 
 
-def _compile(ops):
-    """Per term, in the order the terms first appear: its op columns and the
-    flat entries (d-1)*169 + 13*row + col of its ops."""
-    groups = []
+def _compile(ops, size):
+    """Per term, in the order the terms first appear: its op columns and its
+    rows lo:hi of the value table, one per op; where D's entries start,
+    after A's 507: -0.0 under an op, the identity elsewhere; and per wave w,
+    the entries (d-1)*169 + 13*row + col that meet a w-th op, with its rows."""
+    terms, met = [], [[] for _ in range(size)]
     for term in dict.fromkeys(op[3] for op in ops):
         mine = [op for op in ops if op[3] == term]
         sym = np.array([op[4:] + op[:1] for op in mine]) - 1
@@ -187,30 +191,38 @@ def _compile(ops):
             x, y = getattr(o, a), getattr(o, b)
             setattr(o, a + b, 3 * x + y)
             setattr(o, f"{a}_{b}", (x == y).astype(float)[:, None])
-        groups.append((term, o, np.array([(d - 1) * 169 + 13 * row + col
-                                          for d, row, col, *_ in mine])))
-    return groups
+        o.pair = o.j_d * o.i_k + o.i_d * o.j_k   # small integers: any order is exact
+        o.triple = o.pair + o.i_j * o.k_d
+        lo = terms[-1][3] if terms else 0
+        terms.append((_TERMS[term], o, lo, lo + len(mine)))
+        for r, (d, row, col, *_) in enumerate(mine, lo):
+            met[(d - 1) * 169 + 13 * row + col].append(r)
+    start = np.array([-0.0 if r else float(e % 14 == 0) for e, r in enumerate(met[507:])])
+    return terms, start, [(np.array([e for e, r in enumerate(met) if len(r) > w]),
+                           np.array([r[w] for r in met if len(r) > w]))
+                          for w in range(max(map(len, met)))]
 
 
-_A_TABLES = {SystemKind.Grad13: _compile(_a_ops(SystemKind.Grad13))}
-_A_TABLES[SystemKind.TrivialR13] = _A_TABLES[SystemKind.FinalR13] = \
-    _compile(_a_ops(SystemKind.FinalR13))   # both "R13"
-_D_TABLE = _compile(_d_ops())
+_TABLES = {k: _compile(_a_ops(k), 507) for k in (SystemKind.Grad13, SystemKind.FinalR13)}
+_TABLES[SystemKind.TrivialR13] = _TABLES[SystemKind.FinalR13]   # both "R13"
+_REGULARIZED = _compile(_a_ops(SystemKind.FinalR13) + _d_ops(), 676)   # D after A
 _EYE13 = np.eye(13).reshape(169, 1)
 
 
-def _fill(groups, s: SimpleNamespace, out: np.ndarray, add: bool) -> np.ndarray:
-    """Evaluate the terms and scatter each into out (entries, N), adding or assigning."""
-    for term, o, entries in groups:
-        val = _TERMS[term](s, o)
-        out[entries] = out.take(entries, 0) + val if add else val
-    return out
-
-
-def _axes(kind: SystemKind, S: StateStack, s: SimpleNamespace) -> np.ndarray:
-    """Axis matrices A_1, A_2, A_3 entry-major, (3, 169, N), from the kind's columns."""
-    out = np.multiply(S.u.T[:, None, :], _EYE13, order="C")   # u_d I
-    _fill(_A_TABLES[kind], s, out.reshape(3 * 169, -1), add=True)
+def _axes(table, S: StateStack, s: SimpleNamespace) -> np.ndarray:
+    """Axis matrices A_1, A_2, A_3 entry-major and flat, (507, N), then for
+    _REGULARIZED D's 169 entries: u_d I (D: its start) plus, wave by wave,
+    the values of the table's terms over the columns s, so that each entry
+    sums its terms in the loops' order."""
+    terms, start, waves = table
+    vals = np.empty((terms[-1][3], S.rho.size))
+    for evaluate, o, lo, hi in terms:
+        vals[lo:hi] = evaluate(s, o)
+    out = np.empty((507 + start.size, S.rho.size))
+    np.multiply(S.u.T[:, None, :], _EYE13, out=out[:507].reshape(3, 169, -1))   # u_d I
+    out[507:] = start[:, None]
+    for entries, gather in waves:
+        out[entries] += vals.take(gather, 0)
     return out
 
 
@@ -222,7 +234,7 @@ def _state_major(X: np.ndarray) -> np.ndarray:
 
 def assemble_axes(kind: SystemKind, S: StateStack) -> np.ndarray:
     """Axis matrices A_1, A_2, A_3 of the model on N states: (N, 3, 13, 13)."""
-    return _state_major(_axes(kind, S, _columns(kind, S)))
+    return _state_major(_axes(_TABLES[kind], S, _columns(kind, S)).reshape(3, 169, -1))
 
 
 def _axis_swap(d: int) -> np.ndarray:
@@ -250,20 +262,22 @@ def _m_axes(c: LiCoeffs) -> np.ndarray:
     var = np.array((c.T * c.L53, 1.0 + m2, m2, m2, 2.0 * m1, 2.0 * b / 3.0 + 8.0 / 15.0,
                     m1, m1, b_lo, b_lo, c.Mrho, m3 + (2.0 / 3.0) * Tc, m3_lo, m3_lo, Tc, Tc))
     var = var.reshape(_M_SLOTS.size, -1)
-    M1 = _M_CONST + np.zeros(var.shape[1])
+    M1 = _M_CONST.repeat(var.shape[1], 1)
     M1[_M_SLOTS] = var
-    return M1[_M_GATHER]
+    return M1.take(_M_GATHER, 0)
 
 
 def _unit_rows(n) -> np.ndarray:
     """Axis n as e_n, or the rows of n over their norms, taken as
-    `np.linalg.norm` takes one row: (N, 3)."""
+    `np.linalg.norm` takes one row: (N, 3).  DomainError names the first row
+    that is not finite, or whose norm is zero or overflows."""
     if isinstance(n, (int, np.integer)):
         n = np.eye(3)[int(n) - 1]
     n = np.asarray(n, dtype=float).reshape(-1, 3)
     norm = np.sqrt((n[:, None, :] @ n[:, :, None])[:, 0])
-    if (norm == 0.0).any():
-        raise DomainError("direction vector must be nonzero")
+    if not 0.0 < np.minimum.reduce(norm, None) <= np.maximum.reduce(norm, None) < np.inf:
+        bad = n[int(np.logical_not((norm > 0.0) & (norm < np.inf)).argmax())].tolist()
+        raise DomainError(f"direction vector must be finite, with a finite nonzero norm: {bad}")
     return n / norm
 
 
@@ -276,7 +290,7 @@ def _along(n: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def assemble_along(kind: SystemKind, S: StateStack, n) -> np.ndarray:
     """The model's matrices along directions n (N, 3), or an axis: (N, 13, 13)."""
-    return _along(_unit_rows(n), _axes(kind, S, _columns(kind, S)))
+    return _along(_unit_rows(n), _axes(_TABLES[kind], S, _columns(kind, S)).reshape(3, 169, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,21 +311,20 @@ def regularized_stack(S: StateStack, n) -> SystemMatrices:
     whose D is singular or whose check fails.
     """
     n, s = _unit_rows(n), _columns(SystemKind.FinalR13, S)
-    A = _along(n, _axes(SystemKind.FinalR13, S, s))
-    M = _along(n, _m_axes(S.coeffs))
-    D = np.zeros((169, S.rho.size))
-    D[::14] = 1.0
-    D = _state_major(_fill(_D_TABLE, s, D, add=False))
+    X = _axes(_REGULARIZED, S, s)
+    A, M = _along(n, X[:507].reshape(3, 169, -1)), _along(n, _m_axes(S.coeffs))
+    D = _state_major(X[507:])
     sv = np.linalg.svd(D, compute_uv=False)
-    if (bad := sv[:, -1] <= 1e-13 * sv[:, 0]).any():
-        k = int(bad.argmax())
+    if not np.logical_and.reduce(ok := sv[:, -1] > 1e-13 * sv[:, 0]):   # NaN fails
+        k = int(ok.argmin())
         raise SingularD(f"state {k}: condition number "
                         f"{sv[k, 0] / max(sv[k, -1], 1e-300):.3e}")
     DA = D @ A
     B = DA - (S.u[:, None, :] @ n[:, :, None]) * D
-    resid = np.abs(B - M @ D).reshape(-1, 169).max(1)
-    if (bad := resid > 1e-10 * np.maximum(1.0, np.abs(DA).reshape(-1, 169).max(1))).any():
-        k = int(bad.argmax())
+    resid = np.maximum.reduce(np.abs(B - M @ D).reshape(-1, 169), 1)
+    scale = np.maximum(1.0, np.maximum.reduce(np.abs(DA).reshape(-1, 169), 1))
+    if not np.logical_and.reduce(ok := resid <= 1e-10 * scale):
+        k = int(ok.argmin())
         raise SingularD(f"state {k}: factorization residual {resid[k]:.3e} (bug signal)")
     return SystemMatrices(A=A, D=D, M=M, B=B)
 

@@ -53,6 +53,11 @@ CLASS_CODES = {
     Classification.NonHyperbolic: 3,
 }
 CODE_INADMISSIBLE = -1
+_CLASSES = tuple(CLASS_CODES)   # the classes by code
+# a cell's code and min_gap before its clusters, taken by whether it is real
+_CODE_IF_REAL = np.array([CLASS_CODES[Classification.NonHyperbolic],
+                          CLASS_CODES[Classification.HyperbolicStrict]], dtype=np.int8)
+_GAP_IF_REAL = np.array([0.0, np.inf])
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,23 +112,29 @@ def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarra
     max_imag = (np.maximum.reduce(np.abs(w.imag) / (1.0 + np.abs(w)), axis=1)
                 if w.dtype.kind == "c" else np.zeros(N))
     real = max_imag <= IMAG_TOL
-    x = np.sort(w.real, axis=1)
+    rows = real.nonzero()[0]
+    x = w.real.take(rows, 0)   # the real cells' values, each row sorted
+    x.sort(axis=1)
     ax = np.abs(x)
-    join = x[:, 1:] - x[:, :-1] <= GAP_TOL * (1.0 + np.maximum(ax[:, :-1], ax[:, 1:]))
-    start = np.concatenate((real[:, None], ~join & real[:, None]), axis=1).ravel().nonzero()[0]
-    cell = start // k
-    algebraic = np.minimum(np.concatenate((start[1:], [N * k])), (cell + 1) * k) - start
-    x = x.ravel()
-    value = x[start] + 0.0   # means summed as np.mean sums: bit-equal
-    pair = (algebraic > 1).nonzero()[0]
-    first, size, owner = start[pair], algebraic[pair], cell[pair]
-    for m in np.bincount(size).nonzero()[0]:
-        sel = size == m
-        value[pair[sel]] = np.add.reduce(x[first[sel, None] + np.arange(m)], 1) / m
+    cut = np.ones(x.size + 1, dtype=bool)   # a cluster starts at x.flat[i]; the last closes
+    np.logical_not(x[:, 1:] - x[:, :-1] <= GAP_TOL * (1.0 + np.maximum(ax[:, :-1], ax[:, 1:])),
+                   out=cut[:-1].reshape(x.shape)[:, 1:])
+    edge = cut.nonzero()[0]
+    start, algebraic = edge[:-1], edge[1:] - edge[:-1]
+    cell = rows[start // k]
+    # np.mean's sums: below 8 values np.add.reduce adds from 0 in order, as np.add.at does
+    value = np.zeros(start.size + 1)
+    np.add.at(value, cut[:-1].cumsum(), x.ravel())
+    value = value[1:] / algebraic
+    for m in range(8, np.maximum.reduce(algebraic, initial=0) + 1):
+        sel = (algebraic == m).nonzero()[0]
+        value[sel] = np.add.reduce(x.take(start[sel, None] + np.arange(m)), 1) / m
     rel_gap = (value[1:] - value[:-1]) / (1.0 + np.abs(value[:-1]))
-    min_gap = np.where(real, np.inf, 0.0)
+    min_gap = _GAP_IF_REAL.take(real)
     np.minimum.at(min_gap, cell[1:], np.where(cell[1:] == cell[:-1], rel_gap, np.inf))
 
+    pair = (algebraic > 1).nonzero()[0]
+    owner = cell[pair]
     slow = np.bincount(owner, minlength=N).nonzero()[0]
     geometric = algebraic.copy()   # 1 for a single value
     min_sv = np.full(start.size, np.nan)
@@ -135,9 +146,9 @@ def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarra
     low, high = SV_TOL * (1.0 - 1e-10) / math.sqrt(k), SV_TOL * (1.0 + 1e-10)
     for i in range(0, pair.size, _GATHER):
         sel = pair[i:i + _GATHER]
-        mats = A_stack[owner[i:i + _GATHER]]
+        mats = A_stack.take(owner[i:i + _GATHER], 0)
         fro = np.sqrt(np.einsum("nij,nij->n", mats, mats))   # inf, unwarned, past 1e154
-        mats.reshape(-1, k * k)[:, ::k + 1] -= value[sel, None]   # diagonals
+        mats.reshape(-1, k * k)[:, ::k + 1] -= value[sel][:, None]   # diagonals
         sv = np.linalg.svd(mats, compute_uv=False)
         min_sv[sel] = sv[:, -1]
         count = np.add.reduce(sv <= (np.minimum(fro, 1e140) * low)[:, None], 1)
@@ -149,8 +160,7 @@ def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarra
                 sv[undecided] <= SV_TOL * np.maximum(scale, 1e-300)[:, None], 1)
         geometric[sel] = count
 
-    codes = np.where(real, CLASS_CODES[Classification.HyperbolicStrict],
-                     CLASS_CODES[Classification.NonHyperbolic]).astype(np.int8)
+    codes = _CODE_IF_REAL.take(real)
     codes[slow] = CLASS_CODES[Classification.HyperbolicDegenerate]
     codes[cell[geometric < algebraic]] = CLASS_CODES[Classification.NonDiagonalizable]
     clusters = {"cell": cell, "value": value, "algebraic": algebraic,
@@ -167,13 +177,13 @@ def diagonalizability_test(A: np.ndarray) -> HyperbolicityVerdict:
     with geometric multiplicity 0; otherwise the diagnostics are the clusters.
     """
     codes, aux = classify_batch(np.asarray(A)[None])
-    cls = list(CLASS_CODES)[codes[0]]   # CLASS_CODES lists the classes by code
+    cls = _CLASSES[codes[0]]
     w = aux["eigenvalues"][0]
     if cls is Classification.NonHyperbolic:
         w = w[np.argsort(w.real)]
         diags = [EigenCluster(complex(v), 1, 0, None) for v in w]
     else:
-        w = np.sort_complex(w)
+        w.sort()   # complex: by real part, then imaginary
         c = aux["clusters"]
         diags = [EigenCluster(complex(v), a, g, None if a == 1 else sv)
                  for v, a, g, sv in zip(c["value"].tolist(), c["algebraic"].tolist(),

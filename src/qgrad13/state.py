@@ -527,16 +527,20 @@ def grad_ansatz_eval(state: MomentState13, eq: EquilibriumParams, v) -> np.ndarr
     return float(out[0]) if v.ndim == 1 else out
 
 
+# q_ijk = 0.4 ((delta_ij q_k + delta_ik q_j) + delta_jk q_i): the deltas, and the q they pick
+_I, _J, _K = np.indices((3, 3, 3)).reshape(3, 27)
+_Q_MASKS, _Q_TAKE = np.array([_I == _J, _I == _K, _J == _K], dtype=float), np.array([_K, _J, _I])
+
+
 def closure_moments(state: MomentState13, eq: EquilibriumParams) -> ClosureMoments:
     """Closed q_ijk and Delta_ij induced by the 13 variables."""
     k = eq.coeffs
-    q = state.q
-    q_ijk = 0.4 * (_EYE3[:, :, None] * q + _EYE3[:, None, :] * q[:, None]
-                   + _EYE3 * q[:, None, None])
+    # summed from -0.0, which adds exactly, so every zero keeps its sign
+    q_ijk = 0.4 * np.add.reduce(_Q_MASKS * state.q.take(_Q_TAKE), 0, initial=-0.0)
     pref = eq.hhat * (_TWO_PI * eq.T) ** 1.5 * eq.T ** 2 * k.L7
     Delta_ij = pref * (5.0 * _EYE3 + 7.0 * (state.sigma / state.p)
                        * k.L5 * k.L9 / k.L7 ** 2)
-    return ClosureMoments(q_ijk=q_ijk, Delta_ij=Delta_ij)
+    return ClosureMoments(q_ijk=q_ijk.reshape(3, 3, 3), Delta_ij=Delta_ij)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 import dataclasses
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +269,32 @@ def test_spectrum_scale_covariance(theta):
             q.assemble_A5_grad(q.state5_from_hat(eqT, 0.3, 0.8), eqT)).real)
         np.testing.assert_allclose(lamT, math.sqrt(T) * lam1, rtol=1e-10,
                                    atol=1e-12 * float(np.max(np.abs(lamT))))
+
+
+@pytest.mark.parametrize("n", [(math.nan, 0.0, 0.0), (0.0, -math.inf, 0.0),
+                               (1e200, 1e200, 0.0), (0.0, 0.0, 0.0)],
+                         ids=["nan", "inf", "norm-overflows", "zero"])
+def test_direction_must_be_finite_with_a_finite_nonzero_norm(n, rng):
+    """A direction with a non-finite component, or whose norm is zero or
+    overflows, is a DomainError naming it, where NaN and inf once gave an
+    all-NaN A and an overflowing norm the zero direction."""
+    st, eq = random_moment_state(rng, 1)
+    for assemble in (lambda: q.assemble_A_regularized(st, eq, n),
+                     lambda: q.assemble_A_direction(SystemKind.FinalR13, st, eq, n),
+                     lambda: matrices.regularized_stack(
+                         matrices.stack_states((st, st), (eq, eq)), [(0.0, 1.0, 0.0), n])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # the overflow itself
+            with pytest.raises(DomainError, match=re.escape(str(list(n)))):
+                assemble()
+
+
+def test_nan_factorization_residual_is_singular(rng, monkeypatch):
+    """The residual check fails on NaN, as it does on a residual above its bound."""
+    st, eq = random_moment_state(rng, 0)
+    monkeypatch.setattr(matrices, "_m_axes", lambda c: np.full((3, 169, 1), np.nan))
+    with pytest.raises(q.SingularD, match="state 0: factorization residual nan"):
+        q.assemble_A_regularized(st, eq, (0.0, 0.6, 0.8))
 
 
 def test_mismatched_equilibrium_rejected(rng):

@@ -150,6 +150,52 @@ def test_batch_codes_are_the_single_verdicts(rng):
                     for c in v.diagnostics] == diags
 
 
+def test_single_final_verdicts_are_the_batch_cells(rng):
+    """300 c5-style FinalR13 matrices, each with clusters of sizes 2, 2 and 5:
+    every N = 1 verdict is its cell of the stacked classification, bit for
+    bit, eigenvalues and each cluster's value, multiplicities and min_sv."""
+    draws = [random_moment_state(rng, (-1, 0, 1)[i % 3]) for i in range(300)]
+    sm = matrices.regularized_stack(matrices.stack_states(*zip(*draws)),
+                                    random_unit_vectors(rng, len(draws)))
+    codes, aux = q.classify_batch(sm.A)
+    c = aux["clusters"]
+    for i, A in enumerate(sm.A):
+        v = q.diagonalizability_test(A)
+        assert CLASS_CODES[v.classification] == codes[i]
+        assert (v.min_gap, v.max_imag) == (aux["min_gap"][i], aux["max_imag"][i])
+        np.testing.assert_array_equal(v.eigenvalues, np.sort_complex(aux["eigenvalues"][i]))
+        mine = c["cell"] == i
+        assert [(d.value, d.algebraic, d.geometric, d.min_singular_value)
+                for d in v.diagnostics] == [
+            (complex(x), a, g, None if a == 1 else s)
+            for x, a, g, s in zip(c["value"][mine].tolist(), c["algebraic"][mine].tolist(),
+                                  c["geometric"][mine].tolist(), c["min_sv"][mine].tolist())]
+        assert sorted(d.algebraic for d in v.diagnostics if d.algebraic > 1) == [2, 2, 5]
+
+
+def test_one_state_check_makes_a_fixed_set_of_solves(monkeypatch):
+    """Draw, direction, regularized assembly and verdict: two eigvalsh (the
+    draw's amplitude, MomentState13's positive definiteness), two svd (D's
+    condition, one gather of the clusters) and one eigvals per state."""
+    calls = {"eigvalsh": 0, "svd": 0, "eigvals": 0}
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    rng = np.random.Generator(np.random.Philox(20261020))
+    for i in range(60):
+        st, eq = random_moment_state(rng, (1, -1, 0)[i % 3])
+        sm = q.assemble_A_regularized(st, eq, random_unit_vectors(rng, 1)[0])
+        assert q.diagonalizability_test(sm.A).classification in (
+            Classification.HyperbolicStrict, Classification.HyperbolicDegenerate)
+    assert calls == {"eigvalsh": 120, "svd": 120, "eigvals": 60}
+
+
 def _classify_reference(A_stack):
     """`classify_batch` with the slow path it had before the Frobenius bounds:
     one gather of the slow cells and of every cluster's A - mean I, one SVD,
