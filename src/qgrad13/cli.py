@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, solver1d, spectral
 from .analysis import _fmt, _write_columns
-from .errors import CFLViolation, DomainError, InadmissibleCell, SingularD
+from .errors import CFLViolation, DomainError, SingularD
 from .matrices import (SystemKind, assemble_A_direction,
                        assemble_A_regularized)
 from .polylog import FERMI_Z_C, ORDERS, eval_polylog_batch
@@ -329,7 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, InadmissibleCell, CFLViolation, SingularD) as exc:
+    except (DomainError, CFLViolation, SingularD) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}),
               file=sys.stderr)

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-DomainError and its subclasses signal inadmissible physical inputs (the CLI
-maps them to exit code 3); the remaining types signal numerical failures that
-must never be swallowed silently.
+DomainError and its subclasses, InadmissibleCell among them, signal
+inadmissible physical inputs (the CLI maps them to exit code 3); the remaining
+types signal numerical failures that must never be swallowed silently.
 """
 
 
@@ -25,8 +25,8 @@ class SingularD(RuntimeError):
     """
 
 
-class InadmissibleCell(RuntimeError):
-    """A solver cell left the admissible set.
+class InadmissibleCell(DomainError):
+    """A 1D cell, a solver's or a `MomentState5`, is not admissible.
 
     The message says in words what the fields hold: the cell `index`, the
     `quantity` that broke ("p11", "sigma11/p", "fugacity", "spectral

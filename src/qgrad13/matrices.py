@@ -267,12 +267,19 @@ def _m_axes(c: LiCoeffs) -> np.ndarray:
     return M1.take(_M_GATHER, 0)
 
 
+def _axis(d) -> int:
+    """Axis d, one of 1, 2 and 3, as the index d - 1; DomainError names any other."""
+    if d not in (1, 2, 3):
+        raise DomainError(f"axis must be 1, 2 or 3, got {d}")
+    return int(d) - 1
+
+
 def _unit_rows(n) -> np.ndarray:
-    """Axis n as e_n, or the rows of n over their norms, taken as
+    """Axis n (1..3) as e_n, or the rows of n over their norms, taken as
     `np.linalg.norm` takes one row: (N, 3).  DomainError names the first row
     that is not finite, or whose norm is zero or overflows."""
     if isinstance(n, (int, np.integer)):
-        n = np.eye(3)[int(n) - 1]
+        n = np.eye(3)[_axis(n)]
     n = np.asarray(n, dtype=float).reshape(-1, 3)
     norm = np.sqrt((n[:, None, :] @ n[:, :, None])[:, 0])
     if not 0.0 < np.minimum.reduce(norm, None) <= np.maximum.reduce(norm, None) < np.inf:
@@ -340,12 +347,12 @@ def assemble_A(kind: SystemKind, state: MomentState13, eq: EquilibriumParams,
     heat-flux rows, the rho and velocity columns, the pslot(i, d) constant and
     the diagonal-pressure term; every other entry is shared.
     """
-    return assemble_axes(kind, stack_states((state,), (eq,)))[0, d - 1]
+    return assemble_axes(kind, stack_states((state,), (eq,)))[0, _axis(d)]
 
 
 def assemble_M(eq: EquilibriumParams, d: int = 1) -> np.ndarray:
     """Constant-in-state factor M_d; depends only on (theta, z, T)."""
-    return _state_major(_m_axes(eq.coeffs))[0, d - 1]
+    return _state_major(_m_axes(eq.coeffs))[0, _axis(d)]
 
 
 def assemble_A_direction(kind: SystemKind, state: MomentState13,

@@ -14,15 +14,15 @@ on (z, T), so the radius is |u1| + sqrt(T x_plus) with x_plus the larger
 root of the equilibrium quartic.  z, T and li come from `state`'s one fit,
 warm-started from the last step's z and li, so li is evaluated only at cells
 whose Newton iterate has not converged; a radius that is not positive and
-finite stops the run.  The first fit starts from the initial condition's
-own fugacities.
+finite stops the run, as does a cell that fails `state._validate_cells`.
+The start and the first fit's guess reuse the side equilibria of `SimConfig`.
 
 State layout: w has one row (rho, u1, p11, q1, p) per cell.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -32,11 +32,10 @@ from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoSolution)
 from .matrices import SystemKind, _a5_stack
 from .polylog import FERMI_Z_C, _check_theta
-from .state import EquilibriumParams, LiCoeffs, _fit, _read
+from .state import _COLUMNS, EquilibriumParams, LiCoeffs, _fit, _read, _validate_cells
 
 _MAX_STEPS = 5_000_000
 _LEDGER = ("time", "mass", "momentum", "energy")
-_COLUMNS = ("rho", "u1", "p11", "q1", "p")      # one row of w
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,18 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _check_theta(self.theta))
+        d = vars(self)
+        for k in ("cells", "n_snapshots"):
+            object.__setattr__(self, k, _read(d, k, _integral, "an integer"))
+        for k in ("length", "cfl", "tau", "t_end", "hhat"):
+            object.__setattr__(self, k, _read(d, k, float, "a number"))
+        for name in ("left", "right"):
+            s = _read(d, name, dict, "an object with keys z, u1 and T")
+            missing = {"z", "u1", "T"} - set(s)
+            if missing:
+                raise DomainError(f"{name} state lacks {sorted(missing)}")
+            s.update((k, _read(s, k, float, "a number", name + " ")) for k in ("z", "u1", "T"))
+            object.__setattr__(self, name, s)
         if self.cells < 4:
             raise DomainError(f"need at least 4 cells, got {self.cells}")
         if not (self.length > 0.0 and math.isfinite(self.length)):
@@ -77,15 +88,11 @@ class SimConfig:
                 f"boundary must be 'periodic' or 'copy', got {self.boundary!r}")
         if self.n_snapshots < 2:
             raise DomainError("need at least the initial and final snapshot")
-        for side_name in ("left", "right"):
-            side = getattr(self, side_name)
-            missing = {"z", "u1", "T"} - set(side)
-            if missing:
-                raise DomainError(f"{side_name} state lacks {sorted(missing)}")
-            # constructing the parameters validates z and T for this theta
-            EquilibriumParams(theta=self.theta, z=side["z"],
-                              u=(side["u1"], 0.0, 0.0), T=side["T"],
-                              hhat=self.hhat)
+        # building them checks z and T for this theta; `_start` reads them (not a field)
+        object.__setattr__(self, "_sides", tuple(
+            EquilibriumParams(theta=self.theta, z=side["z"], u=(side["u1"], 0.0, 0.0),
+                              T=side["T"], hhat=self.hhat)
+            for side in (self.left, self.right)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
@@ -94,14 +101,7 @@ class SimConfig:
         if missing:
             raise DomainError(f"run description lacks {sorted(missing)}")
         d = {"boundary": "periodic", "hhat": 1.0, "n_snapshots": 11, **d}
-        kw = {k: _read(d, k, _integral, "an integer") for k in ("cells", "n_snapshots")}
-        kw.update({k: _read(d, k, float, "a number")
-                   for k in ("length", "cfl", "tau", "t_end", "hhat")})
-        for name in ("left", "right"):
-            s = _read(d, name, dict, "an object with keys z, u1 and T")
-            kw[name] = {**s, **{k: _read(s, k, float, "a number", name + " ")
-                                for k in ("z", "u1", "T") if k in s}}
-        return cls(theta=d["theta"], boundary=d["boundary"], **kw)
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def _integral(x) -> int:
@@ -142,39 +142,6 @@ def _a5_final_stack(w: np.ndarray, T: np.ndarray, li: np.ndarray
     return _a5_stack(SystemKind.FinalR13, w, c), np.abs(w[:, 1]) + np.sqrt(T * c.x_plus)
 
 
-def _validate_cells(w: np.ndarray, step: Optional[int] = None,
-                    t: Optional[float] = None) -> None:
-    """First inadmissible cell wins; raised with its index for diagnostics.
-
-    One combined test clears an admissible state; only a failing one is
-    diagnosed, naming the first of rho, p11 and p that is not positive, or
-    else the ratio (there, p11 > 0 follows from p > 0 and ratio > -1).
-    `step` and `t` say where a run broke; both are None for its start.
-    """
-    rho, _, p11, _, p = w.T
-    with np.errstate(all="ignore"):
-        ratio = p11 / p - 1.0
-    if (np.isfinite(w).all() and rho.min() > 0.0 and p.min() > 0.0
-            and ratio.min() > -1.0 and ratio.max() < 2.0):
-        return
-    where = "" if step is None else f" in step {step} at t = {t:.6g}"
-    finite = np.isfinite(w)
-    if not finite.all():
-        i = int(np.argmin(finite.all(axis=1)))
-        k = int(np.argmin(finite[i]))
-        raise InadmissibleCell(i, "non-finite moments" + where, quantity=_COLUMNS[k],
-                               value=float(w[i, k]), step=step, t=t)
-    bad = w[:, ::2] <= 0.0                     # rho, p11, p
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        k = 2 * int(np.argmax(bad[i]))
-        raise InadmissibleCell(i, f"{_COLUMNS[k]} = {w[i, k]:.6g} is not positive{where}",
-                               quantity=_COLUMNS[k], value=float(w[i, k]), step=step, t=t)
-    i = int(np.argmin((ratio > -1.0) & (ratio < 2.0)))   # only the ratio is left
-    raise InadmissibleCell(i, f"sigma11/p = {ratio[i]:.6g} outside (-1, 2){where}",
-                           quantity="sigma11/p", value=float(ratio[i]), step=step, t=t)
-
-
 def _conserved(w: np.ndarray, dx: float) -> Tuple[float, float, float]:
     rho, u1, _, _, p = (w[:, k] for k in range(5))
     mass = float(np.sum(rho) * dx)
@@ -189,10 +156,7 @@ def _start(config: SimConfig):
     N = config.cells
     x = (np.arange(N) + 0.5) * (config.length / N)
     left = x < 0.5 * config.length
-    lo, hi = (EquilibriumParams(theta=config.theta, z=side["z"],
-                                u=(side["u1"], 0.0, 0.0), T=side["T"],
-                                hhat=config.hhat)
-              for side in (config.left, config.right))
+    lo, hi = config._sides
     w = np.where(left[:, None], [lo.rho, lo.u[0], lo.p, 0.0, lo.p],
                  [hi.rho, hi.u[0], hi.p, 0.0, hi.p])
     li = np.where(left, *(np.array(eq.coeffs.li)[:, None] for eq in (lo, hi)))
@@ -214,12 +178,9 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
     """
     N = config.cells
     dx = config.length / N
-    guess: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    if w0 is None:
-        x, w, guess = _start(config)
-    else:
-        x = (np.arange(N) + 0.5) * dx
-        w = np.array(w0, dtype=float, copy=True)
+    x, w, guess = _start(config)
+    if w0 is not None:
+        w, guess = np.array(w0, dtype=float, copy=True), None
         if w.shape != (N, 5):
             raise DomainError(f"w0 must have shape ({N}, 5), got {w.shape}")
     _validate_cells(w)
@@ -286,7 +247,7 @@ def run(config: SimConfig, w0: Optional[np.ndarray] = None) -> SimResult:
 
 def write_snapshot_csv(result: SimResult, path: str, index: int = -1) -> None:
     """One snapshot as CSV columns x, rho, u1, p11, q1, p."""
-    _write_columns(path, "x,rho,u1,p11,q1,p", [result.x, *result.snapshots[index].T])
+    _write_columns(path, ",".join(("x",) + _COLUMNS), [result.x, *result.snapshots[index].T])
 
 
 def write_ledger_csv(result: SimResult, path: str) -> None:

@@ -1,7 +1,8 @@
 """Moment states, equilibrium parameters, the closure, and quadrature oracles.
 
 The 13-moment state carries (rho, u, p_ij, q); its 1D reduction carries
-(rho, u1, p11, q1, p).  Equilibrium is parameterized by statistics theta,
+(rho, u1, p11, q1, p), checked by `_validate_cells` for N cells and by
+`MomentState5` for one.  Equilibrium is parameterized by statistics theta,
 fugacity z, drift u and scaled temperature T, with density and pressure
 
     rho = hhat (2 pi T)^(3/2) li[3/2],    p = hhat (2 pi T)^(3/2) T li[5/2].
@@ -25,12 +26,13 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import CondensationError, DomainError, NoSolution
+from .errors import CondensationError, DomainError, InadmissibleCell, NoSolution
 from .polylog import BOSE_Z_MAX, FERMI_Z_MAX, _check_theta, eval_polylog_batch
 
 _TWO_PI = 2.0 * math.pi
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
+_COLUMNS = ("rho", "u1", "p11", "q1", "p")      # one 1D cell, as a row
 
 
 def _square(x):
@@ -224,9 +226,42 @@ def _read(d: dict, key: str, convert, what: str, where: str = ""):
         raise DomainError(f"{where}{key} must be {what}, got {d[key]!r}") from None
 
 
+def _validate_cells(w: np.ndarray, step: Optional[int] = None,
+                    t: Optional[float] = None) -> None:
+    """First inadmissible cell wins; raised with its index for diagnostics.
+
+    One combined test clears an admissible state; only a failing one is
+    diagnosed, naming the first of rho, p11 and p that is not positive, or
+    else the ratio (there, p11 > 0 follows from p > 0 and ratio > -1).
+    `step` and `t` say where a run broke; both are None for its start.
+    """
+    rho, _, p11, _, p = w.T
+    with np.errstate(all="ignore"):
+        ratio = p11 / p - 1.0
+    if (np.isfinite(w).all() and rho.min() > 0.0 and p.min() > 0.0
+            and ratio.min() > -1.0 and ratio.max() < 2.0):
+        return
+    where = "" if step is None else f" in step {step} at t = {t:.6g}"
+    finite = np.isfinite(w)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=1)))
+        k = int(np.argmin(finite[i]))
+        raise InadmissibleCell(i, "non-finite moments" + where, quantity=_COLUMNS[k],
+                               value=float(w[i, k]), step=step, t=t)
+    bad = w[:, ::2] <= 0.0                     # rho, p11, p
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        k = 2 * int(np.argmax(bad[i]))
+        raise InadmissibleCell(i, f"{_COLUMNS[k]} = {w[i, k]:.6g} is not positive{where}",
+                               quantity=_COLUMNS[k], value=float(w[i, k]), step=step, t=t)
+    i = int(np.argmin((ratio > -1.0) & (ratio < 2.0)))   # only the ratio is left
+    raise InadmissibleCell(i, f"sigma11/p = {ratio[i]:.6g} outside (-1, 2){where}",
+                           quantity="sigma11/p", value=float(ratio[i]), step=step, t=t)
+
+
 @dataclass(frozen=True, eq=False)
 class MomentState5:
-    """1D-reduced moment state (rho, u1, p11, q1, p)."""
+    """1D-reduced moment state (rho, u1, p11, q1, p), checked as solver cell 0."""
 
     rho: float
     u1: float
@@ -235,17 +270,9 @@ class MomentState5:
     p: float
 
     def __post_init__(self):
-        for name in ("rho", "u1", "p11", "q1", "p"):
+        for name in _COLUMNS:
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not (self.rho > 0.0 and self.p > 0.0 and self.p11 > 0.0):
-            raise DomainError("rho, p and p11 must all be positive")
-        if not (math.isfinite(self.rho) and math.isfinite(self.u1)
-                and math.isfinite(self.q1)):
-            raise DomainError("rho, u1 and q1 must be finite")
-        ratio = self.p11 / self.p - 1.0
-        if not (-1.0 < ratio < 2.0):
-            raise DomainError(
-                f"sigma11/p = {ratio:.6g} outside the admissible interval (-1, 2)")
+        _validate_cells(np.array([[getattr(self, name) for name in _COLUMNS]]))
 
     @property
     def sigma11(self) -> float:

@@ -297,6 +297,19 @@ def test_nan_factorization_residual_is_singular(rng, monkeypatch):
         q.assemble_A_regularized(st, eq, (0.0, 0.6, 0.8))
 
 
+@pytest.mark.parametrize("axis", [0, -1, 4])
+def test_axis_outside_1_to_3_is_a_domain_error(axis, rng):
+    """An integer direction names one of the axes 1, 2 and 3, where 0 and -1
+    once indexed from the end (axes 3 and 2) and 4 raised an IndexError."""
+    st, eq = random_moment_state(rng, 1)
+    for assemble in (lambda: q.assemble_A(SystemKind.Grad13, st, eq, axis),
+                     lambda: q.assemble_M(eq, axis),
+                     lambda: q.assemble_A_direction(SystemKind.FinalR13, st, eq, axis),
+                     lambda: q.assemble_A_regularized(st, eq, axis)):
+        with pytest.raises(DomainError, match=f"axis must be 1, 2 or 3, got {axis}$"):
+            assemble()
+
+
 def test_mismatched_equilibrium_rejected(rng):
     st, eq = random_moment_state(rng, 1)
     other = EquilibriumParams(theta=1, z=2.0 * eq.z, u=eq.u, T=eq.T)

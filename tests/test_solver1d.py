@@ -34,6 +34,13 @@ def test_initial_condition_split():
     assert np.all(w0[:4, 0] == w0[0, 0]) and np.all(w0[4:, 0] == w0[-1, 0])
 
 
+def test_config_and_start_evaluate_li_once_per_side(monkeypatch):
+    """The start reads the equilibria the config built to check its sides."""
+    points = _counting_points(monkeypatch)
+    q.initial_condition(_uniform_config(left=dict(z=0.5, u1=0.1, T=2.0)))
+    assert points == [1, 1]
+
+
 def _fit(w, theta, guess=None):
     return state._fit(w[:, 0], w[:, 4], theta, 1.0, guess)
 
@@ -496,6 +503,9 @@ def test_cell_check_matches_column_diagnosis(edit, rng):
     assert _outcome(solver1d._validate_cells, w) == expected
     if not edit:
         assert expected is None
+    for row in w[:, None]:       # a MomentState5 is the check's one-row case
+        assert _outcome(lambda r: q.MomentState5(*r[0]), row) \
+            == _outcome(solver1d._validate_cells, row)
 
 
 def test_solver_holds_no_fit_of_its_own():
@@ -543,6 +553,9 @@ def test_zero_spectral_radius_is_an_inadmissible_cell(monkeypatch):
     dict(n_snapshots=1),
     dict(left=dict(u1=0.0, T=1.0)),          # missing z
     dict(left=dict(z=1.2, u1=0.0, T=1.0), theta=-1),  # Boson z >= 1
+    dict(cells=10.5),
+    dict(n_snapshots=2.5),
+    dict(length="x"),
 ])
 def test_config_validation(bad):
     args = dict(theta=0, cells=8, length=1.0, cfl=0.4, tau=1.0, t_end=0.1,
