@@ -38,9 +38,9 @@ from .polylog import (_SERIES_Z_MAX, FERMI_Z_C, FERMI_Z_MAX, ORDERS, ZETA_HALF,
                       _check_theta, _fermi_quadrature, eval_polylog_batch)
 from .spectral import (CLASS_CODES, CODE_INADMISSIBLE, Classification,
                        classify_batch)
-from .state import (EquilibriumParams, LiCoeffs, MomentState13, _shear_state,
-                    ansatz_moments, closure_moments, equilibrium_state13,
-                    state5_from_hat)
+from .state import (_EYE3, EquilibriumParams, LiCoeffs, MomentState13,
+                    _shear_state, ansatz_moments, closure_moments,
+                    equilibrium_state13, state5_from_hat)
 
 _CODE_NAMES = {**{code: cls.value for cls, code in CLASS_CODES.items()},
                CODE_INADMISSIBLE: "Inadmissible"}
@@ -509,18 +509,19 @@ def random_moment_state(rng: np.random.Generator, theta: int,
     p = eq.p
     S = rng.uniform(-1.0, 1.0, (3, 3))
     S = 0.5 * (S + S.T)
-    S -= (S.trace() / 3.0) * np.eye(3)
+    S -= (S.trace() / 3.0) * _EYE3
     lam = np.linalg.eigvalsh(S)
     extreme = max(float(np.abs(lam).max()), 1e-12)
     amp = float(rng.uniform(0.0, 0.9)) / extreme
-    p_ij = p * (np.eye(3) + amp * S)
+    p_ij = p * (_EYE3 + amp * S)
     q = rng.uniform(-1.5, 1.5, 3) * p * math.sqrt(T)
     return MomentState13(rho=eq.rho, u=u, p_ij=p_ij, q=q), eq
 
 
 def random_unit_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.normal(size=(n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    # np.linalg.norm's arithmetic, without its Python wrapper
+    return v / np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

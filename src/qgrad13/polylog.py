@@ -11,26 +11,26 @@ elementwise, so a point's value does not depend on the batch around it and
 results are reproducible bit for bit).  Both statistics switch branch at
 z = e^-1, mu = ln z = -1:
 
-* z <= e^-1: direct power series sum_k (+-1)^(k+1) z^k / k^s, 48 terms,
-  the powers by a running product and each order summed per point.
-* Fermion, e^-1 < z <= FERMI_Z_MAX = 1e12: 14 Chebyshev expansions of
-  degree 24 in mu, on equal pieces of [-1, ln 1e12], evaluated by
-  Clenshaw's recurrence.  The table is built once at import from the
-  Fermi-Dirac integral
-  (1/Gamma(s)) \\int_0^inf t^(s-1) / (exp(t - ln z) + 1) dt
-  on Gauss-Legendre panels, with t = y^2 on [0,1] to absorb the
-  t^(-1/2) endpoint of the s = 1/2 order.  The quadrature is the one li
-  path whose values depend on its batch: the node grid reaches from the
-  batch's largest z, and each order is one BLAS product over all points.
-  So its occupancy, which is elementwise, is built in blocks of rows into
-  one array (the import's peak memory holds one such array, not three),
-  and each order is still summed in one product.
-  Larger Fermion fugacities are rejected; the fugacity fit searches up to
-  the same bound.
+* z <= e^-1: direct power series sum_k (+-1)^(k+1) z^k / k^s, 48 terms; each
+  point's powers are a running product along its own contiguous row, the
+  layout that sets the order in which einsum sums each order per point.
+* Fermion, e^-1 < z <= FERMI_Z_MAX = 1e12: 14 Chebyshev expansions of degree
+  24 in mu, on equal pieces of [-1, ln 1e12], evaluated by Clenshaw's
+  recurrence on (points, 5) rows gathered from a (degree, piece, order) copy
+  of the table.  The table is built at import from the Fermi-Dirac integral
+  (1/Gamma(s)) \\int_0^inf t^(s-1) / (exp(t - ln z) + 1) dt on Gauss-Legendre
+  panels, with t = y^2 on [0,1] to absorb the t^(-1/2) endpoint of the
+  s = 1/2 order.  This quadrature is the one li path whose values depend on
+  its batch: the node grid reaches from the batch's largest z, and each order
+  is one BLAS product over all points.  So its occupancy is built in blocks
+  of rows into one array (the import's peak holds one such array, not
+  three), and each order is one product.  Larger Fermion fugacities are
+  rejected; the fugacity fit searches up to the same bound.
 * Boson, e^-1 < z < 1: Robinson's expansion in powers of mu,
   Li_s(e^mu) = Gamma(1-s) (-mu)^(s-1) + sum_k zeta(s-k) mu^k / k!,
-  k <= 20, zeta(k + 1/2) from a pinned table and zeta at negative arguments
-  from the functional equation; its terms fall like (|mu| / 2 pi)^k.
+  k <= 20, the powers a running product over power-major rows, zeta(k + 1/2)
+  from a pinned table and zeta at negative arguments from the functional
+  equation; its terms fall like (|mu| / 2 pi)^k.
 
 Against 30-digit mpmath values the series is within 1e-15 relative, the
 Boson expansion within 2e-15 and the Fermion table within 3e-15 (its
@@ -132,7 +132,8 @@ _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
 def _validate_z(z: np.ndarray, theta: int) -> None:
     """One test against `_Z_BELOW` clears a batch; a failing one is diagnosed."""
-    if z.size == 0 or (z.min() > 0.0 and z.max() < _Z_BELOW[theta]):
+    if z.size == 0 or (np.minimum.reduce(z, axis=None) > 0.0
+                       and np.maximum.reduce(z, axis=None) < _Z_BELOW[theta]):
         return
     if not np.isfinite(z).all():
         raise DomainError("fugacity must be finite")
@@ -146,9 +147,11 @@ def _validate_z(z: np.ndarray, theta: int) -> None:
 
 
 def _series(z: np.ndarray, theta: int) -> np.ndarray:
-    zk = np.cumprod(np.broadcast_to(z[:, None], (z.size, _K_SERIES)), axis=1)
-    # einsum sums each (order, point) on its own, so a point's value does not
-    # depend on the batch; a BLAS product does
+    zk = np.empty((z.size, _K_SERIES))
+    zk[:] = z[:, None]
+    np.multiply.accumulate(zk, axis=1, out=zk)
+    # einsum sums each (order, point) on its own (a BLAS product does not), in
+    # an order set by the layout: each point's powers stay contiguous
     return np.einsum("nk,sk->sn", zk, _SERIES_COEF[theta])
 
 
@@ -208,36 +211,42 @@ def _chebyshev_table() -> np.ndarray:
 
 
 _CHEB_COEF = _chebyshev_table()
+#: the same coefficients as (degree + 1, pieces, 5): a point's gather is rows
+_CHEB_ROWS = np.ascontiguousarray(_CHEB_COEF.transpose(0, 2, 1))
 
 
 def _fermi_chebyshev(mu: np.ndarray) -> np.ndarray:
     """li for Fermions at mu = ln z in [-1, ln FERMI_Z_MAX]: (5, N).
 
     Clenshaw's recurrence on each point's piece, elementwise throughout.
-    The gather copies each point's coefficients next to each other and
-    2 x is full shape, so every pass runs on contiguous (5, N) rows.
+    The gather copies each point's five coefficients of a degree as one row
+    and 2 x is full shape, so every pass runs on contiguous (N, 5) arrays;
+    the result is their (5, N) transpose.
     """
-    j = np.searchsorted(_CHEB_EDGES, mu, side="right") - 1
-    j = np.minimum(np.maximum(j, 0), _CHEB_PIECES - 1)
-    x = (mu - _CHEB_MID[j]) / _CHEB_HALF[j]
-    c = _CHEB_COEF.take(j, axis=2)
-    two_x = np.repeat(2.0 * x[None, :], len(ORDERS), axis=0)
-    b1, b2, t = c[-1].copy(), np.zeros_like(c[0]), np.empty_like(c[0])
+    j = np.searchsorted(_CHEB_EDGES[1:-1], mu, side="right")   # 0 .. pieces - 1
+    x = ((mu - _CHEB_MID[j]) / _CHEB_HALF[j])[:, None]
+    c = _CHEB_ROWS.take(j, axis=1)
+    shape = (mu.size, len(ORDERS))
+    b1, b2, t, two_x = c[-1].copy(), np.zeros(shape), np.empty(shape), np.empty(shape)
+    np.multiply(x, 2.0, out=two_x)
     for ck in c[-2:0:-1]:
         # b1 <- 2 x b1 - b2 + c_k, in place: this loop is the kernel's cost
         np.multiply(two_x, b1, out=t)
         t -= b2
         t += ck
         b1, b2, t = t, b1, b2
-    return x * b1 - b2 + c[0]
+    return (x * b1 - b2 + c[0]).T
 
 
 def _bose_robinson(mu: np.ndarray) -> np.ndarray:
     """li for Bosons at mu = ln z in (-1, 0): (5, N)."""
-    mk = np.cumprod(np.broadcast_to(mu[:, None], (mu.size, _K_ROBINSON)), axis=1)
-    # summed per (order, point) like the series, the smallest terms first
+    mk = np.empty((_K_ROBINSON, mu.size))
+    mk[:] = mu
+    np.multiply.accumulate(mk, axis=0, out=mk)   # power-major: one pass a power
+    # summed per (order, point) like the series, the smallest terms first;
+    # einsum sums the reversed powers of a point in order in either layout
     return (_GAMMA_1MS * (-mu) ** (_S - 1.0) + _ROBINSON_COEF[0][:, None]
-            + np.einsum("nk,ks->sn", mk[:, ::-1], _ROBINSON_COEF[:0:-1]))
+            + np.einsum("nk,ks->sn", mk.T[:, ::-1], _ROBINSON_COEF[:0:-1]))
 
 
 def eval_polylog_batch(z, theta) -> np.ndarray:
@@ -258,10 +267,11 @@ def eval_polylog_batch(z, theta) -> np.ndarray:
     shape = (len(ORDERS),) + z.shape
     above = _fermi_chebyshev if theta == 1 else _bose_robinson
     lo = z <= _SERIES_Z_MAX
+    n_lo = np.count_nonzero(lo)
     # the kernels are elementwise: one that serves every point runs unmasked
-    if lo.all():
+    if n_lo == z.size:
         return _series(z.ravel(), theta).reshape(shape)
-    if not lo.any():
+    if n_lo == 0:
         return above(np.log(z.ravel())).reshape(shape)
     vals = np.empty(shape)
     vals[:, lo] = _series(z[lo], theta)

@@ -182,14 +182,14 @@ class MomentState13:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(3))
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise DomainError(f"density must be positive, got {self.rho}")
-        if not (np.isfinite(self.u).all() and np.isfinite(self.q).all()):
+        if not np.logical_and.reduce(np.isfinite(self.u) & np.isfinite(self.q)):
             raise DomainError("velocity and heat flux must be finite")
-        scale = float(np.abs(self.p_ij).max())
-        if not np.isfinite(self.p_ij).all() or scale == 0.0:
+        scale = float(np.maximum.reduce(np.abs(self.p_ij), axis=None))
+        if not np.logical_and.reduce(np.isfinite(self.p_ij), axis=None) or scale == 0.0:
             raise DomainError("pressure tensor must be finite and nonzero")
-        if np.abs(self.p_ij - self.p_ij.T).max() > 1e-9 * scale:
+        if np.maximum.reduce(np.abs(self.p_ij - self.p_ij.T), axis=None) > 1e-9 * scale:
             raise DomainError("pressure tensor must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (self.p_ij + self.p_ij.T)).min() <= 0.0:
+        if np.minimum.reduce(np.linalg.eigvalsh(0.5 * (self.p_ij + self.p_ij.T))) <= 0.0:
             raise DomainError("pressure tensor must be positive definite")
 
     @property
@@ -238,8 +238,9 @@ def _validate_cells(w: np.ndarray, step: Optional[int] = None,
     rho, _, p11, _, p = w.T
     with np.errstate(all="ignore"):
         ratio = p11 / p - 1.0
-    if (np.isfinite(w).all() and rho.min() > 0.0 and p.min() > 0.0
-            and ratio.min() > -1.0 and ratio.max() < 2.0):
+    if (np.logical_and.reduce(np.isfinite(w), axis=None)
+            and np.minimum.reduce(rho) > 0.0 and np.minimum.reduce(p) > 0.0
+            and np.minimum.reduce(ratio) > -1.0 and np.maximum.reduce(ratio) < 2.0):
         return
     where = "" if step is None else f" in step {step} at t = {t:.6g}"
     finite = np.isfinite(w)

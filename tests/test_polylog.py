@@ -372,6 +372,125 @@ def test_fermi_quadrature_bits_match_masked_occupancy(rng):
             assert np.array_equal(got[k], ref[k]), (size, k)
 
 
+# The kernels as they ran before their layouts changed: references that the
+# kernels must match bit for bit.  A point's value is summed by einsum, whose
+# order follows its operands' layout, so these pin the layouts' effect too.
+
+def _series_reference(z, theta):
+    zk = np.cumprod(np.broadcast_to(z[:, None], (z.size, polylog._K_SERIES)), axis=1)
+    return np.einsum("nk,sk->sn", zk, polylog._SERIES_COEF[theta])
+
+
+def _robinson_reference(mu):
+    mk = np.cumprod(np.broadcast_to(mu[:, None], (mu.size, polylog._K_ROBINSON)), axis=1)
+    return (polylog._GAMMA_1MS * (-mu) ** (polylog._S - 1.0)
+            + polylog._ROBINSON_COEF[0][:, None]
+            + np.einsum("nk,ks->sn", mk[:, ::-1], polylog._ROBINSON_COEF[:0:-1]))
+
+
+def _chebyshev_reference(mu):
+    j = np.searchsorted(polylog._CHEB_EDGES, mu, side="right") - 1
+    j = np.minimum(np.maximum(j, 0), polylog._CHEB_PIECES - 1)
+    x = (mu - polylog._CHEB_MID[j]) / polylog._CHEB_HALF[j]
+    c = polylog._CHEB_COEF.take(j, axis=2)
+    two_x = np.repeat(2.0 * x[None, :], len(ORDERS), axis=0)
+    b1, b2, t = c[-1].copy(), np.zeros_like(c[0]), np.empty_like(c[0])
+    for ck in c[-2:0:-1]:
+        np.multiply(two_x, b1, out=t)
+        t -= b2
+        t += ck
+        b1, b2, t = t, b1, b2
+    return x * b1 - b2 + c[0]
+
+
+_KERNEL_SIZES = (1, 2, 7, 64, 257, 1000, 8193)   # 8193: past einsum's buffer
+
+
+def _with_edges(draw, edges, size):
+    """`size` points: the edge points first, as many as fit, then draws."""
+    edges = np.asarray(edges, dtype=float)[:size]
+    return np.concatenate([edges, draw(size - edges.size)])
+
+
+def _up(x):
+    return float(np.nextafter(x, np.inf))
+
+
+def _down(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+@pytest.mark.parametrize("theta", [1, -1], ids=["fermion", "boson"])
+def test_series_bits_match_reference(theta, rng):
+    """The series at z = e^-1, one ulp below it and the smallest normal float,
+    and at random z down to 1e-300."""
+    e1 = polylog._SERIES_Z_MAX
+    for size in _KERNEL_SIZES:
+        z = _with_edges(lambda n: 10.0 ** rng.uniform(-300.0, math.log10(e1), n),
+                        [e1, _down(e1), np.finfo(float).tiny, 0.25], size)
+        got = polylog._series(z, theta)
+        assert got.shape == (5, size)
+        assert np.array_equal(got, _series_reference(z, theta)), size
+
+
+def test_bose_robinson_bits_match_reference(rng):
+    """Robinson's expansion one ulp above e^-1, at the float below
+    BOSE_Z_MAX and the one below that, and at random z in (e^-1, 1)."""
+    e1 = polylog._SERIES_Z_MAX
+    top = _down(BOSE_Z_MAX)
+    for size in _KERNEL_SIZES:
+        z = _with_edges(lambda n: np.concatenate([
+            rng.uniform(e1, 0.99, n - n // 2),
+            1.0 - 10.0 ** -rng.uniform(2.0, 12.0, n // 2)]),
+            [_up(e1), top, _down(top), 0.5], size)
+        mu = np.log(z)
+        got = polylog._bose_robinson(mu)
+        assert got.shape == (5, size)
+        assert np.array_equal(got, _robinson_reference(mu)), size
+
+
+def test_fermi_chebyshev_bits_match_reference(rng):
+    """The Fermion table one ulp above e^-1, at z = 1e12, at every piece
+    edge and one ulp to either side of it, and at random mu."""
+    e1 = polylog._SERIES_Z_MAX
+    edges = polylog._CHEB_EDGES
+    edge_mu = np.concatenate([edges, np.nextafter(edges, -np.inf)[1:],
+                              np.nextafter(edges, np.inf)[:-1]])
+    for size in _KERNEL_SIZES:
+        mu = _with_edges(lambda n: rng.uniform(-1.0, math.log(polylog.FERMI_Z_MAX), n),
+                         np.concatenate([[math.log(_up(e1)),
+                                          math.log(polylog.FERMI_Z_MAX)], edge_mu]),
+                         size)
+        got = polylog._fermi_chebyshev(mu)
+        assert got.shape == (5, size)
+        assert np.array_equal(got, _chebyshev_reference(mu)), size
+
+
+@pytest.mark.parametrize("theta", [1, -1], ids=["fermion", "boson"])
+def test_batch_bits_match_reference_kernels(theta, rng):
+    """eval_polylog_batch on one branch, on the other and on both mixed,
+    flat and as a 2-D batch, is the reference kernels routed by z <= e^-1;
+    z = e^-1 itself and the top of the range are among the points."""
+    e1 = polylog._SERIES_Z_MAX
+    top = polylog.FERMI_Z_MAX if theta == 1 else _down(BOSE_Z_MAX)
+    above = _chebyshev_reference if theta == 1 else _robinson_reference
+    for size in (1, 7, 257, 8193):
+        lo = _with_edges(lambda n: 10.0 ** rng.uniform(-12.0, math.log10(e1), n),
+                         [e1], size)
+        hi = _with_edges(lambda n: np.exp(rng.uniform(_up(-1.0), math.log(top), n)),
+                         [top], size)
+        mixed = np.where(rng.random(size) < 0.5, lo, hi)
+        for z in (lo, hi, mixed, mixed[:size - size % 2].reshape(-1, 2)):
+            flat = z.ravel()
+            ref = np.empty((5, flat.size))
+            below = flat <= e1
+            ref[:, below] = _series_reference(flat[below], theta)
+            ref[:, ~below] = above(np.log(flat[~below]))
+            got = eval_polylog_batch(z, theta)
+            assert got.shape == (5,) + z.shape
+            assert np.array_equal(got.reshape(5, -1), ref), size
+
+
 def test_chebyshev_table_bits_pinned():
     """The Fermion table built at import, byte for byte."""
     assert polylog._CHEB_COEF.shape == (25, 5, 14)
