@@ -39,7 +39,7 @@ from .polylog import (_SERIES_Z_MAX, FERMI_Z_C, FERMI_Z_MAX, ORDERS, ZETA_HALF,
 from .spectral import (CLASS_CODES, CODE_INADMISSIBLE, Classification,
                        classify_batch)
 from .state import (_EYE3, EquilibriumParams, LiCoeffs, MomentState13,
-                    _shear_state, ansatz_moments, closure_moments,
+                    _positive, _shear_state, ansatz_moments, closure_moments,
                     equilibrium_state13, state5_from_hat)
 
 _CODE_NAMES = {**{code: cls.value for cls, code in CLASS_CODES.items()},
@@ -267,32 +267,47 @@ def _scan(X: np.ndarray, shat: np.ndarray, qhat: np.ndarray,
     return np.concatenate((codes[::-1][:half], codes)), aux
 
 
-def _shear_scan(kind: SystemKind, eq: EquilibriumParams, n: int,
+def _qhat_axis(n, q1_hat_max) -> np.ndarray:
+    """n points on [-q1_hat_max, q1_hat_max], for n a positive integer."""
+    if not (isinstance(n, (int, np.integer)) and n > 0):
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    q = _positive("q1_hat_max", q1_hat_max)
+    return np.linspace(-q, q, n)
+
+
+def _shear_scan(kind: SystemKind, theta: int, z: float, n: int,
                 q1_hat_max: float, direction, seed: int,
                 threads: Optional[int]) -> RegionGrid:
-    """Classify the kind's 13x13 matrices over (sigma12_hat, q1_hat) at eq.
+    """Classify the kind's 13x13 matrices over (sigma12_hat, q1_hat) at the
+    T = 1, zero-drift equilibrium (theta, z).
 
     The only deviatoric stress component is sigma12; the grid spans the
     admissible interval [-1, 1] in sigma12_hat, whose degenerate endpoints
-    are marked -1.  direction and seed are `_scan`'s.  An axis direction
-    also classifies only the sigma12_hat >= 0 columns and mirrors them; the
-    metadata is `_scan_summary` of the classified block.
+    are marked -1.  direction ("random" or no string) and seed are `_scan`'s.
+    An axis direction also classifies only the sigma12_hat >= 0 columns and
+    mirrors them; the metadata names the system, the direction and whether
+    it mirrored, with `_scan_summary` of the classified block.
     """
+    eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
+    random_dirs = isinstance(direction, str)
+    if random_dirs and direction != "random":
+        raise DomainError(f"direction must be 'random', an axis or 3 numbers, got {direction!r}")
+    meta = {"system": kind.value, "mirrored": not random_dirs,
+            "direction": "random" if random_dirs else list(_unit_rows(direction)[0])}
+    qhat = _qhat_axis(n, q1_hat_max)
     shat = np.linspace(-1.0, 1.0, n)
-    qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
     basis = stack_states([_shear_state(eq, s, q) for s, q in _BASIS],
                          [eq] * len(_BASIS))
     half = n // 2 if isinstance(direction, (int, np.integer)) else 0
     cells, aux = _scan(assemble_axes(kind, basis), shat[half:], qhat, threads,
                        direction, seed)
     cells[:, np.abs(shat[half:]) >= 1.0] = CODE_INADMISSIBLE
-    summary = _scan_summary(cells, aux)
+    meta.update(_scan_summary(cells, aux))
     # x2 -> -x2 flips sigma12, keeps q1 and maps e_d to +-e_d: the matrix at
     # -sigma12_hat is +-P A P for a signed permutation P, so the class is equal
     cells = np.concatenate((cells[:, ::-1][:, :half], cells), axis=1)
     return RegionGrid(theta=eq.theta, z=eq.z, T=1.0, x_name="sigma12_hat",
-                      y_name="q1_hat", x=shat, y=qhat, cells=cells,
-                      metadata=summary)
+                      y_name="q1_hat", x=shat, y=qhat, cells=cells, metadata=meta)
 
 
 def region_scan_1d(theta: int, z: float, n: int = 401,
@@ -305,8 +320,8 @@ def region_scan_1d(theta: int, z: float, n: int = 401,
     q_hat >= 0 half is computed and the rest filled by the exact parity mirror.
     """
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
+    qhat = _qhat_axis(n, q1_hat_max)
     shat = np.linspace(-0.999, 1.999, n)
-    qhat = np.linspace(-q1_hat_max, q1_hat_max, n)
     w = np.array([[st.rho, st.u1, st.p11, st.q1, st.p] for st in
                   (state5_from_hat(eq, s, q) for s, q in _BASIS)])
     cells, aux = _scan(_a5_stack(SystemKind.Grad13, w, eq.coeffs)[:, None],
@@ -323,12 +338,7 @@ def region_scan_3d_cross_section(theta: int, z: float, n: int = 401,
                                  threads: Optional[int] = None) -> RegionGrid:
     """Classify the full 13x13 plain closure along axis 1 over
     (sigma12_hat, q1_hat) (see `_shear_scan`)."""
-    eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
-    grid = _shear_scan(SystemKind.Grad13, eq, n, q1_hat_max, direction=1, seed=0,
-                       threads=threads)
-    grid.metadata.update(system=SystemKind.Grad13.value,
-                         direction=[1.0, 0.0, 0.0], mirrored=True)
-    return grid
+    return _shear_scan(SystemKind.Grad13, theta, z, n, q1_hat_max, 1, 0, threads)
 
 
 def region_scan_regularized(theta: int, z: float, n: int = 401,
@@ -344,23 +354,15 @@ def region_scan_regularized(theta: int, z: float, n: int = 401,
     and its summary stored in the metadata under a "grad_" prefix.  A zero
     direction vector raises DomainError.
     """
-    eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=1.0)
-    random_dirs = isinstance(direction, str) and direction == "random"
-    meta: Dict[str, object] = {
-        "system": SystemKind.FinalR13.value,
-        "direction": "random" if random_dirs else list(_unit_rows(direction)[0]),
-        "seed": seed if random_dirs else None,
-        "mirrored": not random_dirs,
-    }
-    grid = _shear_scan(SystemKind.FinalR13, eq, n, q1_hat_max, direction, seed,
-                       threads)
-    grid.metadata.update(meta)
+    grid = _shear_scan(SystemKind.FinalR13, theta, z, n, q1_hat_max, direction, seed, threads)
+    grid.metadata["seed"] = seed if grid.metadata["direction"] == "random" else None
     if compare_grad:
-        grad = _shear_scan(SystemKind.Grad13, eq, n, q1_hat_max, direction,
+        grad = _shear_scan(SystemKind.Grad13, theta, z, n, q1_hat_max, direction,
                            seed, threads)
         summary = {"class_counts": class_counts(grad.cells),
                    "area_fraction": area_fraction(grad), **grad.metadata}
-        grid.metadata.update({"grad_" + k: v for k, v in summary.items()})
+        grid.metadata.update({"grad_" + k: v for k, v in summary.items()
+                              if k not in ("system", "direction", "mirrored")})
     return grid
 
 
@@ -462,8 +464,7 @@ def maxwellian_iteration_nsf(kind: SystemKind, theta: int, z: float,
     - 5 li[5/2]/(2 li[3/2])) for a model with the correct limit.
     tau must be positive and finite.
     """
-    if not 0.0 < tau < math.inf:
-        raise DomainError(f"relaxation time must be positive and finite, got {tau}")
+    _positive("relaxation time", tau)
     eq = EquilibriumParams(theta=theta, z=z, u=np.zeros(3), T=T)
     st = equilibrium_state13(eq)
     A = assemble_A(kind, st, eq, 1)

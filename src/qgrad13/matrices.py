@@ -203,18 +203,19 @@ def _compile(ops, size):
                           for w in range(max(map(len, met)))]
 
 
-_TABLES = {k: _compile(_a_ops(k), 507) for k in (SystemKind.Grad13, SystemKind.FinalR13)}
-_TABLES[SystemKind.TrivialR13] = _TABLES[SystemKind.FinalR13]   # both "R13"
 _REGULARIZED = _compile(_a_ops(SystemKind.FinalR13) + _d_ops(), 676)   # D after A
+_TABLES = {SystemKind.Grad13: _compile(_a_ops(SystemKind.Grad13), 507),
+           SystemKind.FinalR13: _REGULARIZED, SystemKind.TrivialR13: _REGULARIZED}
 _EYE13 = np.eye(13).reshape(169, 1)
 
 
-def _axes(table, S: StateStack, s: SimpleNamespace) -> np.ndarray:
+def _axes(kind: SystemKind, S: StateStack) -> np.ndarray:
     """Axis matrices A_1, A_2, A_3 entry-major and flat, (507, N), then for
-    _REGULARIZED D's 169 entries: u_d I (D: its start) plus, wave by wave,
-    the values of the table's terms over the columns s, so that each entry
-    sums its terms in the loops' order."""
-    terms, start, waves = table
+    the R13 kinds, whose one table is _REGULARIZED, D's 169 entries: u_d I
+    (D: its start) plus, wave by wave, the values of the table's terms over
+    the kind's `_columns`, so that each entry sums its terms in the loops'
+    order.  Terms and waves are elementwise, so D's rows leave A's bits alone."""
+    (terms, start, waves), s = _TABLES[kind], _columns(kind, S)
     vals = np.empty((terms[-1][3], S.rho.size))
     for evaluate, o, lo, hi in terms:
         vals[lo:hi] = evaluate(s, o)
@@ -234,7 +235,7 @@ def _state_major(X: np.ndarray) -> np.ndarray:
 
 def assemble_axes(kind: SystemKind, S: StateStack) -> np.ndarray:
     """Axis matrices A_1, A_2, A_3 of the model on N states: (N, 3, 13, 13)."""
-    return _state_major(_axes(_TABLES[kind], S, _columns(kind, S)).reshape(3, 169, -1))
+    return _state_major(_axes(kind, S)[:507].reshape(3, 169, -1))
 
 
 def _axis_swap(d: int) -> np.ndarray:
@@ -297,7 +298,7 @@ def _along(n: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def assemble_along(kind: SystemKind, S: StateStack, n) -> np.ndarray:
     """The model's matrices along directions n (N, 3), or an axis: (N, 13, 13)."""
-    return _along(_unit_rows(n), _axes(_TABLES[kind], S, _columns(kind, S)).reshape(3, 169, -1))
+    return _along(_unit_rows(n), _axes(kind, S)[:507].reshape(3, 169, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,8 +318,7 @@ def regularized_stack(S: StateStack, n) -> SystemMatrices:
     checks D A = (M + u_n I) D on the spot; SingularD names the first state
     whose D is singular or whose check fails.
     """
-    n, s = _unit_rows(n), _columns(SystemKind.FinalR13, S)
-    X = _axes(_REGULARIZED, S, s)
+    n, X = _unit_rows(n), _axes(SystemKind.FinalR13, S)
     A, M = _along(n, X[:507].reshape(3, 169, -1)), _along(n, _m_axes(S.coeffs))
     D = _state_major(X[507:])
     sv = np.linalg.svd(D, compute_uv=False)

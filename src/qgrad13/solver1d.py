@@ -15,14 +15,16 @@ root of the equilibrium quartic.  z, T and li come from `state`'s one fit,
 warm-started from the last step's z and li, so li is evaluated only at cells
 whose Newton iterate has not converged; a radius that is not positive and
 finite stops the run, as does a cell that fails `state._validate_cells`.
-The start and the first fit's guess reuse the side equilibria of `SimConfig`.
+The start and the first fit's guess reuse the side equilibria of `SimConfig`,
+which checks length, tau and t_end with `state._positive` and the keys it
+reads with `state._keys`; a key that `from_dict` lacks takes its default.
 
 State layout: w has one row (rho, u1, p11, q1, p) per cell.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -32,7 +34,8 @@ from .errors import (CFLViolation, CondensationError, DomainError,
                      InadmissibleCell, NoSolution)
 from .matrices import SystemKind, _a5_stack
 from .polylog import FERMI_Z_C, _check_theta
-from .state import _COLUMNS, EquilibriumParams, LiCoeffs, _fit, _read, _validate_cells
+from .state import (_COLUMNS, EquilibriumParams, LiCoeffs, _fit, _keys, _positive,
+                    _read, _validate_cells)
 
 _MAX_STEPS = 5_000_000
 _LEDGER = ("time", "mass", "momentum", "energy")
@@ -68,21 +71,15 @@ class SimConfig:
             object.__setattr__(self, k, _read(d, k, float, "a number"))
         for name in ("left", "right"):
             s = _read(d, name, dict, "an object with keys z, u1 and T")
-            missing = {"z", "u1", "T"} - set(s)
-            if missing:
-                raise DomainError(f"{name} state lacks {sorted(missing)}")
+            _keys(s, ("z", "u1", "T"), f"{name} state")
             s.update((k, _read(s, k, float, "a number", name + " ")) for k in ("z", "u1", "T"))
             object.__setattr__(self, name, s)
         if self.cells < 4:
             raise DomainError(f"need at least 4 cells, got {self.cells}")
-        if not (self.length > 0.0 and math.isfinite(self.length)):
-            raise DomainError(f"length must be positive, got {self.length}")
+        for k in ("length", "tau", "t_end"):
+            _positive(k, getattr(self, k))
         if not (0.0 < self.cfl < 1.0):
             raise DomainError(f"cfl must lie in (0, 1), got {self.cfl}")
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise DomainError(f"tau must be positive, got {self.tau}")
-        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
-            raise DomainError(f"t_end must be positive, got {self.t_end}")
         if self.boundary not in ("periodic", "copy"):
             raise DomainError(
                 f"boundary must be 'periodic' or 'copy', got {self.boundary!r}")
@@ -96,12 +93,8 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        missing = {"theta", "cells", "length", "cfl", "tau", "t_end", "left",
-                   "right"} - set(d if isinstance(d, dict) else ())
-        if missing:
-            raise DomainError(f"run description lacks {sorted(missing)}")
-        d = {"boundary": "periodic", "hhat": 1.0, "n_snapshots": 11, **d}
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        _keys(d, [f.name for f in fields(cls) if f.default is MISSING], "run description")
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def _integral(x) -> int:

@@ -14,7 +14,9 @@ numerically to validate the closure: n_nodes Gauss-Legendre radii on
 [0, half_width sqrt(T)] around u times a fixed 32-direction rule that is
 exact on the ansatz's angular parts, contracted separably (radial moments
 first, then direction monomials).  `LiCoeffs` is the one home of every
-coefficient derived from the li values.
+coefficient derived from the li values.  `_positive` is the one check of a
+positive number passed in (temperature, hhat, density, and the solver's and
+the transport limit's), and `_keys` that of a JSON object's required keys.
 """
 from __future__ import annotations
 
@@ -118,12 +120,19 @@ class LiCoeffs:
     x_minus = _once(lambda c: c.c0 / c.x_plus)   # Vieta: c1 - root cancels as z -> 1
 
 
-def _checked_hhat(hhat) -> float:
-    """hhat as a float, if it is positive and finite (DomainError otherwise)."""
-    hhat = float(hhat)
-    if not 0.0 < hhat < math.inf:
-        raise DomainError(f"hhat must be positive and finite, got {hhat}")
-    return hhat
+def _positive(name: str, x) -> float:
+    """x as a float, if it is positive and finite (a DomainError naming it otherwise)."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {x}")
+    return x
+
+
+def _keys(d, names, what: str) -> None:
+    """A DomainError naming what d, a JSON object, lacks of names."""
+    missing = set(names) - set(d if isinstance(d, dict) else ())
+    if missing:
+        raise DomainError(f"{what} lacks {sorted(missing)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,10 +157,8 @@ class EquilibriumParams:
         object.__setattr__(self, "theta", _check_theta(self.theta))
         object.__setattr__(self, "z", float(self.z))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(3))
-        object.__setattr__(self, "T", float(self.T))
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise DomainError(f"temperature must be positive, got {self.T}")
-        object.__setattr__(self, "hhat", _checked_hhat(self.hhat))
+        object.__setattr__(self, "T", _positive("temperature", self.T))
+        object.__setattr__(self, "hhat", _positive("hhat", self.hhat))
         if _li is None:
             _li = eval_polylog_batch(self.z, self.theta)[:, 0]
         # Python floats: numpy scalars square differently (see `_square`)
@@ -176,12 +183,10 @@ class MomentState13:
     q: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "rho", _positive("density", self.rho))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(3))
         object.__setattr__(self, "p_ij", np.asarray(self.p_ij, dtype=float).reshape(3, 3))
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(3))
-        if not (self.rho > 0.0 and math.isfinite(self.rho)):
-            raise DomainError(f"density must be positive, got {self.rho}")
         if not np.logical_and.reduce(np.isfinite(self.u) & np.isfinite(self.q)):
             raise DomainError("velocity and heat flux must be finite")
         scale = float(np.maximum.reduce(np.abs(self.p_ij), axis=None))
@@ -206,9 +211,7 @@ class MomentState13:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MomentState13":
-        missing = {"rho", "u", "p_ij", "q"} - set(d if isinstance(d, dict) else ())
-        if missing:
-            raise DomainError(f"moment state lacks {sorted(missing)}")
+        _keys(d, ("rho", "u", "p_ij", "q"), "moment state")
 
         def array(key, *shape):
             return _read(d, key, lambda x: np.asarray(x, dtype=float).reshape(shape),
@@ -490,7 +493,7 @@ def fit_equilibrium(rho: float, p: float, theta: int, hhat: float = 1.0,
     """Invert (rho, p) -> (z, T); round-trips with EquilibriumParams.rho, .p to 1e-10."""
     if not (rho > 0.0 and p > 0.0 and math.isfinite(rho) and math.isfinite(p)):
         raise NoSolution(f"need positive finite rho and p, got {rho}, {p}")
-    hhat = _checked_hhat(hhat)
+    hhat = _positive("hhat", hhat)
     z, T, li, _, _ = _fit(np.array([rho]), np.array([p]), theta, hhat)
     return EquilibriumParams(theta=theta, z=float(z[0]), u=np.asarray(u),
                              T=float(T[0]), hhat=hhat, _li=li[:, 0])

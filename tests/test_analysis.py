@@ -504,3 +504,31 @@ def test_fugacity_ranges_come_from_one_table():
                 -1: lambda: b.uniform(0.01, 0.99),
                 0: lambda: 10.0 ** b.uniform(-2.0, 1.0)}[theta]()
         assert analysis.random_fugacity(a, theta) == want
+
+
+_SCANS = {"region1d": q.region_scan_1d, "region3d": q.region_scan_3d_cross_section,
+          "region-reg": q.region_scan_regularized}
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"n": 0}, "n must be a positive integer, got 0"),
+    ({"n": 2.5}, "n must be a positive integer, got 2.5"),
+    ({"q1_hat_max": math.nan}, "q1_hat_max must be positive and finite, got nan"),
+    ({"q1_hat_max": math.inf}, "q1_hat_max must be positive and finite, got inf"),
+    ({"q1_hat_max": 0.0}, "q1_hat_max must be positive and finite, got 0.0"),
+    ({"q1_hat_max": -1.0}, "q1_hat_max must be positive and finite, got -1.0"),
+])
+@pytest.mark.parametrize("scan", list(_SCANS))
+def test_scans_check_their_grid_inputs(scan, kw, message):
+    """A bad grid size or q1_hat range is a DomainError that names it, not
+    a LinAlgError, a reshape error or a reversed axis."""
+    with pytest.raises(q.DomainError) as exc:
+        _SCANS[scan](0, 1.0, **{"n": 5, **kw})
+    assert str(exc.value) == message
+
+
+def test_scan_rejects_a_direction_string_other_than_random():
+    with pytest.raises(q.DomainError) as exc:
+        q.region_scan_regularized(0, 1.0, n=5, direction="Random")
+    assert str(exc.value) == ("direction must be 'random', an axis or 3 numbers, "
+                              "got 'Random'")

@@ -374,3 +374,10 @@ def test_op_tables_keep_the_term_order_rule(ops):
         by_entry.setdefault((d, row, col), []).append(rank[term])
     for entry, ranks in by_entry.items():
         assert ranks == sorted(set(ranks)), entry
+
+
+def test_r13_kinds_read_the_regularized_table():
+    """A's R13 ops are compiled once: both R13 kinds read the first 507 rows
+    of the table that also holds D."""
+    for kind in (SystemKind.FinalR13, SystemKind.TrivialR13):
+        assert matrices._TABLES[kind] is matrices._REGULARIZED

@@ -624,3 +624,26 @@ def test_snapshot_times_hit_exactly():
     res = q.run(cfg)
     np.testing.assert_allclose(res.times, np.linspace(0.0, 0.11, 6),
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, message", [
+    ({k: v for k, v in dataclasses.asdict(_uniform_config()).items() if k != "tau"},
+     "run description lacks ['tau']"),
+    ({**dataclasses.asdict(_uniform_config()), "left": {"z": 2.0, "u1": 0.0}},
+     "left state lacks ['T']"),
+])
+def test_config_names_the_keys_it_lacks(d, message):
+    with pytest.raises(DomainError) as exc:
+        SimConfig.from_dict(d)
+    assert str(exc.value) == message
+
+
+def test_config_from_dict_defaults_are_the_fields_defaults():
+    """A run description with only the required keys gives the dataclass
+    defaults, which are written in one place."""
+    side = {"z": 2.0, "u1": 0.0, "T": 1.0}
+    required = {"theta": 1, "cells": 16, "length": 1.0, "cfl": 0.45, "tau": 0.1,
+                "t_end": 0.1, "left": side, "right": dict(side)}
+    cfg = SimConfig.from_dict(required)
+    assert cfg == SimConfig(**required)
+    assert (cfg.boundary, cfg.hhat, cfg.n_snapshots) == ("periodic", 1.0, 11)

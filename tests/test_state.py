@@ -687,3 +687,36 @@ def test_equilibrium_params_validation():
         EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=-1.0)
     with pytest.raises(DomainError):
         EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=1.0, hhat=0.0)
+
+
+_SIDE = {"z": 1.0, "u1": 0.0, "T": 1.0}
+_RUN = {"theta": 0, "cells": 8, "length": 1.0, "cfl": 0.4, "tau": 0.1, "t_end": 0.1,
+        "left": _SIDE, "right": _SIDE}
+_POSITIVE_INPUTS = {
+    "temperature": lambda x: EquilibriumParams(theta=0, z=1.0, u=np.zeros(3), T=x),
+    "hhat": lambda x: EquilibriumParams(theta=0, z=1.0, u=np.zeros(3), T=1.0, hhat=x),
+    "density": lambda x: q.MomentState13(rho=x, u=np.zeros(3), p_ij=np.eye(3),
+                                         q=np.zeros(3)),
+    "length": lambda x: q.SimConfig(**{**_RUN, "length": x}),
+    "tau": lambda x: q.SimConfig(**{**_RUN, "tau": x}),
+    "t_end": lambda x: q.SimConfig(**{**_RUN, "t_end": x}),
+    "relaxation time": lambda x: q.maxwellian_iteration_nsf(q.SystemKind.FinalR13, 0, 1.0,
+                                                            tau=x),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1, math.nan, math.inf])
+@pytest.mark.parametrize("name", list(_POSITIVE_INPUTS))
+def test_every_positive_input_has_one_rule_and_one_message(name, value):
+    """Each positive number a caller passes in is checked by one rule, which
+    names it and the value, as a float, in one wording."""
+    with pytest.raises(DomainError) as exc:
+        _POSITIVE_INPUTS[name](value)
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == f"{name} must be positive and finite, got {float(value)}"
+
+
+def test_moment_state_names_the_keys_it_lacks():
+    with pytest.raises(DomainError) as exc:
+        q.MomentState13.from_dict({"rho": 1.0, "p_ij": np.eye(3).tolist()})
+    assert str(exc.value) == "moment state lacks ['q', 'u']"
