@@ -38,7 +38,7 @@ from .polylog import (_SERIES_Z_MAX, FERMI_Z_C, FERMI_Z_MAX, ORDERS, ZETA_HALF,
                       _check_theta, _fermi_quadrature, eval_polylog_batch)
 from .spectral import (CLASS_CODES, CODE_INADMISSIBLE, Classification,
                        classify_batch)
-from .state import (_EYE3, EquilibriumParams, LiCoeffs, MomentState13,
+from .state import (_EYE3, EquilibriumParams, LiCoeffs, MomentState13, _count,
                     _positive, _shear_state, ansatz_moments, closure_moments,
                     equilibrium_state13, state5_from_hat)
 
@@ -51,11 +51,11 @@ _Z_RANGE = {1: (1e-2, 1e2), -1: (0.01, 0.99), 0: (1e-2, 10.0)}
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
-    """threads, or by default the CPUs this process may run on."""
+    """threads, a positive integer, or by default the CPUs this process may use."""
     if threads is None:
-        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    return max(1, int(threads))
+        return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+    return _count("threads", threads)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +269,7 @@ def _scan(X: np.ndarray, shat: np.ndarray, qhat: np.ndarray,
 
 def _qhat_axis(n, q1_hat_max) -> np.ndarray:
     """n points on [-q1_hat_max, q1_hat_max], for n a positive integer."""
-    if not (isinstance(n, (int, np.integer)) and n > 0):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = _count("n", n)
     q = _positive("q1_hat_max", q1_hat_max)
     return np.linspace(-q, q, n)
 
@@ -489,7 +488,7 @@ def maxwellian_iteration_nsf(kind: SystemKind, theta: int, z: float,
 def random_fugacity(rng: np.random.Generator, theta: int,
                     bose_z_max: float = _Z_RANGE[-1][1]) -> float:
     """Bosons uniform in z up to bose_z_max, the others uniform in log z."""
-    lo, hi = _Z_RANGE[theta]
+    lo, hi = _Z_RANGE[_check_theta(theta)]
     if theta == -1:
         return float(rng.uniform(lo, bose_z_max))
     return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))

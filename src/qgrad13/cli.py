@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_thermo(sp)
         sp.add_argument("--n", type=_positive_int, default=401)
         sp.add_argument("--qmax", type=_positive_float, default=qmax)
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=_positive_int, default=None)
         sp.add_argument("--out", help="CSV output path")
         sp.set_defaults(func=_cmd_region)
     sp.add_argument("--direction", default="random",   # region-reg only

@@ -16,7 +16,8 @@ exact on the ansatz's angular parts, contracted separably (radial moments
 first, then direction monomials).  `LiCoeffs` is the one home of every
 coefficient derived from the li values.  `_positive` is the one check of a
 positive number passed in (temperature, hhat, density, and the solver's and
-the transport limit's), and `_keys` that of a JSON object's required keys.
+the transport limit's), `_count` that of a positive integer (grid sizes, rule
+nodes, worker threads), and `_keys` that of a JSON object's required keys.
 """
 from __future__ import annotations
 
@@ -126,6 +127,13 @@ def _positive(name: str, x) -> float:
     if not 0.0 < x < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {x}")
     return x
+
+
+def _count(name: str, n) -> int:
+    """n as an int, if it is an integer >= 1 (a DomainError naming it otherwise)."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise DomainError(f"{name} must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def _keys(d, names, what: str) -> None:
@@ -355,14 +363,6 @@ _EPS = float(np.finfo(float).eps)
 _NEWTON_STEPS = 3
 
 
-def _newton(x: np.ndarray, target: np.ndarray, theta: int, lo, hi) -> np.ndarray:
-    """Newton steps on the curve of `_gstar` in log z, kept in [lo, hi]."""
-    for _ in range(_NEWTON_STEPS):
-        curve, slope = _gstar(x, theta)
-        x = np.clip(x - (curve - target) / slope, lo, hi)
-    return x
-
-
 def _bracket_points(n: int, theta: int) -> int:
     """li evaluations of fit_fugacity_batch on n in-range ratios: the two
     range ends, then n per bisection and per Newton step (none classically)."""
@@ -408,57 +408,31 @@ def fit_fugacity_batch(gstar: np.ndarray, theta: int) -> np.ndarray:
         left = _gstar(mid, theta)[0] > target   # still left of the root
         lo = np.where(left, mid, lo)
         hi = np.where(left, hi, mid)
-    return _z_from_log(_newton(0.5 * (lo + hi), target, theta, lo, hi), theta)
-
-
-def _refine(guess, target: np.ndarray, theta: int):
-    """Newton steps in log z from a previous fit's (z, li), cell by cell.
-
-    The guess's li gives the first step's residual and slope at no li cost.
-    A cell steps only while a step would do more than chase noise: while its
-    residual exceeds li's rounding noise in the curve, 32 eps (1 + |target|),
-    plus what a step of eps in log z moves it, eps |slope|.  So a cell at
-    its fixed point keeps z and li bit for bit; each of at most
-    three iterates evaluates li on the cells still moving.  li is pointwise,
-    so these sub-batches change no value.  Returns (z, li, curve, slope,
-    points): curve and slope at the returned z, points the li evaluations.
-    """
-    z = np.array(guess[0], dtype=float)
-    li = np.array(guess[1], dtype=float)
-    x = np.log(z)
-    curve, slope = _curve(li)
-    noise = 32.0 * _EPS * (1.0 + np.abs(target))
-    moving = np.flatnonzero(np.abs(curve - target) > noise + _EPS * np.abs(slope))
-    points = 0
-    for _ in range(3):
-        if moving.size == 0:
-            break
-        xm = np.minimum(np.maximum(x[moving] - (curve[moving] - target[moving])
-                                   / slope[moving], _LOG_Z_LO), _LOG_Z_HI[theta])
-        zm = _z_from_log(xm, theta)
-        lm = eval_polylog_batch(zm, theta)
-        points += moving.size
-        x[moving], z[moving], li[:, moving] = xm, zm, lm
-        cm, sm = _curve(lm)
-        curve[moving], slope[moving] = cm, sm
-        moving = moving[np.abs(cm - target[moving])
-                        > noise[moving] + _EPS * np.abs(sm)]
-    return z, li, curve, slope, points
+    # fixed steps in the bracket: `_fit`'s noise-floor stop moves z's last ulp
+    x = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        curve, slope = _gstar(x, theta)
+        x = np.clip(x - (curve - target) / slope, lo, hi)
+    return _z_from_log(x, theta)
 
 
 def _fit(rho: np.ndarray, p: np.ndarray, theta: int, hhat: float = 1.0,
          guess: Optional[Tuple[np.ndarray, np.ndarray]] = None):
     """(rho, p) -> (z, T, li, fell_back, points) for N states: the one fit.
 
-    `guess` is a previous fit's (z, li), li's rows evaluated at exactly that z,
-    which `_refine` polishes cell by cell, so a cell's result depends only
-    on its own guess and target.  Cells that still miss by more than 1e-11
-    plus eps |slope| (one ulp of log z, more near Boson condensation), or
-    all without a guess (a cold start, not a fallback), go through
-    fit_fugacity_batch and li at its z.  `points` counts the li evaluations
-    of the call.  Range errors carry the first offending `index`.  The
-    powers use libm pow like `_square`, so they add no dependence on the
-    batch.
+    `guess` is a previous fit's (z, li), li's rows evaluated at exactly that
+    z, whose li gives the first Newton step in log z at no li cost.  A cell
+    steps only while a step would do more than chase noise: while its
+    residual exceeds li's rounding noise in the curve, 32 eps (1 + |target|),
+    plus what a step of eps in log z moves it, eps |slope|.  So a cell at its
+    fixed point keeps z and li bit for bit, and each of at most three
+    iterates evaluates li on the cells that step; li is pointwise, so a
+    cell's result depends only on its own guess and target.  Cells still
+    missing by over 1e-11 plus eps |slope| (one ulp of log z, more near Boson
+    condensation), or all without a guess (a cold start, not a fallback), go
+    through fit_fugacity_batch and li at its z.  `points` counts the call's li
+    evaluations, and range errors carry the first offending `index`.  The
+    powers use libm pow like `_square`, so they add no dependence on the batch.
     """
     gstar = _TWO_PI * hhat ** (2.0 / 3.0) * p * np.float_power(rho, -5.0 / 3.0)
     li, fell_back, points = None, False, 0
@@ -469,7 +443,21 @@ def _fit(rho: np.ndarray, p: np.ndarray, theta: int, hhat: float = 1.0,
         z = gstar ** -1.5              # li[s] = z: exact without a start
     else:
         target = np.log(gstar)
-        z, li, curve, slope, points = _refine(guess, target, theta)
+        z, li = (np.array(g, dtype=float) for g in guess)
+        x = np.log(z)
+        curve, slope = _curve(li)
+        noise = 32.0 * _EPS * (1.0 + np.abs(target))
+        for _ in range(3):
+            step = np.flatnonzero(np.abs(curve - target) > noise + _EPS * np.abs(slope))
+            if step.size == 0:
+                break
+            xs = np.minimum(np.maximum(x[step] - (curve[step] - target[step])
+                                       / slope[step], _LOG_Z_LO), _LOG_Z_HI[theta])
+            zs = _z_from_log(xs, theta)
+            ls = eval_polylog_batch(zs, theta)
+            points += step.size
+            x[step], z[step], li[:, step] = xs, zs, ls
+            curve[step], slope[step] = _curve(ls)
         missed = np.flatnonzero(np.abs(curve - target) > 1e-11 + _EPS * np.abs(slope))
         if missed.size:
             try:
@@ -627,11 +615,9 @@ def ansatz_moments(state: MomentState13, eq: EquilibriumParams,
     Used to verify that the ansatz reproduces its own state and the closure
     formulas; it reads li only through grad_ansatz_eval.
     """
-    if not (n_nodes >= 1 and 0.0 < half_width < math.inf):
-        raise DomainError(f"need n_nodes >= 1 and a positive finite half_width, "
-                          f"got {n_nodes} and {half_width}")
+    n_nodes = _count("n_nodes", n_nodes)
     x, wts = _radial_rule(n_nodes)
-    radius = half_width * math.sqrt(eq.T)
+    radius = _positive("half_width", half_width) * math.sqrt(eq.T)
     r = 0.5 * radius * (x + 1.0)
     w_r = 0.5 * radius * wts * r * r
     # node velocities as component rows (3, P); _DIRS is read on each call

@@ -527,6 +527,35 @@ def test_scans_check_their_grid_inputs(scan, kw, message):
     assert str(exc.value) == message
 
 
+_EQ = EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=1.0)
+_COUNTS = {
+    "n": lambda n: q.region_scan_1d(0, 1.0, n=n),
+    "threads": lambda t: q.region_scan_regularized(0, 1.0, n=5, threads=t),
+    "n_nodes": lambda n: q.ansatz_moments(q.equilibrium_state13(_EQ), _EQ, n_nodes=n),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5])
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_every_count_has_one_rule_and_one_message(name, value):
+    """A grid size, a rule's node count and a worker count pass one check,
+    which names the input and its value in one wording, not a numpy
+    TypeError or a silent clamp to one worker."""
+    with pytest.raises(q.DomainError) as exc:
+        _COUNTS[name](value)
+    assert str(exc.value) == f"{name} must be a positive integer, got {value!r}"
+
+
+@pytest.mark.parametrize("theta", [2, "1", None])
+def test_random_draws_check_theta(theta):
+    """A statistics other than -1, 0 or +1 is a DomainError before any draw."""
+    for draw in (analysis.random_fugacity, random_moment_state):
+        rng = np.random.Generator(np.random.Philox(7))
+        with pytest.raises(q.DomainError, match="statistics parameter"):
+            draw(rng, theta)
+        assert rng.random() == np.random.Generator(np.random.Philox(7)).random()
+
+
 def test_scan_rejects_a_direction_string_other_than_random():
     with pytest.raises(q.DomainError) as exc:
         q.region_scan_regularized(0, 1.0, n=5, direction="Random")

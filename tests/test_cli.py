@@ -317,6 +317,17 @@ def test_nonpositive_n_is_usage_error(argv, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-1", "2.5"])
+def test_bad_threads_is_usage_error(threads, capsys):
+    """A worker count that is not a positive integer is a usage error, not a
+    silent run on one worker."""
+    with pytest.raises(SystemExit) as exc:
+        main(["region1d", "--theta", "0", "--z", "1.0", "--n", "5",
+              "--threads", threads])
+    assert exc.value.code == 2
+    assert "argument --threads" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["polylog", "region1d", "region3d", "region-reg"])
 def test_temperature_only_where_it_is_read(command, capsys):
     """Only eigs, sweep-eigs and nsf read --T; the others reject it."""

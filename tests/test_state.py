@@ -275,6 +275,44 @@ def test_near_condensation_refit_costs_nothing():
     np.testing.assert_array_equal(z2, z1)
 
 
+def _fit_digest(out):
+    z, T, li, fell_back, points = out
+    h = hashlib.sha256()
+    for a in (z, T, li):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:32], fell_back, points
+
+
+@pytest.mark.parametrize("theta, pins", [
+    (-1, (("767b1e57d121b8ef1c1a8027ef612f62", False, 17602),
+          ("6d6de174db403d053c62e47226c922f7", False, 963),
+          ("c9d033d722fa1082544bbdd2cf07116f", True, 2264))),
+    (0, (("abbe127c01fca474cc1299d57e6f6590", False, 400),
+         ("2cb29f026fc708b192f07ba064432228", False, 400),
+         ("516f229c597fd82a6bd157c405b0ae2f", False, 400))),
+    (1, (("aca19077b9bcc5412028cfe412145a2f", False, 17602),
+         ("5a6dedb15d1f804ecb0f8e6455a52566", False, 978),
+         ("22a570b5df959ddb88b705a09d2607fe", True, 1780))),
+], ids=["boson", "classical", "fermion"])
+def test_fit_bits_pinned(theta, pins):
+    """z, T and li bit for bit, with (fell_back, points), on 400 seeded
+    states: a cold fit, a warm refit after a 1e-3 relative nudge of p (cells
+    move) and one after every eighth p jumps 2 to 20 times (some fall back)."""
+    rng = np.random.Generator(np.random.Philox(31))
+    n = 400
+    z = rng.uniform(0.05, 0.99, n) if theta == -1 else 10.0 ** rng.uniform(-1.5, 1.5, n)
+    T = rng.uniform(0.3, 3.0, n)
+    li = q.eval_polylog_batch(z, theta)
+    rho = (2.0 * math.pi * T) ** 1.5 * li[1]
+    p = rho * T * li[2] / li[1]
+    cold = state._fit(rho, p, theta)
+    p = p * (1.0 + 1e-3 * rng.standard_normal(n))
+    nudged = state._fit(rho, p, theta, guess=(cold[0], cold[2]))
+    p[::8] *= rng.uniform(2.0, 20.0, p[::8].size)
+    jumped = state._fit(rho, p, theta, guess=(nudged[0], nudged[2]))
+    assert tuple(map(_fit_digest, (cold, nudged, jumped))) == pins
+
+
 def test_fit_fugacity_batch_round_trip(theta):
     if theta == -1:
         zs = np.array([0.05, 0.3, 0.9, 0.999, float(np.nextafter(q.BOSE_Z_MAX, 0)) / 1.001])
@@ -550,7 +588,7 @@ def test_ansatz_moments_rejects_bad_rule(n_nodes, half_width):
     """A rule with no radii or a sphere that is not positive and finite is a
     domain error, not negative or NaN moments."""
     eq = EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=1.0)
-    with pytest.raises(DomainError, match="half_width"):
+    with pytest.raises(DomainError, match="half_width" if n_nodes else "n_nodes"):
         q.ansatz_moments(q.equilibrium_state13(eq), eq, n_nodes=n_nodes,
                          half_width=half_width)
 
@@ -692,6 +730,7 @@ def test_equilibrium_params_validation():
 _SIDE = {"z": 1.0, "u1": 0.0, "T": 1.0}
 _RUN = {"theta": 0, "cells": 8, "length": 1.0, "cfl": 0.4, "tau": 0.1, "t_end": 0.1,
         "left": _SIDE, "right": _SIDE}
+_EQ = EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=1.0)
 _POSITIVE_INPUTS = {
     "temperature": lambda x: EquilibriumParams(theta=0, z=1.0, u=np.zeros(3), T=x),
     "hhat": lambda x: EquilibriumParams(theta=0, z=1.0, u=np.zeros(3), T=1.0, hhat=x),
@@ -702,6 +741,7 @@ _POSITIVE_INPUTS = {
     "t_end": lambda x: q.SimConfig(**{**_RUN, "t_end": x}),
     "relaxation time": lambda x: q.maxwellian_iteration_nsf(q.SystemKind.FinalR13, 0, 1.0,
                                                             tau=x),
+    "half_width": lambda x: q.ansatz_moments(q.equilibrium_state13(_EQ), _EQ, half_width=x),
 }
 
 
