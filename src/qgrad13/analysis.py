@@ -36,8 +36,7 @@ from .matrices import (SystemKind, _a5_stack, _unit_rows, assemble_A,
                        stack_states)
 from .polylog import (_SERIES_Z_MAX, FERMI_Z_C, FERMI_Z_MAX, ORDERS, ZETA_HALF,
                       _check_theta, _fermi_quadrature, eval_polylog_batch)
-from .spectral import (CLASS_CODES, CODE_INADMISSIBLE, Classification,
-                       classify_batch)
+from .spectral import CLASS_CODES, CODE_INADMISSIBLE, _hyperbolic, classify_batch
 from .state import (_EYE3, EquilibriumParams, LiCoeffs, MomentState13, _count,
                     _positive, _shear_state, ansatz_moments, closure_moments,
                     equilibrium_state13, state5_from_hat)
@@ -90,7 +89,7 @@ def area_fraction(grid: RegionGrid) -> float:
     admissible = int(np.sum(grid.cells >= 0))
     if admissible == 0:
         return 0.0
-    good = int(np.sum((grid.cells == 0) | (grid.cells == 1)))
+    good = int(np.sum(_hyperbolic(grid.cells)))
     return good / admissible
 
 
@@ -160,7 +159,7 @@ def write_region_csv(grid: RegionGrid, path: str) -> None:
     # last and the last cell's bare code, all joined by ",{y},"; pieces holds
     # them by code (offset by CODE_INADMISSIBLE) and cell
     pieces = np.array([[f"{code}\n{x}" for x in xs[1:]] + [str(code)]
-                       for code in range(CODE_INADMISSIBLE, 4)], dtype=object)
+                       for code in range(CODE_INADMISSIBLE, len(CLASS_CODES))], dtype=object)
     cols = np.arange(len(xs))
     rows = (f",{_fmt(y)},".join([xs[0], *pieces[row - CODE_INADMISSIBLE, cols].tolist()])
             for y, row in zip(grid.y, grid.cells))   # one grid row at a time
@@ -201,7 +200,7 @@ def _scan_summary(cells: np.ndarray, aux: Dict[str, object]) -> Dict[str, object
     their number, how many had an eigenvalue cluster, and the smallest
     min_gap and largest max_imag of those coded hyperbolic.
     """
-    hyp = np.isin(cells.ravel()[cells.size - aux["min_gap"].size:], (0, 1))
+    hyp = _hyperbolic(cells.ravel()[cells.size - aux["min_gap"].size:])
     found = bool(hyp.any())
     return {"n_classified": int(hyp.size), "n_slow": aux["n_slow"],
             "hyperbolic_min_gap": float(aux["min_gap"][hyp].min()) if found else None,
@@ -370,7 +369,7 @@ def region_scan_regularized(theta: int, z: float, n: int = 401,
 
 def default_sweep_grid(theta: int, n: int = 161) -> np.ndarray:
     lo, hi = _Z_RANGE[_check_theta(theta)]
-    return np.logspace(math.log10(lo), math.log10(hi), n)
+    return np.logspace(math.log10(lo), math.log10(hi), _count("n", n))
 
 
 def _sweep_columns(spectrum: spectral.EquilibriumSpectrum):
@@ -680,8 +679,7 @@ def verify_global_hyperbolicity(seed: int = 0) -> dict:
         return sm.A
 
     codes = _classify_cells(build, n_states, None)[0]
-    bad = int(np.count_nonzero(
-        codes >= CLASS_CODES[Classification.NonDiagonalizable]))
+    bad = int(np.count_nonzero(~_hyperbolic(codes)))
     checks = [
         _check(f"hyperbolic at {n_states} random states/directions",
                float(bad), 0.0, ok=bad == 0),

@@ -133,8 +133,7 @@ def _report_region(grid: analysis.RegionGrid, out: Optional[str]) -> None:
     counts = analysis.class_counts(grid.cells)
     print(f"theta={grid.theta} z={_fmt(grid.z)} grid={grid.x.size}x{grid.y.size}")
     print(f"area_fraction = {_fmt(analysis.area_fraction(grid))}")
-    for name in ("HyperbolicStrict", "HyperbolicDegenerate",
-                 "NonDiagonalizable", "NonHyperbolic", "Inadmissible"):
+    for name in analysis._CODE_NAMES.values():   # codes 0..3, then Inadmissible
         if name in counts:
             print(f"{name}: {counts[name]}")
     if "grad_area_fraction" in grid.metadata:
@@ -146,15 +145,11 @@ def _report_region(grid: analysis.RegionGrid, out: Optional[str]) -> None:
 
 def _cmd_region(args) -> int:
     kw = {"n": args.n, "q1_hat_max": args.qmax, "threads": args.threads}
-    if args.command == "region1d":
-        scan = analysis.region_scan_1d
-    elif args.command == "region3d":
-        scan = analysis.region_scan_3d_cross_section
-    else:
-        scan = analysis.region_scan_regularized
+    if args.command == "region-reg":
         kw.update(direction=args.direction, seed=args.seed,
                   compare_grad=args.compare_grad)
-    _report_region(scan(args.theta, args.z, **kw), args.out)
+    # by name at call time, so wrappers set on analysis (bench/tracing.py) apply
+    _report_region(getattr(analysis, args.scan)(args.theta, args.z, **kw), args.out)
     return 0
 
 
@@ -171,7 +166,7 @@ def _cmd_sweep_eigs(args) -> int:
     cols, crossing = analysis._sweep_columns(spectrum)
     if crossing is not None:
         print(f"branch crossing at z = {_fmt(crossing)}")
-    for i in (0, z.size - 1):
+    for i in sorted({0, z.size - 1}):   # the first and last rows, once each
         vals = ", ".join(f"{n}={_fmt(v[i])}" for n, v in cols.items())
         print(f"z={_fmt(z[i])}: {vals}")
     if args.out:
@@ -272,10 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_eigs)
 
-    for name, system, axes, qmax in (
-            ("region1d", "the reduced 5x5 system", "sigma11_hat", 3.0),
-            ("region3d", "the full 13x13 plain closure", "sigma12_hat", 2.0),
-            ("region-reg", "the final regularization", "sigma12_hat", 2.0)):
+    for name, scan, system, axes, qmax in (
+            ("region1d", "region_scan_1d", "the reduced 5x5 system",
+             "sigma11_hat", 3.0),
+            ("region3d", "region_scan_3d_cross_section",
+             "the full 13x13 plain closure", "sigma12_hat", 2.0),
+            ("region-reg", "region_scan_regularized", "the final regularization",
+             "sigma12_hat", 2.0)):
         sp = sub.add_parser(name, help=f"classify {system} over "
                                        f"({axes}, q1_hat)")
         _add_common_thermo(sp)
@@ -283,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--qmax", type=_positive_float, default=qmax)
         sp.add_argument("--threads", type=_positive_int, default=None)
         sp.add_argument("--out", help="CSV output path")
-        sp.set_defaults(func=_cmd_region)
+        sp.set_defaults(func=_cmd_region, scan=scan)
     sp.add_argument("--direction", default="random",   # region-reg only
                     type=lambda t: t if t == "random" else _parse_direction(t),
                     help="'random', an axis 1..3, or three comma floats")

@@ -45,19 +45,20 @@ class Classification(enum.Enum):
     NonHyperbolic = "NonHyperbolic"
 
 
-#: stable integer codes used in region-scan grids and CSV artifacts
-CLASS_CODES = {
-    Classification.HyperbolicStrict: 0,
-    Classification.HyperbolicDegenerate: 1,
-    Classification.NonDiagonalizable: 2,
-    Classification.NonHyperbolic: 3,
-}
+#: stable integer codes used in region-scan grids and CSV artifacts: the
+#: classes in declaration order, 0..3
+CLASS_CODES = {cls: code for code, cls in enumerate(Classification)}
 CODE_INADMISSIBLE = -1
-_CLASSES = tuple(CLASS_CODES)   # the classes by code
+_CLASSES = tuple(Classification)   # the classes by code
 # a cell's code and min_gap before its clusters, taken by whether it is real
 _CODE_IF_REAL = np.array([CLASS_CODES[Classification.NonHyperbolic],
                           CLASS_CODES[Classification.HyperbolicStrict]], dtype=np.int8)
 _GAP_IF_REAL = np.array([0.0, np.inf])
+
+
+def _hyperbolic(codes: np.ndarray) -> np.ndarray:
+    """True where a code is HyperbolicStrict or HyperbolicDegenerate."""
+    return (codes >= 0) & (codes <= CLASS_CODES[Classification.HyperbolicDegenerate])
 
 
 @dataclass(frozen=True, eq=False)

@@ -528,21 +528,24 @@ def test_scans_check_their_grid_inputs(scan, kw, message):
 
 
 _EQ = EquilibriumParams(theta=1, z=2.0, u=np.zeros(3), T=1.0)
-_COUNTS = {
-    "n": lambda n: q.region_scan_1d(0, 1.0, n=n),
-    "threads": lambda t: q.region_scan_regularized(0, 1.0, n=5, threads=t),
-    "n_nodes": lambda n: q.ansatz_moments(q.equilibrium_state13(_EQ), _EQ, n_nodes=n),
-}
+_COUNTS = [   # (the input's name, a call that passes it)
+    pytest.param("n", lambda n: q.region_scan_1d(0, 1.0, n=n), id="n"),
+    pytest.param("threads", lambda t: q.region_scan_regularized(0, 1.0, n=5, threads=t),
+                 id="threads"),
+    pytest.param("n_nodes", lambda n: q.ansatz_moments(q.equilibrium_state13(_EQ), _EQ,
+                                                       n_nodes=n), id="n_nodes"),
+    pytest.param("n", lambda n: analysis.default_sweep_grid(1, n), id="sweep-n"),
+]
 
 
 @pytest.mark.parametrize("value", [0, -1, 2.5])
-@pytest.mark.parametrize("name", list(_COUNTS))
-def test_every_count_has_one_rule_and_one_message(name, value):
-    """A grid size, a rule's node count and a worker count pass one check,
-    which names the input and its value in one wording, not a numpy
-    TypeError or a silent clamp to one worker."""
+@pytest.mark.parametrize("name, call", _COUNTS)
+def test_every_count_has_one_rule_and_one_message(name, call, value):
+    """A grid size, a rule's node count, a worker count and a sweep's grid
+    size pass one check, which names the input and its value in one wording,
+    not a numpy TypeError, a silent clamp to one worker or an empty grid."""
     with pytest.raises(q.DomainError) as exc:
-        _COUNTS[name](value)
+        call(value)
     assert str(exc.value) == f"{name} must be a positive integer, got {value!r}"
 
 

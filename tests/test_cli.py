@@ -281,6 +281,24 @@ def test_region_artifacts_frozen(theta, z, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, scan", [("region1d", "region_scan_1d"),
+                                           ("region3d", "region_scan_3d_cross_section"),
+                                           ("region-reg", "region_scan_regularized")])
+def test_region_commands_look_their_scan_up_at_call_time(command, scan, monkeypatch,
+                                                         capsys):
+    """Each region subcommand runs its scan as `analysis` binds it when the
+    command runs, after the parser is cached, so a wrapper set on the module
+    (the benchmark's tracing) sees every call."""
+    argv = [command, "--theta", "0", "--z", "1.0", "--n", "5"]
+    assert main(argv) == 0
+    calls, original = [], getattr(analysis, scan)
+    monkeypatch.setattr(analysis, scan,
+                        lambda *a, **kw: calls.append(a) or original(*a, **kw))
+    assert main(argv) == 0
+    assert calls == [(0, 1.0)]
+    capsys.readouterr()
+
+
 def test_region_reg_vector_direction(capsys):
     rc = main(["region-reg", "--theta", "0", "--z", "1.0", "--n", "11",
                "--direction", "0.6,0.8,0.0"])
@@ -435,6 +453,15 @@ def test_sweep_eigs(tmp_path, capsys):
     assert rc == 0
     assert len(out_file.read_text().splitlines()) == 26
     assert "11.68" in capsys.readouterr().out  # branch crossing location
+
+
+def test_sweep_eigs_prints_a_one_point_grid_once(capsys):
+    """The first and last rows of a one-point sweep are one row, printed once."""
+    assert main(["sweep-eigs", "--theta", "1", "--n", "1"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("z=")]
+    assert rows == ["z=0.01: zero=0, sqrt_x_minus=0.8146534508786667, "
+                    "sqrt_alpha=1.1834767742132613, sqrt_x_plus=2.1312672910453228"]
 
 
 @pytest.mark.parametrize("argv, digest", [

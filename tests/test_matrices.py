@@ -12,6 +12,7 @@ import qgrad13 as q
 from qgrad13 import DomainError, EquilibriumParams, MomentState13, SystemKind, solver1d
 from qgrad13 import matrices
 from qgrad13.analysis import random_fugacity, random_moment_state, random_unit_vectors
+from qgrad13.polylog import FERMI_Z_C
 
 KINDS = list(SystemKind)
 
@@ -161,6 +162,51 @@ def test_M_d_is_the_axis_swap_of_M_1(theta, rng):
         np.testing.assert_array_equal(q.assemble_M(eq, d), P.T @ q.assemble_M(eq, 1) @ P)
 
 
+_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+
+
+def _rotation_action(R):
+    """P_R, the action of a rotation R on w = (rho, u, p_ij, q), column by
+    column from the rotated basis states (u -> R u, p -> R p R^T, q -> R q).
+    The basis state of an off-diagonal slot is E_ij + E_ji, so P_R is not
+    orthogonal on the six p_ij slots."""
+    P = np.zeros((13, 13))
+    for k, e in enumerate(np.eye(13)):
+        p = np.zeros((3, 3))
+        for i, j in _PAIRS:
+            p[i - 1, j - 1] = p[j - 1, i - 1] = e[q.pslot(i, j)]
+        Rp = R @ p @ R.T
+        P[0, k] = e[0]
+        P[1:4, k], P[10:, k] = R @ e[1:4], R @ e[10:]
+        for i, j in _PAIRS:
+            P[q.pslot(i, j), k] = Rp[i - 1, j - 1]
+    return P
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+def test_rotation_covariance_and_parity(kind, theta, rng):
+    """Each model is covariant at matrix level: A(R s, R n) = P_R A(s, n) P_R^-1
+    for proper rotations R, and flipping every odd moment, (u, q) -> (-u, -q),
+    gives -P A P exactly."""
+    parity = np.diag([1.0, -1, -1, -1, 1, 1, 1, 1, 1, 1, -1, -1, -1])
+    for _ in range(10):
+        st, eq = random_moment_state(rng, theta)
+        n = random_unit_vectors(rng, 1)[0]
+        R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        R = R if np.linalg.det(R) > 0 else -R
+        A = q.assemble_A_direction(kind, st, eq, n)
+        turned = MomentState13(rho=st.rho, u=R @ st.u, p_ij=R @ st.p_ij @ R.T, q=R @ st.q)
+        eq_turned = dataclasses.replace(eq, u=R @ eq.u)
+        P = _rotation_action(R)
+        np.testing.assert_allclose(q.assemble_A_direction(kind, turned, eq_turned, R @ n),
+                                   P @ A @ np.linalg.inv(P), rtol=0,
+                                   atol=1e-13 * np.abs(A).max())
+        flipped = MomentState13(rho=st.rho, u=-st.u, p_ij=st.p_ij, q=-st.q)
+        np.testing.assert_array_equal(
+            q.assemble_A_direction(kind, flipped, dataclasses.replace(eq, u=-eq.u), n),
+            -parity @ A @ parity)
+
+
 def _bits_equal(batch, one):
     """Equal as arrays and in every sign bit, so signed zeros count too."""
     np.testing.assert_array_equal(batch, one)
@@ -225,6 +271,55 @@ def test_factorization_of_final_regularization(theta, rng):
             lam_M = np.sort(np.linalg.eigvals(sm.M).real) + st.u[d - 1]
             np.testing.assert_allclose(lam_A, lam_M, rtol=0,
                                        atol=1e-8 * (1.0 + np.max(np.abs(lam_A))))
+
+
+def _edge_state(rng, theta, z, p_min, q_max):
+    """A state at fugacity z, T in [0.5, 2] and |u_i| <= 1 whose pressure
+    tensor has smallest eigenvalue p_min p in a random frame, with a heat flux
+    of magnitude up to q_max p sqrt(T) in a random direction."""
+    eq = EquilibriumParams(theta=theta, z=z, u=rng.uniform(-1.0, 1.0, 3),
+                           T=float(rng.uniform(0.5, 2.0)))
+    middle = rng.uniform(p_min, 0.5 * (3.0 - p_min))
+    frame = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    p_ij = eq.p * (frame * [p_min, middle, 3.0 - p_min - middle]) @ frame.T
+    q_vec = (random_unit_vectors(rng, 1)[0] * rng.uniform(0.0, q_max)
+             * eq.p * math.sqrt(eq.T))
+    return MomentState13(rho=eq.rho, u=eq.u, p_ij=0.5 * (p_ij + p_ij.T), q=q_vec), eq
+
+
+def _log_uniform(rng, lo, hi):
+    return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+
+_SPECTRUM_STRATA = {
+    "c5": lambda rng, theta: random_moment_state(rng, theta),
+    "thin-pressure": lambda rng, theta: _edge_state(
+        rng, theta, random_fugacity(rng, theta), _log_uniform(rng, 1e-6, 1e-2), 1.5),
+    "strong-heat-flux": lambda rng, theta: _edge_state(
+        rng, theta, random_fugacity(rng, theta), rng.uniform(0.1, 1.0), 20.0),
+    "boson-condensation": lambda rng, theta: _edge_state(
+        rng, -1, 1.0 - _log_uniform(rng, 1e-9, 1e-2), _log_uniform(rng, 1e-6, 1.0), 1.5),
+    "fermion-bound": lambda rng, theta: _edge_state(
+        rng, 1, _log_uniform(rng, 1e2, 0.999 * FERMI_Z_C), _log_uniform(rng, 1e-6, 1.0), 1.5),
+}
+
+
+@pytest.mark.parametrize("stratum", list(_SPECTRUM_STRATA))
+def test_final_spectrum_is_the_equilibrium_spectrum(stratum, rng):
+    """FinalR13's eigenvalues along any direction n are the closed-form
+    equilibrium spectrum at the state's own (z, T), shifted by u.n, all real:
+    the paper's global hyperbolicity, up to the edges of the admissible set
+    (smallest pressure eigenvalue down to 1e-6 p, heat flux up to 20 p sqrt(T),
+    Bosons to 1 - z = 1e-9, Fermions to 0.999 FERMI_Z_C)."""
+    states, eqs = zip(*(_SPECTRUM_STRATA[stratum](rng, (-1, 0, 1)[i % 3])
+                        for i in range(30)))
+    dirs = random_unit_vectors(rng, len(states))
+    A = matrices.regularized_stack(matrices.stack_states(states, eqs), dirs).A
+    for st, eq, n, lam in zip(states, eqs, dirs, np.linalg.eigvals(A)):
+        expect = q.char_poly_equilibrium(eq.z, eq.theta, eq.T).eigenvalues(float(st.u @ n))
+        tol = 1e-12 * (1.0 + np.abs(expect).max())
+        assert np.abs(lam.imag).max() <= tol
+        np.testing.assert_allclose(np.sort(lam.real), expect, rtol=0, atol=tol)
 
 
 def test_M_ignores_the_nonequilibrium_part(theta, rng):
