@@ -493,6 +493,12 @@ def random_fugacity(rng: np.random.Generator, theta: int,
     return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
 
 
+# low and high - low of the uniform draws of T, u (3), S (3 x 3), the stress
+# amplitude and q (3): Generator.uniform returns low + (high - low) random()
+_DRAW_LOW = np.array([0.5, *[-1.0] * 12, 0.0, *[-1.5] * 3])
+_DRAW_SPAN = np.array([1.5, *[2.0] * 12, 0.9, *[3.0] * 3])
+
+
 def random_moment_state(rng: np.random.Generator, theta: int,
                         bose_z_max: float = _Z_RANGE[-1][1]
                         ) -> Tuple[MomentState13, EquilibriumParams]:
@@ -502,18 +508,17 @@ def random_moment_state(rng: np.random.Generator, theta: int,
     above 0.1 p, and the heat flux is bounded by 1.5 p sqrt(T) per component.
     """
     z = random_fugacity(rng, theta, bose_z_max=bose_z_max)
-    T = float(rng.uniform(0.5, 2.0))
-    u = rng.uniform(-1.0, 1.0, 3)
+    # T, u, S, the amplitude and q in one draw, as Generator.uniform maps each
+    r = _DRAW_LOW + _DRAW_SPAN * rng.random(_DRAW_LOW.size)
+    T, u, S, q = float(r[0]), r[1:4], r[4:13].reshape(3, 3), r[14:]
     eq = EquilibriumParams(theta=theta, z=z, u=u, T=T)
     p = eq.p
-    S = rng.uniform(-1.0, 1.0, (3, 3))
     S = 0.5 * (S + S.T)
     S -= (S.trace() / 3.0) * _EYE3
-    lam = np.linalg.eigvalsh(S)
-    extreme = max(float(np.abs(lam).max()), 1e-12)
-    amp = float(rng.uniform(0.0, 0.9)) / extreme
+    lam = np.linalg.eigvalsh(S)   # ascending, so the largest |lam| is at an end
+    amp = float(r[13]) / max(-float(lam[0]), float(lam[-1]), 1e-12)
     p_ij = p * (_EYE3 + amp * S)
-    q = rng.uniform(-1.5, 1.5, 3) * p * math.sqrt(T)
+    q = q * p * math.sqrt(T)
     return MomentState13(rho=eq.rho, u=u, p_ij=p_ij, q=q), eq
 
 

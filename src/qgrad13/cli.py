@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 failed verification, 2 usage error, 3 domain or
-model failure (reported as a JSON object on stderr).  Floating-point output
+model failure, or a file that cannot be read, parsed or written (reported as
+a JSON object on stderr, which names the file).  Floating-point output
 carries 17 significant digits so repeated invocations with the same seed
 produce byte-identical artifacts.
 """
@@ -85,9 +86,13 @@ def _cmd_polylog(args) -> int:
     return 0
 
 
-def _load_state(path: str) -> MomentState13:
+def _read_json(path: str):
+    """The JSON document in the file at path; a DomainError names a file that is not JSON."""
     with open(path) as fh:
-        return MomentState13.from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+            raise DomainError(f"{path} is not a JSON file: {exc}") from None
 
 
 def _cmd_eigs(args) -> int:
@@ -97,7 +102,7 @@ def _cmd_eigs(args) -> int:
             print("eigs: --z and --T do not combine with --state, whose own "
                   "fit sets them", file=sys.stderr)
             return 2
-        state = _load_state(args.state)
+        state = MomentState13.from_dict(_read_json(args.state))
         eq = fit_equilibrium(state.rho, state.p, args.theta, args.hhat, u=state.u)
     elif args.z is None:
         print("eigs: either --state FILE or --z is required", file=sys.stderr)
@@ -202,8 +207,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.config) as fh:
-        config = solver1d.SimConfig.from_dict(json.load(fh))
+    config = solver1d.SimConfig.from_dict(_read_json(args.config))
     result = solver1d.run(config)
     drift = abs(result.ledger["mass"][-1] / result.ledger["mass"][0] - 1.0)
     print(f"steps={result.steps} max_speed={_fmt(result.max_speed)}")
@@ -327,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, CFLViolation, SingularD) as exc:
+    except (DomainError, CFLViolation, SingularD, OSError) as exc:   # OSError names its file
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}),
               file=sys.stderr)

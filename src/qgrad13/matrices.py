@@ -25,9 +25,9 @@ table, with 0/1 masks as floats (o.k_d for k == d) whose products are counts
 taken at import.  The term-order rule fixes the rounding: no entry takes two
 ops of one term, and every entry meets its terms in the order the terms
 first appear in the op list, so adding the w-th term of every entry that
-has one in wave w, one gather a wave, sums each entry onto u_d I in the
-loops' order, signed zeros included.  M_d is M_1's template
-under the axis swap 1 <-> d; a direction n, normalized once, gives
+has one in wave w, one gather a wave, sums each entry's terms in the
+loops' order, and the sum goes onto u_d I, signed zeros included.  M_d is
+M_1's template under the axis swap 1 <-> d; a direction n, normalized once, gives
 (0 + n1 A_1) + n2 A_2 + n3 A_3.  The per-state functions are the N = 1
 case, so a batch equals its states one by one, bit for bit.
 
@@ -98,10 +98,12 @@ def stack_states(states: Sequence[MomentState13],
 
 def _columns(kind: SystemKind, S: StateStack) -> SimpleNamespace:
     """What the terms of the kind's A (and of D) read: the scalars and
-    coefficients over the N states, p_ij and sigma as (9, N), q as (3, N)."""
+    coefficients over the N states, p_ij, sigma and the heat-flux block
+    dfrak p delta_ij + sigma_ij as (9, N), q as (3, N)."""
     c, P, rho = S.coeffs, S.p_ij.reshape(-1, 9).T, S.rho
     p = np.add.reduce(P[::4]) / 3.0   # (P11 + P22) + P33, as np.trace
-    s = SimpleNamespace(rho=rho, p=p, P=P, q=S.q.T, sig=P - p * _EYE3, dfp=c.dfrak * p,
+    sig = P - p * _EYE3
+    s = SimpleNamespace(rho=rho, p=p, P=P, q=S.q.T, sig=sig, heat=c.dfrak * p * _EYE3 + sig,
                         b=c.b_high)
     if kind is SystemKind.Grad13:
         s.phi, s.psi, s.const = c.phi, c.psi, 3.5 * c.psi - 2.5 * c.phi
@@ -134,14 +136,14 @@ _TERMS = {
     "heat u Grad13": lambda s, o: (1.4 * s.q.take(o.i, 0) * o.k_d + 1.4 * s.q.take(o.d, 0) * o.i_k
                                    + 0.4 * o.i_d * s.q.take(o.k, 0)),
     "heat rho R13": lambda s, o: o.i_d * s.k_rho * s.p / s.rho,
-    "heat p": lambda s, o: -(s.dfp * o.i_j + s.sig.take(o.ij, 0)) / s.rho,
+    "heat p": lambda s, o: -s.heat.take(o.ij, 0) / s.rho,
     "heat const": lambda s, o: s.const,
     "heat diag Grad13": lambda s, o: (o.i_d * (2.5 * (s.phi + s.p * s.phi_p) - 3.5 * s.psi)
                                       + 3.5 * s.sig.take(o.id, 0) * s.psi_p) / 3.0,
     "heat diag R13": lambda s, o: o.i_d * (s.k_p - s.Tc) / 3.0,
     "D p/rho": lambda s, o: -(s.p / s.rho) * s.b,
     "D trace": lambda s, o: o.i_j + (s.b - 1.0) / 3.0,
-    "D heat": lambda s, o: s.dfp * o.i_j + s.sig.take(o.ij, 0),
+    "D heat": lambda s, o: s.heat.take(o.ij, 0),
 }
 
 
@@ -180,8 +182,9 @@ def _d_ops():
 def _compile(ops, size):
     """Per term, in the order the terms first appear: its op columns and its
     rows lo:hi of the value table, one per op; where D's entries start,
-    after A's 507: -0.0 under an op, the identity elsewhere; and per wave w,
-    the entries (d-1)*169 + 13*row + col that meet a w-th op, with its rows."""
+    after A's 507: -0.0 under an op, the identity elsewhere; the entries
+    (d-1)*169 + 13*row + col that meet an op, most ops first; and per wave
+    w, the rows of the w-th ops of those entries that have one, a prefix."""
     terms, met = [], [[] for _ in range(size)]
     for term in dict.fromkeys(op[3] for op in ops):
         mine = [op for op in ops if op[3] == term]
@@ -198,9 +201,9 @@ def _compile(ops, size):
         for r, (d, row, col, *_) in enumerate(mine, lo):
             met[(d - 1) * 169 + 13 * row + col].append(r)
     start = np.array([-0.0 if r else float(e % 14 == 0) for e, r in enumerate(met[507:])])
-    return terms, start, [(np.array([e for e, r in enumerate(met) if len(r) > w]),
-                           np.array([r[w] for r in met if len(r) > w]))
-                          for w in range(max(map(len, met)))]
+    hit = sorted((e for e, r in enumerate(met) if r), key=lambda e: -len(met[e]))
+    return terms, start, np.array(hit), [np.array([met[e][w] for e in hit if len(met[e]) > w])
+                                         for w in range(len(met[hit[0]]))]
 
 
 _REGULARIZED = _compile(_a_ops(SystemKind.FinalR13) + _d_ops(), 676)   # D after A
@@ -212,18 +215,23 @@ _EYE13 = np.eye(13).reshape(169, 1)
 def _axes(kind: SystemKind, S: StateStack) -> np.ndarray:
     """Axis matrices A_1, A_2, A_3 entry-major and flat, (507, N), then for
     the R13 kinds, whose one table is _REGULARIZED, D's 169 entries: u_d I
-    (D: its start) plus, wave by wave, the values of the table's terms over
-    the kind's `_columns`, so that each entry sums its terms in the loops'
-    order.  Terms and waves are elementwise, so D's rows leave A's bits alone."""
-    (terms, start, waves), s = _TABLES[kind], _columns(kind, S)
+    (D: its start) plus the sum of each entry's terms, taken wave by wave
+    in the loops' order from the table's values over the kind's `_columns`.
+    An entry with a term starts at a signed zero (u_d I off its diagonal,
+    -0.0 in D), and adding a sum onto a signed zero rounds as adding its
+    terms one by one.  Terms and waves are elementwise, so D's rows leave
+    A's bits alone."""
+    (terms, start, entries, waves), s = _TABLES[kind], _columns(kind, S)
     vals = np.empty((terms[-1][3], S.rho.size))
     for evaluate, o, lo, hi in terms:
         vals[lo:hi] = evaluate(s, o)
     out = np.empty((507 + start.size, S.rho.size))
     np.multiply(S.u.T[:, None, :], _EYE13, out=out[:507].reshape(3, 169, -1))   # u_d I
     out[507:] = start[:, None]
-    for entries, gather in waves:
-        out[entries] += vals.take(gather, 0)
+    total = vals.take(waves[0], 0)
+    for gather in waves[1:]:
+        total[:gather.size] += vals.take(gather, 0)
+    out[entries] = out.take(entries, 0) + total
     return out
 
 

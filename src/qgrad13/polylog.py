@@ -130,11 +130,14 @@ _GAMMA_S = tuple(_gamma_half(s) for s in ORDERS)
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
 
-def _validate_z(z: np.ndarray, theta: int) -> None:
-    """One test against `_Z_BELOW` clears a batch; a failing one is diagnosed."""
-    if z.size == 0 or (np.minimum.reduce(z, axis=None) > 0.0
-                       and np.maximum.reduce(z, axis=None) < _Z_BELOW[theta]):
-        return
+def _validate_z(z: np.ndarray, theta: int):
+    """The least and the largest z, (inf, -inf) for none: one test against
+    `_Z_BELOW` clears a batch, and a failing one is diagnosed."""
+    if z.size == 0:
+        return math.inf, -math.inf
+    least, largest = np.minimum.reduce(z, None), np.maximum.reduce(z, None)
+    if least > 0.0 and largest < _Z_BELOW[theta]:
+        return least, largest
     if not np.isfinite(z).all():
         raise DomainError("fugacity must be finite")
     if (z <= 0.0).any():
@@ -230,10 +233,11 @@ def _fermi_chebyshev(mu: np.ndarray) -> np.ndarray:
     b1, b2, t, two_x = c[-1].copy(), np.zeros(shape), np.empty(shape), np.empty(shape)
     np.multiply(x, 2.0, out=two_x)
     for ck in c[-2:0:-1]:
-        # b1 <- 2 x b1 - b2 + c_k, in place: this loop is the kernel's cost
-        np.multiply(two_x, b1, out=t)
-        t -= b2
-        t += ck
+        # b1 <- 2 x b1 - b2 + c_k, in place: this loop is the kernel's cost,
+        # at small N the ufunc calls', so each passes its output positionally
+        np.multiply(two_x, b1, t)
+        np.subtract(t, b2, t)
+        np.add(t, ck, t)
         b1, b2, t = t, b1, b2
     return (x * b1 - b2 + c[0]).T
 
@@ -261,18 +265,17 @@ def eval_polylog_batch(z, theta) -> np.ndarray:
     """
     theta = _check_theta(theta)
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    _validate_z(z, theta)
+    least, largest = _validate_z(z, theta)
     if theta == 0:
-        return np.repeat(z[None], len(ORDERS), axis=0)
+        return z[None].repeat(len(ORDERS), 0)
     shape = (len(ORDERS),) + z.shape
     above = _fermi_chebyshev if theta == 1 else _bose_robinson
-    lo = z <= _SERIES_Z_MAX
-    n_lo = np.count_nonzero(lo)
     # the kernels are elementwise: one that serves every point runs unmasked
-    if n_lo == z.size:
+    if largest <= _SERIES_Z_MAX:
         return _series(z.ravel(), theta).reshape(shape)
-    if n_lo == 0:
+    if least > _SERIES_Z_MAX:
         return above(np.log(z.ravel())).reshape(shape)
+    lo = z <= _SERIES_Z_MAX
     vals = np.empty(shape)
     vals[:, lo] = _series(z[lo], theta)
     vals[:, ~lo] = above(np.log(z[~lo]))

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -71,11 +72,22 @@ class EigenCluster:
 
 @dataclass(frozen=True, eq=False)
 class HyperbolicityVerdict:
+    """One matrix's verdict; `diagnostics` is built on first read from
+    `_clusters`, the arrays value, algebraic, geometric and min_sv (None
+    for a NonHyperbolic verdict)."""
+
     eigenvalues: np.ndarray
     classification: Classification
-    diagnostics: List[EigenCluster]
     min_gap: float
     max_imag: float
+    _clusters: Optional[Tuple[np.ndarray, ...]] = field(default=None, repr=False)
+
+    @cached_property
+    def diagnostics(self) -> List[EigenCluster]:
+        if self._clusters is None:
+            return [EigenCluster(complex(v), 1, 0, None) for v in self.eigenvalues]
+        return [EigenCluster(complex(v), a, g, None if a == 1 else sv)
+                for v, a, g, sv in zip(*(c.tolist() for c in self._clusters))]
 
     def as_dict(self) -> dict:
         return {
@@ -117,16 +129,16 @@ def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarra
     x = w.real.take(rows, 0)   # the real cells' values, each row sorted
     x.sort(axis=1)
     ax = np.abs(x)
-    cut = np.ones(x.size + 1, dtype=bool)   # a cluster starts at x.flat[i]; the last closes
+    cut = np.empty(x.size + 1, dtype=bool)   # a cluster starts at x.flat[i]; the last closes
+    cut.fill(True)
     np.logical_not(x[:, 1:] - x[:, :-1] <= GAP_TOL * (1.0 + np.maximum(ax[:, :-1], ax[:, 1:])),
                    out=cut[:-1].reshape(x.shape)[:, 1:])
     edge = cut.nonzero()[0]
     start, algebraic = edge[:-1], edge[1:] - edge[:-1]
-    cell = rows[start // k]
-    # np.mean's sums: below 8 values np.add.reduce adds from 0 in order, as np.add.at does
-    value = np.zeros(start.size + 1)
-    np.add.at(value, cut[:-1].cumsum(), x.ravel())
-    value = value[1:] / algebraic
+    cell = rows.take(start // k)
+    # np.mean's sums: below 8 values np.add.reduce adds from 0 in order, as
+    # np.bincount adds each cluster's weights (cluster ids count from 1)
+    value = np.bincount(cut[:-1].cumsum(), x.ravel(), start.size + 1)[1:] / algebraic
     for m in range(8, np.maximum.reduce(algebraic, initial=0) + 1):
         sel = (algebraic == m).nonzero()[0]
         value[sel] = np.add.reduce(x.take(start[sel, None] + np.arange(m)), 1) / m
@@ -135,10 +147,11 @@ def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarra
     np.minimum.at(min_gap, cell[1:], np.where(cell[1:] == cell[:-1], rel_gap, np.inf))
 
     pair = (algebraic > 1).nonzero()[0]
-    owner = cell[pair]
+    owner = cell.take(pair)
     slow = np.bincount(owner, minlength=N).nonzero()[0]
     geometric = algebraic.copy()   # 1 for a single value
-    min_sv = np.full(start.size, np.nan)
+    min_sv = np.empty(start.size)
+    min_sv.fill(np.nan)
     # F / sqrt(k) <= ||A||_2 <= F for the Frobenius norm F, each side widened by
     # 1e-10 for rounding and clipped where F^2 can lose a term to underflow
     # (below 1e-140) or overflow: a singular value of A - mean I at or below
@@ -149,7 +162,7 @@ def classify_batch(A_stack: np.ndarray) -> Tuple[np.ndarray, Dict[str, np.ndarra
         sel = pair[i:i + _GATHER]
         mats = A_stack.take(owner[i:i + _GATHER], 0)
         fro = np.sqrt(np.einsum("nij,nij->n", mats, mats))   # inf, unwarned, past 1e154
-        mats.reshape(-1, k * k)[:, ::k + 1] -= value[sel][:, None]   # diagonals
+        mats.reshape(-1, k * k)[:, ::k + 1] -= value.take(sel)[:, None]   # diagonals
         sv = np.linalg.svd(mats, compute_uv=False)
         min_sv[sel] = sv[:, -1]
         count = np.add.reduce(sv <= (np.minimum(fro, 1e140) * low)[:, None], 1)
@@ -179,19 +192,15 @@ def diagonalizability_test(A: np.ndarray) -> HyperbolicityVerdict:
     """
     codes, aux = classify_batch(np.asarray(A)[None])
     cls = _CLASSES[codes[0]]
-    w = aux["eigenvalues"][0]
+    w, clusters = aux["eigenvalues"][0], None
     if cls is Classification.NonHyperbolic:
         w = w[np.argsort(w.real)]
-        diags = [EigenCluster(complex(v), 1, 0, None) for v in w]
     else:
         w.sort()   # complex: by real part, then imaginary
         c = aux["clusters"]
-        diags = [EigenCluster(complex(v), a, g, None if a == 1 else sv)
-                 for v, a, g, sv in zip(c["value"].tolist(), c["algebraic"].tolist(),
-                                        c["geometric"].tolist(), c["min_sv"].tolist())]
-    return HyperbolicityVerdict(eigenvalues=w, classification=cls, diagnostics=diags,
-                                min_gap=float(aux["min_gap"][0]),
-                                max_imag=float(aux["max_imag"][0]))
+        clusters = (c["value"], c["algebraic"], c["geometric"], c["min_sv"])
+    return HyperbolicityVerdict(w, cls, float(aux["min_gap"][0]), float(aux["max_imag"][0]),
+                                clusters)
 
 
 # ---------------------------------------------------------------------------

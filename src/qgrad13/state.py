@@ -44,13 +44,24 @@ def _square(x):
     numpy squares arrays by multiplication, which rounds differently from
     pow about once in a thousand; one rule keeps a batch of coefficient
     records equal, bit for bit, to the records of its fugacities one by one.
+    A float's square is Python's x ** 2.0, the same pow, so a record of
+    floats computes in floats; a square that overflows or underflows to 0 is
+    numpy's, so such a record divides by it as numpy does.
     """
+    if type(x) is float:
+        try:
+            y = x ** 2.0
+            if 0.0 < y < math.inf:
+                return y
+        except OverflowError:
+            pass
     return np.float_power(x, 2.0)
 
 
 class _once(cached_property):
-    """A `LiCoeffs` formula, computed on first read and then kept: a
-    cached_property without the lock it takes on every first read before 3.12."""
+    """A `LiCoeffs` formula or an `EquilibriumParams` moment, computed on first
+    read and then kept: a cached_property without the lock it takes on every
+    first read before 3.12."""
     def __get__(self, c, owner=None):
         return self if c is None else vars(c).setdefault(self.attrname, self.func(c))
 
@@ -170,13 +181,13 @@ class EquilibriumParams:
         if _li is None:
             _li = eval_polylog_batch(self.z, self.theta)[:, 0]
         # Python floats: numpy scalars square differently (see `_square`)
-        object.__setattr__(self, "coeffs", LiCoeffs(tuple(map(float, _li)), self.T))
+        object.__setattr__(self, "coeffs", LiCoeffs(tuple(_li.tolist()), self.T))
 
-    @cached_property
+    @_once
     def rho(self) -> float:
         return self.hhat * (_TWO_PI * self.T) ** 1.5 * self.coeffs.L3
 
-    @cached_property
+    @_once
     def p(self) -> float:
         return self.hhat * (_TWO_PI * self.T) ** 1.5 * self.T * self.coeffs.L5
 
@@ -197,12 +208,12 @@ class MomentState13:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(3))
         if not np.logical_and.reduce(np.isfinite(self.u) & np.isfinite(self.q)):
             raise DomainError("velocity and heat flux must be finite")
-        scale = float(np.maximum.reduce(np.abs(self.p_ij), axis=None))
-        if not np.logical_and.reduce(np.isfinite(self.p_ij), axis=None) or scale == 0.0:
+        scale = float(np.maximum.reduce(np.abs(self.p_ij), axis=None))   # NaN if any is
+        if not 0.0 < scale < math.inf:
             raise DomainError("pressure tensor must be finite and nonzero")
         if np.maximum.reduce(np.abs(self.p_ij - self.p_ij.T), axis=None) > 1e-9 * scale:
             raise DomainError("pressure tensor must be symmetric")
-        if np.minimum.reduce(np.linalg.eigvalsh(0.5 * (self.p_ij + self.p_ij.T))) <= 0.0:
+        if np.linalg.eigvalsh(0.5 * (self.p_ij + self.p_ij.T))[0] <= 0.0:   # ascending
             raise DomainError("pressure tensor must be positive definite")
 
     @property

@@ -634,6 +634,37 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert lines[3] == f"fit_points={32 * steps}"   # classically li at z only
 
 
+_RUN = dict(theta=0, cells=8, length=1.0, cfl=0.45, tau=0.05, t_end=0.01,
+            left=dict(z=1.0, u1=0.0, T=1.0), right=dict(z=1.3, u1=0.0, T=1.0))
+
+
+@pytest.mark.parametrize("case", ["config-missing", "config-not-json", "state-missing",
+                                  "region-out", "eigs-dump", "out-prefix"])
+def test_file_errors_exit3_naming_the_path(case, tmp_path, capsys):
+    """A file that cannot be read, parsed or written ends in exit 3 with the
+    JSON error naming its path, not in a traceback with exit 1."""
+    missing = str(tmp_path / "missing")
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps(_RUN))
+    path, argv = {
+        "config-missing": (missing, ["simulate", "--config", missing]),
+        "config-not-json": (str(run), ["simulate", "--config", str(run)]),
+        "state-missing": (missing, ["eigs", "--theta", "0", "--state", missing]),
+        "region-out": (missing, ["region1d", "--theta", "0", "--z", "1", "--n", "5",
+                                 "--out", missing + "/grid.csv"]),
+        "eigs-dump": (missing, ["eigs", "--theta", "0", "--z", "1",
+                                "--dump", missing + "/eigs.csv"]),
+        "out-prefix": (missing, ["simulate", "--config", str(run),
+                                 "--out-prefix", missing + "/run"]),
+    }[case]
+    if case == "config-not-json":
+        run.write_text("theta: 0\n")
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert path in err["message"]
+    assert err["type"] == ("DomainError" if case == "config-not-json" else "FileNotFoundError")
+
+
 def test_simulate_invalid_config_exit3(tmp_path, capsys):
     cfg = dict(theta=0, cells=32, length=1.0, cfl=2.0, tau=0.05, t_end=0.05,
                left=dict(z=1.0, u1=0.0, T=1.0),

@@ -462,11 +462,15 @@ def test_assembly_bits_pinned():
 def test_op_tables_keep_the_term_order_rule(ops):
     """One scatter per term sums each entry in the loops' order only if no
     (d, row, col) entry takes two ops of one term and every entry meets its
-    terms in the order the terms first appear in the op list."""
+    terms in the order the terms first appear in the op list; and a sum of
+    terms goes onto an entry's start as the terms one by one only if that
+    start is a signed zero: no op of A meets u_d I's diagonal (D's entries
+    under an op start at -0.0)."""
     rank = {term: n for n, term in enumerate(dict.fromkeys(op[3] for op in ops))}
     by_entry = {}
     for d, row, col, term, *_ in ops:
         by_entry.setdefault((d, row, col), []).append(rank[term])
+        assert d == 4 or row != col, (d, row, col)
     for entry, ranks in by_entry.items():
         assert ranks == sorted(set(ranks)), entry
 

@@ -1,5 +1,6 @@
 """Eigenvalue classification, characteristic polynomials, annihilation."""
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -194,6 +195,27 @@ def test_one_state_check_makes_a_fixed_set_of_solves(monkeypatch):
         assert q.diagonalizability_test(sm.A).classification in (
             Classification.HyperbolicStrict, Classification.HyperbolicDegenerate)
     assert calls == {"eigvalsh": 120, "svd": 120, "eigvals": 60}
+
+
+def test_state_check_bits_pinned():
+    """300 seeded c5-style draws over the three statistics, each along a
+    random direction: A, D, M and B of the regularized assembly and every
+    field of its verdict (class, eigenvalues, each cluster's value,
+    multiplicities and min_sv, min_gap, max_imag) hash to the digest
+    recorded before the per-state path's fixed calls were trimmed."""
+    rng = np.random.Generator(np.random.Philox(20261022))
+    h = hashlib.sha256()
+    for i in range(300):
+        st, eq = random_moment_state(rng, (-1, 0, 1)[i % 3])
+        sm = q.assemble_A_regularized(st, eq, random_unit_vectors(rng, 1)[0])
+        v = q.diagonalizability_test(sm.A)
+        for M in (sm.A, sm.D, sm.M, sm.B, v.eigenvalues):
+            h.update(M.tobytes())
+        h.update(repr((v.classification.value, v.min_gap, v.max_imag, [
+            (c.value, c.algebraic, c.geometric, c.min_singular_value)
+            for c in v.diagnostics])).encode())
+    assert h.hexdigest() == \
+        "ba38e7645f424bfdce863deed485df7f26c03ee1e78228f775eddb20a3d00d53"
 
 
 def _classify_reference(A_stack):
